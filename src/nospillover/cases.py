@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_pencil, fnorm, herm_eigs
+from .linalg import eig_pencil, fnorm, herm_eigs, largest_entry_scaled
 from .pencil import structure_residuals
 from .shh import SHHPencil, shh_gramian, shh_update, star_shh_core
 from .special import QuadraticSpec, solve_quadratic
@@ -429,11 +429,6 @@ def _run_quadratic_case(case: ReferenceCase) -> CaseReport:
     )
 
 
-def _largest_entry_scaled(x: np.ndarray) -> np.ndarray:
-    piv = x[int(np.argmax(np.abs(x)))]
-    return x / piv
-
-
 def _run_shh_case(case: ReferenceCase) -> CaseReport:
     shh = SHHPencil(case.m, case.k, "*")
     eigs = [e for e in eig_pencil(case.m, case.k) if e.finite]
@@ -445,7 +440,7 @@ def _run_shh_case(case: ReferenceCase) -> CaseReport:
             raise ValueError(f"case eigenvalue {w} not found in computed spectrum")
         available.remove(best)
         values.append(eigs[best].value)
-        cols.append(_largest_entry_scaled(eigs[best].vector).reshape(-1, 1))
+        cols.append(largest_entry_scaled(eigs[best].vector).reshape(-1, 1))
     xc = np.hstack(cols)
     lam_c = np.diag(values)
     lam_a = np.diag(case.lam_target)
@@ -454,7 +449,7 @@ def _run_shh_case(case: ReferenceCase) -> CaseReport:
     result = shh_update(shh, xc, lam_c, lam_a, core)
     dm, dk = result.delta_m, result.delta_k
     xf = np.hstack(
-        [_largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in available]
+        [largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in available]
     )
     lf = np.diag([eigs[i].value for i in available])
     spill = _spillover(case.m, case.k, dm, dk, xf, lf)

@@ -47,7 +47,7 @@ from .structured import (
     structured_update,
 )
 from .unstructured import UpdateProblem, UpdateResult, solve_general
-from .verify import certify
+from .verify import certify, certify_spillover
 
 _QUADRATIC_CLASSES = ("hermitian", "star-odd", "star-even")
 
@@ -273,25 +273,26 @@ def cmd_verify(args) -> int:
         pairs = fileio.load_pairs(args.pairs)
     except SchemaError as exc:
         return _fail_schema(str(exc))
-    targets = pairs.get("targets")
-    if targets is None or targets.x is None or targets.lam is None:
-        return _fail_schema("pairs file needs targets with x and lambda")
+    targets, fixed = pairs.get("targets"), pairs.get("fixed")
+    has_fixed = fixed is not None and fixed.x is not None
+    # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
+    spillover_only = targets is None and has_fixed
+    if not spillover_only and (targets is None or targets.x is None or targets.lam is None):
+        return _fail_schema("pairs file needs targets with x and lambda, or a fixed pair")
     tol = args.tol if args.tol is not None else TAU_DEFL
     try:
-        tag = TAG_BY_NAME.get(structure)
-        pencil = StructuredPencil(m, k, tag)
-        fixed = None
-        if "fixed" in pairs and pairs["fixed"].x is not None:
-            fixed = DeflatingPair(pairs["fixed"].x, pairs["fixed"].lam)
-        problem = UpdateProblem(
-            DeflatingPair(targets.x, targets.lam),
-            targets.lam,
-            target_x=targets.x,
-            fixed=fixed,
-        )
-        cert = certify(
-            pencil, UpdateResult(dm, dk), problem, tol_defl=tol
-        )
+        pencil = StructuredPencil(m, k, TAG_BY_NAME.get(structure))
+        fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
+        if spillover_only:
+            cert = certify_spillover(pencil, UpdateResult(dm, dk), fixed_pair, tol_defl=tol)
+        else:
+            problem = UpdateProblem(
+                DeflatingPair(targets.x, targets.lam),
+                targets.lam,
+                target_x=targets.x,
+                fixed=fixed_pair,
+            )
+            cert = certify(pencil, UpdateResult(dm, dk), problem, tol_defl=tol)
     except NoSpilloverError as exc:
         return _fail_math(exc)
     for line in cert.summary_lines():

@@ -3,6 +3,10 @@
 JSON-shaped, UTF-8, schema versioned with a ``format: 1`` field. Complex
 entries are stored as [re, im] pairs; floats round-trip exactly through
 repr, so parse(emit(x)) is bitwise faithful.
+
+Files are written as ``json.dumps(doc, indent=1, sort_keys=True)`` with
+every matrix encoded by ``encode_matrix``; ``_dumps`` produces exactly those
+bytes without walking each float in Python.
 """
 
 from __future__ import annotations
@@ -47,6 +51,52 @@ def decode_matrix(obj, name: str) -> np.ndarray:
     if arr.ndim == 3 and arr.shape[-1] == 2:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     raise SchemaError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)`` at nesting ``depth``,
+    with each ndarray written as ``encode_matrix`` would encode it.
+
+    Dict keys must be strings. Scalars go through ``json.dumps`` itself.
+    """
+    if isinstance(obj, np.ndarray):
+        return _dumps_matrix(obj, depth)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_dumps(obj[key], depth + 1)}" for key in sorted(obj)]
+        return _nest(items, depth, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _nest([_dumps(item, depth + 1) for item in obj], depth, "[]")
+    return json.dumps(obj)
+
+
+def _nest(items, depth: int, brackets: str = "[]") -> str:
+    """Items of a JSON list or object opening at ``depth``, one per line."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _matrix_template(shape: tuple, depth: int) -> str:
+    """%r template of an encoded array of ``shape`` opening at ``depth``."""
+    text = _nest(["%r", "%r"], depth + len(shape))
+    for axis in reversed(range(len(shape))):
+        text = _nest([text] * shape[axis], depth + axis)
+    return text
+
+
+def _dumps_matrix(a, depth: int) -> str:
+    # %r of a Python float is float.__repr__, the text json writes. NaN and
+    # Inf (spelled NaN/Infinity by json) and empty arrays take the slow path.
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim not in (1, 2) or a.size == 0 or not np.isfinite(a).all():
+        return _dumps(encode_matrix(a), depth)
+    floats = np.ascontiguousarray(a).view(np.float64).ravel().tolist()
+    return _matrix_template(a.shape, depth) % tuple(floats)
+
+
+def _write(path, doc):
+    Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
 
 
 def _decode_optional(block, key, name):
@@ -98,11 +148,11 @@ def _encode_pair_block(block: PairBlock | None):
         return None
     out = {}
     if block.x is not None:
-        out["x"] = encode_matrix(block.x)
+        out["x"] = np.asarray(block.x)
     if block.lam is not None:
-        out["lambda"] = encode_matrix(block.lam)
+        out["lambda"] = np.asarray(block.lam)
     if block.eigenvalues is not None:
-        out["eigenvalues"] = encode_matrix(block.eigenvalues)
+        out["eigenvalues"] = np.asarray(block.eigenvalues)
     return out or None
 
 
@@ -166,7 +216,7 @@ def dump_problem(pf: ProblemFile) -> str:
     params = {}
     for key, value in pf.parameters.items():
         if key in _PARAM_MATRIX_KEYS:
-            params[key] = encode_matrix(value)
+            params[key] = np.asarray(value)
         elif key in _PARAM_LIST_KEYS:
             params[key] = [float(v) for v in value]
         else:
@@ -175,14 +225,14 @@ def dump_problem(pf: ProblemFile) -> str:
         "format": FORMAT_VERSION,
         "structure": pf.structure,
         "quadratic": pf.quadratic,
-        "m": encode_matrix(pf.m),
-        "k": encode_matrix(pf.k),
+        "m": np.asarray(pf.m),
+        "k": np.asarray(pf.k),
         "change": _encode_pair_block(pf.change),
         "targets": _encode_pair_block(pf.targets),
         "fixed": _encode_pair_block(pf.fixed),
         "parameters": params or None,
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return _dumps(doc)
 
 
 def save_problem(path, pf: ProblemFile):
@@ -192,9 +242,9 @@ def save_problem(path, pf: ProblemFile):
 def save_pairs(path, fixed_x, fixed_lam):
     doc = {
         "format": FORMAT_VERSION,
-        "fixed": {"x": encode_matrix(fixed_x), "lambda": encode_matrix(fixed_lam)},
+        "fixed": {"x": np.asarray(fixed_x), "lambda": np.asarray(fixed_lam)},
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
+    _write(path, doc)
 
 
 def load_pairs(path) -> dict:
@@ -234,22 +284,20 @@ def certificate_dict(cert) -> dict:
 def save_result(path, result, cert=None, extra=None):
     prov = {}
     for key, value in result.provenance.items():
-        if isinstance(value, np.ndarray):
-            prov[key] = encode_matrix(value)
-        elif isinstance(value, (bool, int, float, str)):
+        if isinstance(value, (np.ndarray, bool, int, float, str)):
             prov[key] = value
         elif isinstance(value, complex):
             prov[key] = [value.real, value.imag]
     doc = {
         "format": FORMAT_VERSION,
-        "delta_m": encode_matrix(result.delta_m),
-        "delta_k": encode_matrix(result.delta_k),
+        "delta_m": np.asarray(result.delta_m),
+        "delta_k": np.asarray(result.delta_k),
         "provenance": prov,
         "certificate": certificate_dict(cert) if cert is not None else None,
     }
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
+    _write(path, doc)
 
 
 def load_delta(path) -> tuple[np.ndarray, np.ndarray]:

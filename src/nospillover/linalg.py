@@ -4,6 +4,9 @@ Thin, contract-enforcing wrappers around numpy/scipy dense routines. All
 matrices are complex128 ndarrays; shapes and finiteness are validated at the
 boundary, and infinite pencil eigenvalues are tagged explicitly instead of
 being encoded as large floats.
+
+scipy is imported where it is first needed (the QZ in ``eig_pencil``, the
+assignment in ``match_multisets``), so importing the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +27,6 @@ from .errors import (
 # Working tolerances (relative, Frobenius-scaled). Chosen for double
 # precision with headroom up to n ~ 500.
 TAU_NUM = 1e-12     # SVD cutoff for rank decisions
-TAU_EIG = 1e-9      # eigenpair residual acceptance
 TAU_STRUCT = 1e-10  # symmetry-structure residual acceptance
 TAU_DEFL = 1e-9     # deflating-pair residual acceptance
 
@@ -53,6 +54,23 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def fnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
+
+
+# the 2x2 canonical skew block
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """Block-diagonal matrix of the (at least 2-d) blocks, as
+    ``scipy.linalg.block_diag``: dtype is the blocks' ``result_type``."""
+    blocks = [np.atleast_2d(b) for b in blocks or ([],)]
+    rows, cols = (sum(b.shape[axis] for b in blocks) for axis in (0, 1))
+    out = np.zeros((rows, cols), dtype=np.result_type(*(b.dtype for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -144,6 +162,11 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
     return x * (np.abs(piv) / piv)
 
 
+def largest_entry_scaled(x: np.ndarray) -> np.ndarray:
+    """A column scaled so its largest-magnitude entry is 1."""
+    return x / x[int(np.argmax(np.abs(x)))]
+
+
 def eig_pencil(m, k) -> list[PencilEigenpair]:
     """All eigenvalues of the regular pencil lambda*M + K.
 
@@ -155,6 +178,8 @@ def eig_pencil(m, k) -> list[PencilEigenpair]:
     k = as_matrix(k, "K")
     if k.shape != m.shape:
         raise DimensionMismatch(f"M is {m.shape} but K is {k.shape}")
+    import scipy.linalg
+
     # det(lam M + K) = 0  <=>  K x = (-lam) M x
     (alpha, beta), vr = scipy.linalg.eig(k, m, homogeneous_eigvals=True, right=True)
     nm, nk = max(fnorm(m), 1e-300), max(fnorm(k), 1e-300)

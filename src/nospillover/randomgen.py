@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters
-from .linalg import rcond_estimate
+from .linalg import largest_entry_scaled, rcond_estimate
 from .pencil import (
     DeflatingPair,
     StructuredPencil,
@@ -235,10 +235,6 @@ def random_shh_pencil(rng, half_n: int, which_star: str) -> SHHPencil:
     return SHHPencil(-j @ s, -j @ h, which_star)
 
 
-def _largest_entry_scaled(x: np.ndarray) -> np.ndarray:
-    return x / x[int(np.argmax(np.abs(x)))]
-
-
 def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedSHH:
     """Planted *-SHH instance changing ``num_couples`` (l, -conj l) couples
     and ``num_imag`` purely imaginary eigenvalues."""
@@ -305,7 +301,7 @@ def _try_plant_star_shh(shh: SHHPencil, num_couples: int, num_imag: int, rng):
             if abs(lam_c[i] - lam_c[j]) <= _MIN_SEPARATION * (1 + abs(lam_c[i])):
                 return None
     xc = np.hstack(
-        [_largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in change_idx]
+        [largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in change_idx]
     )
     xf = np.hstack([eigs[i].vector.reshape(-1, 1) for i in fixed_idx])
     if rcond_estimate(np.hstack([xc, xf])) < 1e-8:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadBlockPattern,
@@ -25,8 +24,10 @@ from .errors import (
 )
 from .linalg import (
     EIG_MATCH_TOL,
+    J2,
     TAU_STRUCT,
     as_matrix,
+    block_diag,
     eig_pencil,
     fnorm,
     gramian_scale,
@@ -36,8 +37,6 @@ from .linalg import (
 from .pencil import STAR_CONJ, STAR_TRANS, StructuredPencil, StructureTag, star
 from .structured import CoreSolution, G_RCOND_CUTOFF, complete_core, parametrized_core
 from .unstructured import UpdateResult
-
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _PATTERN_TOL = 1e-8  # relative tolerance for G / parameter block patterns
 
@@ -314,7 +313,7 @@ def t_shh_lambda(grouping_shape, quad_values, imag_values, real_values) -> np.nd
         blocks.append(np.diag([v.real, -v.real]))
     if not blocks:
         raise DimensionMismatch("empty grouping")
-    return scipy.linalg.block_diag(*blocks)
+    return block_diag(*blocks)
 
 
 def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +388,7 @@ def t_shh_mhat(grouping_shape, quad_alpha, quad_beta, imag_beta, real_beta) -> n
         blocks.append(b * J2)
     if not blocks:
         raise DimensionMismatch("empty grouping")
-    return scipy.linalg.block_diag(*blocks)
+    return block_diag(*blocks)
 
 
 def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +420,7 @@ def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.nda
         z2b.append(u * np.array([[0.0, 1.0], [1.0, 0.0]]))
     if not z1b:
         raise DimensionMismatch("empty grouping")
-    return scipy.linalg.block_diag(*z1b), scipy.linalg.block_diag(*z2b)
+    return block_diag(*z1b), block_diag(*z2b)
 
 
 def _validate_t_gramian(g: np.ndarray, shape):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadBlockShape,
@@ -29,7 +28,7 @@ from .errors import (
     PositiveTargetEigenvalue,
     ZeroChangeEigenvalue,
 )
-from .linalg import TAU_DEFL, TAU_NUM, as_matrix, fnorm, herm_eigs
+from .linalg import J2, TAU_DEFL, TAU_NUM, as_matrix, block_diag, fnorm, herm_eigs
 from .pencil import (
     HERMITIAN,
     STAR_EVEN,
@@ -41,8 +40,6 @@ from .pencil import (
 from .unstructured import UpdateResult
 
 _DIAG_TOL = 1e-10  # relative tolerance for real/imaginary/diagonal checks
-
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # lambda^2 purely imaginary <=> lambda in {±sqrt(a/2)(1+i), ±sqrt(a/2)(1-i)}
 E_MEMBERSHIP_TOL = 1e-8
@@ -332,10 +329,6 @@ def _imag_part(lam: complex, name: str) -> float:
     return lam.imag
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    return scipy.linalg.block_diag(*blocks)
-
-
 def _realified_change_basis(w: np.ndarray, eigenpairs) -> tuple[np.ndarray, list[float]]:
     """Stack [re x, im x] per conjugate pair, scaled so X^T W X = I_{2p}."""
     cols = []
@@ -383,10 +376,10 @@ def t_odd_real_update(
         raise DimensionMismatch("need one target, alpha and beta per pair")
     xhat, mus = _realified_change_basis(m, eigenpairs)
     mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
-    lam_c = _block_diag([mu * J2 for mu in mus])
-    lam_a = _block_diag([mu * J2 for mu in mus_a])
-    z1 = _block_diag([a * np.eye(2) for a in alpha])
-    z2 = _block_diag([b * J2 for b in beta])
+    lam_c = block_diag(*[mu * J2 for mu in mus])
+    lam_a = block_diag(*[mu * J2 for mu in mus_a])
+    z1 = block_diag(*[a * np.eye(2) for a in alpha])
+    z2 = block_diag(*[b * J2 for b in beta])
     ha = np.linalg.inv(np.eye(2 * p) - lam_a @ lam_a)
     mh = ha @ ((lam_a - lam_c) @ lam_a + z1 + z2 @ lam_a)
     kh = ha @ ((lam_c - lam_a) - z1 @ lam_a - z2 @ lam_a @ lam_a)
@@ -426,11 +419,11 @@ def t_even_real_update(
             raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
     xhat, mus = _realified_change_basis(k, eigenpairs)
     mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
-    lam_c = _block_diag([mu * J2 for mu in mus])
-    lam_a = _block_diag([mu * J2 for mu in mus_a])
+    lam_c = block_diag(*[mu * J2 for mu in mus])
+    lam_a = block_diag(*[mu * J2 for mu in mus_a])
     lam_c_inv = np.linalg.inv(lam_c)
-    z1 = _block_diag([a * J2 for a in alpha])
-    z2 = _block_diag([b * np.eye(2) for b in beta])
+    z1 = block_diag(*[a * J2 for a in alpha])
+    z2 = block_diag(*[b * np.eye(2) for b in beta])
     ha = np.linalg.inv(np.eye(2 * p) - lam_a @ lam_a)
     mh = ha @ (lam_c_inv @ (lam_c - lam_a) @ lam_a + z1 + z2 @ lam_a)
     kh = ha @ (lam_c_inv @ (lam_a - lam_c) - z1 @ lam_a - z2 @ lam_a @ lam_a)

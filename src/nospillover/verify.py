@@ -22,7 +22,7 @@ from .linalg import (
     herm_eigs,
     match_multisets,
 )
-from .pencil import StructuredPencil, structure_residuals
+from .pencil import DeflatingPair, StructuredPencil, structure_residuals
 from .unstructured import UpdateProblem, UpdateResult
 
 
@@ -40,8 +40,10 @@ class SpectrumMatch:
 
 @dataclass
 class Certificate:
-    target_residual: float
-    target_relative: float
+    """Residuals of an update; a spillover-only certificate has no target."""
+
+    target_residual: float | None = None
+    target_relative: float | None = None
     spillover_residual: float | None = None
     spillover_relative: float | None = None
     structure_residuals: dict = field(default_factory=dict)
@@ -53,9 +55,8 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        ok = self.target_relative <= self.tol_defl
-        if self.spillover_relative is not None:
-            ok = ok and self.spillover_relative <= self.tol_defl
+        residuals = (self.target_relative, self.spillover_relative)
+        ok = all(value <= self.tol_defl for value in residuals if value is not None)
         for value in self.structure_residuals.values():
             ok = ok and value <= self.tol_struct
         for value in self.definiteness.values():
@@ -65,10 +66,12 @@ class Certificate:
         return bool(ok)
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"target residual    {self.target_residual:.3e} "
-            f"(relative {self.target_relative:.3e})"
-        ]
+        lines = []
+        if self.target_residual is not None:
+            lines.append(
+                f"target residual    {self.target_residual:.3e} "
+                f"(relative {self.target_relative:.3e})"
+            )
         if self.spillover_residual is not None:
             lines.append(
                 f"spillover residual {self.spillover_residual:.3e} "
@@ -138,23 +141,10 @@ def certify(
     """
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
     m1, k1 = pencil.m + dm, pencil.k + dk
-    xa, la = problem.xa, problem.target_lam
-    tres = fnorm(m1 @ xa @ la + k1 @ xa)
-    tscale = (fnorm(m1) * fnorm(la) + fnorm(k1)) * fnorm(xa)
-    cert = Certificate(
-        target_residual=tres,
-        target_relative=tres / max(tscale, 1e-300),
-        tol_defl=tol_defl,
+    cert = _pair_certificate(pencil, m1, k1, problem.fixed, check_structure, tol_defl)
+    cert.target_residual, cert.target_relative = _pair_residual(
+        m1, k1, problem.xa, problem.target_lam
     )
-    if problem.fixed is not None:
-        xf, lf = problem.fixed.x, problem.fixed.lam
-        sres = fnorm(m1 @ xf @ lf + k1 @ xf)
-        sscale = (fnorm(m1) * fnorm(lf) + fnorm(k1)) * fnorm(xf)
-        cert.spillover_residual = sres
-        cert.spillover_relative = sres / max(sscale, 1e-300)
-    if check_structure and pencil.tag is not None:
-        rm, rk = structure_residuals(m1, k1, pencil.tag)
-        cert.structure_residuals = {"m_updated": rm, "k_updated": rk}
     for name in psd:
         matrix = {
             "delta_m": dm,
@@ -172,4 +162,38 @@ def certify(
             )
         except SingularPencil:
             cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0, spectrum_tol)
+    return cert
+
+
+def certify_spillover(
+    pencil: StructuredPencil,
+    result: UpdateResult,
+    fixed: DeflatingPair,
+    tol_defl: float = TAU_DEFL,
+) -> Certificate:
+    """Spillover-only certificate: the fixed pair's residual and the structure
+    residuals of the updated pencil, for when no targets are known."""
+    dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
+    return _pair_certificate(
+        pencil, pencil.m + dm, pencil.k + dk, fixed, check_structure=True, tol_defl=tol_defl
+    )
+
+
+def _pair_residual(m1, k1, x, lam) -> tuple[float, float]:
+    """||M1 X Lam + K1 X||_F, absolute and relative to (||M1|| ||Lam|| + ||K1||) ||X||."""
+    res = fnorm(m1 @ x @ lam + k1 @ x)
+    scale = (fnorm(m1) * fnorm(lam) + fnorm(k1)) * fnorm(x)
+    return res, res / max(scale, 1e-300)
+
+
+def _pair_certificate(pencil, m1, k1, fixed, check_structure, tol_defl) -> Certificate:
+    """Spillover and structure residuals of the updated pencil (M1, K1)."""
+    cert = Certificate(tol_defl=tol_defl)
+    if fixed is not None:
+        cert.spillover_residual, cert.spillover_relative = _pair_residual(
+            m1, k1, fixed.x, fixed.lam
+        )
+    if check_structure and pencil.tag is not None:
+        rm, rk = structure_residuals(m1, k1, pencil.tag)
+        cert.structure_residuals = {"m_updated": rm, "k_updated": rk}
     return cert

@@ -152,6 +152,22 @@ class TestVerify:
             == 0
         )
 
+    def test_fixed_only_pairs_catch_spillover(self, tmp_path, capsys):
+        prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
+        assert run(["random", "--seed", 4, "--n", 8, "--p", 2,
+                    "--class", "star-even", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        doc = json.loads(delta.read_text())
+        doc["delta_m"][0][0][0] += 1e-3
+        delta.write_text(json.dumps(doc))
+        capsys.readouterr()
+        verify = ["verify", "--pencil", prob, "--delta", delta, "--pairs"]
+        assert run(verify + [str(prob) + ".fixed.json"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"format": 1}')
+        assert run(verify + [empty]) == 2
+
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")
         pf = fileio.ProblemFile(
@@ -220,12 +236,18 @@ class TestRandom:
             ("t-shh", 8, 2),
         ],
     )
-    def test_generated_problem_solves_and_verifies(self, tmp_path, klass, n, p):
+    def test_generated_problem_solves_and_verifies(self, tmp_path, capsys, klass, n, p):
         prob = tmp_path / "prob.json"
         delta = tmp_path / "delta.json"
         assert run(["random", "--seed", 11, "--n", n, "--p", p,
                     "--class", klass, "--out", prob]) == 0
         assert run(["solve", "--input", prob, "--out", delta]) == 0
+        capsys.readouterr()
+        # the documented round trip: verify against the hidden fixed pair
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", str(prob) + ".fixed.json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("spillover residual") and lines[-1] == "PASS"
         # certify against the hidden fixed pair
         pf = fileio.load_problem(prob)
         hidden = fileio.load_pairs(str(prob) + ".fixed.json")["fixed"]

@@ -133,3 +133,102 @@ class TestDeltaAndPairs:
         pairs = fileio.load_pairs(path)
         assert np.array_equal(pairs["fixed"].x, x)
         assert np.array_equal(pairs["fixed"].lam, lam)
+
+
+def _encoded(obj):
+    """``obj`` with every ndarray replaced by its ``encode_matrix`` tree."""
+    if isinstance(obj, np.ndarray):
+        return fileio.encode_matrix(obj)
+    if isinstance(obj, dict):
+        return {key: _encoded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encoded(value) for value in obj]
+    return obj
+
+
+def _reference(doc) -> str:
+    """The bytes format-1 files held before the array writer."""
+    return json.dumps(_encoded(doc), indent=1, sort_keys=True)
+
+
+_RNG = np.random.default_rng(8)
+_SPECIAL = np.array([-0.0, 5e-324, 1e308, 1.0])
+
+GOLDEN_ARRAYS = {
+    "vector": crandn(_RNG, 5),
+    "matrix": crandn(_RNG, 4, 3),
+    "one-by-one": crandn(_RNG, 1, 1),
+    "real-dtype": _RNG.standard_normal((3, 3)),
+    "int-dtype": np.arange(6).reshape(2, 3),
+    "transposed": crandn(_RNG, 3, 4).T,
+    "strided": crandn(_RNG, 6, 6)[::2, 1::2],
+    "special-values": _SPECIAL + 1j * _SPECIAL[::-1],
+    "special-matrix": np.outer(_SPECIAL, [1.0, -1j]),
+    "nan-inf": np.array([np.nan, np.inf + 1j, 1 - 1j * np.inf, 2.5]),
+    "nan-matrix": np.array([[1.0, np.nan], [np.inf, 0.0]]),
+    "empty-vector": np.zeros(0),
+    "empty-rows": np.zeros((0, 3)),
+    "empty-columns": np.zeros((3, 0)),
+}
+
+
+class TestGoldenBytes:
+    """The array writer emits exactly json.dumps(indent=1, sort_keys=True)."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_ARRAYS))
+    def test_array_at_every_depth(self, name):
+        a = GOLDEN_ARRAYS[name]
+        doc = {"a": a, "nested": {"list": [a, {"deeper": a}], "s": "x"}}
+        assert fileio._dumps(a) == _reference(a)
+        assert fileio._dumps(doc) == _reference(doc)
+
+    def test_problem_with_parameter_matrices(self):
+        rng = np.random.default_rng(9)
+        z1, z2, mhat = crandn(rng, 3, 3), crandn(rng, 3), crandn(rng, 3, 3).T
+        pf = fileio.ProblemFile(
+            structure="star-odd",
+            m=crandn(rng, 4, 4),
+            k=crandn(rng, 4, 4)[:, ::-1],
+            change=fileio.PairBlock(x=crandn(rng, 4, 3), eigenvalues=crandn(rng, 3)),
+            targets=fileio.PairBlock(lam=crandn(rng, 3, 3)),
+            parameters={
+                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5,
+                "quad_alpha": [1, 2.5], "strategy": '%r ["]\n\\ é',
+            },
+            quadratic=True,
+        )
+        expected = {
+            "format": 1, "structure": "star-odd", "quadratic": True,
+            "m": pf.m, "k": pf.k,
+            "change": {"x": pf.change.x, "eigenvalues": pf.change.eigenvalues},
+            "targets": {"lambda": pf.targets.lam},
+            "fixed": None,
+            "parameters": {
+                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5,
+                "quad_alpha": [1.0, 2.5], "strategy": '%r ["]\n\\ é',
+            },
+        }
+        assert fileio.dump_problem(pf) == _reference(expected)
+
+    def test_result_with_provenance_arrays(self, tmp_path):
+        from nospillover.unstructured import UpdateResult
+
+        rng = np.random.default_rng(10)
+        g = crandn(rng, 2, 2)
+        prov = {"method": 'a "%s" }', "g": g, "lam": g[0], "z": 1 - 2j, "ok": True, "n": 3}
+        res = UpdateResult(crandn(rng, 3, 3), crandn(rng, 3, 3).T, provenance=prov)
+        path = tmp_path / "delta.json"
+        fileio.save_result(path, res)
+        expected = {
+            "format": 1, "delta_m": res.delta_m, "delta_k": res.delta_k,
+            "provenance": dict(prov, z=[1.0, -2.0]), "certificate": None,
+        }
+        assert path.read_text(encoding="utf-8") == _reference(expected) + "\n"
+
+    def test_pairs_file(self, tmp_path):
+        rng = np.random.default_rng(11)
+        x, lam = crandn(rng, 2, 5).T, np.diag(crandn(rng, 2))
+        path = tmp_path / "pairs.json"
+        fileio.save_pairs(path, x, lam)
+        expected = {"format": 1, "fixed": {"x": x, "lambda": lam}}
+        assert path.read_text(encoding="utf-8") == _reference(expected) + "\n"

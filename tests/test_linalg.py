@@ -1,7 +1,15 @@
 """Tests for the dense matrix substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+
+import nospillover
 
 from nospillover.errors import (
     DimensionMismatch,
@@ -11,7 +19,9 @@ from nospillover.errors import (
     SingularPencil,
 )
 from nospillover.linalg import (
+    J2,
     as_matrix,
+    block_diag,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -191,3 +201,45 @@ class TestMatchMultisets:
     def test_size_mismatch_counted(self):
         _, unmatched = match_multisets([1.0, 2.0], [1.0])
         assert unmatched == 1
+
+
+class TestBlockDiag:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [np.eye(2), np.ones((1, 3)), np.array([[5]])],
+            [1j * J2, (1 + 2j) * np.ones((2, 1))],
+            [np.eye(2), 1j * np.ones((1, 2)), np.array([[7]])],
+            [np.array([[1, 2]]), np.array([3])],
+            [],
+        ],
+        ids=["real", "complex", "mixed", "int-and-1d", "none"],
+    )
+    def test_matches_scipy(self, blocks):
+        ours, ref = block_diag(*blocks), scipy.linalg.block_diag(*blocks)
+        assert ours.dtype == ref.dtype
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
+
+
+def test_import_loads_no_scipy():
+    """scipy loads on the first QZ, not on import of the package or the CLI."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nospillover, nospillover.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+        "from nospillover.linalg import eig_pencil\n"
+        "pairs = eig_pencil(np.eye(2), -np.diag([1.0, 2.0]))\n"
+        "assert np.allclose(sorted(p.value.real for p in pairs), [1, 2]), pairs\n"
+    )
+    src = str(Path(nospillover.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from nospillover.pencil import HERMITIAN, StructuredPencil
 from nospillover.randomgen import plant_problem
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 from nospillover.unstructured import UpdateProblem, UpdateResult
-from nospillover.verify import certify, spectrum_match
+from nospillover.verify import certify, certify_spillover, spectrum_match
 
 
 def planted_setup(seed=1):
@@ -71,6 +71,16 @@ class TestCertify:
         planted, res, problem = planted_setup(5)
         cert = certify(planted.pencil, res, problem, psd=("m_updated",))
         assert "m_updated" in cert.definiteness
+
+    def test_spillover_only_certificate(self):
+        planted, res, problem = planted_setup(7)
+        full = certify(planted.pencil, res, problem)
+        only = certify_spillover(planted.pencil, res, planted.fixed)
+        assert only.passed and only.target_residual is None
+        assert only.spillover_relative == full.spillover_relative
+        assert only.structure_residuals == full.structure_residuals
+        lines = only.summary_lines()
+        assert lines[0].startswith("spillover residual") and lines[-1] == "PASS"
 
     def test_summary_lines(self):
         planted, res, problem = planted_setup(6)
