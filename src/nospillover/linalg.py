@@ -5,8 +5,10 @@ matrices are complex128 ndarrays; shapes and finiteness are validated at the
 boundary, and infinite pencil eigenvalues are tagged explicitly instead of
 being encoded as large floats.
 
-scipy is imported where it is first needed (the QZ in ``eig_pencil``, the
-assignment in ``match_multisets``), so importing the package loads numpy only.
+scipy is imported where it is first needed, so importing the package loads
+numpy only: ``scipy.linalg`` on the first QZ (``eig_pencil``,
+``eigvals_pencil``), and ``scipy.optimize`` only when an assignment in
+``match_multisets`` is not settled by the row minima of its cost matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ TAU_DEFL = 1e-9     # deflating-pair residual acceptance
 
 # Eigenvalue equality: |a - b| <= EIG_MATCH_TOL * (1 + max(|a|, |b|))
 EIG_MATCH_TOL = 1e-8
+
+# QZ eigenvalue classification of lambda = -alpha/beta.
+# alpha ~ ||K|| and beta ~ ||M|| both at rounding-noise level: no regular pencil.
+QZ_SINGULAR_TOL = 1e-10
+# |beta| below this fraction of |alpha|: -alpha/beta is beyond double precision,
+# so the eigenvalue is tagged infinite.
+QZ_INFINITE_TOL = 1e-14
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -162,9 +171,46 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
     return x * (np.abs(piv) / piv)
 
 
+def unit_eigenpairs(values, vectors: np.ndarray) -> list[PencilEigenpair]:
+    """Each value with its column of ``vectors``, scaled to unit norm and
+    phase-fixed (largest entry real positive)."""
+    return [
+        PencilEigenpair(value, _fix_phase(vectors[:, j] / np.linalg.norm(vectors[:, j])))
+        for j, value in enumerate(values)
+    ]
+
+
 def largest_entry_scaled(x: np.ndarray) -> np.ndarray:
     """A column scaled so its largest-magnitude entry is 1."""
     return x / x[int(np.argmax(np.abs(x)))]
+
+
+def _check_pencil(m, k) -> tuple[np.ndarray, np.ndarray]:
+    m = require_square(as_matrix(m, "M"), "M")
+    k = as_matrix(k, "K")
+    if k.shape != m.shape:
+        raise DimensionMismatch(f"M is {m.shape} but K is {k.shape}")
+    return m, k
+
+
+def _pencil_values(m, k, alpha, beta) -> list[complex | None]:
+    """lambda = -alpha/beta per QZ pair, None where infinite.
+
+    Raises SingularPencil when some pair vanishes jointly (the pencil is
+    detected non-regular).
+    """
+    nm, nk = max(fnorm(m), 1e-300), max(fnorm(k), 1e-300)
+    values = []
+    for a, b in zip(alpha, beta):
+        if abs(a) <= QZ_SINGULAR_TOL * nk and abs(b) <= QZ_SINGULAR_TOL * nm:
+            raise SingularPencil(
+                "pencil is not regular: joint alpha/beta underflow in QZ"
+            )
+        if abs(b) <= QZ_INFINITE_TOL * max(abs(a), 1e-300):
+            values.append(None)
+        else:
+            values.append(complex(-a / b))
+    return values
 
 
 def eig_pencil(m, k) -> list[PencilEigenpair]:
@@ -174,29 +220,21 @@ def eig_pencil(m, k) -> list[PencilEigenpair]:
     tagged (value None). Raises SingularPencil when the pencil is detected
     non-regular (some alpha/beta pair vanishes jointly).
     """
-    m = require_square(as_matrix(m, "M"), "M")
-    k = as_matrix(k, "K")
-    if k.shape != m.shape:
-        raise DimensionMismatch(f"M is {m.shape} but K is {k.shape}")
+    m, k = _check_pencil(m, k)
     import scipy.linalg
 
     # det(lam M + K) = 0  <=>  K x = (-lam) M x
     (alpha, beta), vr = scipy.linalg.eig(k, m, homogeneous_eigvals=True, right=True)
-    nm, nk = max(fnorm(m), 1e-300), max(fnorm(k), 1e-300)
-    out = []
-    for j in range(m.shape[0]):
-        a, b = alpha[j], beta[j]
-        x = vr[:, j]
-        x = _fix_phase(x / np.linalg.norm(x))
-        if abs(a) <= 1e-10 * nk and abs(b) <= 1e-10 * nm:
-            raise SingularPencil(
-                "pencil is not regular: joint alpha/beta underflow in QZ"
-            )
-        if abs(b) <= 1e-14 * max(abs(a), 1e-300):
-            out.append(PencilEigenpair(None, x))
-        else:
-            out.append(PencilEigenpair(complex(-a / b), x))
-    return out
+    return unit_eigenpairs(_pencil_values(m, k, alpha, beta), vr)
+
+
+def eigvals_pencil(m, k) -> list[complex | None]:
+    """The eigenvalues of ``eig_pencil`` without eigenvectors (values-only QZ)."""
+    m, k = _check_pencil(m, k)
+    import scipy.linalg
+
+    alpha, beta = scipy.linalg.eigvals(k, m, homogeneous_eigvals=True)
+    return _pencil_values(m, k, alpha, beta)
 
 
 def finite_eigenvalues(pairs: list[PencilEigenpair]) -> np.ndarray:
@@ -221,19 +259,36 @@ def herm_eigs(a) -> np.ndarray:
 def match_multisets(a, b):
     """Optimal matching of two complex multisets under a relative metric.
 
-    Cost of pairing (x, y) is |x - y| / (1 + max(|x|, |y|)). Uses exact
-    assignment (Hungarian), so the result is permutation invariant. Returns
+    Cost of pairing (x, y) is |x - y| / (1 + max(|x|, |y|)). Uses an exact
+    minimum-cost assignment, so the result is permutation invariant. Returns
     (max matched distance, number unmatched) where unmatched counts the
     size difference of the two lists.
     """
-    from scipy.optimize import linear_sum_assignment
-
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     if a.size == 0 or b.size == 0:
         return 0.0, abs(a.size - b.size)
     absa, absb = np.abs(a)[:, None], np.abs(b)[None, :]
     cost = np.abs(a[:, None] - b[None, :]) / (1.0 + np.maximum(absa, absb))
+    return assignment_max_cost(cost), abs(a.size - b.size)
+
+
+def assignment_max_cost(cost: np.ndarray) -> float:
+    """Largest entry of a minimum-total-cost assignment of the shorter side.
+
+    When the row minima (of the side with fewer lines) lie in distinct
+    columns they form an optimal assignment, since their sum bounds every
+    assignment from below; and every optimal assignment then takes a
+    minimum of each row, so its largest entry is the one the Hungarian
+    method would report. Only when two minima share a column is
+    ``scipy.optimize.linear_sum_assignment`` run.
+    """
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    cols = cost.argmin(axis=1)
+    if np.unique(cols).size == cols.size:
+        return float(cost[np.arange(cols.size), cols].max())
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
-    maxdist = float(cost[rows, cols].max()) if rows.size else 0.0
-    return maxdist, abs(a.size - b.size)
+    return float(cost[rows, cols].max())

@@ -357,7 +357,8 @@ def plant_t_shh(seed: int, half_n: int) -> PlantedSHH:
 
 
 def _try_plant_t_shh(shh: SHHPencil, rng):
-    full, leftovers = group_t_shh_spectrum(shh)
+    eigs = [e for e in shh.eig() if e.finite]
+    full, leftovers = group_t_shh_spectrum(eigs)
     if leftovers:
         return None
     options = []
@@ -400,7 +401,6 @@ def _try_plant_t_shh(shh: SHHPencil, rng):
         target_groups = ((), (), (mu,))
         removed = {lam, -lam}
     # fixed pair: all eigenpairs whose values are not in the change group
-    eigs = [e for e in shh.eig() if e.finite]
     fixed_idx = []
     for i, e in enumerate(eigs):
         if not any(abs(e.value - r) <= 1e-6 * (1 + abs(r)) for r in removed):

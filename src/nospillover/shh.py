@@ -517,8 +517,8 @@ def t_shh_update(
     return result
 
 
-def group_t_shh_spectrum(shh: SHHPencil, tol: float = 1e-8):
-    """Group the full spectrum of a real T-SHH pencil.
+def group_t_shh_spectrum(eigs, tol: float = 1e-8):
+    """Group the full spectrum of a real T-SHH pencil, given as ``shh.eig()``.
 
     Returns (groups, leftovers) where groups is an EigGrouping covering every
     eigenvalue that participates in a quadruple / imaginary pair / real pair,
@@ -526,7 +526,7 @@ def group_t_shh_spectrum(shh: SHHPencil, tol: float = 1e-8):
     near-zero eigenvalues). Pairing is strict: a candidate quadruple without
     all four members present is rejected into leftovers.
     """
-    eigs = [e for e in shh.eig() if e.finite]
+    eigs = [e for e in eigs if e.finite]
     used = [False] * len(eigs)
 
     def _find(value):

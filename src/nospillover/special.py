@@ -28,7 +28,18 @@ from .errors import (
     PositiveTargetEigenvalue,
     ZeroChangeEigenvalue,
 )
-from .linalg import J2, TAU_DEFL, TAU_NUM, as_matrix, block_diag, fnorm, herm_eigs
+from .linalg import (
+    J2,
+    QZ_INFINITE_TOL,
+    TAU_DEFL,
+    TAU_NUM,
+    PencilEigenpair,
+    as_matrix,
+    block_diag,
+    fnorm,
+    herm_eigs,
+    unit_eigenpairs,
+)
 from .pencil import (
     HERMITIAN,
     STAR_EVEN,
@@ -548,8 +559,10 @@ def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):
     Each wanted value is matched to the nearest computed finite eigenvalue
     (injectively, within a relative tolerance that accommodates truncated
     published values). Returns (change list, fixed list) of eigenpairs.
+    The pencil is of one of the three definite classes, and its eigenpairs
+    come from the Hermitian-definite solver (``definite_eig``).
     """
-    eigs = [e for e in pencil.eig() if e.finite]
+    eigs = [e for e in definite_eig(pencil) if e.finite]
     wanted = np.atleast_1d(np.asarray(wanted, dtype=np.complex128))
     available = list(range(len(eigs)))
     change = []
@@ -567,6 +580,57 @@ def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):
         change.append(eigs[best])
     fixed = [eigs[i] for i in available]
     return change, fixed
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^*)/2, real when its imaginary part is exactly zero.
+
+    ``eigh`` reads one triangle only; averaging lets both count, as they do
+    in the QZ, for data that is Hermitian only to within TAU_STRUCT.
+    """
+    h = (a + a.conj().T) / 2.0
+    return h.real if not h.imag.any() else h
+
+
+def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
+    """All eigenpairs of a hermitian (M > 0), star-odd (M > 0) or star-even
+    (K > 0) pencil from one Hermitian-definite eigensolve ``A v = w B v``.
+
+    hermitian: (K, M), lambda = -w; star-odd: (-iK, M), lambda = -iw;
+    star-even: (iM, K), lambda = -i/w, infinite where |w| is at most
+    ``QZ_INFINITE_TOL`` of max |w|. Vectors are unit-norm and phase-fixed as
+    in ``eig_pencil``, and exactly real when A and B are real. Raises
+    NotPositiveDefinite, worded as by the class updates, when the Cholesky
+    factorization of B fails because B is not positive definite.
+    """
+    import scipy.linalg
+
+    m, k = pencil.m, pencil.k
+    if pencil.tag == HERMITIAN:
+        a, b, name = k, m, "M"
+    elif pencil.tag == STAR_ODD:
+        a, b, name = -1j * k, m, "M"
+    elif pencil.tag == STAR_EVEN:
+        a, b, name = 1j * m, k, "K"
+    else:
+        raise ValueError(f"no definite solver for structure {pencil.tag}")
+    b = _hermitian_part(b)
+    try:
+        w, v = scipy.linalg.eigh(_hermitian_part(a), b)
+    except np.linalg.LinAlgError:
+        _require_positive_definite(b, name)
+        raise
+    if pencil.tag == HERMITIAN:
+        values = [complex(-x) for x in w]
+    elif pencil.tag == STAR_ODD:
+        values = [complex(0.0, -x) for x in w]
+    else:
+        wmax = np.abs(w).max(initial=0.0)
+        values = [
+            None if abs(x) <= QZ_INFINITE_TOL * wmax else complex(0.0, -1.0 / x)
+            for x in w
+        ]
+    return unit_eigenpairs(values, v.astype(np.complex128))
 
 
 def fixed_pair_from_eigs(fixed, normalize_with=None, pencil=None) -> DeflatingPair:

@@ -16,8 +16,8 @@ from .linalg import (
     TAU_DEFL,
     TAU_STRUCT,
     as_matrix,
-    eig_pencil,
-    finite_eigenvalues,
+    eig_pencil,  # noqa: F401  perfbench/tests wraps verify.eig_pencil by this name
+    eigvals_pencil,
     fnorm,
     herm_eigs,
     match_multisets,
@@ -95,32 +95,26 @@ def spectrum_match(
 ) -> SpectrumMatch:
     """Match the computed spectrum against an expected multiset.
 
-    Minimum-cost exact assignment under |a-b|/(1+max(|a|,|b|)). With
-    ``allow_subset`` the expected values only need to appear somewhere in
-    the spectrum. Raises SingularPencil for non-regular pencils.
+    The spectrum comes from a values-only QZ of the pencil; the matching is
+    ``match_multisets``'s minimum-cost assignment under
+    |a-b|/(1+max(|a|,|b|)). With ``allow_subset`` the expected values only
+    need to appear somewhere in the spectrum. Raises SingularPencil for
+    non-regular pencils.
     """
     if isinstance(pencil_or_mk, StructuredPencil):
         m, k = pencil_or_mk.m, pencil_or_mk.k
     else:
         m, k = pencil_or_mk
-    eigs = eig_pencil(m, k)
-    computed = finite_eigenvalues(eigs)
-    infinite = len(eigs) - computed.size
+    values = eigvals_pencil(m, k)
+    computed = np.array([v for v in values if v is not None], dtype=np.complex128)
+    infinite = len(values) - computed.size
     expected = np.atleast_1d(np.asarray(expected, dtype=np.complex128))
-    if allow_subset:
-        if expected.size > computed.size:
-            return SpectrumMatch(np.inf, expected.size - computed.size, infinite, tol)
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.abs(expected[:, None] - computed[None, :]) / (
-            1.0
-            + np.maximum(np.abs(expected)[:, None], np.abs(computed)[None, :])
-        )
-        rows, cols = linear_sum_assignment(cost)
-        return SpectrumMatch(float(cost[rows, cols].max()), 0, infinite, tol)
+    if allow_subset and expected.size > computed.size:
+        return SpectrumMatch(np.inf, expected.size - computed.size, infinite, tol)
     maxdist, unmatched = match_multisets(expected, computed)
-    unmatched += infinite
-    return SpectrumMatch(maxdist, unmatched, infinite, tol)
+    if allow_subset:
+        return SpectrumMatch(maxdist, 0, infinite, tol)
+    return SpectrumMatch(maxdist, unmatched + infinite, infinite, tol)
 
 
 def certify(

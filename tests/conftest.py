@@ -1,7 +1,13 @@
 """Shared generators for the definite structured classes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import nospillover
 from nospillover.linalg import eig_pencil
 from nospillover.pencil import (
     HERMITIAN,
@@ -131,6 +137,34 @@ def plant_t_even_real(seed, n=6, pairs=1):
     ]
     change = [(e.value, e.vector.reshape(-1, 1)) for e in chosen]
     return pencil, change, fixed
+
+
+def run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(nospillover.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
+def hungarian_max(cost):
+    """Largest entry of scipy's minimum-cost assignment: the matching reference."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def relative_cost(a, b):
+    """|a_i - b_j| / (1 + max(|a_i|, |b_j|)) for every pair."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return np.abs(a[:, None] - b[None, :]) / (
+        1.0 + np.maximum(np.abs(a)[:, None], np.abs(b)[None, :])
+    )
 
 
 def spillover_residual(pencil, delta_m, delta_k, fixed_eigs):

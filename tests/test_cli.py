@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh_python
 
 from nospillover import fileio
 from nospillover.cases import CASES
@@ -115,6 +116,60 @@ class TestSolve:
         prob = tmp_path / "prob.json"
         fileio.save_problem(prob, pf)
         assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
+
+    @pytest.mark.parametrize(
+        "structure, m, k, lam_change, lam_target, definite",
+        [
+            # mu = -k/m = 1, 4, 9; lambda^2 = mu
+            ("hermitian", np.diag([1.0, -1.0, 2.0]), np.diag([-1.0, 4.0, -18.0]),
+             [1.0], [1.5], "M"),
+            # mu = -k/m = i, -0.5i, 2/3 i
+            ("star-even", np.diag([1j, 2j, 3j]), np.diag([1.0, -1.0, 2.0]),
+             [np.sqrt(0.5) * (1 + 1j)], [1 + 1j], "K"),
+        ],
+        ids=["hermitian-indefinite-m", "star-even-indefinite-k"],
+    )
+    def test_indefinite_quadratic_exit_3(
+        self, tmp_path, capsys, structure, m, k, lam_change, lam_target, definite
+    ):
+        pf = fileio.ProblemFile(
+            structure=structure,
+            m=m,
+            k=k,
+            change=fileio.PairBlock(eigenvalues=np.array(lam_change, dtype=complex)),
+            targets=fileio.PairBlock(eigenvalues=np.array(lam_target, dtype=complex)),
+            quadratic=True,
+        )
+        prob = tmp_path / "prob.json"
+        fileio.save_problem(prob, pf)
+        assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
+        err = capsys.readouterr().err
+        assert f"error: NotPositiveDefinite: {definite} must be positive definite" in err
+
+    def test_quadratic_solve_loads_no_scipy_optimize(self, tmp_path):
+        """A passing quadratic solve settles its assignment without scipy.optimize."""
+        case = CASES["herm-6.1"]
+        pf = fileio.ProblemFile(
+            structure="hermitian",
+            m=case.m,
+            k=case.k,
+            change=fileio.PairBlock(eigenvalues=np.array(case.lam_change)),
+            targets=fileio.PairBlock(eigenvalues=np.array(case.lam_target)),
+            parameters={"z1": case.z1, "z2": case.z2},
+            quadratic=True,
+        )
+        prob = tmp_path / "prob.json"
+        fileio.save_problem(prob, pf)
+        code = (
+            "import sys\n"
+            "from nospillover.cli import main\n"
+            f"rc = main(['solve', '--input', {str(prob)!r}, '--out', {str(tmp_path / 'd.json')!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy.optimize')]\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:

@@ -1,15 +1,9 @@
 """Tests for the dense matrix substrate."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
-
-import nospillover
+from conftest import hungarian_max, relative_cost, run_fresh_python
 
 from nospillover.errors import (
     DimensionMismatch,
@@ -21,8 +15,10 @@ from nospillover.errors import (
 from nospillover.linalg import (
     J2,
     as_matrix,
+    assignment_max_cost,
     block_diag,
     eig_pencil,
+    eigvals_pencil,
     finite_eigenvalues,
     fnorm,
     herm_eigs,
@@ -131,6 +127,8 @@ class TestEigPencil:
         infinite = [e for e in eigs if not e.finite]
         assert len(finite) == 1 and len(infinite) == 1
         assert finite[0].value == pytest.approx(-1.0)
+        values = eigvals_pencil(np.diag([1.0, 0.0]), np.eye(2))
+        assert sorted(values, key=lambda v: v is None) == [pytest.approx(-1.0), None]
 
     def test_reference_pencil_values(self):
         from nospillover.cases import CASES
@@ -144,6 +142,8 @@ class TestEigPencil:
         a = np.ones((2, 2))
         with pytest.raises(SingularPencil):
             eig_pencil(a, a.copy())
+        with pytest.raises(SingularPencil):
+            eigvals_pencil(a, a.copy())
 
     def test_known_spectrum_oracle(self):
         rng = np.random.default_rng(23)
@@ -155,6 +155,9 @@ class TestEigPencil:
             k = s @ np.diag(-target) @ t
             vals = finite_eigenvalues(eig_pencil(m, k))
             dist, unmatched = match_multisets(target, vals)
+            assert unmatched == 0
+            assert dist <= 1e-8
+            dist, unmatched = match_multisets(target, eigvals_pencil(m, k))
             assert unmatched == 0
             assert dist <= 1e-8
 
@@ -202,6 +205,49 @@ class TestMatchMultisets:
         _, unmatched = match_multisets([1.0, 2.0], [1.0])
         assert unmatched == 1
 
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            np.zeros((3, 3)),
+            np.array([[1.0, 1.0], [1.0, 2.0]]),
+            np.array([[0.0, 1.0, 5.0], [0.1, 3.0, 4.0], [0.2, 0.3, 9.0]]),
+            np.array([[0.0, 2.0, 2.0], [0.0, 2.0, 1.0]]),
+            np.array([[0.0, 0.5], [0.1, 0.2], [0.3, 0.0], [0.0, 0.0]]),
+            np.array([[7.0]]),
+        ],
+        ids=["all-ties", "tied-minima", "colliding", "wide", "tall", "1x1"],
+    )
+    def test_assignment_matches_hungarian(self, cost):
+        assert assignment_max_cost(cost) == hungarian_max(cost)
+
+    def test_random_assignments_match_hungarian(self):
+        """Small integer costs force ties, duplicates and colliding argmins."""
+        rng = np.random.default_rng(5)
+        collided = distinct = 0
+        for trial in range(300):
+            shape = tuple(int(d) for d in rng.integers(1, 7, size=2))
+            cost = rng.integers(0, 4, size=shape) if trial % 2 else rng.random(shape)
+            cost = cost.astype(float)
+            short = cost if shape[0] <= shape[1] else cost.T
+            argmins = short.argmin(axis=1)
+            if np.unique(argmins).size == argmins.size:
+                distinct += 1
+            else:
+                collided += 1
+            assert assignment_max_cost(cost) == hungarian_max(cost), cost
+        assert collided > 50 and distinct > 50
+
+    def test_multisets_match_hungarian(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            na, nb = (int(d) for d in rng.integers(1, 7, size=2))
+            a = rng.integers(-2, 3, na) + 1j * rng.integers(-1, 2, na)
+            b = rng.integers(-2, 3, nb) + 1j * rng.integers(-1, 2, nb)
+            b[: min(na, nb) // 2] = a[: min(na, nb) // 2]  # exact duplicates across sets
+            dist, unmatched = match_multisets(a, b)
+            assert dist == hungarian_max(relative_cost(a, b))
+            assert unmatched == abs(na - nb)
+
 
 class TestBlockDiag:
     @pytest.mark.parametrize(
@@ -234,12 +280,5 @@ def test_import_loads_no_scipy():
         "pairs = eig_pencil(np.eye(2), -np.diag([1.0, 2.0]))\n"
         "assert np.allclose(sorted(p.value.real for p in pairs), [1, 2]), pairs\n"
     )
-    src = str(Path(nospillover.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    proc = run_fresh_python(code)
     assert proc.returncode == 0, proc.stderr

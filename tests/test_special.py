@@ -20,21 +20,32 @@ from nospillover.errors import (
     PositiveTargetEigenvalue,
     ZeroChangeEigenvalue,
 )
-from nospillover.linalg import fnorm, herm_eigs
+from nospillover.linalg import (
+    EIG_MATCH_TOL,
+    TAU_DEFL,
+    eig_pencil,
+    finite_eigenvalues,
+    fnorm,
+    herm_eigs,
+    match_multisets,
+)
 from nospillover.pencil import (
     HERMITIAN,
     STAR_EVEN,
     STAR_ODD,
     T_EVEN,
     T_ODD,
+    StructuredPencil,
     classify_structure,
 )
 from nospillover.special import (
     QuadraticSpec,
+    definite_eig,
     hermitian_core,
     hermitian_update,
     lift_quadratic,
     commuting_family_params,
+    select_eigendata,
     select_psd_params,
     star_even_core,
     star_even_update,
@@ -99,8 +110,6 @@ class TestHermitianUpdate:
         c = rng.standard_normal((n, n))
         k = c + c.T
         from nospillover.linalg import eig_pencil
-        from nospillover.pencil import StructuredPencil
-
         pencil = StructuredPencil(m, k, HERMITIAN)
         eigs = eig_pencil(m, k)
         xc = np.hstack([e.vector.reshape(-1, 1) for e in eigs[:2]])
@@ -116,8 +125,6 @@ class TestHermitianUpdate:
         h = rng.standard_normal((4, 4))
         m = (h + h.T) / 2  # indefinite
         k = np.eye(4)
-        from nospillover.pencil import StructuredPencil
-
         pencil = StructuredPencil(m, k, HERMITIAN)
         with pytest.raises(NotPositiveDefinite):
             hermitian_update(pencil, np.eye(4)[:, :1], [1.0], [2.0])
@@ -422,3 +429,82 @@ class TestZeroMhatRecovery:
         psi = np.diag(lam_c_quad**2 - lam_a_quad**2)
         via_psi = case.m @ xn @ psi @ xn.conj().T @ case.m
         assert fnorm(res.delta_k - via_psi) <= 1e-12 * fnorm(via_psi)
+
+
+DEFINITE_PLANTS = {
+    "hermitian": plant_hermitian_definite,
+    "star-odd": plant_star_odd,
+    "star-even": plant_star_even,
+}
+
+
+class TestDefiniteEig:
+    @pytest.mark.parametrize("n", [8, 60])
+    @pytest.mark.parametrize("klass", sorted(DEFINITE_PLANTS))
+    def test_agrees_with_qz(self, klass, n):
+        pencil = DEFINITE_PLANTS[klass](3, n=n)[0]
+        eigs = definite_eig(pencil)
+        assert len(eigs) == n and all(e.finite for e in eigs)
+        dist, unmatched = match_multisets(
+            finite_eigenvalues(eigs), finite_eigenvalues(eig_pencil(pencil.m, pencil.k))
+        )
+        assert unmatched == 0 and dist <= EIG_MATCH_TOL
+        for e in eigs:
+            x = e.vector
+            res = np.linalg.norm(pencil.m @ x * e.value + pencil.k @ x)
+            scale = abs(e.value) * fnorm(pencil.m) + fnorm(pencil.k)
+            assert res <= TAU_DEFL * scale
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
+            piv = x[np.argmax(np.abs(x))]
+            assert abs(piv.imag) <= 1e-15 * piv.real
+            # the class's eigenvalues lie exactly on its axis
+            assert (e.value.imag if klass == "hermitian" else e.value.real) == 0.0
+
+    def test_quadratic_path_runs_no_qz(self, monkeypatch):
+        import nospillover.linalg
+
+        def no_qz(*args):
+            raise AssertionError("eig_pencil called for a definite pencil")
+
+        monkeypatch.setattr(nospillover.linalg, "eig_pencil", no_qz)
+        for klass, plant in DEFINITE_PLANTS.items():
+            pencil, _, lam_c, _, _ = plant(4, n=8)
+            change, fixed = select_eigendata(pencil, lam_c)
+            assert len(change) == 2 and len(fixed) == 6
+
+    def test_real_symmetric_input_gives_real_update(self):
+        rng = np.random.default_rng(12)
+        n = 8
+        b = rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n))
+        pencil = StructuredPencil(b @ b.T + n * np.eye(n), c + c.T, HERMITIAN)
+        eigs = definite_eig(pencil)
+        assert all(np.abs(e.vector.imag).max() == 0.0 for e in eigs)
+        change, _ = select_eigendata(pencil, [eigs[0].value, eigs[3].value])
+        xc = np.hstack([e.vector.reshape(-1, 1) for e in change])
+        lc = np.array([e.value for e in change])
+        res = hermitian_update(pencil, xc, lc, 1.1 * lc, z1=[0.3, 0.1], z2=[0.0, 0.2])
+        assert np.abs(res.delta_m.imag).max() == 0.0
+        assert np.abs(res.delta_k.imag).max() == 0.0
+
+    def test_star_even_singular_m_tags_infinite(self):
+        rng = np.random.default_rng(14)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = q.conj().T @ np.diag([1j, 0.0, -2j]) @ q
+        b = rng.standard_normal((3, 3))
+        pencil = StructuredPencil(m, b @ b.T + 3 * np.eye(3), STAR_EVEN)
+        assert sum(not e.finite for e in eig_pencil(pencil.m, pencil.k)) == 1
+        assert sum(not e.finite for e in definite_eig(pencil)) == 1
+
+    @pytest.mark.parametrize(
+        "tag, m, k",
+        [
+            (HERMITIAN, np.diag([1.0, -1.0, 2.0]), np.eye(3)),
+            (STAR_ODD, np.diag([1.0, -1.0, 2.0]), 1j * np.eye(3)),
+            (STAR_EVEN, 1j * np.eye(3), np.diag([1.0, -1.0, 2.0])),
+        ],
+        ids=["hermitian", "star-odd", "star-even"],
+    )
+    def test_indefinite_raises_not_positive_definite(self, tag, m, k):
+        with pytest.raises(NotPositiveDefinite):
+            definite_eig(StructuredPencil(m, k, tag))

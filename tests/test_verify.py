@@ -1,7 +1,9 @@
 """Tests for certificates and spectrum matching."""
 
 import numpy as np
+from conftest import hungarian_max, relative_cost
 
+from nospillover.linalg import eigvals_pencil
 from nospillover.pencil import HERMITIAN, StructuredPencil
 from nospillover.randomgen import plant_problem
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
@@ -106,6 +108,20 @@ class TestSpectrumMatch:
         pencil = StructuredPencil(np.eye(3), -np.diag([1.0, 2.0, 3.0]), HERMITIAN)
         report = spectrum_match(pencil, [2.0], allow_subset=True)
         assert report.passed
+
+    def test_subset_distance_matches_hungarian(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            spectrum = rng.integers(1, 5, n) + 0.5 * rng.integers(0, 2, n)  # repeats
+            pencil = StructuredPencil(np.eye(n), -np.diag(spectrum), HERMITIAN)
+            expected = rng.choice(spectrum, int(rng.integers(1, n + 1))) + rng.choice(
+                [0.0, 0.25], 1
+            )
+            report = spectrum_match(pencil, expected, allow_subset=True)
+            computed = [v for v in eigvals_pencil(pencil.m, pencil.k) if v is not None]
+            assert report.unmatched == 0
+            assert report.max_distance == hungarian_max(relative_cost(expected, computed))
 
     def test_mismatch_detected(self):
         pencil = StructuredPencil(np.eye(2), -np.diag([1.0, 2.0]), HERMITIAN)
