@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import eig_pencil, fnorm, herm_eigs, largest_entry_scaled
 from .pencil import structure_residuals
-from .shh import SHHPencil, shh_gramian, shh_update, star_shh_core
-from .special import QuadraticSpec, solve_quadratic
+from .shh import SHHPencil, apply_j, shh_gramian, shh_update, star_shh_core
+from .special import QuadraticSpec, fixed_pair_from_eigs, solve_quadratic
 
 _H61_M = np.diag([1.294] * 5)
 _H61_K = [
@@ -385,10 +385,8 @@ def _run_quadratic_case(case: ReferenceCase) -> CaseReport:
     spec = QuadraticSpec(case.klass, case.lam_change, case.lam_target)
     result, info = solve_quadratic(case.m, case.k, spec, z1=case.z1, z2=case.z2)
     dm, dk = result.delta_m, result.delta_k
-    fixed = info["fixed"]
-    xf = np.hstack([e.vector.reshape(-1, 1) for e in fixed])
-    lf = np.diag([e.value for e in fixed])
-    spill = _spillover(case.m, case.k, dm, dk, xf, lf)
+    fixed = fixed_pair_from_eigs(info["fixed"])
+    spill = _spillover(case.m, case.k, dm, dk, fixed.x, fixed.lam)
     pencil = info["pencil"]
     xc = result.provenance["xc_normalized"]
     tres = fnorm(
@@ -454,10 +452,9 @@ def _run_shh_case(case: ReferenceCase) -> CaseReport:
     lf = np.diag([eigs[i].value for i in available])
     spill = _spillover(case.m, case.k, dm, dk, xf, lf)
     tres = fnorm((case.m + dm) @ xc @ lam_a + (case.k + dk) @ xc)
-    j = shh.j
     structure = {
-        "J dM skew-hermitian": _skew_hermitian_residual(j @ dm),
-        "J dK hermitian": _hermitian_residual(j @ dk),
+        "J dM skew-hermitian": _skew_hermitian_residual(apply_j(dm)),
+        "J dK hermitian": _hermitian_residual(apply_j(dk)),
     }
     return CaseReport(
         case_id=case.case_id,

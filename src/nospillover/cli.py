@@ -33,12 +33,15 @@ from .randomgen import (
 )
 from .shh import (
     SHHPencil,
+    apply_j,
     shh_gramian,
     shh_update,
     star_shh_core,
+    t_shh_basis,
+    t_shh_lambda,
     t_shh_mhat,
 )
-from .special import QuadraticSpec, solve_quadratic
+from .special import QuadraticSpec, fixed_pair_from_eigs, solve_quadratic
 from .structured import (
     change_gramian,
     complete_core,
@@ -69,38 +72,29 @@ def _need(block, attr, what) -> np.ndarray:
     return value
 
 
-def _expected_spectrum(target_lam, fixed_lam):
-    return np.concatenate(
-        [np.linalg.eigvals(target_lam), np.linalg.eigvals(fixed_lam)]
-    )
+def _fixed_from_file(pf):
+    if pf.fixed is None or pf.fixed.x is None:
+        return None
+    return DeflatingPair(pf.fixed.x, pf.fixed.lam)
 
 
-def _solve_unstructured(pf, tol):
+def _solve_unstructured(pf):
     change = DeflatingPair(
         _need(pf.change, "x", "change.x"), _need(pf.change, "lam", "change.lambda")
     )
     if pf.fixed is None or pf.fixed.x is None or pf.fixed.lam is None:
         raise MissingFixedPair("the unstructured path needs the fixed pair")
-    fixed = DeflatingPair(pf.fixed.x, pf.fixed.lam)
     problem = UpdateProblem(
         change,
         _need(pf.targets, "lam", "targets.lambda"),
         target_x=pf.targets.x,
-        fixed=fixed,
+        fixed=_fixed_from_file(pf),
     )
     pencil = StructuredPencil(pf.m, pf.k, None)
-    result = solve_general(pencil, problem)
-    cert = certify(
-        pencil,
-        result,
-        problem,
-        expected_spectrum=_expected_spectrum(problem.target_lam, fixed.lam),
-        tol_defl=tol,
-    )
-    return result, cert
+    return pencil, solve_general(pencil, problem), problem, ()
 
 
-def _solve_quadratic(pf, tol):
+def _solve_quadratic(pf):
     if pf.structure not in _QUADRATIC_CLASSES:
         raise SchemaError(
             f"quadratic problems need structure in {_QUADRATIC_CLASSES}, "
@@ -119,125 +113,92 @@ def _solve_quadratic(pf, tol):
         kwargs["strategy"] = pf.parameters["strategy"]
         kwargs["slack"] = pf.parameters.get("slack", 0.0)
     result, info = solve_quadratic(pf.m, pf.k, spec, **kwargs)
-    pencil = info["pencil"]
-    xn = result.provenance["xc_normalized"]
-    fixed_x = np.hstack([e.vector.reshape(-1, 1) for e in info["fixed"]])
-    fixed_lam = np.diag([e.value for e in info["fixed"]])
     problem = UpdateProblem(
-        DeflatingPair(xn, np.diag(info["lam_c"])),
+        DeflatingPair(result.provenance["xc_normalized"], np.diag(info["lam_c"])),
         np.diag(info["lam_a"]),
-        fixed=DeflatingPair(fixed_x, fixed_lam),
+        fixed=fixed_pair_from_eigs(info["fixed"]),
     )
     psd = ()
     if pf.parameters.get("strategy") == "psd-minimal":
         psd = ("delta_m", "delta_k")
-    cert = certify(
-        pencil,
-        result,
-        problem,
-        expected_spectrum=_expected_spectrum(problem.target_lam, fixed_lam),
-        psd=psd,
-        tol_defl=tol,
-    )
-    return result, cert
+    return info["pencil"], result, problem, psd
+
+
+def _as_square(v):
+    """A parameter matrix, given as a matrix or as its diagonal."""
+    return np.diag(v) if np.asarray(v).ndim == 1 else v
 
 
 def _core_from_parameters(pf, g, lam_c, lam_a):
     params = pf.parameters
-    if "t" in params:
-        return scaled_gramian_core(g, lam_c, lam_a, params["t"])
-    if "z1" in params or "z2" in params:
-        p = g.shape[0]
-        z1 = params.get("z1", np.zeros((p, p)))
-        z2 = params.get("z2", np.zeros((p, p)))
-        if np.asarray(z1).ndim == 1:
-            z1 = np.diag(z1)
-        if np.asarray(z2).ndim == 1:
-            z2 = np.diag(z2)
-        return parametrized_core(g, lam_c, lam_a, z1, z2)
-    mhat = params.get("mhat", np.zeros_like(g))
-    if np.asarray(mhat).ndim == 1:
-        mhat = np.diag(mhat)
-    return complete_core(g, lam_c, lam_a, mhat)
-
-
-def _solve_structured(pf, tol):
-    tag = TAG_BY_NAME[pf.structure]
-    pencil = StructuredPencil(pf.m, pf.k, tag)
-    xc = _need(pf.change, "x", "change.x")
-    lam_c = _need(pf.change, "lam", "change.lambda")
-    lam_a = _need(pf.targets, "lam", "targets.lambda")
-    g, _ = change_gramian(pencil, xc)
-    core = _core_from_parameters(pf, g, lam_c, lam_a)
-    result = structured_update(pencil, xc, lam_c, lam_a, core)
-    fixed = None
-    expected = None
-    if pf.fixed is not None and pf.fixed.x is not None:
-        fixed = DeflatingPair(pf.fixed.x, pf.fixed.lam)
-        expected = _expected_spectrum(lam_a, fixed.lam)
-    problem = UpdateProblem(
-        DeflatingPair(xc, lam_c), lam_a, fixed=fixed
-    )
-    cert = certify(
-        pencil, result, problem, expected_spectrum=expected, tol_defl=tol
-    )
-    return result, cert
-
-
-def _solve_shh(pf, tol):
-    which = "*" if pf.structure == "star-shh" else "T"
-    shh = SHHPencil(pf.m, pf.k, which)
-    xc = _need(pf.change, "x", "change.x")
-    lam_c = _need(pf.change, "lam", "change.lambda")
-    lam_a = _need(pf.targets, "lam", "targets.lambda")
-    g, _ = shh_gramian(shh, xc)
-    params = pf.parameters
-    if pf.structure == "star-shh" and ("z1" in params or "z2" in params):
-        p = g.shape[0]
-        z1 = params.get("z1", np.zeros((p, p)))
-        z2 = params.get("z2", np.zeros((p, p)))
-        core = star_shh_core(g, lam_c, lam_a, z1, z2, params.get("num_couples", 0))
-    elif pf.structure == "t-shh" and "quad_alpha" in params:
+    p = g.shape[0]
+    z1 = params.get("z1", np.zeros((p, p)))
+    z2 = params.get("z2", np.zeros((p, p)))
+    has_z = "z1" in params or "z2" in params
+    if pf.structure == "star-shh" and has_z:
+        return star_shh_core(g, lam_c, lam_a, z1, z2, params.get("num_couples", 0))
+    if pf.structure == "t-shh" and "quad_alpha" in params:
         shape = (
             params.get("num_quadruples", 0),
             params.get("num_imag_pairs", 0),
             params.get("num_real_pairs", 0),
         )
-        mhat = t_shh_mhat(
-            shape,
-            params.get("quad_alpha", []),
-            params.get("quad_beta", []),
-            params.get("imag_beta", []),
-            params.get("real_beta", []),
+        betas = [params.get(key, []) for key in ("quad_beta", "imag_beta", "real_beta")]
+        return complete_core(
+            g.real, lam_c, lam_a, t_shh_mhat(shape, params["quad_alpha"], *betas)
         )
-        core = complete_core(g.real, lam_c, lam_a, mhat)
-    else:
-        core = _core_from_parameters(pf, g, lam_c, lam_a)
-    result = shh_update(shh, xc, lam_c, lam_a, core)
-    fixed = None
-    expected = None
-    if pf.fixed is not None and pf.fixed.x is not None:
-        fixed = DeflatingPair(pf.fixed.x, pf.fixed.lam)
-        expected = _expected_spectrum(lam_a, fixed.lam)
-    problem = UpdateProblem(DeflatingPair(xc, lam_c), lam_a, fixed=fixed)
-    plain = StructuredPencil(pf.m, pf.k, None)
-    cert = certify(
-        plain, result, problem, expected_spectrum=expected, tol_defl=tol
-    )
-    # SHH structure residuals of the updated pencil
-    from .linalg import fnorm
-    from .pencil import star as star_op
+    if "t" in params:
+        return scaled_gramian_core(g, lam_c, lam_a, params["t"])
+    if has_z:
+        return parametrized_core(g, lam_c, lam_a, _as_square(z1), _as_square(z2))
+    return complete_core(g, lam_c, lam_a, _as_square(params.get("mhat", np.zeros_like(g))))
 
-    j = shh.j
-    m1 = pf.m + result.delta_m
-    k1 = pf.k + result.delta_k
-    jm, jk = j @ m1, j @ k1
-    cert.structure_residuals["jm_updated_skew"] = fnorm(
-        star_op(jm, which) + jm
-    ) / max(fnorm(jm), 1e-300)
-    cert.structure_residuals["jk_updated_sym"] = fnorm(
-        star_op(jk, which) - jk
-    ) / max(fnorm(jk), 1e-300)
+
+def _solve_structured(pf):
+    """The six symmetry classes and the two SHH classes, from the file's
+    change pair, targets and core parameters."""
+    xc = _need(pf.change, "x", "change.x")
+    lam_c = _need(pf.change, "lam", "change.lambda")
+    lam_a = _need(pf.targets, "lam", "targets.lambda")
+    if pf.structure in ("star-shh", "t-shh"):
+        pencil = SHHPencil(pf.m, pf.k, "*" if pf.structure == "star-shh" else "T")
+        gramian, update = shh_gramian, shh_update
+    else:
+        pencil = StructuredPencil(pf.m, pf.k, TAG_BY_NAME[pf.structure])
+        gramian, update = change_gramian, structured_update
+    g, _ = gramian(pencil, xc)
+    result = update(pencil, xc, lam_c, lam_a, _core_from_parameters(pf, g, lam_c, lam_a))
+    problem = UpdateProblem(DeflatingPair(xc, lam_c), lam_a, fixed=_fixed_from_file(pf))
+    return pencil, result, problem, ()
+
+
+def _certify(pencil, result, problem, psd, tol):
+    """(result, certificate) of one solve path's output.
+
+    The certificate has the residuals, plus the spectrum match when the
+    fixed pair is known. An SHH pencil is certified without a tag, and its
+    structure residuals are those of the star-even pencil J L(lambda) under
+    (J dM, J dK). Only the result and certificate outlive the call, so the
+    pencil and the fixed pair are freed before the delta file is written.
+    """
+    expected = None
+    if problem.fixed is not None:
+        expected = np.concatenate(
+            [np.linalg.eigvals(problem.target_lam), np.linalg.eigvals(problem.fixed.lam)]
+        )
+    shh = pencil if isinstance(pencil, SHHPencil) else None
+    if shh is not None:
+        pencil = StructuredPencil(shh.m, shh.k, None)
+    cert = certify(
+        pencil, result, problem, expected_spectrum=expected, psd=psd, tol_defl=tol
+    )
+    if shh is not None:
+        twisted = UpdateResult(apply_j(result.delta_m), apply_j(result.delta_k))
+        even = certify(shh.even_pencil(), twisted, problem).structure_residuals
+        cert.structure_residuals = {
+            "jm_updated_skew": even["m_updated"],
+            "jk_updated_sym": even["k_updated"],
+        }
     return result, cert
 
 
@@ -247,15 +208,14 @@ def cmd_solve(args) -> int:
     except SchemaError as exc:
         return _fail_schema(str(exc))
     tol = args.tol if args.tol is not None else TAU_DEFL
+    if args.unstructured or pf.structure == "unstructured":
+        solve_path = _solve_unstructured
+    elif args.quadratic or pf.quadratic:
+        solve_path = _solve_quadratic
+    else:
+        solve_path = _solve_structured
     try:
-        if args.unstructured or pf.structure == "unstructured":
-            result, cert = _solve_unstructured(pf, tol)
-        elif args.quadratic or pf.quadratic:
-            result, cert = _solve_quadratic(pf, tol)
-        elif pf.structure in ("star-shh", "t-shh"):
-            result, cert = _solve_shh(pf, tol)
-        else:
-            result, cert = _solve_structured(pf, tol)
+        result, cert = _certify(*solve_path(pf), tol)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:
@@ -355,8 +315,6 @@ def _random_t_shh(args):
     planted = plant_t_shh(args.seed, args.n // 2)
     rng = np.random.default_rng([args.seed, 779])
     grouping = planted.grouping
-    from .shh import t_shh_basis, t_shh_lambda
-
     xc, lam_c = t_shh_basis(grouping)
     shape = (
         len(grouping.quadruples),

@@ -86,10 +86,6 @@ class SingularKGramian(NoSpilloverError):
     """X_c* K X_c is singular, so U cannot be built via K."""
 
 
-class SingularZ(NoSpilloverError):
-    """The similarity transform matrix Z is singular."""
-
-
 class NotRealDiagonal(NoSpilloverError):
     """A parameter matrix must be real diagonal but is not."""
 

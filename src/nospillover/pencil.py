@@ -17,20 +17,17 @@ from .errors import (
     DimensionMismatch,
     IsotropicVector,
     MissingStar,
-    NotEigenpair,
     NotPositiveDefinite,
     RealEigenvalue,
     SingularG1,
     SingularM,
 )
 from .linalg import (
-    EIG_MATCH_TOL,
     TAU_DEFL,
     TAU_NUM,
     TAU_STRUCT,
     as_matrix,
     fnorm,
-    match_multisets,
     require_square,
 )
 
@@ -249,50 +246,6 @@ def rayleigh_eigenvalue(pencil: StructuredPencil, x, adjoint: str | None = None)
     return -num / den
 
 
-def _check_eigenpair(pencil: StructuredPencil, lam: complex, x: np.ndarray):
-    res = fnorm(pencil.m @ x * lam + pencil.k @ x)
-    scale = (abs(lam) * fnorm(pencil.m) + fnorm(pencil.k)) * float(
-        np.linalg.norm(x)
-    )
-    if res > TAU_DEFL * max(scale, 1e-300):
-        raise NotEigenpair(
-            f"({lam}, x) fails the eigenpair residual test ({res:.2e} vs scale {scale:.2e})"
-        )
-
-
-def couple_eigenpair(pencil: StructuredPencil, lam0: complex, x, lam1: complex, xhat):
-    """Assemble the 2-column pair ([x xhat], diag(lam0, lam1)) and scale g.
-
-    Requires lam1 = eps1*eps2*lam0^star and lam0 != lam1. x is rescaled so
-    that g = xhat^star M x is exactly 1 (or reported as exact 0 when it
-    vanishes at tolerance). Returns (X, Lambda, g).
-    """
-    if pencil.tag is None:
-        raise MissingStar("coupling needs a structure tag")
-    x = as_matrix(x, "x")
-    xhat = as_matrix(xhat, "xhat")
-    tag = pencil.tag
-    partner = tag.eps1 * tag.eps2 * star_scalar(lam0, tag.star)
-    if abs(lam1 - partner) > EIG_MATCH_TOL * (1 + max(abs(lam1), abs(partner))):
-        raise NotEigenpair(
-            f"second eigenvalue {lam1} is not the symmetry partner {partner}"
-        )
-    if abs(lam0 - partner) <= EIG_MATCH_TOL * (1 + abs(lam0)):
-        raise NotEigenpair("lam0 coincides with its symmetry partner; no couple")
-    _check_eigenpair(pencil, lam0, x)
-    _check_eigenpair(pencil, lam1, xhat)
-    g = complex((star(xhat, tag.star) @ pencil.m @ x)[0, 0])
-    scale = fnorm(pencil.m) * float(np.linalg.norm(x)) * float(np.linalg.norm(xhat))
-    if abs(g) > TAU_NUM * max(scale, 1e-300):
-        x = x / g
-        g = 1.0 + 0.0j
-    else:
-        g = 0.0 + 0.0j
-    bigx = np.hstack([x, xhat])
-    biglam = np.diag([lam0, lam1]).astype(np.complex128)
-    return bigx, biglam, g
-
-
 def realify_eigenpair(lam: complex, x) -> DeflatingPair:
     """Real 2-column deflating pair for a nonreal eigenpair of a real pencil.
 
@@ -307,12 +260,6 @@ def realify_eigenpair(lam: complex, x) -> DeflatingPair:
         [[lam.real, lam.imag], [-lam.imag, lam.real]], dtype=np.complex128
     )
     return DeflatingPair(xr, lr)
-
-
-def realify_block(lam: complex) -> np.ndarray:
-    """The 2x2 real block [[re, im], [-im, re]] for one eigenvalue."""
-    lam = complex(lam)
-    return np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
 
 
 def complete_deflating_pair(
@@ -372,21 +319,6 @@ def normalize_columns(
     for j in range(out.shape[1]):
         out[:, j] = linalg._fix_phase(out[:, j])
     return out
-
-
-def spectrum_is_symmetry_closed(lam, tag: StructureTag) -> bool:
-    """True iff sigma(Lambda) equals sigma(eps1*eps2*Lambda^star) as multisets.
-
-    When true, the spectral no-spillover condition reduces to plain
-    disjointness from the fixed spectrum.
-    """
-    lam = require_square(as_matrix(lam, "Lambda"), "Lambda")
-    ev = np.linalg.eigvals(lam)
-    partner = tag.eps1 * tag.eps2 * np.array(
-        [star_scalar(v, tag.star) for v in ev]
-    )
-    maxdist, unmatched = match_multisets(ev, partner)
-    return unmatched == 0 and maxdist <= EIG_MATCH_TOL
 
 
 def symmetry_partner(lam_values, tag: StructureTag) -> np.ndarray:

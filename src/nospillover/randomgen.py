@@ -24,7 +24,7 @@ from .pencil import (
     star_scalar,
     symmetry_partner,
 )
-from .shh import EigGrouping, SHHPencil, group_t_shh_spectrum
+from .shh import EigGrouping, SHHPencil, apply_j, group_t_shh_spectrum
 
 RANDOM_CLASSES = (
     "symmetric",
@@ -229,10 +229,7 @@ def random_shh_pencil(rng, half_n: int, which_star: str) -> SHHPencil:
         b = rng.standard_normal((size, size)).astype(complex)
     s = (a - star(a, which_star)) / 2
     h = (b + star(b, which_star)) / 2
-    from .shh import canonical_j
-
-    j = canonical_j(size)
-    return SHHPencil(-j @ s, -j @ h, which_star)
+    return SHHPencil(apply_j(s, transpose=True), apply_j(h, transpose=True), which_star)
 
 
 def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedSHH:

@@ -8,7 +8,7 @@ The update is the star-even construction conjugated back by J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,17 +25,21 @@ from .errors import (
 from .linalg import (
     EIG_MATCH_TOL,
     J2,
-    TAU_STRUCT,
     as_matrix,
     block_diag,
     eig_pencil,
     fnorm,
-    gramian_scale,
     require_square,
-    scaled_rcond,
 )
 from .pencil import STAR_CONJ, STAR_TRANS, StructuredPencil, StructureTag, star
-from .structured import CoreSolution, G_RCOND_CUTOFF, complete_core, parametrized_core
+from .structured import (
+    G_RCOND_CUTOFF,
+    CoreSolution,
+    change_gramian,
+    complete_core,
+    parametrized_core,
+    structured_update,
+)
 from .unstructured import UpdateResult
 
 _PATTERN_TOL = 1e-8  # relative tolerance for G / parameter block patterns
@@ -52,13 +56,31 @@ def canonical_j(size: int) -> np.ndarray:
     return j
 
 
+def apply_j(a: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """J A (or J^T A = -J A) by a block swap of the rows of A.
+
+    No product is formed: each row is moved and negated. Both halves are
+    written as 0.0 + x and 0.0 - x, so exact zeros come out +0.0, as from a
+    dense product with J.
+    """
+    h = a.shape[0] // 2
+    if transpose:
+        return np.concatenate([0.0 - a[h:], a[:h] + 0.0])
+    return np.concatenate([a[h:] + 0.0, 0.0 - a[:h]])
+
+
 @dataclass(frozen=True)
 class SHHPencil:
-    """lambda*M + K with M star-skew-Hamiltonian and K star-Hamiltonian."""
+    """lambda*M + K with M star-skew-Hamiltonian and K star-Hamiltonian.
+
+    It is checked, and kept, as the star-even pencil J L(lambda) it reduces
+    to, which every update and Gramian of the pencil runs on.
+    """
 
     m: np.ndarray
     k: np.ndarray
     star: str = STAR_CONJ
+    _even: StructuredPencil = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = require_square(as_matrix(self.m, "M"), "M")
@@ -69,18 +91,15 @@ class SHHPencil:
             raise DimensionMismatch("SHH pencils have even size")
         if self.star not in (STAR_CONJ, STAR_TRANS):
             raise ValueError("star must be '*' or 'T'")
-        j = canonical_j(m.shape[0])
-        jm, jk = j @ m, j @ k
-        rm = fnorm(star(jm, self.star) + jm) / max(fnorm(jm), 1e-300)
-        rk = fnorm(star(jk, self.star) - jk) / max(fnorm(jk), 1e-300)
-        if rm > TAU_STRUCT or rk > TAU_STRUCT:
-            raise NotSHH(
-                f"(JM, JK) fails the skew/symmetric test (residuals {rm:.2e}, {rk:.2e})"
-            )
+        try:
+            even = StructuredPencil(apply_j(m), apply_j(k), StructureTag(self.star, -1, 1))
+        except ValueError as exc:
+            raise NotSHH(f"(JM, JK) fails the skew/symmetric test: {exc}") from None
         m.setflags(write=False)
         k.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_even", even)
 
     @property
     def size(self) -> int:
@@ -92,51 +111,30 @@ class SHHPencil:
 
     def even_pencil(self) -> StructuredPencil:
         """The star-even pencil J L(lambda) this SHH pencil reduces to."""
-        tag = StructureTag(self.star, -1, 1)
-        return StructuredPencil(self.j @ self.m, self.j @ self.k, tag)
+        return self._even
 
     def eig(self):
         return eig_pencil(self.m, self.k)
 
 
 def shh_gramian(shh: SHHPencil, xc):
-    """(G, rcond) with G = X_c^star (J M) X_c."""
-    xc = as_matrix(xc, "X_c")
-    if xc.shape[0] != shh.size:
-        raise DimensionMismatch("X_c rows must equal the pencil size")
-    g = star(xc, shh.star) @ shh.j @ shh.m @ xc
-    return g, scaled_rcond(g, gramian_scale(shh.m, xc))
+    """(G, rcond) with G = X_c^star (J M) X_c, the Gramian of J L(lambda)."""
+    return change_gramian(shh.even_pencil(), xc)
 
 
 def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateResult:
     """dM = J^star U Mh U^star, dK = J^star U Kh U^star, U = J M X_c G^{-1}.
 
-    The core must solve Mh La + Kh = G (Lc - La) with G = X_c^star J M X_c.
-    The result stays SHH whenever lambda*Mh + Kh is (star, -1, 1)-structured.
+    This is ``structured_update`` on the star-even pencil J L(lambda), taken
+    back by J^star = J^T. The core must solve Mh La + Kh = G (Lc - La) with
+    G = X_c^star J M X_c; the result stays SHH whenever lambda*Mh + Kh is
+    (star, -1, 1)-structured.
     """
-    xc = as_matrix(xc, "X_c")
-    lam_a = as_matrix(lam_a, "Lambda_a")
-    lam_c = as_matrix(lam_c, "Lambda_c")
-    g, g_rcond = shh_gramian(shh, xc)
-    if g_rcond <= G_RCOND_CUTOFF:
-        raise SingularG(f"X_c^star J M X_c is singular (rcond={g_rcond:.2e})")
-    u = np.linalg.solve(g.T, (shh.j @ shh.m @ xc).T).T
-    us = star(u, shh.star)
-    js = star(shh.j, shh.star)
-    return UpdateResult(
-        delta_m=js @ u @ core.mhat @ us,
-        delta_k=js @ u @ core.khat @ us,
-        provenance={
-            "method": "shh",
-            "g": g,
-            "g_rcond": g_rcond,
-            "u": u,
-            "mhat": core.mhat,
-            "khat": core.khat,
-            "core_residual": core.equation_residual(g, lam_c, lam_a),
-            "assumed_spectral_condition": True,
-        },
-    )
+    result = structured_update(shh.even_pencil(), xc, lam_c, lam_a, core)
+    result.delta_m = apply_j(result.delta_m, transpose=True)
+    result.delta_k = apply_j(result.delta_k, transpose=True)
+    result.provenance["method"] = "shh"
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +224,6 @@ def star_shh_core(g, lam_c, lam_a, z1, z2, num_couples: int) -> CoreSolution:
     _check_block_pattern(z1, num_couples, "z1", "Z1")
     _check_block_pattern(z2, num_couples, "z2", "Z2")
     return parametrized_core(g, lam_c, lam_a, z1, z2)
-
-
-def star_shh_mhat(num_couples: int, couple_alphas, tail_imag) -> np.ndarray:
-    """Direct structured Mh: blocks [[0, a], [-conj a, 0]] plus imaginary tail."""
-    blocks = []
-    for a in couple_alphas:
-        a = complex(a)
-        blocks.append(np.array([[0, a], [-np.conj(a), 0]], dtype=complex))
-    if np.size(tail_imag):
-        tail = [complex(v) for v in np.atleast_1d(np.asarray(tail_imag, dtype=complex))]
-    else:
-        tail = []
-    p = 2 * num_couples + len(tail)
-    mh = np.zeros((p, p), dtype=complex)
-    for j, b in enumerate(blocks):
-        mh[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = b
-    for kk, v in enumerate(tail):
-        mh[2 * num_couples + kk, 2 * num_couples + kk] = v
-    return mh
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,12 @@ from .pencil import (
     HERMITIAN,
     STAR_EVEN,
     STAR_ODD,
+    TAG_BY_NAME,
     DeflatingPair,
     StructuredPencil,
     normalize_columns,
 )
+from .structured import CoreSolution, complete_core, parametrized_core, structured_update
 from .unstructured import UpdateResult
 
 _DIAG_TOL = 1e-10  # relative tolerance for real/imaginary/diagonal checks
@@ -58,12 +60,10 @@ E_MEMBERSHIP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DiagonalParams:
-    """Diagonal free parameters (entries of Z1, Z2) plus optional extras."""
+    """Diagonal free parameters: the diagonals of Z1 and Z2."""
 
     z1: np.ndarray
     z2: np.ndarray
-    t: float | None = None
-    mhat_diag: np.ndarray | None = None
 
 
 def _diag_vec(v, name: str, err=NotRealDiagonal) -> np.ndarray:
@@ -80,18 +80,27 @@ def _diag_vec(v, name: str, err=NotRealDiagonal) -> np.ndarray:
     return arr
 
 
-def _require_real(v: np.ndarray, name: str) -> np.ndarray:
-    scale = 1.0 + float(np.abs(v).max(initial=0.0))
-    if np.abs(v.imag).max(initial=0.0) > _DIAG_TOL * scale:
+def _real_diag(v, name: str) -> np.ndarray:
+    """The diagonal of ``v``, which must have real entries."""
+    d = _diag_vec(v, name)
+    scale = 1.0 + float(np.abs(d).max(initial=0.0))
+    if np.abs(d.imag).max(initial=0.0) > _DIAG_TOL * scale:
         raise NotRealDiagonal(f"{name} must have real entries")
-    return v
+    return d
 
 
-def _require_imaginary(v: np.ndarray, name: str) -> np.ndarray:
-    scale = 1.0 + float(np.abs(v).max(initial=0.0))
-    if np.abs(v.real).max(initial=0.0) > _DIAG_TOL * scale:
+def _imaginary_diag(v, name: str) -> np.ndarray:
+    """The diagonal of ``v``, which must have purely imaginary entries."""
+    d = _diag_vec(v, name, NotImaginaryDiagonal)
+    scale = 1.0 + float(np.abs(d).max(initial=0.0))
+    if np.abs(d.real).max(initial=0.0) > _DIAG_TOL * scale:
         raise NotImaginaryDiagonal(f"{name} must have purely imaginary entries")
-    return v
+    return d
+
+
+def _require_nonzero(lc: np.ndarray):
+    if np.any(np.abs(lc) <= TAU_NUM * (1.0 + np.abs(lc).max(initial=0.0))):
+        raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
 
 
 def _require_positive_definite(w: np.ndarray, name: str):
@@ -102,14 +111,14 @@ def _require_positive_definite(w: np.ndarray, name: str):
         )
 
 
-def _rank_one_expand(w: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i c_i (W x_i)(W x_i)^* without forming the diagonal core."""
-    wx = w @ x
-    return (wx * coeffs) @ wx.conj().T
+def _class_pencil(pencil: StructuredPencil, klass: str) -> StructuredPencil:
+    """The pencil under the class's tag, whose adjoint the kernel uses."""
+    tag = TAG_BY_NAME[klass]
+    return pencil if pencil.tag == tag else StructuredPencil(pencil.m, pencil.k, tag)
 
 
 # ---------------------------------------------------------------------------
-# Hermitian pencils with M > 0 (all eigenvalues real)
+# definite classes: diagonal cores on W-normalized eigenvectors
 
 def hermitian_core(lam_c, lam_a, z1, z2):
     """Diagonal core (Mh, Kh) for the Hermitian M > 0 family (G = I).
@@ -117,10 +126,8 @@ def hermitian_core(lam_c, lam_a, z1, z2):
     Mh = Ha[(Lc - La) La + Z1 - Z2 La],  Kh = Ha[(Lc - La) - Z1 La + Z2 La^2]
     with Ha = (La^2 + I)^{-1}; Z1, Z2 real diagonal.
     """
-    lc = _require_real(_diag_vec(lam_c, "Lambda_c"), "Lambda_c")
-    la = _require_real(_diag_vec(lam_a, "Lambda_a"), "Lambda_a")
-    z1 = _require_real(_diag_vec(z1, "Z1"), "Z1")
-    z2 = _require_real(_diag_vec(z2, "Z2"), "Z2")
+    lc, la = _real_diag(lam_c, "Lambda_c"), _real_diag(lam_a, "Lambda_a")
+    z1, z2 = _real_diag(z1, "Z1"), _real_diag(z2, "Z2")
     ha = 1.0 / (la**2 + 1.0)
     mh = ha * ((lc - la) * la + z1 - z2 * la)
     kh = ha * ((lc - la) - z1 * la + z2 * la**2)
@@ -133,9 +140,8 @@ def commuting_family_params(lam_c, lam_a, phi):
     Z1 = Ha^{-1}(Phi - I), Z2 = Lc - La, with Phi > 0 diagonal (the
     commuting-parameter matrix) and the scaling parameter fixed at 1.
     """
-    lc = _require_real(_diag_vec(lam_c, "Lambda_c"), "Lambda_c")
-    la = _require_real(_diag_vec(lam_a, "Lambda_a"), "Lambda_a")
-    phi = _require_real(_diag_vec(phi, "Phi"), "Phi")
+    lc, la = _real_diag(lam_c, "Lambda_c"), _real_diag(lam_a, "Lambda_a")
+    phi = _real_diag(phi, "Phi")
     if np.any(phi.real <= 0):
         raise NotPositiveDefinite("Phi must have positive diagonal entries")
     z1 = (la**2 + 1.0) * (phi - 1.0)
@@ -150,8 +156,8 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> DiagonalParams:
     choose z1_i - z2_i*la_i = max{(la_i - lc_i) la_i, lc_i/la_i - 1, 0} + slack
     with z2_i = 0.
     """
-    lc = _require_real(_diag_vec(lam_c, "Lambda_c"), "Lambda_c").real
-    la = _require_real(_diag_vec(lam_a, "Lambda_a"), "Lambda_a").real
+    lc = _real_diag(lam_c, "Lambda_c").real
+    la = _real_diag(lam_a, "Lambda_a").real
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     if np.any(la >= 0):
@@ -160,6 +166,84 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> DiagonalParams:
     z1 = np.maximum(bound, 0.0) + slack
     z2 = np.zeros_like(z1)
     return DiagonalParams(z1=z1, z2=z2)
+
+
+def star_odd_core(lam_c, lam_a, z1, z2):
+    """Diagonal core for the star-odd M > 0 family (G = I).
+
+    Mh = Ha[(La - Lc) La + Z1 + Z2 La],  Kh = Ha[(Lc - La) - Z1 La - Z2 La^2]
+    with Ha = (I - La^2)^{-1}; Z1 real diagonal, Z2 imaginary diagonal.
+    """
+    lc, la = _imaginary_diag(lam_c, "Lambda_c"), _imaginary_diag(lam_a, "Lambda_a")
+    z1, z2 = _real_diag(z1, "Z1"), _imaginary_diag(z2, "Z2")
+    ha = 1.0 / (1.0 - la**2)
+    mh = ha * ((la - lc) * la + z1 + z2 * la)
+    kh = ha * ((lc - la) - z1 * la - z2 * la**2)
+    return mh, kh
+
+
+def star_even_core(lam_c, lam_a, z1, z2):
+    """Diagonal core for the star-even K > 0 family (G = -Lc^{-1}).
+
+    Mh = Ha[Lc^{-1}(Lc - La) La + Z1 + Z2 La],
+    Kh = Ha[Lc^{-1}(La - Lc) - Z1 La - Z2 La^2],
+    with Ha = (I - La^2)^{-1}; Z1 imaginary diagonal, Z2 real diagonal.
+    """
+    lc, la = _imaginary_diag(lam_c, "Lambda_c"), _imaginary_diag(lam_a, "Lambda_a")
+    _require_nonzero(lc)
+    z1, z2 = _imaginary_diag(z1, "Z1"), _real_diag(z2, "Z2")
+    ha = 1.0 / (1.0 - la**2)
+    mh = ha * ((lc - la) / lc * la + z1 + z2 * la)
+    kh = ha * ((la - lc) / lc - z1 * la - z2 * la**2)
+    return mh, kh
+
+
+# class: (method, W, check of Lc and La, check of Mh, closed-form core). W is
+# checked positive definite and normalizes X_c to X_c^* W X_c = I, so that
+# G = X_c^* M X_c is I for W = M and -Lc^{-1} for W = K (K X_c = -M X_c Lc).
+_DEFINITE = {
+    "hermitian": ("hermitian-definite", "M", _real_diag, _real_diag, hermitian_core),
+    "star-odd": ("star-odd-definite", "M", _imaginary_diag, _real_diag, star_odd_core),
+    "star-even": (
+        "star-even-definite", "K", _imaginary_diag, _imaginary_diag, star_even_core,
+    ),
+}
+
+
+def _definite_update(
+    klass: str, pencil: StructuredPencil, xc, lam_c, lam_a, mhat, z1, z2
+) -> UpdateResult:
+    """``structured_update`` with a diagonal core on W-normalized X_c.
+
+    The core is the class's closed form in the diagonal (Z1, Z2), omitted
+    ones zero, or ``complete_core`` for a given diagonal Mh.
+    """
+    method, weight, check_lam, check_mhat, class_core = _DEFINITE[klass]
+    _require_positive_definite(pencil.m if weight == "M" else pencil.k, weight)
+    lc, la = check_lam(lam_c, "Lambda_c"), check_lam(lam_a, "Lambda_a")
+    if weight == "K":
+        _require_nonzero(lc)
+    if mhat is not None:
+        g = np.ones_like(lc) if weight == "M" else -1.0 / lc
+        mh = check_mhat(mhat, "Mhat")
+        core = complete_core(np.diag(g), np.diag(lc), np.diag(la), np.diag(mh))
+    else:
+        zero = np.zeros(lc.shape)
+        mh, kh = class_core(lc, la, zero if z1 is None else z1, zero if z2 is None else z2)
+        core = CoreSolution(np.diag(mh), np.diag(kh))
+    pencil = _class_pencil(pencil, klass)
+    xn = normalize_columns(pencil, xc, weight)
+    result = structured_update(pencil, xn, np.diag(lc), np.diag(la), core)
+    real_data = klass == "hermitian" and not (
+        pencil.m.imag.any()
+        or pencil.k.imag.any()
+        or np.asarray(xc, dtype=complex).imag.any()
+    )
+    if real_data:
+        result.delta_m = result.delta_m.real.astype(np.complex128)
+        result.delta_k = result.delta_k.real.astype(np.complex128)
+    result.provenance.update(method=method, xc_normalized=xn, lam_c=lc, lam_a=la)
+    return result
 
 
 def hermitian_update(
@@ -172,60 +256,7 @@ def hermitian_update(
     default to the dM = 0 branch. Columns of Xc are renormalized so that
     Xc^* M Xc = I. Real inputs produce real perturbations.
     """
-    _require_positive_definite(pencil.m, "M")
-    lc = _require_real(_diag_vec(lam_c, "Lambda_c"), "Lambda_c")
-    la = _require_real(_diag_vec(lam_a, "Lambda_a"), "Lambda_a")
-    if mhat is not None:
-        mh = _require_real(_diag_vec(mhat, "Mhat"), "Mhat")
-        kh = (lc - la) - mh * la
-    else:
-        if z1 is None:
-            z1 = np.zeros_like(lc)
-        if z2 is None:
-            z2 = np.zeros_like(lc)
-        mh, kh = hermitian_core(lc, la, z1, z2)
-    xn = normalize_columns(pencil, xc, "M")
-    dm = _rank_one_expand(pencil.m, xn, mh)
-    dk = _rank_one_expand(pencil.m, xn, kh)
-    real_data = (
-        np.abs(pencil.m.imag).max() == 0.0
-        and np.abs(pencil.k.imag).max() == 0.0
-        and np.abs(np.asarray(xc, dtype=complex).imag).max(initial=0.0) == 0.0
-    )
-    if real_data:
-        dm = dm.real.astype(np.complex128)
-        dk = dk.real.astype(np.complex128)
-    return UpdateResult(
-        delta_m=dm,
-        delta_k=dk,
-        provenance={
-            "method": "hermitian-definite",
-            "xc_normalized": xn,
-            "mhat": mh,
-            "khat": kh,
-            "lam_c": lc,
-            "lam_a": la,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# star-odd pencils with M > 0 (eigenvalues purely imaginary or zero)
-
-def star_odd_core(lam_c, lam_a, z1, z2):
-    """Diagonal core for the star-odd M > 0 family (G = I).
-
-    Mh = Ha[(La - Lc) La + Z1 + Z2 La],  Kh = Ha[(Lc - La) - Z1 La - Z2 La^2]
-    with Ha = (I - La^2)^{-1}; Z1 real diagonal, Z2 imaginary diagonal.
-    """
-    lc = _require_imaginary(_diag_vec(lam_c, "Lambda_c", NotImaginaryDiagonal), "Lambda_c")
-    la = _require_imaginary(_diag_vec(lam_a, "Lambda_a", NotImaginaryDiagonal), "Lambda_a")
-    z1 = _require_real(_diag_vec(z1, "Z1"), "Z1")
-    z2 = _require_imaginary(_diag_vec(z2, "Z2", NotImaginaryDiagonal), "Z2")
-    ha = 1.0 / (1.0 - la**2)
-    mh = ha * ((la - lc) * la + z1 + z2 * la)
-    kh = ha * ((lc - la) - z1 * la - z2 * la**2)
-    return mh, kh
+    return _definite_update("hermitian", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
 
 def star_odd_update(
@@ -236,53 +267,7 @@ def star_odd_update(
     Requires M > 0 and purely imaginary diagonal Lc, La. dM is PSD exactly
     when the bracket (La - Lc) La + Z1 + Z2 La is nonnegative.
     """
-    _require_positive_definite(pencil.m, "M")
-    lc = _require_imaginary(_diag_vec(lam_c, "Lambda_c", NotImaginaryDiagonal), "Lambda_c")
-    la = _require_imaginary(_diag_vec(lam_a, "Lambda_a", NotImaginaryDiagonal), "Lambda_a")
-    if mhat is not None:
-        mh = _require_real(_diag_vec(mhat, "Mhat"), "Mhat")
-        kh = (lc - la) - mh * la
-    else:
-        if z1 is None:
-            z1 = np.zeros(lc.shape)
-        if z2 is None:
-            z2 = np.zeros(lc.shape)
-        mh, kh = star_odd_core(lc, la, z1, z2)
-    xn = normalize_columns(pencil, xc, "M")
-    return UpdateResult(
-        delta_m=_rank_one_expand(pencil.m, xn, mh),
-        delta_k=_rank_one_expand(pencil.m, xn, kh),
-        provenance={
-            "method": "star-odd-definite",
-            "xc_normalized": xn,
-            "mhat": mh,
-            "khat": kh,
-            "lam_c": lc,
-            "lam_a": la,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# star-even pencils with K > 0 (eigenvalues purely imaginary, nonzero)
-
-def star_even_core(lam_c, lam_a, z1, z2):
-    """Diagonal core for the star-even K > 0 family (G = -Lc^{-1}).
-
-    Mh = Ha[Lc^{-1}(Lc - La) La + Z1 + Z2 La],
-    Kh = Ha[Lc^{-1}(La - Lc) - Z1 La - Z2 La^2],
-    with Ha = (I - La^2)^{-1}; Z1 imaginary diagonal, Z2 real diagonal.
-    """
-    lc = _require_imaginary(_diag_vec(lam_c, "Lambda_c", NotImaginaryDiagonal), "Lambda_c")
-    la = _require_imaginary(_diag_vec(lam_a, "Lambda_a", NotImaginaryDiagonal), "Lambda_a")
-    if np.any(np.abs(lc) <= TAU_NUM * (1.0 + np.abs(lc).max(initial=0.0))):
-        raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
-    z1 = _require_imaginary(_diag_vec(z1, "Z1", NotImaginaryDiagonal), "Z1")
-    z2 = _require_real(_diag_vec(z2, "Z2"), "Z2")
-    ha = 1.0 / (1.0 - la**2)
-    mh = ha * ((lc - la) / lc * la + z1 + z2 * la)
-    kh = ha * ((la - lc) / lc - z1 * la - z2 * la**2)
-    return mh, kh
+    return _definite_update("star-odd", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
 
 def star_even_update(
@@ -294,33 +279,7 @@ def star_even_update(
     vectors, under which the update range is K Xc. Shortcuts: Mh = 0 gives
     dM = 0; Mh = Lc^{-1} - La^{-1} gives dK = 0.
     """
-    _require_positive_definite(pencil.k, "K")
-    lc = _require_imaginary(_diag_vec(lam_c, "Lambda_c", NotImaginaryDiagonal), "Lambda_c")
-    la = _require_imaginary(_diag_vec(lam_a, "Lambda_a", NotImaginaryDiagonal), "Lambda_a")
-    if np.any(np.abs(lc) <= TAU_NUM * (1.0 + np.abs(lc).max(initial=0.0))):
-        raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
-    if mhat is not None:
-        mh = _require_imaginary(_diag_vec(mhat, "Mhat", NotImaginaryDiagonal), "Mhat")
-        kh = (la - lc) / lc - mh * la
-    else:
-        if z1 is None:
-            z1 = np.zeros(lc.shape)
-        if z2 is None:
-            z2 = np.zeros(lc.shape)
-        mh, kh = star_even_core(lc, la, z1, z2)
-    xn = normalize_columns(pencil, xc, "K")
-    return UpdateResult(
-        delta_m=_rank_one_expand(pencil.k, xn, mh),
-        delta_k=_rank_one_expand(pencil.k, xn, kh),
-        provenance={
-            "method": "star-even-definite",
-            "xc_normalized": xn,
-            "mhat": mh,
-            "khat": kh,
-            "lam_c": lc,
-            "lam_a": la,
-        },
-    )
+    return _definite_update("star-even", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +326,47 @@ def _check_real_eigenpairs(m, k, eigenpairs):
             raise NotEigenpair(f"({lam}) fails the eigenpair residual test")
 
 
+# class: (method, W, Z1 block, Z2 block). W is checked positive definite and
+# normalizes the realified basis, so G is I (W = M) or -Lc^{-1} (W = K).
+_REAL_PAIR = {
+    "t-odd": ("t-odd-real", "M", np.eye(2), J2),
+    "t-even": ("t-even-real", "K", J2, np.eye(2)),
+}
+
+
+def _real_pair_update(
+    klass: str, pencil: StructuredPencil, eigenpairs, lam_target, alpha, beta
+) -> UpdateResult:
+    """``structured_update`` on the realified basis with the block core
+    ``parametrized_core(G, Lc, La, Z1, Z2)``, Z1 and Z2 from the class's
+    2x2 blocks scaled by alpha_j and beta_j."""
+    method, weight, z1_block, z2_block = _REAL_PAIR[klass]
+    m, k = _as_real_pencil(pencil)
+    w = m if weight == "M" else k
+    _require_positive_definite(w, weight)
+    _check_real_eigenpairs(m, k, eigenpairs)
+    p = len(eigenpairs)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if len(lam_target) != p or alpha.shape != (p,) or beta.shape != (p,):
+        raise DimensionMismatch("need one target, alpha and beta per pair")
+    if weight == "K" and any(abs(complex(lam)) <= TAU_NUM for lam, _ in eigenpairs):
+        raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
+    xhat, mus = _realified_change_basis(w, eigenpairs)
+    mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
+    lam_c = block_diag(*[mu * J2 for mu in mus])
+    lam_a = block_diag(*[mu * J2 for mu in mus_a])
+    g = np.eye(2 * p) if weight == "M" else -np.linalg.inv(lam_c)
+    z1 = block_diag(*[a * z1_block for a in alpha])
+    z2 = block_diag(*[b * z2_block for b in beta])
+    core = parametrized_core(g, lam_c, lam_a, z1, z2)
+    result = structured_update(_class_pencil(pencil, klass), xhat, lam_c, lam_a, core)
+    result.delta_m = result.delta_m.real.astype(np.complex128)
+    result.delta_k = result.delta_k.real.astype(np.complex128)
+    result.provenance.update(method=method, xc_realified=xhat, lam_c=lam_c, lam_a=lam_a)
+    return result
+
+
 def t_odd_real_update(
     pencil: StructuredPencil, eigenpairs, lam_target, alpha, beta
 ) -> UpdateResult:
@@ -377,36 +377,7 @@ def t_odd_real_update(
     blocks alpha_j*I2 and Z2 blocks beta_j*J2, giving real symmetric dM and
     skew-symmetric dK.
     """
-    m, k = _as_real_pencil(pencil)
-    _require_positive_definite(m, "M")
-    _check_real_eigenpairs(m, k, eigenpairs)
-    p = len(eigenpairs)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if len(lam_target) != p or alpha.shape != (p,) or beta.shape != (p,):
-        raise DimensionMismatch("need one target, alpha and beta per pair")
-    xhat, mus = _realified_change_basis(m, eigenpairs)
-    mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
-    lam_c = block_diag(*[mu * J2 for mu in mus])
-    lam_a = block_diag(*[mu * J2 for mu in mus_a])
-    z1 = block_diag(*[a * np.eye(2) for a in alpha])
-    z2 = block_diag(*[b * J2 for b in beta])
-    ha = np.linalg.inv(np.eye(2 * p) - lam_a @ lam_a)
-    mh = ha @ ((lam_a - lam_c) @ lam_a + z1 + z2 @ lam_a)
-    kh = ha @ ((lam_c - lam_a) - z1 @ lam_a - z2 @ lam_a @ lam_a)
-    mx = m @ xhat
-    return UpdateResult(
-        delta_m=(mx @ mh @ mx.T).astype(np.complex128),
-        delta_k=(mx @ kh @ mx.T).astype(np.complex128),
-        provenance={
-            "method": "t-odd-real",
-            "xc_realified": xhat,
-            "mhat": mh,
-            "khat": kh,
-            "lam_c": lam_c,
-            "lam_a": lam_a,
-        },
-    )
+    return _real_pair_update("t-odd", pencil, eigenpairs, lam_target, alpha, beta)
 
 
 def t_even_real_update(
@@ -417,40 +388,7 @@ def t_even_real_update(
     Z1 has blocks alpha_j*J2 and Z2 blocks beta_j*I2; dM comes out real
     skew-symmetric and dK symmetric. Change eigenvalues must be nonzero.
     """
-    m, k = _as_real_pencil(pencil)
-    _require_positive_definite(k, "K")
-    _check_real_eigenpairs(m, k, eigenpairs)
-    p = len(eigenpairs)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if len(lam_target) != p or alpha.shape != (p,) or beta.shape != (p,):
-        raise DimensionMismatch("need one target, alpha and beta per pair")
-    for lam, _ in eigenpairs:
-        if abs(complex(lam)) <= TAU_NUM:
-            raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
-    xhat, mus = _realified_change_basis(k, eigenpairs)
-    mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
-    lam_c = block_diag(*[mu * J2 for mu in mus])
-    lam_a = block_diag(*[mu * J2 for mu in mus_a])
-    lam_c_inv = np.linalg.inv(lam_c)
-    z1 = block_diag(*[a * J2 for a in alpha])
-    z2 = block_diag(*[b * np.eye(2) for b in beta])
-    ha = np.linalg.inv(np.eye(2 * p) - lam_a @ lam_a)
-    mh = ha @ (lam_c_inv @ (lam_c - lam_a) @ lam_a + z1 + z2 @ lam_a)
-    kh = ha @ (lam_c_inv @ (lam_a - lam_c) - z1 @ lam_a - z2 @ lam_a @ lam_a)
-    kx = k @ xhat
-    return UpdateResult(
-        delta_m=(kx @ mh @ kx.T).astype(np.complex128),
-        delta_k=(kx @ kh @ kx.T).astype(np.complex128),
-        provenance={
-            "method": "t-even-real",
-            "xc_realified": xhat,
-            "mhat": mh,
-            "khat": kh,
-            "lam_c": lam_c,
-            "lam_a": lam_a,
-        },
-    )
+    return _real_pair_update("t-even", pencil, eigenpairs, lam_target, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +475,7 @@ def solve_quadratic(
             )
         params = select_psd_params(lam_c.real, lam_a.real, slack=slack)
         z1, z2, mhat = params.z1, params.z2, None
-    update = {
-        "hermitian": hermitian_update,
-        "star-odd": star_odd_update,
-        "star-even": star_even_update,
-    }[spec.klass]
-    result = update(pencil, xc, lam_c, lam_a, mhat=mhat, z1=z1, z2=z2)
+    result = _definite_update(spec.klass, pencil, xc, lam_c, lam_a, mhat, z1, z2)
     info = {
         "pencil": pencil,
         "lam_c": lam_c,
@@ -633,10 +566,7 @@ def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
     return unit_eigenpairs(values, v.astype(np.complex128))
 
 
-def fixed_pair_from_eigs(fixed, normalize_with=None, pencil=None) -> DeflatingPair:
-    """Assemble (X_f, Lambda_f) from leftover eigenpairs (diagonal Lambda)."""
-    xf = np.hstack([e.vector.reshape(-1, 1) for e in fixed])
-    lf = np.diag([e.value for e in fixed]).astype(np.complex128)
-    if normalize_with is not None and pencil is not None:
-        xf = normalize_columns(pencil, xf, normalize_with)
-    return DeflatingPair(xf, lf)
+def fixed_pair_from_eigs(eigs) -> DeflatingPair:
+    """(X, Lambda) from a list of eigenpairs: vectors as columns, diagonal Lambda."""
+    x = np.hstack([e.vector.reshape(-1, 1) for e in eigs])
+    return DeflatingPair(x, np.diag([e.value for e in eigs]).astype(np.complex128))

@@ -23,14 +23,12 @@ from .errors import (
     MissingStar,
     SingularG,
     SingularKGramian,
-    SingularZ,
 )
 from .linalg import (
     TAU_STRUCT,
     as_matrix,
     fnorm,
     gramian_scale,
-    rcond_estimate,
     require_square,
     scaled_rcond,
 )
@@ -203,20 +201,3 @@ def scaled_gramian_core(g, lam_c, lam_a, t: float) -> CoreSolution:
     lam_c = as_matrix(lam_c, "Lambda_c")
     lam_a = as_matrix(lam_a, "Lambda_a")
     return CoreSolution(t * g, g @ (lam_c - (1.0 + t) * lam_a))
-
-
-def similarity_transform_target(z, lam_a):
-    """(Z La Z^{-1}, note): solve with the conjugated target to move the
-    deflating vectors from X_c to X_c Z in the updated pencil."""
-    z = require_square(as_matrix(z, "Z"), "Z")
-    lam_a = require_square(as_matrix(lam_a, "Lambda_a"), "Lambda_a")
-    if z.shape != lam_a.shape:
-        raise DimensionMismatch("Z and Lambda_a must have equal shapes")
-    if rcond_estimate(z) <= G_RCOND_CUTOFF:
-        raise SingularZ("Z is singular")
-    conj = z @ lam_a @ np.linalg.inv(z)
-    note = (
-        "solving the update with this target makes (X_c Z, Lambda_a) a "
-        "deflating pair of the updated pencil"
-    )
-    return conj, note

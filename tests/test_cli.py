@@ -313,6 +313,19 @@ class TestRandom:
         res = fnorm(m1 @ hidden.x @ hidden.lam + k1 @ hidden.x)
         assert res <= 1e-9 * (fnorm(m1) * (1 + fnorm(hidden.lam)) + fnorm(k1))
 
+    @pytest.mark.parametrize("klass,p", [("star-shh", 3), ("t-shh", 2)])
+    def test_shh_solve_prints_structure_of_j_pencil(self, tmp_path, capsys, klass, p):
+        prob = tmp_path / "prob.json"
+        assert run(["random", "--seed", 11, "--n", 8, "--p", p,
+                    "--class", klass, "--out", prob]) == 0
+        capsys.readouterr()
+        assert run(["solve", "--input", prob, "--out", tmp_path / "delta.json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [ln.split()[0] for ln in lines if ln.startswith("structure[")]
+        assert names == ["structure[jm_updated_skew]", "structure[jk_updated_sym]"]
+        assert all(float(ln.split()[1]) <= 1e-12 for ln in lines if ln.startswith("structure["))
+        assert lines[-1] == "PASS"
+
     def test_bad_class_exit_2(self, tmp_path):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,
                     "--class", "nope", "--out", tmp_path / "x.json"]) == 2

@@ -115,20 +115,3 @@ class TestReferenceProblemThroughGeneralFamily:
             fnorm(m1 @ xn @ la + k1 @ xn)
             <= 1e-10 * (fnorm(m1) * (1 + fnorm(la)) + fnorm(k1))
         )
-
-
-class TestCoupleIdentityRescale:
-    def test_prescaled_couple_unchanged(self):
-        from nospillover.pencil import couple_eigenpair, star
-        from nospillover.randomgen import plant_problem
-
-        planted = plant_problem(33, 6, 2, "star-odd")
-        pencil = planted.pencil
-        lam = np.diag(planted.change.lam)
-        x = planted.change.x[:, :1].copy()
-        xhat = planted.change.x[:, 1:2]
-        g0 = complex((star(xhat, "*") @ pencil.m @ x)[0, 0])
-        x_scaled = x / g0  # now xhat^* M x_scaled = 1 exactly
-        bigx, _, g = couple_eigenpair(pencil, lam[0], x_scaled, lam[1], xhat)
-        assert g == 1.0
-        assert fnorm(bigx[:, :1] - x_scaled) <= 1e-12 * fnorm(x_scaled)

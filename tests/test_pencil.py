@@ -6,7 +6,6 @@ import pytest
 from nospillover.errors import (
     IsotropicVector,
     MissingStar,
-    NotEigenpair,
     NotPositiveDefinite,
     RealEigenvalue,
     SingularG1,
@@ -24,14 +23,11 @@ from nospillover.pencil import (
     StructuredPencil,
     classify_structure,
     complete_deflating_pair,
-    couple_eigenpair,
     deflation_residual,
     gramians,
     normalize_columns,
     rayleigh_eigenvalue,
-    realify_block,
     realify_eigenpair,
-    spectrum_is_symmetry_closed,
     star,
     symmetry_partner,
 )
@@ -184,42 +180,6 @@ class TestRayleigh:
             rayleigh_eigenvalue(pencil, rng.standard_normal((4, 1)))
 
 
-class TestCoupleEigenpair:
-    def _planted_couple(self, seed, tag):
-        planted = plant_problem(seed, 6, 2, tag.name)
-        lam = np.diag(planted.change.lam)
-        x = planted.change.x
-        return planted.pencil, lam, x
-
-    def test_star_odd_antidiagonal_pattern(self):
-        pencil, lam, x = self._planted_couple(8, STAR_ODD)
-        tag = pencil.tag
-        bigx, biglam, g = couple_eigenpair(
-            pencil, lam[0], x[:, :1], lam[1], x[:, 1:2]
-        )
-        gm = star(bigx, "*") @ pencil.m @ bigx
-        gk = star(bigx, "*") @ pencil.k @ bigx
-        scale = fnorm(pencil.m) * fnorm(bigx) ** 2
-        assert abs(gm[0, 0]) <= 1e-9 * scale
-        assert abs(gm[1, 1]) <= 1e-9 * scale
-        assert gm[1, 0] == pytest.approx(g, abs=1e-9 * scale)
-        # X*MX = [[0, eps1 g*], [g, 0]] and X*KX antidiagonal to match
-        assert abs(gm[0, 1] - tag.eps1 * np.conj(g)) <= 1e-9 * scale
-        kscale = fnorm(pencil.k) * fnorm(bigx) ** 2 * (1 + abs(lam[0]))
-        assert abs(gk[1, 0] + lam[0] * g) <= 1e-9 * kscale
-        assert abs(gk[0, 1] + tag.eps2 * np.conj(lam[0] * g)) <= 1e-9 * kscale
-
-    def test_scaling_makes_g_one(self):
-        pencil, lam, x = self._planted_couple(12, STAR_EVEN)
-        _, _, g = couple_eigenpair(pencil, lam[0], x[:, :1], lam[1], x[:, 1:2])
-        assert g in (0, 1) or g == pytest.approx(1.0)
-
-    def test_rejects_non_partner(self):
-        pencil, lam, x = self._planted_couple(13, STAR_ODD)
-        with pytest.raises(NotEigenpair):
-            couple_eigenpair(pencil, lam[0], x[:, :1], lam[0] + 1.0, x[:, 1:2])
-
-
 class TestRealify:
     def test_canonical_example(self):
         pair = realify_eigenpair(1j, np.array([[1.0], [1j]]))
@@ -230,7 +190,7 @@ class TestRealify:
 
     def test_block_similar_to_conjugate_pair(self):
         lam = 0.7 - 2.1j
-        block = realify_block(lam)
+        block = realify_eigenpair(lam, np.array([[1.0], [1j]])).lam
         vals = np.linalg.eigvals(block)
         dist, unmatched = match_multisets(vals, [lam, np.conj(lam)])
         assert unmatched == 0 and dist <= 1e-12
@@ -351,15 +311,6 @@ class TestNormalize:
 
 
 class TestSpectrumClosure:
-    def test_hermitian_real_spectrum(self):
-        assert spectrum_is_symmetry_closed(np.diag([1.0, -2.5]), HERMITIAN)
-
-    def test_star_even_imaginary(self):
-        assert spectrum_is_symmetry_closed(np.diag([1j, -3j]), STAR_EVEN)
-
-    def test_star_even_generic_fails(self):
-        assert not spectrum_is_symmetry_closed(np.diag([1 + 1j]), STAR_EVEN)
-
     def test_structured_spectrum_symmetry(self):
         # the whole spectrum is closed under lam -> eps1*eps2*lam^star
         rng = np.random.default_rng(19)

@@ -377,6 +377,79 @@ class TestTEvenReal:
         assert resid <= 1e-12 * (1 + fnorm(g) * fnorm(lam_c) + fnorm(mh) * fnorm(lam_a))
 
 
+def _rounding_level(prov):
+    """The kernel's core residual ||Mh La + Kh - G (Lc - La)|| is at rounding level."""
+    g, mh, kh = prov["g"], prov["mhat"], prov["khat"]
+    lam_c, lam_a = (v if np.ndim(v) == 2 else np.diag(v) for v in (prov["lam_c"], prov["lam_a"]))
+    scale = 1.0 + fnorm(g) * fnorm(lam_c - lam_a) + fnorm(mh) * fnorm(lam_a) + fnorm(kh)
+    return prov["core_residual"] <= 1e-13 * scale
+
+
+class TestThroughStructuredKernel:
+    """Every class update is ``structured_update`` with a structured core."""
+
+    @pytest.mark.parametrize(
+        "update, plant, z1_axis, z2_axis, mhat",
+        [
+            (hermitian_update, plant_hermitian_definite, 1.0, 1.0, [0.2, -0.1]),
+            (star_odd_update, plant_star_odd, 1.0, 1j, [0.2, -0.1]),
+            (star_even_update, plant_star_even, 1j, 1.0, [0.2j, -0.1j]),
+        ],
+        ids=["hermitian", "star-odd", "star-even"],
+    )
+    def test_definite_core_structured(self, update, plant, z1_axis, z2_axis, mhat):
+        pencil, xc, lc, xf, lf = plant(31, n=8)
+        la = 1.2 * lc
+        for kwargs in ({"z1": z1_axis * np.array([0.3, -0.2]),
+                        "z2": z2_axis * np.array([0.1, 0.4])}, {"mhat": mhat}):
+            res = update(pencil, xc, lc, la, **kwargs)
+            # the kernel takes its adjoint from the class, not from the pencil's tag
+            untagged = update(StructuredPencil(pencil.m, pencil.k), xc, lc, la, **kwargs)
+            assert np.array_equal(untagged.delta_m, res.delta_m)
+            prov = res.provenance
+            assert prov["core_structured"] is True and prov["criteria_agree"] is True
+            assert _rounding_level(prov)
+            m1, k1 = pencil.m + res.delta_m, pencil.k + res.delta_k
+            lf_mat = np.diag(lf)
+            assert fnorm(m1 @ xf @ lf_mat + k1 @ xf) <= 1e-10 * (
+                fnorm(m1) * (1 + fnorm(lf_mat)) + fnorm(k1)
+            )
+
+    @pytest.mark.parametrize(
+        "update, plant",
+        [(t_odd_real_update, plant_t_odd_real), (t_even_real_update, plant_t_even_real)],
+        ids=["t-odd", "t-even"],
+    )
+    def test_real_pair_core_structured(self, update, plant):
+        pencil, change, fixed = plant(32, n=6, pairs=2)
+        targets = [1j * lam.imag * 1.3 for lam, _ in change]
+        res = update(pencil, change, targets, [0.4, -0.3], [0.2, 0.5])
+        assert res.provenance["core_structured"] is True
+        assert _rounding_level(res.provenance)
+        assert spillover_residual(pencil, res.delta_m, res.delta_k, fixed) <= 1e-10
+
+    def test_star_even_singular_m(self):
+        # U = M X_c G^{-1} with G = -Lc^{-1}: a singular M leaves G nonsingular
+        rng = np.random.default_rng(15)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        m = q.conj().T @ np.diag([1j, 0.0, -2j, 0.5j]) @ q
+        b = rng.standard_normal((4, 4))
+        pencil = StructuredPencil(m, b @ b.T + 4 * np.eye(4), STAR_EVEN)
+        finite = [e for e in definite_eig(pencil) if e.finite]
+        assert len(finite) == 3
+        xc = np.hstack([e.vector.reshape(-1, 1) for e in finite[:2]])
+        lc = np.array([e.value for e in finite[:2]])
+        la = 1.3 * lc
+        res = star_even_update(pencil, xc, lc, la, z1=[0.2j, 0.1j], z2=[0.3, -0.1])
+        m1, k1 = pencil.m + res.delta_m, pencil.k + res.delta_k
+        assert STAR_EVEN in classify_structure(m1, k1)
+        xn = res.provenance["xc_normalized"]
+        scale = fnorm(m1) * fnorm(np.diag(la)) + fnorm(k1)
+        assert fnorm(m1 @ xn @ np.diag(la) + k1 @ xn) <= 1e-12 * scale
+        xf = finite[2].vector.reshape(-1, 1)
+        assert fnorm(m1 @ xf * finite[2].value + k1 @ xf) <= 1e-12 * scale
+
+
 class TestQuadraticLift:
     def test_hermitian_lift_values(self):
         spec = QuadraticSpec("hermitian", (57.4206j,), (57.4247j,))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nospillover.errors import SingularG, SingularZ
+from nospillover.errors import SingularG
 from nospillover.linalg import (
     eig_pencil,
     finite_eigenvalues,
@@ -29,7 +29,6 @@ from nospillover.structured import (
     core_structure_flags,
     parametrized_core,
     scaled_gramian_core,
-    similarity_transform_target,
     structured_update,
 )
 from nospillover.unstructured import UpdateProblem, dual_basis_update
@@ -279,27 +278,12 @@ class TestStructuredUpdate:
 
 
 class TestSimilarityTarget:
-    def test_identity(self):
-        lam = np.diag([1.0, 2.0])
-        out, _ = similarity_transform_target(np.eye(2), lam)
-        np.testing.assert_allclose(out, lam)
-
-    def test_realification_matrix(self):
-        lam = 0.3 + 1.7j
-        z = 0.5 * np.array([[1.0, -1j], [1.0, 1j]])
-        out, _ = similarity_transform_target(np.linalg.inv(z), np.diag([lam, np.conj(lam)]))
-        # Z^{-1} diag(l, conj l) Z is the real rotation-scaling block
-        assert fnorm(out.imag) <= 1e-12
-
-    def test_singular_z(self):
-        with pytest.raises(SingularZ):
-            similarity_transform_target(np.zeros((2, 2)), np.eye(2))
-
     def test_transformed_vectors_deflate(self):
+        # solving with the target Z La Z^{-1} makes (X_c Z, La) deflating
         planted = plant_problem(17, 6, 2, "symmetric")
         rng = np.random.default_rng(18)
         z = crandn(rng, 2, 2)
-        conj_target, _ = similarity_transform_target(z, planted.target_lam)
+        conj_target = z @ planted.target_lam @ np.linalg.inv(z)
         g, _ = change_gramian(planted.pencil, planted.change.x)
         core = complete_core(
             g, planted.change.lam, conj_target, np.zeros_like(g)
