@@ -1,8 +1,14 @@
 """Text problem/result files.
 
-JSON-shaped, UTF-8, schema versioned with a ``format: 1`` field. Complex
+JSON-shaped, UTF-8, schema versioned with a ``format`` field. Complex
 entries are stored as [re, im] pairs; floats round-trip exactly through
 repr, so parse(emit(x)) is bitwise faithful.
+
+Problem and pairs files are ``format: 1``. A delta file is ``format: 2``
+when the update carries its factors: a ``factors`` block with ``left``
+(n x p), ``mhat``, ``khat`` (p x p) and ``right`` (p x n), from which
+dM = left @ mhat @ right and dK = left @ khat @ right are formed on load.
+Otherwise it is ``format: 1`` with the dense ``delta_m`` and ``delta_k``.
 
 Files are written as ``json.dumps(doc, indent=1, sort_keys=True)`` with
 every matrix encoded by ``encode_matrix``; ``_dumps`` produces exactly those
@@ -20,6 +26,11 @@ import numpy as np
 from .errors import SchemaError
 
 FORMAT_VERSION = 1
+FACTORED_DELTA_FORMAT = 2
+
+_FACTOR_NAMES = ("left", "mhat", "khat", "right")
+# provenance entries the factors block already holds
+_FACTOR_PROVENANCE = ("u", "mhat", "khat")
 
 STRUCTURE_NAMES = (
     "unstructured",
@@ -282,29 +293,62 @@ def certificate_dict(cert) -> dict:
 
 
 def save_result(path, result, cert=None, extra=None):
+    """Delta file of ``result``: ``format: 2`` with its factors when it has
+    them, else ``format: 1`` with the dense dM and dK."""
+    factors = result.factors
     prov = {}
     for key, value in result.provenance.items():
+        if factors is not None and key in _FACTOR_PROVENANCE:
+            continue
         if isinstance(value, (np.ndarray, bool, int, float, str)):
             prov[key] = value
         elif isinstance(value, complex):
             prov[key] = [value.real, value.imag]
-    doc = {
-        "format": FORMAT_VERSION,
-        "delta_m": np.asarray(result.delta_m),
-        "delta_k": np.asarray(result.delta_k),
-        "provenance": prov,
-        "certificate": certificate_dict(cert) if cert is not None else None,
-    }
+    if factors is None:
+        doc = {
+            "format": FORMAT_VERSION,
+            "delta_m": np.asarray(result.delta_m),
+            "delta_k": np.asarray(result.delta_k),
+        }
+    else:
+        doc = {
+            "format": FACTORED_DELTA_FORMAT,
+            "factors": {key: np.asarray(f) for key, f in zip(_FACTOR_NAMES, factors)},
+        }
+    doc["provenance"] = prov
+    doc["certificate"] = certificate_dict(cert) if cert is not None else None
     if extra:
         doc.update(extra)
     _write(path, doc)
 
 
+def _factored_delta(raw) -> tuple[np.ndarray, np.ndarray]:
+    block = raw.get("factors")
+    if not isinstance(block, dict) or any(key not in block for key in _FACTOR_NAMES):
+        raise SchemaError(f"delta file needs factors {', '.join(_FACTOR_NAMES)}")
+    left, mhat, khat, right = (
+        decode_matrix(block[key], f"factors.{key}") for key in _FACTOR_NAMES
+    )
+    p = mhat.shape[0]
+    if not (
+        left.ndim == right.ndim == 2
+        and mhat.shape == khat.shape == (p, p) == (left.shape[1], right.shape[0])
+        and left.shape[0] == right.shape[1]
+    ):
+        raise SchemaError("factors must be n x p, p x p, p x p and p x n")
+    return left @ mhat @ right, left @ khat @ right
+
+
 def load_delta(path) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (dM, dK) from a delta file of either format."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read delta file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaError("delta file must hold a JSON object")
+    if raw.get("format") == FACTORED_DELTA_FORMAT:
+        return _factored_delta(raw)
     if raw.get("format") != FORMAT_VERSION:
         raise SchemaError(f"unsupported format {raw.get('format')!r}")
     if "delta_m" not in raw or "delta_k" not in raw:

@@ -133,6 +133,8 @@ def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateRe
     result = structured_update(shh.even_pencil(), xc, lam_c, lam_a, core)
     result.delta_m = apply_j(result.delta_m, transpose=True)
     result.delta_k = apply_j(result.delta_k, transpose=True)
+    u, mhat, khat, us = result.factors
+    result.factors = (apply_j(u, transpose=True), mhat, khat, us)
     result.provenance["method"] = "shh"
     return result
 
@@ -488,8 +490,7 @@ def t_shh_update(
         core = complete_core(g, lam_c, lam_a, mhat)
     xc_c = xc.astype(np.complex128)
     result = shh_update(shh, xc_c, lam_c, lam_a, core)
-    result.delta_m = result.delta_m.real.astype(np.complex128)
-    result.delta_k = result.delta_k.real.astype(np.complex128)
+    result.take_real()
     result.provenance.update(
         {"method": "t-shh", "grouping_shape": shape, "lam_c": lam_c, "lam_a": lam_a}
     )

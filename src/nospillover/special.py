@@ -240,8 +240,7 @@ def _definite_update(
         or np.asarray(xc, dtype=complex).imag.any()
     )
     if real_data:
-        result.delta_m = result.delta_m.real.astype(np.complex128)
-        result.delta_k = result.delta_k.real.astype(np.complex128)
+        result.take_real()
     result.provenance.update(method=method, xc_normalized=xn, lam_c=lc, lam_a=la)
     return result
 
@@ -361,8 +360,7 @@ def _real_pair_update(
     z2 = block_diag(*[b * z2_block for b in beta])
     core = parametrized_core(g, lam_c, lam_a, z1, z2)
     result = structured_update(_class_pencil(pencil, klass), xhat, lam_c, lam_a, core)
-    result.delta_m = result.delta_m.real.astype(np.complex128)
-    result.delta_k = result.delta_k.real.astype(np.complex128)
+    result.take_real()
     result.provenance.update(method=method, xc_realified=xhat, lam_c=lam_c, lam_a=lam_a)
     return result
 

@@ -77,22 +77,26 @@ def change_gramian(pencil: StructuredPencil, xc):
 
 
 def build_update_basis(
-    pencil: StructuredPencil, xc, g=None, route: str = "via-M"
+    pencil: StructuredPencil, xc, g=None, route: str = "via-M", rcond=None
 ) -> np.ndarray:
     """U with X_c^star U = I_p; the range that carries the whole update.
 
     route 'via-M': U = M X_c G^{-1}. route 'via-K': U = K X_c (X_c^star K
     X_c)^{-1}, which equals the via-M matrix whenever Lc is nonsingular.
+    ``rcond`` is the conditioning ``change_gramian`` returned with ``g``;
+    given, it is not computed again.
     """
     if pencil.tag is None:
         raise MissingStar("the structured path needs a structure tag")
     xc = as_matrix(xc, "X_c")
     if route == "via-M":
         if g is None:
-            g, _ = change_gramian(pencil, xc)
+            g, rcond = change_gramian(pencil, xc)
         else:
             g = as_matrix(g, "G")
-        if scaled_rcond(g, gramian_scale(pencil.m, xc)) <= G_RCOND_CUTOFF:
+        if rcond is None:
+            rcond = scaled_rcond(g, gramian_scale(pencil.m, xc))
+        if rcond <= G_RCOND_CUTOFF:
             raise SingularG("X_c^star M X_c is singular")
         return np.linalg.solve(g.T, (pencil.m @ xc).T).T
     if route == "via-K":
@@ -162,7 +166,8 @@ def structured_update(
     The spectral no-spillover condition involves the unknown fixed spectrum
     and cannot be verified here; the result records it as an assumption.
     Structure preservation of the updated pencil is checked via the core
-    and reported in the provenance.
+    and reported in the provenance. The result keeps the factors
+    (U, Mh, Kh, U^star) of both products.
     """
     if pencil.tag is None:
         raise MissingStar("the structured path needs a structure tag")
@@ -172,12 +177,13 @@ def structured_update(
     g, g_rcond = change_gramian(pencil, xc)
     if g_rcond <= G_RCOND_CUTOFF:
         raise SingularG(f"X_c^star M X_c is singular (rcond={g_rcond:.2e})")
-    u = build_update_basis(pencil, xc, g=g, route="via-M")
+    u = build_update_basis(pencil, xc, g=g, rcond=g_rcond)
     us = star(u, pencil.star)
     flags = core_structure_flags(core, g, lam_a, pencil.tag)
     return UpdateResult(
         delta_m=u @ core.mhat @ us,
         delta_k=u @ core.khat @ us,
+        factors=(u, core.mhat, core.khat, us),
         provenance={
             "method": "structured",
             "g": g,

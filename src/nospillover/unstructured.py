@@ -66,12 +66,26 @@ class UpdateProblem:
 
 @dataclass
 class UpdateResult:
-    """Perturbation (dM, dK) plus provenance and an optional certificate."""
+    """Perturbation (dM, dK) plus provenance and an optional certificate.
+
+    ``factors`` is ``(left, mhat, khat, right)`` when the update has low rank
+    by construction: dM = left @ mhat @ right, dK = left @ khat @ right, left
+    n x p, right p x n, and dM, dK equal to those products as evaluated.
+    """
 
     delta_m: np.ndarray
     delta_k: np.ndarray
     provenance: dict = field(default_factory=dict)
     report: object | None = None
+    factors: tuple | None = None
+
+    def take_real(self):
+        """Keep only the real parts of dM, dK and their factors, for real data
+        whose update is real in exact arithmetic."""
+        self.delta_m = self.delta_m.real.astype(np.complex128)
+        self.delta_k = self.delta_k.real.astype(np.complex128)
+        if self.factors is not None:
+            self.factors = tuple(f.real for f in self.factors)
 
 
 def target_defect(pencil: StructuredPencil, problem: UpdateProblem) -> np.ndarray:
@@ -121,8 +135,8 @@ def solve_general(
 ) -> UpdateResult:
     """General solution family member [dM dK] = B A' + Z (I - A A').
 
-    ``z`` is the free n x 2n parameter; Z = 0 gives the minimum-Frobenius
-    norm member. Requires the fixed pair. Raises RankDeficientA when the
+    ``z`` is the free n x 2n parameter, recorded in the provenance when
+    given; without it (Z = 0) the result is the minimum-Frobenius norm member. Requires the fixed pair. Raises RankDeficientA when the
     stacked constraint matrix loses column rank (duplicated or dependent
     target/fixed vectors).
     """
@@ -134,19 +148,17 @@ def solve_general(
         raise RankDeficientA(
             "stacked constraint matrix is column rank deficient"
         )
-    if z is None:
-        z = np.zeros((n, 2 * n), dtype=complex)
-    else:
+    provenance = {"method": "general-family", "ra": b[:, -problem.p:]}
+    if z is not None:
         z = as_matrix(z, "Z")
         if z.shape != (n, 2 * n):
             raise DimensionMismatch(f"Z must be {n}x{2 * n}, got {z.shape}")
+        provenance["z"] = z
     apinv = pseudoinverse(a)
-    y = b @ apinv + z @ (np.eye(2 * n) - a @ apinv)
-    return UpdateResult(
-        delta_m=y[:, :n],
-        delta_k=y[:, n:],
-        provenance={"method": "general-family", "ra": b[:, -problem.p:], "z": z},
-    )
+    y = b @ apinv
+    if z is not None:
+        y = y + z @ (np.eye(2 * n) - a @ apinv)
+    return UpdateResult(delta_m=y[:, :n], delta_k=y[:, n:], provenance=provenance)
 
 
 def dual_basis_update(

@@ -39,7 +39,7 @@ class TestSolve:
         cert = doc["certificate"]
         assert cert["pass"]
         assert cert["spillover_residual"] <= 1e-11
-        dm = fileio.decode_matrix(doc["delta_m"], "dm")
+        dm, _ = fileio.load_delta(out)
         dev = np.abs(dm - case.printed_delta_m).max() / np.abs(
             case.printed_delta_m
         ).max()
@@ -103,6 +103,12 @@ class TestSolve:
         out = tmp_path / "delta.json"
         fileio.save_problem(prob, pf)
         assert run(["solve", "--input", prob, "--out", out, "--unstructured"]) == 0
+        # a dense delta file; nothing else in it is larger than n x p
+        doc = json.loads(out.read_text())
+        assert doc["format"] == 1 and "factors" not in doc
+        arrays = [v for v in doc["provenance"].values() if isinstance(v, list)]
+        n, p = planted.change.x.shape
+        assert arrays and all(np.size(v) // 2 <= n * p for v in arrays)
 
     def test_unstructured_needs_fixed_exit_3(self, tmp_path):
         planted = plant_problem(4, 5, 2, "symmetric")
@@ -213,7 +219,8 @@ class TestVerify:
                     "--class", "star-even", "--out", prob]) == 0
         assert run(["solve", "--input", prob, "--out", delta]) == 0
         doc = json.loads(delta.read_text())
-        doc["delta_m"][0][0][0] += 1e-3
+        # U^star X_f = 0 keeps the fixed pair; a changed right factor breaks it
+        doc["factors"]["right"][0][0][0] += 1e-3
         delta.write_text(json.dumps(doc))
         capsys.readouterr()
         verify = ["verify", "--pencil", prob, "--delta", delta, "--pairs"]
@@ -222,6 +229,19 @@ class TestVerify:
         empty = tmp_path / "empty.json"
         empty.write_text('{"format": 1}')
         assert run(verify + [empty]) == 2
+
+    def test_format_1_delta_still_verifies(self, capsys):
+        # written by the dense writer that preceded delta format 2
+        data = Path(__file__).parent / "data"
+        prob, delta = data / "star-even-n8.json", data / "star-even-n8.format1.delta.json"
+        doc = json.loads(delta.read_text())
+        assert doc["format"] == 1
+        dm, dk = fileio.load_delta(delta)
+        assert np.array_equal(dm, fileio.decode_matrix(doc["delta_m"], "delta_m"))
+        assert np.array_equal(dk, fileio.decode_matrix(doc["delta_k"], "delta_k"))
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", str(prob) + ".fixed.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")
@@ -237,7 +257,7 @@ class TestVerify:
         fileio.save_problem(prob, pf)
         run(["solve", "--input", prob, "--out", delta])
         doc = json.loads(delta.read_text())
-        doc["delta_k"][0][0] = [1.0, 1.0]  # corrupt one entry
+        doc["factors"]["khat"][0][0] = [1.0, 1.0]  # corrupt one entry
         delta.write_text(json.dumps(doc))
         pairs = tmp_path / "pairs.json"
         pairs.write_text(
@@ -326,6 +346,16 @@ class TestRandom:
         assert all(float(ln.split()[1]) <= 1e-12 for ln in lines if ln.startswith("structure["))
         assert lines[-1] == "PASS"
 
+    @pytest.mark.parametrize("klass", ["hermitian", "star-shh"])
+    def test_delta_file_is_small(self, tmp_path, klass):
+        # the rank-p factors of an n=120 update, not two dense 120 x 120 matrices
+        prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
+        assert run(["random", "--seed", 7, "--n", 120, "--p", 4,
+                    "--class", klass, "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        assert json.loads(delta.read_text())["format"] == 2
+        assert delta.stat().st_size < 100_000
+
     def test_bad_class_exit_2(self, tmp_path):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,
                     "--class", "nope", "--out", tmp_path / "x.json"]) == 2
@@ -346,7 +376,7 @@ class TestTolOverride:
         fileio.save_problem(prob, pf)
         run(["solve", "--input", prob, "--out", delta])
         doc = json.loads(delta.read_text())
-        doc["delta_k"][0][0] = [doc["delta_k"][0][0][0] + 1e-4, 0.0]
+        doc["factors"]["khat"][0][0][0] += 1e-4
         delta.write_text(json.dumps(doc))
         pairs = tmp_path / "pairs.json"
         pairs.write_text(

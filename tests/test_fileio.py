@@ -7,6 +7,10 @@ import pytest
 
 from nospillover import fileio
 from nospillover.errors import SchemaError
+from nospillover.linalg import fnorm
+from nospillover.randomgen import plant_problem, plant_star_shh, plant_t_shh
+from nospillover.shh import shh_gramian, shh_update, t_shh_mhat, t_shh_update
+from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 
 
 def crandn(rng, *shape):
@@ -133,6 +137,68 @@ class TestDeltaAndPairs:
         pairs = fileio.load_pairs(path)
         assert np.array_equal(pairs["fixed"].x, x)
         assert np.array_equal(pairs["fixed"].lam, lam)
+
+
+class TestFactoredDelta:
+    """Updates with factors are written as delta format 2 and read back dense."""
+
+    def _round_trip(self, tmp_path, res):
+        path = tmp_path / "delta.json"
+        fileio.save_result(path, res)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == 2 and "delta_m" not in doc
+        assert not {"u", "mhat", "khat"} & set(doc["provenance"])
+        return fileio.load_delta(path)
+
+    @pytest.mark.parametrize(
+        "klass", ["symmetric", "hermitian", "t-odd", "star-odd", "t-even", "star-even"]
+    )
+    def test_symmetry_class_exact(self, tmp_path, klass):
+        planted = plant_problem(3, 12, 4, klass)
+        x, lam_c = planted.change.x, planted.change.lam
+        g, _ = change_gramian(planted.pencil, x)
+        core = scaled_gramian_core(g, lam_c, planted.target_lam, 0.3)
+        res = structured_update(planted.pencil, x, lam_c, planted.target_lam, core)
+        dm, dk = self._round_trip(tmp_path, res)
+        assert np.array_equal(dm, res.delta_m) and np.array_equal(dk, res.delta_k)
+
+    @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
+    def test_shh_class_to_rounding(self, tmp_path, klass):
+        if klass == "star-shh":
+            pp = plant_star_shh(4, 6, 1, 1)
+            g, _ = shh_gramian(pp.shh, pp.change_x)
+            core = scaled_gramian_core(g, pp.change_lam, pp.target_lam, 0.3)
+            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
+        else:
+            pp = plant_t_shh(5, 6)
+            gr = pp.grouping
+            shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
+            mhat = t_shh_mhat(shape, [0.5] * shape[0], [0.2] * shape[0],
+                              [-0.3] * shape[1], [0.7] * shape[2])
+            res = t_shh_update(pp.shh, gr, *pp.target_groups, mhat=mhat)
+        dm, dk = self._round_trip(tmp_path, res)
+        for back, mem in ((dm, res.delta_m), (dk, res.delta_k)):
+            assert fnorm(mem) > 0
+            assert fnorm(back - mem) <= 1e-15 * fnorm(mem)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {"left": np.ones((4, 2)), "mhat": np.ones((2, 2)), "khat": np.ones((2, 2))},
+            {"left": np.ones((4, 2)), "mhat": np.ones((2, 2)), "khat": np.ones((3, 3)),
+             "right": np.ones((2, 4))},
+            {"left": np.ones((4, 2)), "mhat": np.ones((2, 2)), "khat": np.ones((2, 2)),
+             "right": np.ones((2, 5))},
+            {"left": np.ones(4), "mhat": np.ones((1, 1)), "khat": np.ones((1, 1)),
+             "right": np.ones((1, 4))},
+        ],
+        ids=["missing", "core-shape", "right-shape", "left-vector"],
+    )
+    def test_malformed_factors_rejected(self, tmp_path, factors):
+        path = tmp_path / "delta.json"
+        fileio._write(path, {"format": 2, "factors": factors})
+        with pytest.raises(SchemaError):
+            fileio.load_delta(path)
 
 
 def _encoded(obj):

@@ -20,6 +20,7 @@ from nospillover.pencil import (
     normalize_columns,
     star,
 )
+from nospillover import structured
 from nospillover.randomgen import plant_problem
 from nospillover.structured import (
     CoreSolution,
@@ -275,6 +276,23 @@ class TestStructuredUpdate:
         core = CoreSolution(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(SingularG):
             structured_update(pencil, x, np.eye(1), 2 * np.eye(1), core)
+
+    def test_conditioning_computed_once(self, monkeypatch):
+        planted = plant_problem(19, 8, 2, "hermitian")
+        args = (planted.pencil, planted.change.x, planted.change.lam, planted.target_lam)
+        g, _ = change_gramian(planted.pencil, planted.change.x)
+        core = complete_core(g, planted.change.lam, planted.target_lam, 0.5 * g)
+        real, calls = structured.scaled_rcond, []
+        monkeypatch.setattr(structured, "scaled_rcond", lambda *a: calls.append(a) or real(*a))
+        structured_update(*args, core)
+        assert len(calls) == 1
+        # a G exactly at the cutoff is singular
+        calls.clear()
+        cutoff = structured.G_RCOND_CUTOFF
+        monkeypatch.setattr(structured, "scaled_rcond", lambda *a: calls.append(a) or cutoff)
+        with pytest.raises(SingularG, match=r"X_c\^star M X_c is singular \(rcond=1.00e-12\)"):
+            structured_update(*args, core)
+        assert len(calls) == 1
 
 
 class TestSimilarityTarget:
