@@ -8,7 +8,7 @@ skew-Hamiltonian/Hamiltonian pencils) along the way.
 """
 
 from .errors import NoSpilloverError
-from .linalg import eig_pencil, herm_eigs, pseudoinverse, solve
+from .linalg import eig_pencil, herm_eigs, pseudoinverse
 from .pencil import (
     ALL_TAGS,
     HERMITIAN,
@@ -21,12 +21,8 @@ from .pencil import (
     StructuredPencil,
     StructureTag,
     classify_structure,
-    complete_deflating_pair,
-    deflation_residual,
     gramians,
     normalize_columns,
-    rayleigh_eigenvalue,
-    realify_eigenpair,
 )
 from .shh import EigGrouping, SHHPencil, shh_update, star_shh_core, t_shh_update
 from .special import (
@@ -53,7 +49,6 @@ from .unstructured import (
     UpdateResult,
     dual_basis_update,
     solve_general,
-    target_defect,
 )
 from .verify import Certificate, certify, spectrum_match
 
@@ -83,8 +78,6 @@ __all__ = [
     "change_gramian",
     "classify_structure",
     "complete_core",
-    "complete_deflating_pair",
-    "deflation_residual",
     "dual_basis_update",
     "eig_pencil",
     "gramians",
@@ -93,12 +86,9 @@ __all__ = [
     "normalize_columns",
     "parametrized_core",
     "pseudoinverse",
-    "rayleigh_eigenvalue",
-    "realify_eigenpair",
     "scaled_gramian_core",
     "select_psd_params",
     "shh_update",
-    "solve",
     "solve_general",
     "solve_quadratic",
     "spectrum_match",
@@ -109,5 +99,4 @@ __all__ = [
     "t_even_real_update",
     "t_odd_real_update",
     "t_shh_update",
-    "target_defect",
 ]

@@ -193,7 +193,8 @@ def _certify(pencil, result, problem, psd, tol):
         pencil, result, problem, expected_spectrum=expected, psd=psd, tol_defl=tol
     )
     if shh is not None:
-        twisted = UpdateResult(apply_j(result.delta_m), apply_j(result.delta_k))
+        left, mhat, khat, right = result.factors
+        twisted = UpdateResult(factors=(apply_j(left), mhat, khat, right))
         even = certify(shh.even_pencil(), twisted, problem).structure_residuals
         cert.structure_residuals = {
             "jm_updated_skew": even["m_updated"],
@@ -229,10 +230,19 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         m, k, structure = fileio.load_pencil(args.pencil)
-        dm, dk = fileio.load_delta(args.delta)
+        result = fileio.load_delta(args.delta)
         pairs = fileio.load_pairs(args.pairs)
     except SchemaError as exc:
         return _fail_schema(str(exc))
+    sizes = {"delta file": result.n}
+    sizes.update(
+        (f"pairs file {key}.x", block.x.shape[0])
+        for key, block in pairs.items()
+        if block.x is not None
+    )
+    for what, size in sizes.items():
+        if size != m.shape[0]:
+            return _fail_schema(f"{what} has n={size}, but the pencil has n={m.shape[0]}")
     targets, fixed = pairs.get("targets"), pairs.get("fixed")
     has_fixed = fixed is not None and fixed.x is not None
     # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
@@ -244,7 +254,7 @@ def cmd_verify(args) -> int:
         pencil = StructuredPencil(m, k, TAG_BY_NAME.get(structure))
         fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
         if spillover_only:
-            cert = certify_spillover(pencil, UpdateResult(dm, dk), fixed_pair, tol_defl=tol)
+            cert = certify_spillover(pencil, result, fixed_pair, tol_defl=tol)
         else:
             problem = UpdateProblem(
                 DeflatingPair(targets.x, targets.lam),
@@ -252,7 +262,7 @@ def cmd_verify(args) -> int:
                 target_x=targets.x,
                 fixed=fixed_pair,
             )
-            cert = certify(pencil, UpdateResult(dm, dk), problem, tol_defl=tol)
+            cert = certify(pencil, result, problem, tol_defl=tol)
     except NoSpilloverError as exc:
         return _fail_math(exc)
     for line in cert.summary_lines():

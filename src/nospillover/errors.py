@@ -22,10 +22,6 @@ class NonFiniteEntries(NoSpilloverError):
     """A matrix contains NaN or infinite entries."""
 
 
-class SingularMatrix(NoSpilloverError):
-    """A square system matrix is rank deficient at the working tolerance."""
-
-
 class SingularPencil(NoSpilloverError):
     """det(lambda*M + K) vanishes identically (non-regular pencil)."""
 
@@ -38,28 +34,8 @@ class MissingStar(NoSpilloverError):
     """An adjoint type is required but the pencil carries no structure tag."""
 
 
-class IsotropicVector(NoSpilloverError):
-    """x*Mx vanishes, so the Rayleigh quotient for x is undefined."""
-
-
 class NotEigenpair(NoSpilloverError):
     """A claimed eigenpair fails its residual test."""
-
-
-class RealEigenvalue(NoSpilloverError):
-    """Realification requested for an eigenvalue with zero imaginary part."""
-
-
-class SingularG1(NoSpilloverError):
-    """The Gramian of the given pair is singular; completion impossible."""
-
-
-class SingularM(NoSpilloverError):
-    """M is singular where the construction requires it nonsingular."""
-
-
-class BadCompletionBasis(NoSpilloverError):
-    """The supplied completion columns do not extend X1 to a basis."""
 
 
 class NotPositiveDefinite(NoSpilloverError):
@@ -80,10 +56,6 @@ class SingularBasis(NoSpilloverError):
 
 class SingularG(NoSpilloverError):
     """The change-pair Gramian G is singular (rcond below cutoff)."""
-
-
-class SingularKGramian(NoSpilloverError):
-    """X_c* K X_c is singular, so U cannot be built via K."""
 
 
 class NotRealDiagonal(NoSpilloverError):

@@ -6,9 +6,9 @@ repr, so parse(emit(x)) is bitwise faithful.
 
 Problem and pairs files are ``format: 1``. A delta file is ``format: 2``
 when the update carries its factors: a ``factors`` block with ``left``
-(n x p), ``mhat``, ``khat`` (p x p) and ``right`` (p x n), from which
-dM = left @ mhat @ right and dK = left @ khat @ right are formed on load.
-Otherwise it is ``format: 1`` with the dense ``delta_m`` and ``delta_k``.
+(n x p), ``mhat``, ``khat`` (p x p) and ``right`` (p x n), which
+``load_delta`` returns as the factors of an ``UpdateResult``. Otherwise it
+is ``format: 1`` with the dense ``delta_m`` and ``delta_k``.
 
 Files are written as ``json.dumps(doc, indent=1, sort_keys=True)`` with
 every matrix encoded by ``encode_matrix``; ``_dumps`` produces exactly those
@@ -24,13 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
+from .unstructured import UpdateResult
 
 FORMAT_VERSION = 1
 FACTORED_DELTA_FORMAT = 2
 
 _FACTOR_NAMES = ("left", "mhat", "khat", "right")
-# provenance entries the factors block already holds
-_FACTOR_PROVENANCE = ("u", "mhat", "khat")
 
 STRUCTURE_NAMES = (
     "unstructured",
@@ -298,8 +297,6 @@ def save_result(path, result, cert=None, extra=None):
     factors = result.factors
     prov = {}
     for key, value in result.provenance.items():
-        if factors is not None and key in _FACTOR_PROVENANCE:
-            continue
         if isinstance(value, (np.ndarray, bool, int, float, str)):
             prov[key] = value
         elif isinstance(value, complex):
@@ -322,7 +319,7 @@ def save_result(path, result, cert=None, extra=None):
     _write(path, doc)
 
 
-def _factored_delta(raw) -> tuple[np.ndarray, np.ndarray]:
+def _factored_delta(raw) -> UpdateResult:
     block = raw.get("factors")
     if not isinstance(block, dict) or any(key not in block for key in _FACTOR_NAMES):
         raise SchemaError(f"delta file needs factors {', '.join(_FACTOR_NAMES)}")
@@ -336,11 +333,12 @@ def _factored_delta(raw) -> tuple[np.ndarray, np.ndarray]:
         and left.shape[0] == right.shape[1]
     ):
         raise SchemaError("factors must be n x p, p x p, p x p and p x n")
-    return left @ mhat @ right, left @ khat @ right
+    return UpdateResult(factors=(left, mhat, khat, right))
 
 
-def load_delta(path) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (dM, dK) from a delta file of either format."""
+def load_delta(path) -> UpdateResult:
+    """The update of a delta file: its factors (format 2) or its dense dM
+    and dK (format 1)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -353,9 +351,11 @@ def load_delta(path) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(f"unsupported format {raw.get('format')!r}")
     if "delta_m" not in raw or "delta_k" not in raw:
         raise SchemaError("delta file needs 'delta_m' and 'delta_k'")
-    return decode_matrix(raw["delta_m"], "delta_m"), decode_matrix(
-        raw["delta_k"], "delta_k"
-    )
+    dm = decode_matrix(raw["delta_m"], "delta_m")
+    dk = decode_matrix(raw["delta_k"], "delta_k")
+    if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape != dk.shape:
+        raise SchemaError("delta_m and delta_k must be square matrices of equal size")
+    return UpdateResult(dense=(dm, dk))
 
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:

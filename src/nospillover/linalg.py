@@ -14,7 +14,6 @@ numpy only: ``scipy.linalg`` on the first QZ (``eig_pencil``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     NonFiniteEntries,
     NotHermitian,
-    SingularMatrix,
     SingularPencil,
 )
 
@@ -91,29 +89,6 @@ def pseudoinverse(a) -> np.ndarray:
     if fnorm(a) == 0.0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     return np.linalg.pinv(a, rcond=TAU_NUM)
-
-
-class SolveResult(NamedTuple):
-    x: np.ndarray
-    rcond: float
-
-
-def solve(a, b) -> SolveResult:
-    """Solve A X = B for square A, reporting the reciprocal condition number.
-
-    Raises SingularMatrix when A is rank deficient at TAU_NUM.
-    """
-    a = require_square(as_matrix(a, "A"), "A")
-    b = as_matrix(b, "B")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"B has {b.shape[0]} rows, expected {a.shape[0]}"
-        )
-    s = np.linalg.svd(a, compute_uv=False)
-    rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    if rcond <= TAU_NUM:
-        raise SingularMatrix(f"A is singular at tolerance {TAU_NUM} (rcond={rcond:.2e})")
-    return SolveResult(np.linalg.solve(a, b), rcond)
 
 
 def rcond_estimate(a) -> float:

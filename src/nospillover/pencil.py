@@ -12,24 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadCompletionBasis,
-    DimensionMismatch,
-    IsotropicVector,
-    MissingStar,
-    NotPositiveDefinite,
-    RealEigenvalue,
-    SingularG1,
-    SingularM,
-)
-from .linalg import (
-    TAU_DEFL,
-    TAU_NUM,
-    TAU_STRUCT,
-    as_matrix,
-    fnorm,
-    require_square,
-)
+from .errors import DimensionMismatch, MissingStar, NotPositiveDefinite
+from .linalg import TAU_NUM, TAU_STRUCT, as_matrix, fnorm, require_square
 
 STAR_CONJ = "*"
 STAR_TRANS = "T"
@@ -180,36 +164,6 @@ class DeflatingPair:
         return np.linalg.eigvals(self.lam)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    absolute: float
-    relative: float
-    scale: float
-    tol: float = TAU_DEFL
-
-    @property
-    def passed(self) -> bool:
-        return self.relative <= self.tol
-
-
-def deflation_residual(
-    pencil: StructuredPencil, pair: DeflatingPair, tol: float = TAU_DEFL
-) -> ResidualReport:
-    """Residual ||M X Lambda + K X||_F, absolute and relative.
-
-    The relative scale is ||M|| ||X|| ||Lambda|| + ||K|| ||X||.
-    """
-    if pair.x.shape[0] != pencil.n:
-        raise DimensionMismatch(
-            f"X has {pair.x.shape[0]} rows but pencil has size {pencil.n}"
-        )
-    res = fnorm(pencil.m @ pair.x @ pair.lam + pencil.k @ pair.x)
-    scale = fnorm(pencil.m) * fnorm(pair.x) * fnorm(pair.lam) + fnorm(
-        pencil.k
-    ) * fnorm(pair.x)
-    return ResidualReport(res, res / max(scale, 1e-300), scale, tol)
-
-
 def gramians(pencil: StructuredPencil, x1, x2, adjoint: str | None = None):
     """(G12, F12) = (X1^star M X2, X1^star K X2).
 
@@ -223,74 +177,6 @@ def gramians(pencil: StructuredPencil, x1, x2, adjoint: str | None = None):
     which = adjoint if adjoint is not None else pencil.star
     x1s = star(x1, which)
     return x1s @ pencil.m @ x2, x1s @ pencil.k @ x2
-
-
-def rayleigh_eigenvalue(pencil: StructuredPencil, x, adjoint: str | None = None) -> complex:
-    """Rayleigh estimate -x^star K x / x^star M x.
-
-    Raises IsotropicVector when x^star M x vanishes at tolerance (the
-    orthogonality regime where the quotient carries no information).
-    """
-    x = as_matrix(x, "x")
-    if x.shape != (pencil.n, 1):
-        raise DimensionMismatch("x must be a single column of pencil size")
-    which = adjoint if adjoint is not None else (
-        pencil.tag.star if pencil.tag is not None else STAR_CONJ
-    )
-    xs = star(x, which)
-    den = complex((xs @ pencil.m @ x)[0, 0])
-    scale = fnorm(pencil.m) * float(np.linalg.norm(x)) ** 2
-    if abs(den) <= TAU_NUM * max(scale, 1e-300):
-        raise IsotropicVector("x^star M x vanishes; Rayleigh quotient undefined")
-    num = complex((xs @ pencil.k @ x)[0, 0])
-    return -num / den
-
-
-def realify_eigenpair(lam: complex, x) -> DeflatingPair:
-    """Real 2-column deflating pair for a nonreal eigenpair of a real pencil.
-
-    X_r = [re(x) im(x)],  Lambda_r = [[re l, im l], [-im l, re l]].
-    """
-    lam = complex(lam)
-    if lam.imag == 0.0:
-        raise RealEigenvalue("realification needs a nonreal eigenvalue")
-    x = as_matrix(x, "x")
-    xr = np.hstack([x.real, x.imag]).astype(np.complex128)
-    lr = np.array(
-        [[lam.real, lam.imag], [-lam.imag, lam.real]], dtype=np.complex128
-    )
-    return DeflatingPair(xr, lr)
-
-
-def complete_deflating_pair(
-    pencil: StructuredPencil, pair: DeflatingPair, x_extend
-) -> DeflatingPair:
-    """Construct the complementary deflating pair from a basis extension.
-
-    Given (X1, Lambda1) with nonsingular G1 = X1^star M X1 and columns X
-    making [X1 X] nonsingular, returns (X2, Lambda2) with
-    X2 = X - X1 G1^{-1} (X1^star M X) and Lambda2 = -G2^{-1} (X2^star K X2).
-    The output is M- and K-orthogonal to X1.
-    """
-    if pencil.tag is None:
-        raise MissingStar("completion needs a structure tag")
-    x1 = pair.x
-    xe = as_matrix(x_extend, "X")
-    n, p = x1.shape
-    if xe.shape != (n, n - p):
-        raise DimensionMismatch(f"extension must be {n}x{n - p}, got {xe.shape}")
-    if linalg.rcond_estimate(pencil.m) <= TAU_NUM:
-        raise SingularM("M must be nonsingular for the completion")
-    s = pencil.star
-    g1 = star(x1, s) @ pencil.m @ x1
-    if linalg.scaled_rcond(g1, linalg.gramian_scale(pencil.m, x1)) <= TAU_NUM:
-        raise SingularG1("X1^star M X1 is singular")
-    if linalg.rcond_estimate(np.hstack([x1, xe])) <= TAU_NUM:
-        raise BadCompletionBasis("[X1 X] is singular")
-    x2 = xe - x1 @ np.linalg.solve(g1, star(x1, s) @ pencil.m @ xe)
-    g2 = star(x2, s) @ pencil.m @ x2
-    lam2 = -np.linalg.solve(g2, star(x2, s) @ pencil.k @ x2)
-    return DeflatingPair(x2, lam2)
 
 
 def normalize_columns(

@@ -126,13 +126,11 @@ def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateRe
     """dM = J^star U Mh U^star, dK = J^star U Kh U^star, U = J M X_c G^{-1}.
 
     This is ``structured_update`` on the star-even pencil J L(lambda), taken
-    back by J^star = J^T. The core must solve Mh La + Kh = G (Lc - La) with
-    G = X_c^star J M X_c; the result stays SHH whenever lambda*Mh + Kh is
-    (star, -1, 1)-structured.
+    back by J^star = J^T, which makes the left factor J^T U. The core must
+    solve Mh La + Kh = G (Lc - La) with G = X_c^star J M X_c; the result
+    stays SHH whenever lambda*Mh + Kh is (star, -1, 1)-structured.
     """
     result = structured_update(shh.even_pencil(), xc, lam_c, lam_a, core)
-    result.delta_m = apply_j(result.delta_m, transpose=True)
-    result.delta_k = apply_j(result.delta_k, transpose=True)
     u, mhat, khat, us = result.factors
     result.factors = (apply_j(u, transpose=True), mhat, khat, us)
     result.provenance["method"] = "shh"

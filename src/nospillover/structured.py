@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingStar,
-    SingularG,
-    SingularKGramian,
-)
+from .errors import DimensionMismatch, MissingStar, SingularG
 from .linalg import (
     TAU_STRUCT,
     as_matrix,
@@ -76,35 +71,12 @@ def change_gramian(pencil: StructuredPencil, xc):
     return g, scaled_rcond(g, gramian_scale(pencil.m, xc))
 
 
-def build_update_basis(
-    pencil: StructuredPencil, xc, g=None, route: str = "via-M", rcond=None
-) -> np.ndarray:
-    """U with X_c^star U = I_p; the range that carries the whole update.
-
-    route 'via-M': U = M X_c G^{-1}. route 'via-K': U = K X_c (X_c^star K
-    X_c)^{-1}, which equals the via-M matrix whenever Lc is nonsingular.
-    ``rcond`` is the conditioning ``change_gramian`` returned with ``g``;
-    given, it is not computed again.
-    """
-    if pencil.tag is None:
-        raise MissingStar("the structured path needs a structure tag")
-    xc = as_matrix(xc, "X_c")
-    if route == "via-M":
-        if g is None:
-            g, rcond = change_gramian(pencil, xc)
-        else:
-            g = as_matrix(g, "G")
-        if rcond is None:
-            rcond = scaled_rcond(g, gramian_scale(pencil.m, xc))
-        if rcond <= G_RCOND_CUTOFF:
-            raise SingularG("X_c^star M X_c is singular")
-        return np.linalg.solve(g.T, (pencil.m @ xc).T).T
-    if route == "via-K":
-        f = star(xc, pencil.star) @ pencil.k @ xc
-        if scaled_rcond(f, gramian_scale(pencil.k, xc)) <= G_RCOND_CUTOFF:
-            raise SingularKGramian("X_c^star K X_c is singular")
-        return np.linalg.solve(f.T, (pencil.k @ xc).T).T
-    raise ValueError(f"unknown route {route!r}")
+def build_update_basis(pencil: StructuredPencil, xc, g, rcond) -> np.ndarray:
+    """U = M X_c G^{-1}, with X_c^star U = I_p: the range that carries the
+    whole update. ``g`` and ``rcond`` are what ``change_gramian`` returned."""
+    if rcond <= G_RCOND_CUTOFF:
+        raise SingularG(f"X_c^star M X_c is singular (rcond={rcond:.2e})")
+    return np.linalg.solve(g.T, (pencil.m @ xc).T).T
 
 
 def complete_core(g, lam_c, lam_a, mhat) -> CoreSolution:
@@ -166,31 +138,21 @@ def structured_update(
     The spectral no-spillover condition involves the unknown fixed spectrum
     and cannot be verified here; the result records it as an assumption.
     Structure preservation of the updated pencil is checked via the core
-    and reported in the provenance. The result keeps the factors
+    and reported in the provenance. The result is the factors
     (U, Mh, Kh, U^star) of both products.
     """
-    if pencil.tag is None:
-        raise MissingStar("the structured path needs a structure tag")
     xc = as_matrix(xc, "X_c")
     lam_c = as_matrix(lam_c, "Lambda_c")
     lam_a = as_matrix(lam_a, "Lambda_a")
     g, g_rcond = change_gramian(pencil, xc)
-    if g_rcond <= G_RCOND_CUTOFF:
-        raise SingularG(f"X_c^star M X_c is singular (rcond={g_rcond:.2e})")
-    u = build_update_basis(pencil, xc, g=g, rcond=g_rcond)
-    us = star(u, pencil.star)
+    u = build_update_basis(pencil, xc, g, g_rcond)
     flags = core_structure_flags(core, g, lam_a, pencil.tag)
     return UpdateResult(
-        delta_m=u @ core.mhat @ us,
-        delta_k=u @ core.khat @ us,
-        factors=(u, core.mhat, core.khat, us),
+        factors=(u, core.mhat, core.khat, star(u, pencil.star)),
         provenance={
             "method": "structured",
             "g": g,
             "g_rcond": g_rcond,
-            "u": u,
-            "mhat": core.mhat,
-            "khat": core.khat,
             "core_residual": core.equation_residual(g, lam_c, lam_a),
             "assumed_spectral_condition": True,
             **flags,

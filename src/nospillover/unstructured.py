@@ -19,7 +19,7 @@ from .errors import (
     RankDeficientA,
     SingularBasis,
 )
-from .linalg import TAU_NUM, as_matrix, fnorm, pseudoinverse, rcond_estimate
+from .linalg import TAU_NUM, as_matrix, pseudoinverse, rcond_estimate
 from .pencil import DeflatingPair, StructuredPencil
 
 
@@ -59,56 +59,53 @@ class UpdateProblem:
     def p(self) -> int:
         return self.change.p
 
-    @property
-    def aims_at_change_vectors(self) -> bool:
-        return self.target_x is None or np.array_equal(self.target_x, self.change.x)
-
 
 @dataclass
 class UpdateResult:
-    """Perturbation (dM, dK) plus provenance and an optional certificate.
+    """Perturbation (dM, dK) plus provenance.
 
-    ``factors`` is ``(left, mhat, khat, right)`` when the update has low rank
-    by construction: dM = left @ mhat @ right, dK = left @ khat @ right, left
-    n x p, right p x n, and dM, dK equal to those products as evaluated.
+    An update of low rank by construction is stored only as its ``factors``
+    ``(left, mhat, khat, right)``, left n x p and right p x n: ``delta_m`` is
+    ``left @ mhat @ right`` and ``delta_k`` is ``left @ khat @ right``, formed
+    on each access. An update without factors (``solve_general``,
+    ``dual_basis_update``, a format-1 delta file) stores ``dense = (dM, dK)``.
     """
 
-    delta_m: np.ndarray
-    delta_k: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    report: object | None = None
     factors: tuple | None = None
+    dense: tuple | None = None
+    provenance: dict = field(default_factory=dict)
+
+    @property
+    def delta_m(self) -> np.ndarray:
+        if self.factors is None:
+            return self.dense[0]
+        left, mhat, _, right = self.factors
+        return left @ mhat @ right
+
+    @property
+    def delta_k(self) -> np.ndarray:
+        if self.factors is None:
+            return self.dense[1]
+        left, _, khat, right = self.factors
+        return left @ khat @ right
+
+    @property
+    def n(self) -> int:
+        """Size of the pencil the update applies to."""
+        return (self.dense if self.factors is None else self.factors)[0].shape[0]
 
     def take_real(self):
-        """Keep only the real parts of dM, dK and their factors, for real data
-        whose update is real in exact arithmetic."""
-        self.delta_m = self.delta_m.real.astype(np.complex128)
-        self.delta_k = self.delta_k.real.astype(np.complex128)
-        if self.factors is not None:
-            self.factors = tuple(f.real for f in self.factors)
+        """Keep only the real parts of the factors, for real data whose update
+        is real in exact arithmetic."""
+        self.factors = tuple(f.real.astype(np.complex128) for f in self.factors)
 
 
-def target_defect(pencil: StructuredPencil, problem: UpdateProblem) -> np.ndarray:
-    """R_a = -(M X_a La + K X_a), the defect of the aimed pair.
-
-    When the target keeps the change vectors, the identity
-    R_a = M X_c (Lc - La) is verified and the branch recorded in the
-    returned array's companion info (see ``target_defect_report``).
-    """
-    return target_defect_report(pencil, problem)[0]
-
-
-def target_defect_report(pencil: StructuredPencil, problem: UpdateProblem):
-    xa, la = problem.xa, problem.target_lam
+def _target_defect(pencil: StructuredPencil, problem: UpdateProblem) -> np.ndarray:
+    """R_a = -(M X_a La + K X_a), the defect of the aimed pair."""
+    xa = problem.xa
     if xa.shape[0] != pencil.n:
         raise DimensionMismatch("X_a rows must equal the pencil size")
-    ra = -(pencil.m @ xa @ la + pencil.k @ xa)
-    info = {"branch": "definition"}
-    if problem.aims_at_change_vectors:
-        via_change = pencil.m @ problem.change.x @ (problem.change.lam - la)
-        agree = fnorm(ra - via_change) / max(fnorm(ra), 1e-300)
-        info = {"branch": "change-vectors", "identity_relative_gap": agree}
-    return ra, info
+    return -(pencil.m @ xa @ problem.target_lam + pencil.k @ xa)
 
 
 def _require_fixed(problem: UpdateProblem) -> DeflatingPair:
@@ -125,7 +122,7 @@ def stacked_constraints(pencil: StructuredPencil, problem: UpdateProblem):
     xa, la = problem.xa, problem.target_lam
     xf, lf = fixed.x, fixed.lam
     a = np.block([[xf @ lf, xa @ la], [xf, xa]])
-    ra, _ = target_defect_report(pencil, problem)
+    ra = _target_defect(pencil, problem)
     b = np.hstack([np.zeros((pencil.n, xf.shape[1]), dtype=complex), ra])
     return a, b
 
@@ -158,7 +155,7 @@ def solve_general(
     y = b @ apinv
     if z is not None:
         y = y + z @ (np.eye(2 * n) - a @ apinv)
-    return UpdateResult(delta_m=y[:, :n], delta_k=y[:, n:], provenance=provenance)
+    return UpdateResult(dense=(y[:, :n], y[:, n:]), provenance=provenance)
 
 
 def dual_basis_update(
@@ -179,11 +176,10 @@ def dual_basis_update(
     if rcond_estimate(basis) <= TAU_NUM:
         raise SingularBasis("[X_a X_f] is singular")
     ustar = np.linalg.inv(basis)[:p, :]  # p x n, = U^star
-    ra, _ = target_defect_report(pencil, problem)
+    ra = _target_defect(pencil, problem)
     ktilde = ra - mtilde @ problem.target_lam
     return UpdateResult(
-        delta_m=mtilde @ ustar,
-        delta_k=ktilde @ ustar,
+        dense=(mtilde @ ustar, ktilde @ ustar),
         provenance={
             "method": "dual-basis",
             "u": ustar.conj().T,
@@ -209,15 +205,3 @@ def core_family(b: np.ndarray, lam_a: np.ndarray, z1: np.ndarray, z2: np.ndarray
     kt = b @ ha - z1 @ lam_a @ ha + z2 @ (np.eye(p) - ha)
     return mt, kt
 
-
-def parametrized_core(
-    pencil: StructuredPencil, problem: UpdateProblem, z1, z2
-):
-    """(Mt, Kt) solving Mt La + Kt = R_a for arbitrary n x p parameters."""
-    n, p = pencil.n, problem.p
-    z1 = as_matrix(z1, "Z1")
-    z2 = as_matrix(z2, "Z2")
-    if z1.shape != (n, p) or z2.shape != (n, p):
-        raise DimensionMismatch(f"Z1 and Z2 must be {n}x{p}")
-    ra, _ = target_defect_report(pencil, problem)
-    return core_family(ra, problem.target_lam, z1, z2)

@@ -18,6 +18,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def problems_of_two_sizes(tmp_path):
+    """Problems of n=8 and n=10, and the delta file solved from the n=10 one."""
+    small, big, delta = tmp_path / "small.json", tmp_path / "big.json", tmp_path / "d.json"
+    for n, prob in ((8, small), (10, big)):
+        assert run(["random", "--seed", 7, "--n", n, "--p", 2,
+                    "--class", "hermitian", "--out", prob]) == 0
+    assert run(["solve", "--input", big, "--out", delta]) == 0
+    return small, big, delta
+
+
 class TestSolve:
     def test_reference_quadratic_problem(self, tmp_path):
         # the bundled Hermitian example expressed as a problem file
@@ -39,7 +49,7 @@ class TestSolve:
         cert = doc["certificate"]
         assert cert["pass"]
         assert cert["spillover_residual"] <= 1e-11
-        dm, _ = fileio.load_delta(out)
+        dm = fileio.load_delta(out).delta_m
         dev = np.abs(dm - case.printed_delta_m).max() / np.abs(
             case.printed_delta_m
         ).max()
@@ -58,7 +68,8 @@ class TestSolve:
         out = tmp_path / "delta.json"
         fileio.save_problem(prob, pf)
         assert run(["solve", "--input", prob, "--out", out]) == 0
-        dm, dk = fileio.load_delta(out)
+        back = fileio.load_delta(out)
+        dm, dk = back.delta_m, back.delta_k
         assert np.abs(dm).max() <= 1e-12
         assert np.abs(dk).max() <= 1e-12
 
@@ -236,12 +247,32 @@ class TestVerify:
         prob, delta = data / "star-even-n8.json", data / "star-even-n8.format1.delta.json"
         doc = json.loads(delta.read_text())
         assert doc["format"] == 1
-        dm, dk = fileio.load_delta(delta)
+        back = fileio.load_delta(delta)
+        dm, dk = back.delta_m, back.delta_k
         assert np.array_equal(dm, fileio.decode_matrix(doc["delta_m"], "delta_m"))
         assert np.array_equal(dk, fileio.decode_matrix(doc["delta_k"], "delta_k"))
         assert run(["verify", "--pencil", prob, "--delta", delta,
                     "--pairs", str(prob) + ".fixed.json"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    def test_delta_of_other_size_exit_2(self, tmp_path, capsys):
+        small, big, delta = problems_of_two_sizes(tmp_path)
+        dense = Path(__file__).parent / "data" / "star-even-n8.format1.delta.json"
+        for pencil, delta_file, pairs in ((small, delta, f"{small}.fixed.json"),
+                                          (big, dense, f"{big}.fixed.json")):
+            capsys.readouterr()
+            assert run(["verify", "--pencil", pencil, "--delta", delta_file,
+                        "--pairs", pairs]) == 2
+            err = capsys.readouterr().err
+            assert "delta file" in err and "n=10" in err and "n=8" in err
+
+    def test_pairs_of_other_size_exit_2(self, tmp_path, capsys):
+        small, big, delta = problems_of_two_sizes(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", "--pencil", big, "--delta", delta,
+                    "--pairs", f"{small}.fixed.json"]) == 2
+        err = capsys.readouterr().err
+        assert "pairs file" in err and "n=8" in err and "n=10" in err
 
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")
@@ -326,8 +357,8 @@ class TestRandom:
         # certify against the hidden fixed pair
         pf = fileio.load_problem(prob)
         hidden = fileio.load_pairs(str(prob) + ".fixed.json")["fixed"]
-        dm, dk = fileio.load_delta(delta)
-        m1, k1 = pf.m + dm, pf.k + dk
+        back = fileio.load_delta(delta)
+        m1, k1 = pf.m + back.delta_m, pf.k + back.delta_k
         from nospillover.linalg import fnorm
 
         res = fnorm(m1 @ hidden.x @ hidden.lam + k1 @ hidden.x)

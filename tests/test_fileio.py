@@ -122,12 +122,13 @@ class TestDeltaAndPairs:
 
         rng = np.random.default_rng(3)
         dm, dk = crandn(rng, 3, 3), crandn(rng, 3, 3)
-        res = UpdateResult(dm, dk, provenance={"method": "test", "g": crandn(rng, 2, 2)})
+        res = UpdateResult(dense=(dm, dk), provenance={"method": "test", "g": crandn(rng, 2, 2)})
         path = tmp_path / "delta.json"
         fileio.save_result(path, res)
-        dm2, dk2 = fileio.load_delta(path)
-        assert np.array_equal(dm2, dm)
-        assert np.array_equal(dk2, dk)
+        back = fileio.load_delta(path)
+        assert back.factors is None
+        assert np.array_equal(back.delta_m, dm)
+        assert np.array_equal(back.delta_k, dk)
 
     def test_pairs_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -140,7 +141,7 @@ class TestDeltaAndPairs:
 
 
 class TestFactoredDelta:
-    """Updates with factors are written as delta format 2 and read back dense."""
+    """Updates with factors are written as delta format 2 and read back as factors."""
 
     def _round_trip(self, tmp_path, res):
         path = tmp_path / "delta.json"
@@ -148,7 +149,9 @@ class TestFactoredDelta:
         doc = json.loads(path.read_text())
         assert doc["format"] == 2 and "delta_m" not in doc
         assert not {"u", "mhat", "khat"} & set(doc["provenance"])
-        return fileio.load_delta(path)
+        back = fileio.load_delta(path)
+        assert all(np.array_equal(a, b) for a, b in zip(back.factors, res.factors, strict=True))
+        return back
 
     @pytest.mark.parametrize(
         "klass", ["symmetric", "hermitian", "t-odd", "star-odd", "t-even", "star-even"]
@@ -159,11 +162,12 @@ class TestFactoredDelta:
         g, _ = change_gramian(planted.pencil, x)
         core = scaled_gramian_core(g, lam_c, planted.target_lam, 0.3)
         res = structured_update(planted.pencil, x, lam_c, planted.target_lam, core)
-        dm, dk = self._round_trip(tmp_path, res)
-        assert np.array_equal(dm, res.delta_m) and np.array_equal(dk, res.delta_k)
+        back = self._round_trip(tmp_path, res)
+        assert np.array_equal(back.delta_m, res.delta_m)
+        assert np.array_equal(back.delta_k, res.delta_k)
 
     @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
-    def test_shh_class_to_rounding(self, tmp_path, klass):
+    def test_shh_class_exact(self, tmp_path, klass):
         if klass == "star-shh":
             pp = plant_star_shh(4, 6, 1, 1)
             g, _ = shh_gramian(pp.shh, pp.change_x)
@@ -176,10 +180,10 @@ class TestFactoredDelta:
             mhat = t_shh_mhat(shape, [0.5] * shape[0], [0.2] * shape[0],
                               [-0.3] * shape[1], [0.7] * shape[2])
             res = t_shh_update(pp.shh, gr, *pp.target_groups, mhat=mhat)
-        dm, dk = self._round_trip(tmp_path, res)
-        for back, mem in ((dm, res.delta_m), (dk, res.delta_k)):
+        back = self._round_trip(tmp_path, res)
+        for loaded, mem in ((back.delta_m, res.delta_m), (back.delta_k, res.delta_k)):
             assert fnorm(mem) > 0
-            assert fnorm(back - mem) <= 1e-15 * fnorm(mem)
+            assert np.array_equal(loaded, mem)
 
     @pytest.mark.parametrize(
         "factors",
@@ -282,7 +286,7 @@ class TestGoldenBytes:
         rng = np.random.default_rng(10)
         g = crandn(rng, 2, 2)
         prov = {"method": 'a "%s" }', "g": g, "lam": g[0], "z": 1 - 2j, "ok": True, "n": 3}
-        res = UpdateResult(crandn(rng, 3, 3), crandn(rng, 3, 3).T, provenance=prov)
+        res = UpdateResult(dense=(crandn(rng, 3, 3), crandn(rng, 3, 3).T), provenance=prov)
         path = tmp_path / "delta.json"
         fileio.save_result(path, res)
         expected = {

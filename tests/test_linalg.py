@@ -9,7 +9,6 @@ from nospillover.errors import (
     DimensionMismatch,
     NonFiniteEntries,
     NotHermitian,
-    SingularMatrix,
     SingularPencil,
 )
 from nospillover.linalg import (
@@ -24,7 +23,6 @@ from nospillover.linalg import (
     herm_eigs,
     match_multisets,
     pseudoinverse,
-    solve,
 )
 
 
@@ -88,31 +86,6 @@ class TestPseudoinverse:
             assert fnorm(p @ a @ p - p) <= tol * fnorm(p) / max(fnorm(a), 1e-300)
             assert fnorm((a @ p).conj().T - a @ p) <= tol
             assert fnorm((p @ a).conj().T - p @ a) <= tol
-
-
-class TestSolve:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x, rcond = solve(np.eye(2), b)
-        np.testing.assert_allclose(x, b)
-        assert rcond == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        x, _ = solve(np.diag([2.0, 4.0]), np.eye(2))
-        np.testing.assert_allclose(x, np.diag([0.5, 0.25]))
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve(np.ones((2, 2)), np.eye(2))
-
-    def test_solve_then_multiply(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 10))
-            a = crandn(rng, n, n)
-            b = crandn(rng, n, 3)
-            x, rcond = solve(a, b)
-            assert fnorm(a @ x - b) <= 1e-10 / rcond * fnorm(b)
 
 
 class TestEigPencil:

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from nospillover.errors import (
-    IsotropicVector,
-    MissingStar,
-    NotPositiveDefinite,
-    RealEigenvalue,
-    SingularG1,
-    SingularM,
-)
+from nospillover.errors import MissingStar, NotPositiveDefinite
 from nospillover.linalg import eig_pencil, finite_eigenvalues, fnorm, match_multisets
 from nospillover.pencil import (
     ALL_TAGS,
@@ -18,20 +11,17 @@ from nospillover.pencil import (
     STAR_EVEN,
     STAR_ODD,
     SYMMETRIC,
-    T_EVEN,
     DeflatingPair,
     StructuredPencil,
     classify_structure,
-    complete_deflating_pair,
-    deflation_residual,
     gramians,
     normalize_columns,
-    rayleigh_eigenvalue,
-    realify_eigenpair,
     star,
     symmetry_partner,
 )
 from nospillover.randomgen import plant_problem, random_structured_pencil
+from nospillover.unstructured import UpdateResult
+from nospillover.verify import certify_spillover
 
 
 def crandn(rng, *shape):
@@ -66,13 +56,19 @@ class TestClassify:
             assert tag in classify_structure(pencil.m, pencil.k)
 
 
+def pair_residual(pencil, pair):
+    """The certificate's residual of a deflating pair under a zero update."""
+    zero = UpdateResult(dense=(np.zeros_like(pencil.m), np.zeros_like(pencil.k)))
+    return certify_spillover(pencil, zero, pair)
+
+
 class TestDeflationResidual:
     def test_eigenpair_zero_residual(self):
         pencil = StructuredPencil(np.eye(2), -np.diag([3.0, 5.0]), SYMMETRIC)
         pair = DeflatingPair(np.array([[1.0], [0.0]]), np.array([[3.0]]))
-        report = deflation_residual(pencil, pair)
-        assert report.absolute <= 1e-14
-        assert report.passed
+        cert = pair_residual(pencil, pair)
+        assert cert.spillover_residual <= 1e-14
+        assert cert.passed
 
     def test_planted_pair_passes(self):
         rng = np.random.default_rng(9)
@@ -83,8 +79,7 @@ class TestDeflationResidual:
         # complete K so that (X, Lam) deflates: K = -M X Lam X^+
         k = -m @ x @ lam @ np.linalg.pinv(x)
         pencil = StructuredPencil(m, k, None)
-        report = deflation_residual(pencil, DeflatingPair(x, lam))
-        assert report.passed
+        assert pair_residual(pencil, DeflatingPair(x, lam)).passed
 
     def test_printed_fixed_pair_close(self):
         from nospillover.cases import CASES
@@ -92,8 +87,8 @@ class TestDeflationResidual:
         case = CASES["herm-6.1"]
         pencil = StructuredPencil(case.m, case.k, HERMITIAN)
         pair = DeflatingPair(case.printed_xf, np.diag(case.printed_lam_f))
-        report = deflation_residual(pencil, pair, tol=1e-5)
-        assert report.relative <= 1e-5  # printed at ~6 digits
+        cert = pair_residual(pencil, pair)
+        assert cert.spillover_relative <= 1e-5  # printed at ~6 digits
 
 
 class TestGramians:
@@ -151,121 +146,6 @@ class TestGramians:
         g, f = gramians(planted.pencil, x, x)
         assert fnorm(g) <= 1e-9 * fnorm(planted.pencil.m)
         assert fnorm(f) <= 1e-9 * fnorm(planted.pencil.k)
-
-
-class TestRayleigh:
-    def test_diagonal(self):
-        pencil = StructuredPencil(np.eye(2), -np.diag([3.0, 5.0]), HERMITIAN)
-        val = rayleigh_eigenvalue(pencil, np.array([[1.0], [0.0]]))
-        assert val == pytest.approx(3.0)
-
-    def test_definite_pencil_negative(self):
-        rng = np.random.default_rng(2)
-        b, c = crandn(rng, 4, 4), crandn(rng, 4, 4)
-        m = b @ b.conj().T + np.eye(4)
-        k = c @ c.conj().T + np.eye(4)
-        pencil = StructuredPencil(m, k, HERMITIAN)
-        for _ in range(10):
-            x = crandn(rng, 4, 1)
-            assert rayleigh_eigenvalue(pencil, x).real < 0
-
-    def test_t_even_isotropic(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((4, 4))
-        m = a - a.T  # T-even M is skew; x^T M x = 0 for every x
-        b = rng.standard_normal((4, 4))
-        k = b + b.T
-        pencil = StructuredPencil(m, k, T_EVEN)
-        with pytest.raises(IsotropicVector):
-            rayleigh_eigenvalue(pencil, rng.standard_normal((4, 1)))
-
-
-class TestRealify:
-    def test_canonical_example(self):
-        pair = realify_eigenpair(1j, np.array([[1.0], [1j]]))
-        np.testing.assert_allclose(pair.x.real, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(
-            pair.lam.real, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15
-        )
-
-    def test_block_similar_to_conjugate_pair(self):
-        lam = 0.7 - 2.1j
-        block = realify_eigenpair(lam, np.array([[1.0], [1j]])).lam
-        vals = np.linalg.eigvals(block)
-        dist, unmatched = match_multisets(vals, [lam, np.conj(lam)])
-        assert unmatched == 0 and dist <= 1e-12
-
-    def test_real_eigenvalue_rejected(self):
-        with pytest.raises(RealEigenvalue):
-            realify_eigenpair(2.0, np.array([[1.0], [0.0]]))
-
-    def test_t_odd_realified_gramian(self):
-        # conjugate eigenpair of a real T-odd pencil: scaled realification
-        # gives an M-orthonormal real 2-column block
-        rng = np.random.default_rng(21)
-        b = rng.standard_normal((6, 6))
-        m = b @ b.T + 6 * np.eye(6)
-        c = rng.standard_normal((6, 6))
-        k = c - c.T
-        eigs = [e for e in eig_pencil(m, k) if e.finite and e.value.imag > 1e-8]
-        lam, x = eigs[0].value, eigs[0].vector.reshape(-1, 1)
-        s = complex((x.conj().T @ m @ x)[0, 0]).real
-        x = x * np.sqrt(2.0 / s)
-        pair = realify_eigenpair(lam, x)
-        gram = pair.x.T @ m @ pair.x
-        np.testing.assert_allclose(gram.real, np.eye(2), atol=1e-10)
-
-
-class TestCompletion:
-    def test_diagonal_case(self):
-        n = 4
-        d = np.diag([1.0, 2.0, 3.0, 4.0])
-        pencil = StructuredPencil(np.eye(n), -d, HERMITIAN)
-        pair = DeflatingPair(np.eye(n)[:, :1], np.array([[1.0]]))
-        out = complete_deflating_pair(pencil, pair, np.eye(n)[:, 1:])
-        np.testing.assert_allclose(out.x.real, np.eye(n)[:, 1:], atol=1e-14)
-        np.testing.assert_allclose(out.lam.real, np.diag([2.0, 3.0, 4.0]), atol=1e-12)
-
-    def test_random_hermitian_completion(self):
-        rng = np.random.default_rng(6)
-        n = 6
-        b = crandn(rng, n, n)
-        m = b @ b.conj().T + n * np.eye(n)
-        h = crandn(rng, n, n)
-        k = h + h.conj().T
-        pencil = StructuredPencil(m, k, HERMITIAN)
-        eigs = eig_pencil(m, k)
-        x1 = np.hstack([eigs[0].vector.reshape(-1, 1), eigs[1].vector.reshape(-1, 1)])
-        lam1 = np.diag([eigs[0].value, eigs[1].value])
-        pair = DeflatingPair(x1, lam1)
-        ext = crandn(rng, n, n - 2)
-        out = complete_deflating_pair(pencil, pair, ext)
-        assert deflation_residual(pencil, out).passed
-        # block-diagonal Gramian: [X1 X2]^* M [X1 X2] = diag(G1, G2)
-        big = np.hstack([x1, out.x])
-        gram = big.conj().T @ m @ big
-        off = gram[:2, 2:]
-        assert fnorm(off) <= 1e-10 * fnorm(gram)
-        svals = np.linalg.svd(big, compute_uv=False)
-        assert svals[-1] / svals[0] > 1e-12
-
-    def test_singular_g1(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((4, 4))
-        m = a - a.T  # every vector is M-isotropic
-        b = rng.standard_normal((4, 4))
-        pencil = StructuredPencil(m, b + b.T, T_EVEN)
-        eigs = eig_pencil(pencil.m, pencil.k)
-        x1 = eigs[0].vector.reshape(-1, 1)
-        pair = DeflatingPair(x1, np.array([[eigs[0].value]]))
-        with pytest.raises(SingularG1):
-            complete_deflating_pair(pencil, pair, crandn(rng, 4, 3))
-
-    def test_singular_m(self):
-        pencil = StructuredPencil(np.diag([1.0, 0.0]), np.eye(2), HERMITIAN)
-        pair = DeflatingPair(np.eye(2)[:, :1], np.array([[-1.0]]))
-        with pytest.raises(SingularM):
-            complete_deflating_pair(pencil, pair, np.eye(2)[:, 1:])
 
 
 class TestNormalize:

@@ -273,7 +273,7 @@ class TestTShh:
             z1, z2 = t_shh_z_params(shape, quad, imag, real)
             res = t_shh_update(pp.shh, gr, *pp.target_groups, z_params=(z1, z2))
             g = res.provenance["g"].real
-            mh, kh = res.provenance["mhat"], res.provenance["khat"]
+            mh, kh = res.factors[1], res.factors[2]
             lam_c, lam_a = res.provenance["lam_c"], res.provenance["lam_a"]
             resid = fnorm(mh @ lam_a + kh - g @ (lam_c - lam_a))
             scale = fnorm(g) * (fnorm(lam_c) + fnorm(lam_a)) + fnorm(mh) * fnorm(lam_a)

@@ -1,7 +1,10 @@
 """Tests for the structure-preserving update machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import plant_hermitian_definite, plant_t_odd_real
 
 from nospillover.errors import SingularG
 from nospillover.linalg import (
@@ -21,7 +24,15 @@ from nospillover.pencil import (
     star,
 )
 from nospillover import structured
-from nospillover.randomgen import plant_problem
+from nospillover.cases import CASES
+from nospillover.randomgen import plant_problem, plant_star_shh, plant_t_shh
+from nospillover.shh import shh_gramian, shh_update, t_shh_update
+from nospillover.special import (
+    QuadraticSpec,
+    hermitian_update,
+    solve_quadratic,
+    t_odd_real_update,
+)
 from nospillover.structured import (
     CoreSolution,
     build_update_basis,
@@ -91,22 +102,30 @@ class TestChangeGramian:
         assert rcond <= 1e-12
 
 
+def update_basis(pencil, xc):
+    g, rcond = change_gramian(pencil, xc)
+    return build_update_basis(pencil, xc, g, rcond)
+
+
 class TestBuildUpdateBasis:
     def test_routes_agree(self):
+        # with Lc nonsingular, M X_c G^{-1} = K X_c (X_c^star K X_c)^{-1}
         planted = plant_problem(5, 8, 2, "hermitian")
-        u_m = build_update_basis(planted.pencil, planted.change.x, route="via-M")
-        u_k = build_update_basis(planted.pencil, planted.change.x, route="via-K")
+        pencil, xc = planted.pencil, planted.change.x
+        u_m = update_basis(pencil, xc)
+        kx = pencil.k @ xc
+        u_k = kx @ np.linalg.inv(star(xc, pencil.star) @ kx)
         assert fnorm(u_m - u_k) <= 1e-10 * max(fnorm(u_m), 1.0)
 
     def test_normalized_hermitian_u_is_mx(self):
         pencil, xc, _, _, _ = hermitian_definite_plant(6)
-        u = build_update_basis(pencil, xc)
+        u = update_basis(pencil, xc)
         np.testing.assert_allclose(u, pencil.m @ xc, atol=1e-9 * fnorm(pencil.m))
 
     def test_biorthogonality(self):
         for tag in ALL_TAGS:
             planted = plant_problem(7, 6, 2, tag.name)
-            u = build_update_basis(planted.pencil, planted.change.x)
+            u = update_basis(planted.pencil, planted.change.x)
             prod = star(planted.change.x, tag.star) @ u
             assert fnorm(prod - np.eye(2)) <= 1e-9
 
@@ -115,7 +134,7 @@ class TestBuildUpdateBasis:
         a = rng.standard_normal((4, 4))
         pencil = StructuredPencil(a - a.T, np.eye(4), T_EVEN)
         with pytest.raises(SingularG):
-            build_update_basis(pencil, rng.standard_normal((4, 1)))
+            update_basis(pencil, rng.standard_normal((4, 1)))
 
 
 class TestCores:
@@ -169,7 +188,7 @@ class TestStructuredUpdate:
             core,
         )
         assert fnorm(res.delta_m) <= 1e-13
-        u = res.provenance["u"]
+        u = res.factors[0]
         want = u @ g @ (planted.change.lam - planted.target_lam) @ star(
             u, planted.tag.star
         )
@@ -257,7 +276,7 @@ class TestStructuredUpdate:
         problem = UpdateProblem(
             planted.change, planted.target_lam, fixed=planted.fixed
         )
-        u = res.provenance["u"]
+        u = res.factors[0]
         res2 = dual_basis_update(pencil, problem, u @ core.mhat)
         assert fnorm(res.delta_m - res2.delta_m) <= 1e-9 * max(
             fnorm(res.delta_m), 1.0
@@ -320,3 +339,63 @@ class TestSimilarityTarget:
         assert res_norm <= 1e-9 * (fnorm(m1) + fnorm(k1)) * fnorm(xz) * (
             1 + fnorm(planted.target_lam)
         )
+
+
+def _structured():
+    planted = plant_problem(3, 12, 4, "hermitian")
+    x, lam_c = planted.change.x, planted.change.lam
+    g, _ = change_gramian(planted.pencil, x)
+    core = scaled_gramian_core(g, lam_c, planted.target_lam, 0.3)
+    return structured_update(planted.pencil, x, lam_c, planted.target_lam, core)
+
+
+def _shh():
+    pp = plant_star_shh(4, 6, 1, 1)
+    g, _ = shh_gramian(pp.shh, pp.change_x)
+    core = scaled_gramian_core(g, pp.change_lam, pp.target_lam, 0.3)
+    return shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
+
+
+def _t_shh():
+    pp = plant_t_shh(5, 6)
+    return t_shh_update(pp.shh, pp.grouping, *pp.target_groups)
+
+
+def _hermitian():
+    pencil, xc, lc, _, _ = plant_hermitian_definite(31, n=8)
+    return hermitian_update(pencil, xc, lc, 1.2 * lc, z1=[0.3, -0.2], z2=[0.1, 0.4])
+
+
+def _t_odd_real():
+    pencil, change, _ = plant_t_odd_real(25, n=8, pairs=2)
+    targets = [1j * lam.imag * 1.3 for lam, _ in change]
+    return t_odd_real_update(pencil, change, targets, [0.4, -0.3], [0.2, 0.5])
+
+
+def _quadratic():
+    case = CASES["herm-6.1"]
+    spec = QuadraticSpec("hermitian", case.lam_change, case.lam_target)
+    return solve_quadratic(case.m, case.k, spec, z1=case.z1, z2=case.z2)[0]
+
+
+class TestResultIsFactors:
+    """A factored update holds no n x n array; dM and dK are formed on access."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_structured, _shh, _t_shh, _hermitian, _t_odd_real, _quadratic],
+        ids=["structured", "shh", "t-shh", "hermitian", "t-odd-real", "quadratic"],
+    )
+    def test_no_square_array_held(self, build):
+        res = build()
+        n, p = res.factors[0].shape
+        assert p < n and res.delta_m.shape == (n, n)
+        held = [(f.name, getattr(res, f.name)) for f in dataclasses.fields(res)]
+        held += [(f"provenance[{key!r}]", value) for key, value in res.provenance.items()]
+        square = [
+            name
+            for name, value in held
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray) and a.shape == (n, n)
+        ]
+        assert square == []

@@ -30,7 +30,7 @@ class TestCertify:
     def test_zero_update_passes(self):
         planted = plant_problem(2, 5, 2, "symmetric")
         res = UpdateResult(
-            np.zeros_like(planted.pencil.m), np.zeros_like(planted.pencil.k)
+            dense=(np.zeros_like(planted.pencil.m), np.zeros_like(planted.pencil.k))
         )
         problem = UpdateProblem(
             planted.change, planted.change.lam, fixed=planted.fixed
@@ -54,7 +54,7 @@ class TestCertify:
         bad_dk = np.array(res.delta_k)
         bad_dk[0, 0] += 1e-3
         bad_dk[0, 1] += 1e-3  # keep it non-Hermitian too
-        bad = UpdateResult(res.delta_m, bad_dk)
+        bad = UpdateResult(dense=(res.delta_m, bad_dk))
         cert = certify(planted.pencil, bad, problem)
         assert not cert.passed
         # diagnosis localizes the failure: residuals out, structure flagged
