@@ -142,15 +142,26 @@ _PARAM_STR_KEYS = ("strategy",)
 
 
 def _decode_pair_block(obj, name) -> PairBlock:
+    """A pair block; its lambda, when given with x, is p x p for the p
+    columns of x (a vector counts as one column)."""
     if obj is None:
         return PairBlock()
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object")
-    return PairBlock(
+    block = PairBlock(
         x=_decode_optional(obj, "x", f"{name}.x"),
         lam=_decode_optional(obj, "lambda", f"{name}.lambda"),
         eigenvalues=_decode_optional(obj, "eigenvalues", f"{name}.eigenvalues"),
     )
+    if block.x is not None and block.lam is not None:
+        p = block.x.shape[1] if block.x.ndim == 2 else 1
+        lam_shape = block.lam.shape if block.lam.ndim == 2 else (block.lam.size, 1)
+        if lam_shape != (p, p):
+            raise SchemaError(
+                f"{name}.lambda is {lam_shape[0]} x {lam_shape[1]}, "
+                f"but {name}.x has {p} columns"
+            )
+    return block
 
 
 def _encode_pair_block(block: PairBlock | None):
@@ -166,26 +177,40 @@ def _encode_pair_block(block: PairBlock | None):
     return out or None
 
 
-def load_problem(path) -> ProblemFile:
+def _read(path, what: str, formats=(FORMAT_VERSION,)) -> dict:
+    """The JSON object of a ``what`` file (problem, pencil, pairs, delta)
+    whose ``format`` is one of ``formats``; SchemaError otherwise."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read problem file: {exc}") from None
+        raise SchemaError(f"cannot read {what} file: {exc}") from None
     if not isinstance(raw, dict):
-        raise SchemaError("problem file must hold a JSON object")
-    if raw.get("format") != FORMAT_VERSION:
+        raise SchemaError(f"{what} file must hold a JSON object")
+    if raw.get("format") not in formats:
         raise SchemaError(f"unsupported format {raw.get('format')!r}")
+    return raw
+
+
+def _pencil_matrices(raw, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if "m" not in raw or "k" not in raw:
+        raise SchemaError(f"{what} file needs 'm' and 'k' matrices")
+    m = decode_matrix(raw["m"], "m")
+    k = decode_matrix(raw["k"], "k")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape != k.shape:
+        raise SchemaError(
+            f"m and k must be square matrices of equal size, got {m.shape} and {k.shape}"
+        )
+    return m, k
+
+
+def load_problem(path) -> ProblemFile:
+    raw = _read(path, "problem")
     structure = raw.get("structure", "unstructured")
     if structure is None:
         structure = "unstructured"
     if structure not in STRUCTURE_NAMES:
         raise SchemaError(f"unknown structure {structure!r}")
-    if "m" not in raw or "k" not in raw:
-        raise SchemaError("problem file needs 'm' and 'k' matrices")
-    m = decode_matrix(raw["m"], "m")
-    k = decode_matrix(raw["k"], "k")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape != k.shape:
-        raise SchemaError("m and k must be square matrices of equal size")
+    m, k = _pencil_matrices(raw, "problem")
     params_raw = raw.get("parameters") or {}
     if not isinstance(params_raw, dict):
         raise SchemaError("parameters must be an object")
@@ -258,12 +283,7 @@ def save_pairs(path, fixed_x, fixed_lam):
 
 
 def load_pairs(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read pairs file: {exc}") from None
-    if raw.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format {raw.get('format')!r}")
+    raw = _read(path, "pairs")
     out = {}
     for key in ("targets", "fixed"):
         if raw.get(key) is not None:
@@ -287,6 +307,7 @@ def certificate_dict(cert) -> dict:
             "unmatched": cert.spectrum.unmatched,
             "infinite_computed": cert.spectrum.infinite_computed,
             "tol": cert.spectrum.tol,
+            "oracle": cert.spectrum.oracle,
         }
     return doc
 
@@ -339,16 +360,9 @@ def _factored_delta(raw) -> UpdateResult:
 def load_delta(path) -> UpdateResult:
     """The update of a delta file: its factors (format 2) or its dense dM
     and dK (format 1)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read delta file: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("delta file must hold a JSON object")
-    if raw.get("format") == FACTORED_DELTA_FORMAT:
+    raw = _read(path, "delta", (FORMAT_VERSION, FACTORED_DELTA_FORMAT))
+    if raw["format"] == FACTORED_DELTA_FORMAT:
         return _factored_delta(raw)
-    if raw.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format {raw.get('format')!r}")
     if "delta_m" not in raw or "delta_k" not in raw:
         raise SchemaError("delta file needs 'delta_m' and 'delta_k'")
     dm = decode_matrix(raw["delta_m"], "delta_m")
@@ -360,15 +374,8 @@ def load_delta(path) -> UpdateResult:
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:
     """(M, K, structure) from a problem file or a bare pencil file."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read pencil file: {exc}") from None
-    if raw.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format {raw.get('format')!r}")
-    if "m" not in raw or "k" not in raw:
-        raise SchemaError("pencil file needs 'm' and 'k'")
+    raw = _read(path, "pencil")
     structure = raw.get("structure") or "unstructured"
     if structure not in STRUCTURE_NAMES:
         raise SchemaError(f"unknown structure {structure!r}")
-    return decode_matrix(raw["m"], "m"), decode_matrix(raw["k"], "k"), structure
+    return (*_pencil_matrices(raw, "pencil"), structure)

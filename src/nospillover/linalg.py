@@ -5,10 +5,13 @@ matrices are complex128 ndarrays; shapes and finiteness are validated at the
 boundary, and infinite pencil eigenvalues are tagged explicitly instead of
 being encoded as large floats.
 
-scipy is imported where it is first needed, so importing the package loads
-numpy only: ``scipy.linalg`` on the first QZ (``eig_pencil``,
-``eigvals_pencil``), and ``scipy.optimize`` only when an assignment in
-``match_multisets`` is not settled by the row minima of its cost matrix.
+Hermitian-definite pairs are solved with numpy alone (``eigh_definite``: a
+Cholesky reduction and ``eigh``). scipy is imported where it is first
+needed, so importing the package loads numpy only: ``scipy.linalg`` on the
+first QZ (``eig_pencil``, ``eigvals_pencil``), which planting and the
+spectrum check of a pencil that is not Hermitian-definite run, and
+``scipy.optimize`` only when an assignment in ``match_multisets`` is not
+settled by the row minima of its cost matrix.
 """
 
 from __future__ import annotations
@@ -210,6 +213,24 @@ def eigvals_pencil(m, k) -> list[complex | None]:
 
     alpha, beta = scipy.linalg.eigvals(k, m, homogeneous_eigvals=True)
     return _pencil_values(m, k, alpha, beta)
+
+
+def eigh_definite(a, b, vectors: bool = True):
+    """Ascending eigenvalues w of A v = w B v for Hermitian A and Hermitian
+    positive definite B, and with ``vectors`` the B-orthonormal V as well.
+
+    Reduces to the Hermitian C = L^{-1} A L^{-*} with B = L L^* (Cholesky),
+    symmetrized before numpy's ``eigh``/``eigvalsh``; V = L^{-*} Y. The
+    Cholesky factorization reads only the lower triangle of B. Raises
+    ``np.linalg.LinAlgError`` when B has no Cholesky factor.
+    """
+    li = np.linalg.inv(np.linalg.cholesky(b))
+    c = li @ a @ li.conj().T
+    c = (c + c.conj().T) / 2.0
+    if not vectors:
+        return np.linalg.eigvalsh(c)
+    w, y = np.linalg.eigh(c)
+    return w, li.conj().T @ y
 
 
 def finite_eigenvalues(pairs: list[PencilEigenpair]) -> np.ndarray:

@@ -36,6 +36,7 @@ from .linalg import (
     PencilEigenpair,
     as_matrix,
     block_diag,
+    eigh_definite,
     fnorm,
     herm_eigs,
     unit_eigenpairs,
@@ -440,10 +441,7 @@ def lift_quadratic(spec: QuadraticSpec):
         _check_membership(lam, spec.klass, "target eigenvalue")
     lam_c = np.array([v * v for v in spec.lam_change], dtype=np.complex128)
     lam_a = np.array([v * v for v in spec.lam_target], dtype=np.complex128)
-    tag = {"hermitian": HERMITIAN, "star-odd": STAR_ODD, "star-even": STAR_EVEN}[
-        spec.klass
-    ]
-    return lam_c, lam_a, tag
+    return lam_c, lam_a, TAG_BY_NAME[spec.klass]
 
 
 def solve_quadratic(
@@ -516,26 +514,24 @@ def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^*)/2, real when its imaginary part is exactly zero.
 
-    ``eigh`` reads one triangle only; averaging lets both count, as they do
-    in the QZ, for data that is Hermitian only to within TAU_STRUCT.
+    The Cholesky factorization of B reads one triangle only; averaging lets
+    both count, as they do in the QZ, for data that is Hermitian only to
+    within TAU_STRUCT.
     """
     h = (a + a.conj().T) / 2.0
     return h.real if not h.imag.any() else h
 
 
-def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
-    """All eigenpairs of a hermitian (M > 0), star-odd (M > 0) or star-even
-    (K > 0) pencil from one Hermitian-definite eigensolve ``A v = w B v``.
+DEFINITE_TAGS = (HERMITIAN, STAR_ODD, STAR_EVEN)
 
-    hermitian: (K, M), lambda = -w; star-odd: (-iK, M), lambda = -iw;
-    star-even: (iM, K), lambda = -i/w, infinite where |w| is at most
-    ``QZ_INFINITE_TOL`` of max |w|. Vectors are unit-norm and phase-fixed as
-    in ``eig_pencil``, and exactly real when A and B are real. Raises
-    NotPositiveDefinite, worded as by the class updates, when the Cholesky
-    factorization of B fails because B is not positive definite.
+
+def _definite_pair(pencil: StructuredPencil):
+    """(A, B, name of B): the pencil as the Hermitian-definite pair
+    ``A v = w B v``, with A and B taken as their Hermitian parts.
+
+    hermitian: (K, M); star-odd: (-iK, M); star-even: (iM, K). The pencil's
+    eigenvalues are ``_definite_values`` of the w.
     """
-    import scipy.linalg
-
     m, k = pencil.m, pencil.k
     if pencil.tag == HERMITIAN:
         a, b, name = k, m, "M"
@@ -545,23 +541,48 @@ def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
         a, b, name = 1j * m, k, "K"
     else:
         raise ValueError(f"no definite solver for structure {pencil.tag}")
-    b = _hermitian_part(b)
+    return _hermitian_part(a), _hermitian_part(b), name
+
+
+def _definite_values(tag, w) -> list[complex | None]:
+    """lambda of each w of ``_definite_pair``: -w (hermitian), -iw
+    (star-odd), -i/w (star-even), infinite (None) where |w| is at most
+    ``QZ_INFINITE_TOL`` of max |w|."""
+    if tag == HERMITIAN:
+        return [complex(-x) for x in w]
+    if tag == STAR_ODD:
+        return [complex(0.0, -x) for x in w]
+    wmax = np.abs(w).max(initial=0.0)
+    return [None if abs(x) <= QZ_INFINITE_TOL * wmax else complex(0.0, -1.0 / x) for x in w]
+
+
+def definite_eigvals(pencil: StructuredPencil) -> list[complex | None]:
+    """The eigenvalues of ``definite_eig`` without eigenvectors.
+
+    Raises ``np.linalg.LinAlgError`` when B (M, or K for star-even) has no
+    Cholesky factor, so that a caller can fall back to the QZ.
+    """
+    a, b, _ = _definite_pair(pencil)
+    return _definite_values(pencil.tag, eigh_definite(a, b, vectors=False))
+
+
+def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
+    """All eigenpairs of a hermitian (M > 0), star-odd (M > 0) or star-even
+    (K > 0) pencil from one Hermitian-definite eigensolve ``A v = w B v``
+    (``_definite_pair``, ``eigh_definite``).
+
+    Vectors are unit-norm and phase-fixed as in ``eig_pencil``, and exactly
+    real when A and B are real. Raises NotPositiveDefinite, worded as by
+    the class updates, when the Cholesky factorization of B fails because B
+    is not positive definite.
+    """
+    a, b, name = _definite_pair(pencil)
     try:
-        w, v = scipy.linalg.eigh(_hermitian_part(a), b)
+        w, v = eigh_definite(a, b)
     except np.linalg.LinAlgError:
         _require_positive_definite(b, name)
         raise
-    if pencil.tag == HERMITIAN:
-        values = [complex(-x) for x in w]
-    elif pencil.tag == STAR_ODD:
-        values = [complex(0.0, -x) for x in w]
-    else:
-        wmax = np.abs(w).max(initial=0.0)
-        values = [
-            None if abs(x) <= QZ_INFINITE_TOL * wmax else complex(0.0, -1.0 / x)
-            for x in w
-        ]
-    return unit_eigenpairs(values, v.astype(np.complex128))
+    return unit_eigenpairs(_definite_values(pencil.tag, w), v.astype(np.complex128))
 
 
 def fixed_pair_from_eigs(eigs) -> DeflatingPair:

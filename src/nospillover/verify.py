@@ -3,6 +3,11 @@
 Everything is reported, nothing is thrown: a Certificate collects residuals
 (target, spillover), structure residuals, definiteness margins and an
 optional spectrum match, and aggregates them into a single pass flag.
+
+The spectrum match takes the eigenvalues of a hermitian, star-odd or
+star-even pencil from the Hermitian-definite reduction when its definite
+matrix has a Cholesky factor (oracle ``"definite"``), and from a
+values-only QZ otherwise (oracle ``"qz"``).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .linalg import (
     match_multisets,
 )
 from .pencil import DeflatingPair, StructuredPencil, structure_residuals
+from .special import DEFINITE_TAGS, definite_eigvals
 from .unstructured import UpdateProblem, UpdateResult
 
 
@@ -32,6 +38,7 @@ class SpectrumMatch:
     unmatched: int
     infinite_computed: int
     tol: float
+    oracle: str = "qz"  # "definite" or "qz": where the computed spectrum came from
 
     @property
     def passed(self) -> bool:
@@ -90,31 +97,44 @@ class Certificate:
         return lines
 
 
+def _spectrum(pencil_or_mk) -> tuple[list[complex | None], str]:
+    """(eigenvalues, oracle): the Hermitian-definite reduction for a pencil
+    with a definite tag whose definite matrix has a Cholesky factor, else
+    the values-only QZ."""
+    if isinstance(pencil_or_mk, StructuredPencil):
+        if pencil_or_mk.tag in DEFINITE_TAGS:
+            try:
+                return definite_eigvals(pencil_or_mk), "definite"
+            except np.linalg.LinAlgError:
+                pass
+        pencil_or_mk = pencil_or_mk.m, pencil_or_mk.k
+    return eigvals_pencil(*pencil_or_mk), "qz"
+
+
 def spectrum_match(
     pencil_or_mk, expected, tol: float = 1e-7, allow_subset: bool = False
 ) -> SpectrumMatch:
     """Match the computed spectrum against an expected multiset.
 
-    The spectrum comes from a values-only QZ of the pencil; the matching is
+    The spectrum comes from ``_spectrum``: the Hermitian-definite reduction
+    for a hermitian, star-odd or star-even ``StructuredPencil`` whose M (K
+    for star-even) has a Cholesky factor, else a values-only QZ of the
+    pencil or of the ``(M, K)`` tuple. The matching is
     ``match_multisets``'s minimum-cost assignment under
     |a-b|/(1+max(|a|,|b|)). With ``allow_subset`` the expected values only
     need to appear somewhere in the spectrum. Raises SingularPencil for
     non-regular pencils.
     """
-    if isinstance(pencil_or_mk, StructuredPencil):
-        m, k = pencil_or_mk.m, pencil_or_mk.k
-    else:
-        m, k = pencil_or_mk
-    values = eigvals_pencil(m, k)
+    values, oracle = _spectrum(pencil_or_mk)
     computed = np.array([v for v in values if v is not None], dtype=np.complex128)
     infinite = len(values) - computed.size
     expected = np.atleast_1d(np.asarray(expected, dtype=np.complex128))
     if allow_subset and expected.size > computed.size:
-        return SpectrumMatch(np.inf, expected.size - computed.size, infinite, tol)
+        return SpectrumMatch(np.inf, expected.size - computed.size, infinite, tol, oracle)
     maxdist, unmatched = match_multisets(expected, computed)
     if allow_subset:
-        return SpectrumMatch(maxdist, 0, infinite, tol)
-    return SpectrumMatch(maxdist, unmatched + infinite, infinite, tol)
+        return SpectrumMatch(maxdist, 0, infinite, tol, oracle)
+    return SpectrumMatch(maxdist, unmatched + infinite, infinite, tol, oracle)
 
 
 def certify(
@@ -150,10 +170,14 @@ def certify(
         scale = max(fnorm(matrix), 1e-300)
         cert.definiteness[name] = float(evals[0]) / scale
     if expected_spectrum is not None:
+        # the updated pencil keeps the tag, for the definite oracle, only
+        # when its structure residuals were computed and pass
+        structured = cert.structure_residuals and all(
+            value <= cert.tol_struct for value in cert.structure_residuals.values()
+        )
+        updated = StructuredPencil(m1, k1, pencil.tag) if structured else (m1, k1)
         try:
-            cert.spectrum = spectrum_match(
-                (m1, k1), expected_spectrum, tol=spectrum_tol
-            )
+            cert.spectrum = spectrum_match(updated, expected_spectrum, tol=spectrum_tol)
         except SingularPencil:
             cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0, spectrum_tol)
     return cert

@@ -14,6 +14,9 @@ from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import plant_problem
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -163,8 +166,10 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"error: NotPositiveDefinite: {definite} must be positive definite" in err
 
-    def test_quadratic_solve_loads_no_scipy_optimize(self, tmp_path):
-        """A passing quadratic solve settles its assignment without scipy.optimize."""
+    def test_quadratic_solve_loads_no_scipy(self, tmp_path):
+        """A passing quadratic solve runs on numpy alone: the eigendata and
+        the spectrum oracle come from the Hermitian-definite reduction."""
+        prob = DATA / "herm-6.1.quadratic.json"
         case = CASES["herm-6.1"]
         pf = fileio.ProblemFile(
             structure="hermitian",
@@ -175,18 +180,22 @@ class TestSolve:
             parameters={"z1": case.z1, "z2": case.z2},
             quadratic=True,
         )
-        prob = tmp_path / "prob.json"
-        fileio.save_problem(prob, pf)
+        # the checked-in problem is the herm-6.1 reference case
+        assert prob.read_text() == fileio.dump_problem(pf) + "\n"
+        out = tmp_path / "d.json"
         code = (
             "import sys\n"
             "from nospillover.cli import main\n"
-            f"rc = main(['solve', '--input', {str(prob)!r}, '--out', {str(tmp_path / 'd.json')!r}])\n"
+            f"rc = main(['solve', '--input', {str(prob)!r}, '--out', {str(out)!r}])\n"
             "assert rc == 0, rc\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy.optimize')]\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, loaded\n"
         )
         proc = run_fresh_python(code)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "PASS"
+        spectrum = json.loads(out.read_text())["certificate"]["spectrum"]
+        assert spectrum["oracle"] == "definite" and spectrum["unmatched"] == 0
 
 
 class TestVerify:
@@ -243,8 +252,7 @@ class TestVerify:
 
     def test_format_1_delta_still_verifies(self, capsys):
         # written by the dense writer that preceded delta format 2
-        data = Path(__file__).parent / "data"
-        prob, delta = data / "star-even-n8.json", data / "star-even-n8.format1.delta.json"
+        prob, delta = DATA / "star-even-n8.json", DATA / "star-even-n8.format1.delta.json"
         doc = json.loads(delta.read_text())
         assert doc["format"] == 1
         back = fileio.load_delta(delta)
@@ -257,7 +265,7 @@ class TestVerify:
 
     def test_delta_of_other_size_exit_2(self, tmp_path, capsys):
         small, big, delta = problems_of_two_sizes(tmp_path)
-        dense = Path(__file__).parent / "data" / "star-even-n8.format1.delta.json"
+        dense = DATA / "star-even-n8.format1.delta.json"
         for pencil, delta_file, pairs in ((small, delta, f"{small}.fixed.json"),
                                           (big, dense, f"{big}.fixed.json")):
             capsys.readouterr()
@@ -273,6 +281,29 @@ class TestVerify:
                     "--pairs", f"{small}.fixed.json"]) == 2
         err = capsys.readouterr().err
         assert "pairs file" in err and "n=8" in err and "n=10" in err
+
+    def test_pencil_of_unequal_sizes_exit_2(self, tmp_path, capsys):
+        small, big, delta = problems_of_two_sizes(tmp_path)
+        doc = json.loads(small.read_text())
+        doc["k"] = json.loads(big.read_text())["k"]  # n=8 m, n=10 k
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", pencil, "--delta", delta,
+                    "--pairs", f"{big}.fixed.json"]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: m and k must be square matrices of equal size" in err
+
+    def test_pairs_lambda_not_fitting_x_exit_2(self, tmp_path, capsys):
+        small, big, delta = problems_of_two_sizes(tmp_path)
+        pairs = tmp_path / "pairs.json"
+        doc = json.loads(Path(f"{big}.fixed.json").read_text())
+        doc["fixed"]["lambda"] = [row[:-1] for row in doc["fixed"]["lambda"][:-1]]
+        pairs.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", big, "--delta", delta, "--pairs", pairs]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: fixed.lambda is 7 x 7, but fixed.x has 8 columns" in err
 
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")

@@ -130,6 +130,23 @@ class TestDeltaAndPairs:
         assert np.array_equal(back.delta_m, dm)
         assert np.array_equal(back.delta_k, dk)
 
+    @pytest.mark.parametrize(
+        "load", ["load_problem", "load_pencil", "load_pairs", "load_delta"]
+    )
+    def test_non_object_rejected(self, tmp_path, load):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError, match="must hold a JSON object"):
+            getattr(fileio, load)(path)
+
+    def test_pair_block_lambda_must_fit_x(self, tmp_path):
+        pf = TestProblemFile()._sample()
+        pf.fixed = fileio.PairBlock(x=pf.fixed.x, lam=pf.fixed.lam[:1, :1])
+        path = tmp_path / "prob.json"
+        fileio.save_problem(path, pf)
+        with pytest.raises(SchemaError, match="fixed.lambda is 1 x 1, but fixed.x has 2"):
+            fileio.load_problem(path)
+
     def test_pairs_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         x, lam = crandn(rng, 4, 2), crandn(rng, 2, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    crandn,
     plant_hermitian_definite,
     plant_hermitian_definite_pd_k,
     plant_star_even,
@@ -28,6 +29,7 @@ from nospillover.linalg import (
     fnorm,
     herm_eigs,
     match_multisets,
+    unit_eigenpairs,
 )
 from nospillover.pencil import (
     HERMITIAN,
@@ -533,6 +535,45 @@ class TestDefiniteEig:
             assert abs(piv.imag) <= 1e-15 * piv.real
             # the class's eigenvalues lie exactly on its axis
             assert (e.value.imag if klass == "hermitian" else e.value.real) == 0.0
+
+    @pytest.mark.parametrize("cond", [10.0, 1e8], ids=["cond-1e1", "cond-1e8"])
+    @pytest.mark.parametrize(
+        "tag", [HERMITIAN, STAR_ODD, STAR_EVEN], ids=["hermitian", "star-odd", "star-even"]
+    )
+    def test_agrees_with_scipy_eigh(self, tag, cond):
+        """Values and vectors as scipy.linalg.eigh gives them for the pencil's
+        Hermitian-definite pair (A, B), B positive definite with condition
+        number ``cond``.
+
+        Both solvers are backward stable for the reduced problem, so w moves
+        by O(eps ||A|| ||B^-1||) and a unit vector turns by that over the gap
+        to the nearest other w (measured up to phase); the bounds leave 1e3
+        of headroom over what was measured.
+        """
+        import scipy.linalg
+
+        rng = np.random.default_rng(21)
+        n = 40
+        q, _ = np.linalg.qr(crandn(rng, n, n))
+        b = q @ np.diag(np.geomspace(1.0, cond, n)) @ q.conj().T
+        b = (b + b.conj().T) / 2
+        h = crandn(rng, n, n)
+        a = h + h.conj().T
+        # the pencil lambda*M + K whose definite pair is (a, b)
+        m, k = {HERMITIAN: (b, a), STAR_ODD: (b, 1j * a), STAR_EVEN: (-1j * a, b)}[tag]
+        eigs = definite_eig(StructuredPencil(m, k, tag))
+        w_ref, v_ref = scipy.linalg.eigh(a, b)
+        lam = np.array([e.value for e in eigs])
+        # lambda = -w (hermitian), -iw (star-odd), -i/w (star-even)
+        w = {HERMITIAN: -lam, STAR_ODD: 1j * lam, STAR_EVEN: -1j / lam}[tag]
+        scale = np.linalg.norm(a, 2) * np.linalg.norm(np.linalg.inv(b), 2)
+        assert np.abs(w - w_ref).max() <= 1e-12 * scale
+        ref = unit_eigenpairs(w_ref, v_ref.astype(complex))
+        for j, (e, r) in enumerate(zip(eigs, ref)):
+            gap = np.abs(np.delete(w_ref, j) - w_ref[j]).min()
+            phase = np.vdot(r.vector, e.vector)
+            turn = np.linalg.norm(e.vector - r.vector * phase / abs(phase))
+            assert turn <= 1e-12 * scale / gap
 
     def test_quadratic_path_runs_no_qz(self, monkeypatch):
         import nospillover.linalg

@@ -1,11 +1,19 @@
 """Tests for certificates and spectrum matching."""
 
 import numpy as np
-from conftest import hungarian_max, relative_cost
+import pytest
+from conftest import (
+    hungarian_max,
+    plant_hermitian_definite,
+    plant_star_even,
+    plant_star_odd,
+    relative_cost,
+)
 
 from nospillover.linalg import eigvals_pencil
-from nospillover.pencil import HERMITIAN, StructuredPencil
+from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
 from nospillover.randomgen import plant_problem
+from nospillover.special import hermitian_update, star_even_update, star_odd_update
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 from nospillover.unstructured import UpdateProblem, UpdateResult
 from nospillover.verify import certify, certify_spillover, spectrum_match
@@ -137,3 +145,68 @@ class TestSpectrumMatch:
         )
         report = spectrum_match((m1, k1), expected, tol=1e-6)
         assert report.passed
+
+
+DEFINITE_PLANTS = {
+    "hermitian": (plant_hermitian_definite, hermitian_update),
+    "star-odd": (plant_star_odd, star_odd_update),
+    "star-even": (plant_star_even, star_even_update),
+}
+
+
+class TestSpectrumOracle:
+    """The certificate's spectrum comes from the Hermitian-definite reduction
+    while the updated definite matrix B1 (M + dM, or K + dK for star-even)
+    has a Cholesky factor, and from the QZ once it has none."""
+
+    @staticmethod
+    def _certified(klass, indefinite):
+        plant, update = DEFINITE_PLANTS[klass]
+        pencil, xc, lam_c, xf, lam_f = plant(5, n=8)
+        lam_a = 1.1 * lam_c
+        mhat = None
+        if indefinite:
+            # on W-normalized X_c, x^* B1 x = 1 + Mh (M-weighted classes) or
+            # 1 + Kh with Kh = La/Lc - 1 - Mh La (star-even); make it -1
+            mhat = -2.0 * np.ones(lam_c.size) if klass != "star-even" else (
+                (lam_a / lam_c + 1.0) / lam_a)
+        result = update(pencil, xc, lam_c, lam_a, mhat=mhat)
+        m1, k1 = pencil.m + result.delta_m, pencil.k + result.delta_k
+        b1 = k1 if klass == "star-even" else m1
+        assert (np.linalg.eigvalsh((b1 + b1.conj().T) / 2).min() < 0) == indefinite
+        problem = UpdateProblem(
+            DeflatingPair(xc, np.diag(lam_c)), np.diag(lam_a),
+            fixed=DeflatingPair(xf, np.diag(lam_f)),
+        )
+        expected = np.concatenate([lam_a, lam_f])
+        return pencil, result, problem, expected, (m1, k1)
+
+    @pytest.mark.parametrize("klass", sorted(DEFINITE_PLANTS))
+    def test_definite_b1_uses_the_reduction(self, klass):
+        pencil, result, problem, expected, m1k1 = self._certified(klass, False)
+        cert = certify(pencil, result, problem, expected_spectrum=expected)
+        assert cert.passed and cert.spectrum.oracle == "definite"
+        qz = spectrum_match(m1k1, expected)
+        assert qz.oracle == "qz" and cert.spectrum.unmatched == qz.unmatched == 0
+        assert cert.spectrum.max_distance <= 1e-12 and qz.max_distance <= 1e-12
+
+    @pytest.mark.parametrize("klass", sorted(DEFINITE_PLANTS))
+    def test_indefinite_b1_falls_back_to_qz(self, klass):
+        pencil, result, problem, expected, m1k1 = self._certified(klass, True)
+        cert = certify(pencil, result, problem, expected_spectrum=expected)
+        assert cert.spectrum.oracle == "qz"
+        # the same verdict and spectrum as a certificate forced onto the QZ
+        forced = certify(
+            StructuredPencil(pencil.m, pencil.k, None), result, problem,
+            expected_spectrum=expected,
+        )
+        assert cert.spectrum == forced.spectrum == spectrum_match(m1k1, expected)
+        assert cert.passed == forced.passed
+        assert cert.passed  # the update keeps its pairs whatever B1's inertia
+
+    def test_unchecked_structure_uses_the_qz(self):
+        pencil, result, problem, expected, _ = self._certified("hermitian", False)
+        cert = certify(
+            pencil, result, problem, expected_spectrum=expected, check_structure=False
+        )
+        assert cert.passed and cert.spectrum.oracle == "qz"
