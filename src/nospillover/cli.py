@@ -17,31 +17,12 @@ import numpy as np
 
 from . import fileio
 from .cases import CASE_IDS, run_case
-from .errors import (
-    BadParameters,
-    MissingFixedPair,
-    NoSpilloverError,
-    SchemaError,
-)
+from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaError
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
-from .randomgen import (
-    RANDOM_CLASSES,
-    plant_problem,
-    plant_star_shh,
-    plant_t_shh,
-)
-from .shh import (
-    SHHPencil,
-    apply_j,
-    shh_gramian,
-    shh_update,
-    star_shh_core,
-    t_shh_basis,
-    t_shh_lambda,
-    t_shh_mhat,
-)
-from .special import QuadraticSpec, fixed_pair_from_eigs, solve_quadratic
+from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
+from .shh import SHHPencil, shh_gramian, shh_update, star_shh_core, t_shh_mhat
+from .special import QUADRATIC_CLASSES, QuadraticSpec, fixed_pair_from_eigs, solve_quadratic
 from .structured import (
     change_gramian,
     complete_core,
@@ -49,10 +30,10 @@ from .structured import (
     scaled_gramian_core,
     structured_update,
 )
-from .unstructured import UpdateProblem, UpdateResult, solve_general
+from .unstructured import UpdateProblem, solve_general
 from .verify import certify, certify_spillover
 
-_QUADRATIC_CLASSES = ("hermitian", "star-odd", "star-even")
+_SHH_STARS = {"star-shh": "*", "t-shh": "T"}
 
 
 def _fail_schema(msg: str) -> int:
@@ -95,9 +76,9 @@ def _solve_unstructured(pf):
 
 
 def _solve_quadratic(pf):
-    if pf.structure not in _QUADRATIC_CLASSES:
+    if pf.structure not in QUADRATIC_CLASSES:
         raise SchemaError(
-            f"quadratic problems need structure in {_QUADRATIC_CLASSES}, "
+            f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
             f"got {pf.structure!r}"
         )
     spec = QuadraticSpec(
@@ -122,6 +103,14 @@ def _solve_quadratic(pf):
     if pf.parameters.get("strategy") == "psd-minimal":
         psd = ("delta_m", "delta_k")
     return info["pencil"], result, problem, psd
+
+
+def _pencil(m, k, structure: str):
+    """The pencil a file's ``structure`` names: SHH, tagged, or untagged
+    for ``unstructured``."""
+    if structure in _SHH_STARS:
+        return SHHPencil(m, k, _SHH_STARS[structure])
+    return StructuredPencil(m, k, TAG_BY_NAME.get(structure))
 
 
 def _as_square(v):
@@ -160,11 +149,10 @@ def _solve_structured(pf):
     xc = _need(pf.change, "x", "change.x")
     lam_c = _need(pf.change, "lam", "change.lambda")
     lam_a = _need(pf.targets, "lam", "targets.lambda")
-    if pf.structure in ("star-shh", "t-shh"):
-        pencil = SHHPencil(pf.m, pf.k, "*" if pf.structure == "star-shh" else "T")
+    pencil = _pencil(pf.m, pf.k, pf.structure)
+    if isinstance(pencil, SHHPencil):
         gramian, update = shh_gramian, shh_update
     else:
-        pencil = StructuredPencil(pf.m, pf.k, TAG_BY_NAME[pf.structure])
         gramian, update = change_gramian, structured_update
     g, _ = gramian(pencil, xc)
     result = update(pencil, xc, lam_c, lam_a, _core_from_parameters(pf, g, lam_c, lam_a))
@@ -176,31 +164,18 @@ def _certify(pencil, result, problem, psd, tol):
     """(result, certificate) of one solve path's output.
 
     The certificate has the residuals, plus the spectrum match when the
-    fixed pair is known. An SHH pencil is certified without a tag, and its
-    structure residuals are those of the star-even pencil J L(lambda) under
-    (J dM, J dK). Only the result and certificate outlive the call, so the
-    pencil and the fixed pair are freed before the delta file is written.
+    fixed pair is known. Only the result and certificate outlive the call,
+    so the pencil and the fixed pair are freed before the delta file is
+    written.
     """
     expected = None
     if problem.fixed is not None:
         expected = np.concatenate(
             [np.linalg.eigvals(problem.target_lam), np.linalg.eigvals(problem.fixed.lam)]
         )
-    shh = pencil if isinstance(pencil, SHHPencil) else None
-    if shh is not None:
-        pencil = StructuredPencil(shh.m, shh.k, None)
-    cert = certify(
+    return result, certify(
         pencil, result, problem, expected_spectrum=expected, psd=psd, tol_defl=tol
     )
-    if shh is not None:
-        left, mhat, khat, right = result.factors
-        twisted = UpdateResult(factors=(apply_j(left), mhat, khat, right))
-        even = certify(shh.even_pencil(), twisted, problem).structure_residuals
-        cert.structure_residuals = {
-            "jm_updated_skew": even["m_updated"],
-            "jk_updated_sym": even["k_updated"],
-        }
-    return result, cert
 
 
 def cmd_solve(args) -> int:
@@ -251,7 +226,7 @@ def cmd_verify(args) -> int:
         return _fail_schema("pairs file needs targets with x and lambda, or a fixed pair")
     tol = args.tol if args.tol is not None else TAU_DEFL
     try:
-        pencil = StructuredPencil(m, k, TAG_BY_NAME.get(structure))
+        pencil = _pencil(m, k, structure)
         fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
         if spillover_only:
             cert = certify_spillover(pencil, result, fixed_pair, tol_defl=tol)
@@ -280,92 +255,30 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
-def _random_six_class(args):
-    planted = plant_problem(args.seed, args.n, args.p, args.klass)
-    rng = np.random.default_rng([args.seed, 777])
+def cmd_random(args) -> int:
+    if args.klass not in RANDOM_CLASSES:
+        return _fail_schema(f"class must be one of {RANDOM_CLASSES}")
+    try:
+        if args.klass in _SHH_STARS and args.n % 2:
+            raise BadParameters("SHH instances need even n")
+        if args.klass == "star-shh":
+            planted = plant_star_shh(args.seed, args.n // 2, args.p // 2, args.p % 2)
+        elif args.klass == "t-shh":
+            planted = plant_t_shh(args.seed, args.n // 2)
+        else:
+            planted = plant_problem(args.seed, args.n, args.p, args.klass)
+    except NoSpilloverError as exc:
+        return _fail_math(exc)
     pf = fileio.ProblemFile(
         structure=args.klass,
         m=planted.pencil.m,
         k=planted.pencil.k,
         change=fileio.PairBlock(x=planted.change.x, lam=planted.change.lam),
         targets=fileio.PairBlock(lam=planted.target_lam),
-        parameters={"t": float(np.round(rng.uniform(-0.5, 0.5), 6))},
+        parameters=planted.parameters,
     )
-    return pf, planted.fixed
-
-
-def _random_star_shh(args):
-    couples, imag = args.p // 2, args.p % 2
-    planted = plant_star_shh(args.seed, args.n // 2, couples, imag)
-    rng = np.random.default_rng([args.seed, 778])
-    p = planted.change_lam.shape[0]
-    m = planted.num_couples
-    z1 = np.zeros((p, p), dtype=complex)
-    z2 = np.zeros((p, p), dtype=complex)
-    for j in range(m):
-        a = rng.standard_normal() + 1j * rng.standard_normal()
-        b = rng.standard_normal() + 1j * rng.standard_normal()
-        z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
-        z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
-    for kk in range(2 * m, p):
-        z1[kk, kk] = 1j * rng.standard_normal()
-        z2[kk, kk] = rng.standard_normal()
-    pf = fileio.ProblemFile(
-        structure="star-shh",
-        m=planted.shh.m,
-        k=planted.shh.k,
-        change=fileio.PairBlock(x=planted.change_x, lam=planted.change_lam),
-        targets=fileio.PairBlock(lam=planted.target_lam),
-        parameters={"z1": z1, "z2": z2, "num_couples": m},
-    )
-    return pf, planted.fixed
-
-
-def _random_t_shh(args):
-    planted = plant_t_shh(args.seed, args.n // 2)
-    rng = np.random.default_rng([args.seed, 779])
-    grouping = planted.grouping
-    xc, lam_c = t_shh_basis(grouping)
-    shape = (
-        len(grouping.quadruples),
-        len(grouping.imag_pairs),
-        len(grouping.real_pairs),
-    )
-    lam_a = t_shh_lambda(shape, *planted.target_groups)
-    params = {
-        "num_quadruples": shape[0],
-        "num_imag_pairs": shape[1],
-        "num_real_pairs": shape[2],
-        "quad_alpha": list(np.round(rng.standard_normal(shape[0]), 6)),
-        "quad_beta": list(np.round(rng.standard_normal(shape[0]), 6)),
-        "imag_beta": list(np.round(rng.standard_normal(shape[1]), 6)),
-        "real_beta": list(np.round(rng.standard_normal(shape[2]), 6)),
-    }
-    pf = fileio.ProblemFile(
-        structure="t-shh",
-        m=planted.shh.m,
-        k=planted.shh.k,
-        change=fileio.PairBlock(x=xc, lam=lam_c),
-        targets=fileio.PairBlock(lam=lam_a),
-        parameters=params,
-    )
-    return pf, planted.fixed
-
-
-def cmd_random(args) -> int:
-    if args.klass not in RANDOM_CLASSES:
-        return _fail_schema(f"class must be one of {RANDOM_CLASSES}")
-    try:
-        if args.klass == "star-shh":
-            pf, fixed = _random_star_shh(args)
-        elif args.klass == "t-shh":
-            pf, fixed = _random_t_shh(args)
-        else:
-            pf, fixed = _random_six_class(args)
-    except (BadParameters, NoSpilloverError) as exc:
-        return _fail_math(exc)
     fileio.save_problem(args.out, pf)
-    fileio.save_pairs(args.out + ".fixed.json", fixed.x, fixed.lam)
+    fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam)
     print(f"wrote {args.out} and {args.out}.fixed.json")
     return 0
 

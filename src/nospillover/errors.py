@@ -98,6 +98,10 @@ class RepeatedEigenvalue(NoSpilloverError):
     """Change eigenvalues must be distinct but are not."""
 
 
+class NotStructured(NoSpilloverError):
+    """A pencil fails the symmetry test of its structure tag, beyond tolerance."""
+
+
 class NotSHH(NoSpilloverError):
     """The pair (M, K) is not skew-Hamiltonian/Hamiltonian at tolerance."""
 

@@ -247,7 +247,7 @@ def load_problem(path) -> ProblemFile:
     return pf
 
 
-def dump_problem(pf: ProblemFile) -> str:
+def _problem_doc(pf: ProblemFile) -> dict:
     params = {}
     for key, value in pf.parameters.items():
         if key in _PARAM_MATRIX_KEYS:
@@ -256,7 +256,7 @@ def dump_problem(pf: ProblemFile) -> str:
             params[key] = [float(v) for v in value]
         else:
             params[key] = value
-    doc = {
+    return {
         "format": FORMAT_VERSION,
         "structure": pf.structure,
         "quadratic": pf.quadratic,
@@ -267,11 +267,14 @@ def dump_problem(pf: ProblemFile) -> str:
         "fixed": _encode_pair_block(pf.fixed),
         "parameters": params or None,
     }
-    return _dumps(doc)
+
+
+def dump_problem(pf: ProblemFile) -> str:
+    return _dumps(_problem_doc(pf))
 
 
 def save_problem(path, pf: ProblemFile):
-    Path(path).write_text(dump_problem(pf) + "\n", encoding="utf-8")
+    _write(path, _problem_doc(pf))
 
 
 def save_pairs(path, fixed_x, fixed_lam):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, MissingStar, NotPositiveDefinite
+from .errors import DimensionMismatch, MissingStar, NotPositiveDefinite, NotStructured
 from .linalg import TAU_NUM, TAU_STRUCT, as_matrix, fnorm, require_square
 
 STAR_CONJ = "*"
@@ -109,7 +109,7 @@ class StructuredPencil:
         if self.tag is not None:
             rm, rk = structure_residuals(m, k, self.tag)
             if rm > TAU_STRUCT or rk > TAU_STRUCT:
-                raise ValueError(
+                raise NotStructured(
                     f"pencil does not have {self.tag.name} structure "
                     f"(residuals {rm:.2e}, {rk:.2e})"
                 )

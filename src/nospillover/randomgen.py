@@ -1,21 +1,29 @@
 """Seeded random structured pencils with planted complementary pairs.
 
-Generators draw a structured pencil, compute its full eigendecomposition,
-and split the spectrum into a change part and a fixed part so that the
-no-spillover spectral condition holds. Instances failing conditioning
-checks are retried with deterministic sub-seeds, so output is a pure
-function of (seed, n, p, class).
+Every class plants through one retry loop, ``_plant``: attempt a draws a
+pencil from the generator seeded ``[seed, a, *key]``, the class splits its
+spectrum into a change part with targets and a fixed part, and the first
+split that passes ``_accepted`` is the instance. The shared checks are the
+no-spillover condition (no change value near the symmetry partner of a
+fixed value, under the tag of J L(lambda) for SHH), rcond([X_c X_f]), the
+rcond of the change Gramian, and targets off the fixed spectrum. The checks
+that differ between classes stay in their split functions. The core
+parameters of the problem file come from the streams ``[seed, 777]``,
+``[seed, 778]`` and ``[seed, 779]``, so the output is a pure function of
+(seed, n, p, class).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, NoSpilloverError
 from .linalg import largest_entry_scaled, rcond_estimate
 from .pencil import (
+    STAR_EVEN,
     DeflatingPair,
     StructuredPencil,
     StructureTag,
@@ -24,18 +32,17 @@ from .pencil import (
     star_scalar,
     symmetry_partner,
 )
-from .shh import EigGrouping, SHHPencil, apply_j, group_t_shh_spectrum
-
-RANDOM_CLASSES = (
-    "symmetric",
-    "hermitian",
-    "t-odd",
-    "star-odd",
-    "t-even",
-    "star-even",
-    "star-shh",
-    "t-shh",
+from .shh import (
+    EigGrouping,
+    SHHPencil,
+    apply_j,
+    group_t_shh_spectrum,
+    shh_gramian,
+    t_shh_basis,
+    t_shh_lambda,
 )
+
+RANDOM_CLASSES = (*TAG_BY_NAME, "star-shh", "t-shh")
 
 _MIN_SEPARATION = 1e-5
 _MAX_ATTEMPTS = 64
@@ -43,38 +50,103 @@ _MAX_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class PlantedProblem:
-    """A structured pencil with matched change/fixed eigendata and targets."""
+    """A pencil with matched change/fixed eigendata, targets, and the core
+    parameters of its problem file."""
 
-    pencil: StructuredPencil
+    pencil: StructuredPencil | SHHPencil
     change: DeflatingPair
     fixed: DeflatingPair
     target_lam: np.ndarray
+    parameters: dict
     seed: int
     attempt: int
-
-    @property
-    def tag(self) -> StructureTag:
-        return self.pencil.tag
 
 
 @dataclass(frozen=True)
-class PlantedSHH:
-    shh: SHHPencil
-    change_x: np.ndarray
-    change_lam: np.ndarray
-    target_lam: np.ndarray
-    fixed: DeflatingPair
-    num_couples: int  # star case; -1 for T case
-    grouping: EigGrouping | None
-    target_groups: tuple | None
-    seed: int
-    attempt: int
+class _Split:
+    """One attempt's split of the spectrum, before the shared checks."""
+
+    xc: np.ndarray  # change basis, p columns
+    lam_c: np.ndarray  # p x p change Lambda
+    change_values: np.ndarray  # the eigenvalues of lam_c
+    fixed_idx: list  # indices of the fixed eigenpairs
+    target_lam: np.ndarray  # p x p target Lambda
+    parameters: dict
+    check_targets: bool = True  # keep the targets off the fixed spectrum
 
 
-def _complex_randn(rng, n, m=None) -> np.ndarray:
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _complex_randn(rng, n) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
+
+def _columns(eigs, idx) -> np.ndarray:
+    return np.hstack([eigs[i].vector.reshape(-1, 1) for i in idx])
+
+
+def _plant(seed: int, key: tuple, draw, split, what: str) -> PlantedProblem:
+    """The retry loop every class plants through.
+
+    ``draw(rng)`` gives the pencil and ``split(pencil, eigs, rng)`` a
+    ``_Split`` of its eigenpairs ``eigs`` (or None); ``what`` names the
+    instance in the error raised when no attempt is accepted.
+    """
+    for attempt in range(_MAX_ATTEMPTS):
+        rng = np.random.default_rng([seed, attempt, *key])
+        pencil = draw(rng)
+        eigs = pencil.eig()
+        if not all(e.finite for e in eigs):
+            continue
+        chosen = split(pencil, eigs, rng)
+        if chosen is None or not chosen.fixed_idx:
+            continue
+        xf = _columns(eigs, chosen.fixed_idx)
+        lam_f = np.array([eigs[i].value for i in chosen.fixed_idx])
+        if _accepted(pencil, chosen, xf, lam_f):
+            return PlantedProblem(
+                pencil,
+                DeflatingPair(chosen.xc, chosen.lam_c),
+                DeflatingPair(xf, np.diag(lam_f)),
+                chosen.target_lam,
+                chosen.parameters,
+                seed,
+                attempt,
+            )
+    raise BadParameters(f"could not plant a well-conditioned instance for seed={seed}, {what}")
+
+
+def _accepted(pencil, chosen: _Split, xf: np.ndarray, lam_f: np.ndarray) -> bool:
+    """The checks every class shares (see the module docstring). An SHH
+    pencil pairs its spectrum under the tag of J L(lambda) and has the
+    scaled rcond of ``shh_gramian``; the others their tag and a plain
+    sigma ratio."""
+    if isinstance(pencil, SHHPencil):
+        tag = pencil.even_pencil().tag
+        g_rcond = shh_gramian(pencil, chosen.xc)[1]
+    else:
+        tag = pencil.tag
+        g_rcond = rcond_estimate(star(chosen.xc, tag.star) @ pencil.m @ chosen.xc)
+    partners = symmetry_partner(lam_f, tag)
+    for c in chosen.change_values:
+        if np.any(np.abs(partners - c) <= _MIN_SEPARATION * (1 + np.abs(c))):
+            return False
+    if rcond_estimate(np.hstack([chosen.xc, xf])) < 1e-8 or g_rcond < 1e-6:
+        return False
+    if chosen.check_targets:
+        for t in np.diag(chosen.target_lam):
+            if np.any(np.abs(lam_f - t) <= _MIN_SEPARATION * (1 + abs(t))):
+                return False
+    return True
+
+
+def _distinct(values, pair_scale) -> bool:
+    """No two values closer than _MIN_SEPARATION * pair_scale(a, b)."""
+    return not any(
+        abs(a - b) <= _MIN_SEPARATION * pair_scale(a, b) for a, b in combinations(values, 2)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the six symmetry classes
 
 def random_structured_pencil(rng, n: int, tag: StructureTag) -> StructuredPencil:
     """Dense random pencil with exact (star, eps1, eps2)-structure."""
@@ -85,8 +157,11 @@ def random_structured_pencil(rng, n: int, tag: StructureTag) -> StructuredPencil
     return StructuredPencil(m, k, tag)
 
 
-def _orbits(values: np.ndarray, tag: StructureTag):
-    """Split eigenvalue indices into symmetry orbits (singles and pairs)."""
+def _orbits(values: np.ndarray, tag: StructureTag, self_tol, mate_tol, mate_scale):
+    """Eigenvalue indices in symmetry orbits, or None if a value has no
+    partner: (i,) when lambda_i is within ``self_tol`` of its own partner,
+    (i, j) when lambda_j is within ``mate_tol * mate_scale(lambda_i,
+    lambda_j)`` of the partner of lambda_i."""
     partner = symmetry_partner(values, tag)
     used = [False] * len(values)
     orbits = []
@@ -94,14 +169,13 @@ def _orbits(values: np.ndarray, tag: StructureTag):
         if used[i]:
             continue
         used[i] = True
-        if abs(partner[i] - v) <= _MIN_SEPARATION * (1 + abs(v)):
+        if abs(partner[i] - v) <= self_tol * (1 + abs(v)):
             orbits.append((i,))
             continue
         mate = None
         for j in range(len(values)):
-            if not used[j] and abs(values[j] - partner[i]) <= _MIN_SEPARATION * (
-                1 + abs(values[j])
-            ):
+            near = abs(values[j] - partner[i]) <= mate_tol * mate_scale(v, values[j])
+            if not used[j] and near:
                 mate = j
                 break
         if mate is None:
@@ -137,6 +211,12 @@ def _perturb_target(value: complex, tag: StructureTag, rng) -> complex:
     return mu
 
 
+def _scaled_gramian_parameters(seed: int) -> dict:
+    """``t`` of the scaled-Gramian core, from the stream [seed, 777]."""
+    rng = np.random.default_rng([seed, 777])
+    return {"t": float(np.round(rng.uniform(-0.5, 0.5), 6))}
+
+
 def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
     """Deterministic planted instance for one of the six symmetry classes."""
     if class_name not in TAG_BY_NAME:
@@ -147,72 +227,45 @@ def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
         # complex skew-symmetric M is structurally singular at odd sizes
         raise BadParameters("t-even instances need even n")
     tag = TAG_BY_NAME[class_name]
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt, n, p])
-        pencil = random_structured_pencil(rng, n, tag)
-        planted = _try_plant(pencil, p, rng, tag)
-        if planted is not None:
-            change, fixed, target = planted
-            return PlantedProblem(pencil, change, fixed, target, seed, attempt)
-    raise BadParameters(
-        f"could not plant a well-conditioned instance for seed={seed}, "
-        f"n={n}, p={p}, class={class_name}"
+    return _plant(
+        seed,
+        (n, p),
+        lambda rng: random_structured_pencil(rng, n, tag),
+        lambda pencil, eigs, rng: _split_orbits(pencil, eigs, rng, p, seed),
+        f"n={n}, p={p}, class={class_name}",
     )
 
 
-def _try_plant(pencil: StructuredPencil, p: int, rng, tag: StructureTag):
-    eigs = pencil.eig()
-    if not all(e.finite for e in eigs):
-        return None
+def _split_orbits(pencil, eigs, rng, p: int, seed: int):
+    """p change values made of whole symmetry orbits."""
+    tag = pencil.tag
     values = np.array([e.value for e in eigs])
-    orbits = _orbits(values, tag)
+    orbits = _orbits(values, tag, _MIN_SEPARATION, _MIN_SEPARATION, lambda v, w: 1 + abs(w))
     if orbits is None:
         return None
     chosen = _pick_orbits(orbits, p, rng)
     if chosen is None:
         return None
     change_idx = [i for orbit in chosen for i in orbit]
-    fixed_idx = [i for i in range(len(eigs)) if i not in change_idx]
     lam_c = values[change_idx]
-    lam_f = values[fixed_idx]
-    # spectral condition: change values away from partners of fixed values
-    partners = symmetry_partner(lam_f, tag)
-    for c in lam_c:
-        if np.any(np.abs(partners - c) <= _MIN_SEPARATION * (1 + np.abs(c))):
-            return None
     # pairwise-distinct change values keep the Gramian block structure
-    for i in range(len(lam_c)):
-        for j in range(i + 1, len(lam_c)):
-            if abs(lam_c[i] - lam_c[j]) <= _MIN_SEPARATION * (
-                1 + max(abs(lam_c[i]), abs(lam_c[j]))
-            ):
-                return None
-    xc = np.hstack([eigs[i].vector.reshape(-1, 1) for i in change_idx])
-    xf = np.hstack([eigs[i].vector.reshape(-1, 1) for i in fixed_idx])
-    if rcond_estimate(np.hstack([xc, xf])) < 1e-8:
+    if not _distinct(lam_c, lambda a, b: 1 + max(abs(a), abs(b))):
         return None
-    g = star(xc, tag.star) @ pencil.m @ xc
-    if rcond_estimate(g) < 1e-6:
-        return None
-    # targets: per-orbit perturbations respecting the symmetry pattern
-    target = np.zeros(len(change_idx), dtype=complex)
-    pos = 0
+    # targets keep each orbit's symmetry pattern: mu, or mu and its partner
+    target = []
     for orbit in chosen:
-        if len(orbit) == 1:
-            target[pos] = _perturb_target(values[orbit[0]], tag, rng)
-            pos += 1
-        else:
-            mu = _perturb_target(values[orbit[0]], tag, rng)
-            target[pos] = mu
-            target[pos + 1] = tag.eps1 * tag.eps2 * star_scalar(mu, tag.star)
-            pos += 2
-    # keep targets off the fixed spectrum for clean multiset matching
-    for t in target:
-        if np.any(np.abs(lam_f - t) <= _MIN_SEPARATION * (1 + abs(t))):
-            return None
-    change = DeflatingPair(xc, np.diag(lam_c))
-    fixed = DeflatingPair(xf, np.diag(lam_f))
-    return change, fixed, np.diag(target)
+        mu = _perturb_target(values[orbit[0]], tag, rng)
+        target.append(mu)
+        if len(orbit) == 2:
+            target.append(tag.eps1 * tag.eps2 * star_scalar(mu, tag.star))
+    return _Split(
+        _columns(eigs, change_idx),
+        np.diag(lam_c),
+        lam_c,
+        [i for i in range(len(eigs)) if i not in change_idx],
+        np.diag(target),
+        _scaled_gramian_parameters(seed),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,50 +285,44 @@ def random_shh_pencil(rng, half_n: int, which_star: str) -> SHHPencil:
     return SHHPencil(apply_j(s, transpose=True), apply_j(h, transpose=True), which_star)
 
 
-def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedSHH:
+def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
+    """Patterned (Z1, Z2) of ``star_shh_core``, from the stream [seed, 778]."""
+    rng = np.random.default_rng([seed, 778])
+    z1 = np.zeros((p, p), dtype=complex)
+    z2 = np.zeros((p, p), dtype=complex)
+    for j in range(num_couples):
+        a = rng.standard_normal() + 1j * rng.standard_normal()
+        b = rng.standard_normal() + 1j * rng.standard_normal()
+        z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
+        z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
+    for kk in range(2 * num_couples, p):
+        z1[kk, kk] = 1j * rng.standard_normal()
+        z2[kk, kk] = rng.standard_normal()
+    return {"z1": z1, "z2": z2, "num_couples": num_couples}
+
+
+def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedProblem:
     """Planted *-SHH instance changing ``num_couples`` (l, -conj l) couples
-    and ``num_imag`` purely imaginary eigenvalues."""
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt, half_n, num_couples, num_imag])
-        shh = random_shh_pencil(rng, half_n, "*")
-        planted = _try_plant_star_shh(shh, num_couples, num_imag, rng)
-        if planted is not None:
-            xc, lam_c, lam_a, fixed, eff_couples = planted
-            return PlantedSHH(
-                shh, xc, lam_c, lam_a, fixed, eff_couples, None, None, seed, attempt
-            )
-    raise BadParameters(
-        f"could not plant *-SHH instance (seed={seed}, n={2 * half_n}, "
-        f"couples={num_couples}, imag={num_imag})"
+    and ``num_imag`` purely imaginary eigenvalues, trimmed to what the drawn
+    spectrum offers."""
+    return _plant(
+        seed,
+        (half_n, num_couples, num_imag),
+        lambda rng: random_shh_pencil(rng, half_n, "*"),
+        lambda pencil, eigs, rng: _split_couples(eigs, rng, num_couples, num_imag, seed),
+        f"n={2 * half_n}, couples={num_couples}, imag={num_imag}, class=star-shh",
     )
 
 
-def _try_plant_star_shh(shh: SHHPencil, num_couples: int, num_imag: int, rng):
-    eigs = [e for e in shh.eig() if e.finite]
-    if len(eigs) < shh.size:
-        return None
+def _split_couples(eigs, rng, num_couples: int, num_imag: int, seed: int):
     values = np.array([e.value for e in eigs])
-    tol = 1e-8
-    used = [False] * len(eigs)
-    couples, singles = [], []
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        if abs(v.real) <= tol * (1 + abs(v)):
-            singles.append(i)
-            used[i] = True
-            continue
-        mate = None
-        for j in range(len(values)):
-            if not used[j] and j != i and abs(values[j] + np.conj(v)) <= 1e-6 * (
-                1 + abs(v)
-            ):
-                mate = j
-                break
-        if mate is None:
-            return None
-        used[i] = used[mate] = True
-        couples.append((i, mate))
+    # singles are imaginary to 1e-8 on |re lambda|, which is 2e-8 on the
+    # distance 2 |re lambda| to the partner -conj(lambda); mates to 1e-6
+    orbits = _orbits(values, STAR_EVEN, 2e-8, 1e-6, lambda v, w: 1 + abs(v))
+    if orbits is None:
+        return None
+    couples = [orbit for orbit in orbits if len(orbit) == 2]
+    singles = [orbit[0] for orbit in orbits if len(orbit) == 1]
     # the drawn spectrum may offer fewer couples/imaginary values than asked
     # for; trim to availability but keep at least one change value
     nc = min(num_couples, len(couples))
@@ -284,151 +331,108 @@ def _try_plant_star_shh(shh: SHHPencil, num_couples: int, num_imag: int, rng):
         return None
     rng.shuffle(couples)
     rng.shuffle(singles)
-    chosen_c = couples[:nc]
-    chosen_s = singles[:ni]
-    change_idx = [i for pair in chosen_c for i in pair] + list(chosen_s)
-    fixed_idx = [i for i in range(len(eigs)) if i not in change_idx]
+    change_idx = [i for pair in couples[:nc] for i in pair] + singles[:ni]
     lam_c = values[change_idx]
-    lam_f = values[fixed_idx]
-    for c in lam_c:
-        if np.any(np.abs(-np.conj(lam_f) - c) <= _MIN_SEPARATION * (1 + abs(c))):
-            return None
-    for i in range(len(lam_c)):
-        for j in range(i + 1, len(lam_c)):
-            if abs(lam_c[i] - lam_c[j]) <= _MIN_SEPARATION * (1 + abs(lam_c[i])):
-                return None
-    xc = np.hstack(
-        [largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in change_idx]
-    )
-    xf = np.hstack([eigs[i].vector.reshape(-1, 1) for i in fixed_idx])
-    if rcond_estimate(np.hstack([xc, xf])) < 1e-8:
-        return None
-    from .shh import shh_gramian
-
-    g, g_rcond = shh_gramian(shh, xc)
-    if g_rcond < 1e-6:
+    if not _distinct(lam_c, lambda a, b: 1 + abs(a)):
         return None
     targets = []
-    for pair in chosen_c:
+    for pair in couples[:nc]:
         mu = values[pair[0]] * (1 + 0.1 * rng.standard_normal()) + 0.2 * (
             rng.standard_normal() + 1j * rng.standard_normal()
         )
         if abs(mu.real) < 0.05:
             mu += 0.1 * np.sign(mu.real or 1.0)
         targets += [mu, -np.conj(mu)]
-    for idx in chosen_s:
+    for idx in singles[:ni]:
         wobble = values[idx].imag * (1 + 0.1 * rng.standard_normal())
         targets.append(1j * (wobble + 0.2 * rng.standard_normal()))
-    lam_a = np.array(targets)
-    for t in lam_a:
-        if np.any(np.abs(lam_f - t) <= _MIN_SEPARATION * (1 + abs(t))):
-            return None
-    return xc, np.diag(lam_c), np.diag(lam_a), DeflatingPair(xf, np.diag(lam_f)), nc
+    return _Split(
+        np.hstack([largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in change_idx]),
+        np.diag(lam_c),
+        lam_c,
+        [i for i in range(len(eigs)) if i not in change_idx],
+        np.diag(targets),
+        _star_shh_parameters(seed, len(change_idx), nc),
+    )
 
 
-def plant_t_shh(seed: int, half_n: int) -> PlantedSHH:
+def _t_shh_parameters(seed: int, shape: tuple) -> dict:
+    """Group counts and ``t_shh_mhat`` parameters, from the stream [seed, 779]."""
+    rng = np.random.default_rng([seed, 779])
+    return {
+        "num_quadruples": shape[0],
+        "num_imag_pairs": shape[1],
+        "num_real_pairs": shape[2],
+        "quad_alpha": list(np.round(rng.standard_normal(shape[0]), 6)),
+        "quad_beta": list(np.round(rng.standard_normal(shape[0]), 6)),
+        "imag_beta": list(np.round(rng.standard_normal(shape[1]), 6)),
+        "real_beta": list(np.round(rng.standard_normal(shape[2]), 6)),
+    }
+
+
+def plant_t_shh(seed: int, half_n: int) -> PlantedProblem:
     """Planted real T-SHH instance changing one full symmetry group.
 
-    Picks whichever group kind (quadruple, imaginary pair, real pair) the
-    drawn spectrum offers, preferring quadruples.
+    The group kind (quadruple, imaginary pair, real pair) is drawn among
+    those the spectrum offers, so p is 4 or 2. The change pair is the real
+    basis of ``t_shh_basis`` with its block Lambda.
     """
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt, half_n])
-        shh = random_shh_pencil(rng, half_n, "T")
-        planted = _try_plant_t_shh(shh, rng)
-        if planted is not None:
-            grouping, target_groups, fixed = planted
-            return PlantedSHH(
-                shh,
-                np.zeros((0, 0)),
-                np.zeros((0, 0)),
-                np.zeros((0, 0)),
-                fixed,
-                -1,
-                grouping,
-                target_groups,
-                seed,
-                attempt,
-            )
-    raise BadParameters(f"could not plant T-SHH instance (seed={seed}, n={2 * half_n})")
+    return _plant(
+        seed,
+        (half_n,),
+        lambda rng: random_shh_pencil(rng, half_n, "T"),
+        lambda pencil, eigs, rng: _split_group(eigs, rng, seed),
+        f"n={2 * half_n}, class=t-shh",
+    )
 
 
-def _try_plant_t_shh(shh: SHHPencil, rng):
-    eigs = [e for e in shh.eig() if e.finite]
+def _split_group(eigs, rng, seed: int):
     full, leftovers = group_t_shh_spectrum(eigs)
     if leftovers:
         return None
-    options = []
-    if full.quadruples:
-        options.append("quad")
-    if full.imag_pairs:
-        options.append("imag")
-    if full.real_pairs:
-        options.append("real")
-    if not options:
+    kinds = (full.quadruples, full.imag_pairs, full.real_pairs)
+    offered = [k for k, groups in enumerate(kinds) if groups]
+    if not offered:
         return None
-    kind = options[int(rng.integers(len(options)))]
-    if kind == "quad":
-        idx = int(rng.integers(len(full.quadruples)))
-        grouping = EigGrouping(quadruples=(full.quadruples[idx],))
-        lam = complex(full.quadruples[idx][0])
+    kind = offered[int(rng.integers(len(offered)))]
+    groups = kinds[kind]
+    group = groups[int(rng.integers(len(groups)))]
+    lam = complex(group[0])
+    if kind == 0:  # quadruple
         mu = lam * (1 + 0.1 * rng.standard_normal()) + 0.1 * (
             rng.standard_normal() + 1j * rng.standard_normal()
         )
         if abs(mu.real) < 0.05 or abs(mu.imag) < 0.05:
             mu = mu + 0.1 + 0.1j
-        target_groups = ((mu,), (), ())
-        removed = {lam, np.conj(lam), -np.conj(lam), -lam}
-    elif kind == "imag":
-        idx = int(rng.integers(len(full.imag_pairs)))
-        grouping = EigGrouping(imag_pairs=(full.imag_pairs[idx],))
-        lam = complex(full.imag_pairs[idx][0])
+    elif kind == 1:  # imaginary pair
         mu = 1j * (lam.imag * (1 + 0.1 * rng.standard_normal()) + 0.1 * rng.standard_normal())
         if abs(mu.imag) < 0.05:
             mu = 1j * (mu.imag + 0.1)
-        target_groups = ((), (mu,), ())
-        removed = {lam, np.conj(lam)}
-    else:
-        idx = int(rng.integers(len(full.real_pairs)))
-        grouping = EigGrouping(real_pairs=(full.real_pairs[idx],))
-        lam = complex(full.real_pairs[idx][0])
+    else:  # real pair
         mu = lam.real * (1 + 0.1 * rng.standard_normal()) + 0.1 * rng.standard_normal()
         if abs(mu) < 0.05:
             mu += 0.1
-        target_groups = ((), (), (mu,))
-        removed = {lam, -lam}
+    grouping = EigGrouping(*((group,) if k == kind else () for k in range(3)))
+    shape = tuple(int(k == kind) for k in range(3))
     # fixed pair: all eigenpairs whose values are not in the change group
+    change_values = grouping.change_values()
     fixed_idx = []
     for i, e in enumerate(eigs):
-        if not any(abs(e.value - r) <= 1e-6 * (1 + abs(r)) for r in removed):
+        if not any(abs(e.value - r) <= 1e-6 * (1 + abs(r)) for r in change_values):
             fixed_idx.append(i)
     if len(fixed_idx) != len(eigs) - grouping.column_count:
         return None
-    xf = np.hstack([eigs[i].vector.reshape(-1, 1) for i in fixed_idx])
-    lf = np.diag([eigs[i].value for i in fixed_idx])
-    change_vals = grouping.change_values()
-    for c in change_vals:
-        for i in fixed_idx:
-            if abs(-eigs[i].value - c) <= _MIN_SEPARATION * (1 + abs(c)):
-                return None
-    xc, _ = _t_shh_basis_or_none(grouping)
-    if xc is None:
-        return None
-    if rcond_estimate(np.hstack([xc, xf])) < 1e-8:
-        return None
-    from .shh import shh_gramian
-
-    g, g_rcond = shh_gramian(shh, xc.astype(complex))
-    if g_rcond < 1e-6:
-        return None
-    return grouping, target_groups, DeflatingPair(xf, lf)
-
-
-def _t_shh_basis_or_none(grouping: EigGrouping):
-    from .errors import NoSpilloverError
-    from .shh import t_shh_basis
-
     try:
-        return t_shh_basis(grouping)
+        xc, lam_c = t_shh_basis(grouping)
     except NoSpilloverError:
-        return None, None
+        return None
+    return _Split(
+        xc.astype(complex),
+        lam_c,
+        np.array(change_values),
+        fixed_idx,
+        t_shh_lambda(shape, *((mu,) if k == kind else () for k in range(3))),
+        _t_shh_parameters(seed, shape),
+        check_targets=False,
+    )
+

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     NotSHH,
     NotSimpleEigenvalues,
+    NotStructured,
     RepeatedEigenvalue,
     SingularG,
 )
@@ -93,7 +94,7 @@ class SHHPencil:
             raise ValueError("star must be '*' or 'T'")
         try:
             even = StructuredPencil(apply_j(m), apply_j(k), StructureTag(self.star, -1, 1))
-        except ValueError as exc:
+        except NotStructured as exc:
             raise NotSHH(f"(JM, JK) fails the skew/symmetric test: {exc}") from None
         m.setflags(write=False)
         k.setflags(write=False)
@@ -344,30 +345,17 @@ def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
 
 
 def t_shh_mhat(grouping_shape, quad_alpha, quad_beta, imag_beta, real_beta) -> np.ndarray:
-    """Structured Mh: quadruple blocks [[0, aI+bJ], [-aI+bJ, 0]], pair blocks b*J2."""
-    m1, m2p, pr = grouping_shape
-    if (
-        len(quad_alpha) != m1
-        or len(quad_beta) != m1
-        or len(imag_beta) != m2p
-        or len(real_beta) != pr
-    ):
+    """Structured Mh: quadruple blocks [[0, aI+bJ], [-aI+bJ, 0]], pair blocks
+    b*J2; the Z1 of ``t_shh_z_params``."""
+    if len(quad_alpha) != len(quad_beta):
         raise DimensionMismatch("parameter counts do not match the grouping shape")
-    blocks = []
-    for a, b in zip(quad_alpha, quad_beta):
-        top = a * np.eye(2) + b * J2
-        bot = -a * np.eye(2) + b * J2
-        blk = np.zeros((4, 4))
-        blk[:2, 2:] = top
-        blk[2:, :2] = bot
-        blocks.append(blk)
-    for b in imag_beta:
-        blocks.append(b * J2)
-    for b in real_beta:
-        blocks.append(b * J2)
-    if not blocks:
-        raise DimensionMismatch("empty grouping")
-    return block_diag(*blocks)
+    z1, _ = t_shh_z_params(
+        grouping_shape,
+        [(a, b, 0.0, 0.0) for a, b in zip(quad_alpha, quad_beta)],
+        [(b, 0.0) for b in imag_beta],
+        [(b, 0.0) for b in real_beta],
+    )
+    return z1
 
 
 def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from .linalg import (
     match_multisets,
 )
 from .pencil import DeflatingPair, StructuredPencil, structure_residuals
+from .shh import SHHPencil, apply_j
 from .special import DEFINITE_TAGS, definite_eigvals
 from .unstructured import UpdateProblem, UpdateResult
 
@@ -138,7 +139,7 @@ def spectrum_match(
 
 
 def certify(
-    pencil: StructuredPencil,
+    pencil: StructuredPencil | SHHPencil,
     result: UpdateResult,
     problem: UpdateProblem,
     expected_spectrum=None,
@@ -151,7 +152,9 @@ def certify(
 
     ``psd`` names matrices whose minimum Hermitian eigenvalue should be
     reported ('delta_m', 'delta_k', 'm_updated', 'k_updated'). Structure
-    residuals are computed against the pencil's tag when present.
+    residuals are computed against the pencil's tag when present; for an
+    SHH pencil they are those of the star-even pencil J L(lambda) after the
+    update, reported as ``jm_updated_skew`` and ``jk_updated_sym``.
     """
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
     m1, k1 = pencil.m + dm, pencil.k + dk
@@ -172,8 +175,10 @@ def certify(
     if expected_spectrum is not None:
         # the updated pencil keeps the tag, for the definite oracle, only
         # when its structure residuals were computed and pass
-        structured = cert.structure_residuals and all(
-            value <= cert.tol_struct for value in cert.structure_residuals.values()
+        structured = (
+            isinstance(pencil, StructuredPencil)
+            and cert.structure_residuals
+            and all(value <= cert.tol_struct for value in cert.structure_residuals.values())
         )
         updated = StructuredPencil(m1, k1, pencil.tag) if structured else (m1, k1)
         try:
@@ -184,7 +189,7 @@ def certify(
 
 
 def certify_spillover(
-    pencil: StructuredPencil,
+    pencil: StructuredPencil | SHHPencil,
     result: UpdateResult,
     fixed: DeflatingPair,
     tol_defl: float = TAU_DEFL,
@@ -211,7 +216,12 @@ def _pair_certificate(pencil, m1, k1, fixed, check_structure, tol_defl) -> Certi
         cert.spillover_residual, cert.spillover_relative = _pair_residual(
             m1, k1, fixed.x, fixed.lam
         )
-    if check_structure and pencil.tag is not None:
+    if not check_structure:
+        return cert
+    if isinstance(pencil, SHHPencil):
+        rm, rk = structure_residuals(apply_j(m1), apply_j(k1), pencil.even_pencil().tag)
+        cert.structure_residuals = {"jm_updated_skew": rm, "jk_updated_sym": rk}
+    elif pencil.tag is not None:
         rm, rk = structure_residuals(m1, k1, pencil.tag)
         cert.structure_residuals = {"m_updated": rm, "k_updated": rk}
     return cert

@@ -4,7 +4,7 @@ PASS/FAIL line. Tolerances are pinned here and nowhere else."""
 import time
 
 import numpy as np
-from conftest import crandn, plant_hermitian_definite_pd_k
+from conftest import crandn, plant_hermitian_definite_pd_k, t_shh_groups
 
 from nospillover.cases import run_case
 from nospillover.linalg import (
@@ -155,7 +155,7 @@ class TestPropertySuite:
                     [np.diag(planted.target_lam), np.diag(planted.fixed.lam)]
                 )
                 tres, sres, structured, dist, unmatched = _check_update(
-                    planted.pencil.m, planted.pencil.k, planted.tag,
+                    planted.pencil.m, planted.pencil.k, planted.pencil.tag,
                     planted.change.x, planted.target_lam,
                     planted.fixed.x, planted.fixed.lam,
                     res.delta_m, res.delta_k, expected,
@@ -171,30 +171,30 @@ class TestPropertySuite:
         for seed in range(self.N_INSTANCES):
             half_n = 3 + (seed % 4)
             pp = plant_star_shh(seed, half_n, 1, seed % 2)
-            g, _ = shh_gramian(pp.shh, pp.change_x)
+            g, _ = shh_gramian(pp.pencil, pp.change.x)
             p = g.shape[0]
             zrng = np.random.default_rng([seed, 31])
             z1 = np.zeros((p, p), complex)
             z2 = np.zeros((p, p), complex)
-            for j in range(pp.num_couples):
+            for j in range(pp.parameters["num_couples"]):
                 a = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 b = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
                 z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
-            for kk in range(2 * pp.num_couples, p):
+            for kk in range(2 * pp.parameters["num_couples"], p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
             core = star_shh_core(
-                g, pp.change_lam, pp.target_lam, z1, z2, pp.num_couples
+                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
             )
-            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-            m1, k1 = pp.shh.m + res.delta_m, pp.shh.k + res.delta_k
+            res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+            m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
             SHHPencil(m1, k1, "*")  # structure preserved
             expected = np.concatenate(
                 [np.diag(pp.target_lam), np.diag(pp.fixed.lam)]
             )
             tres, sres, _, dist, unmatched = _check_update(
-                pp.shh.m, pp.shh.k, None, pp.change_x, pp.target_lam,
+                pp.pencil.m, pp.pencil.k, None, pp.change.x, pp.target_lam,
                 pp.fixed.x, pp.fixed.lam, res.delta_m, res.delta_k, expected,
             )
             assert tres <= 1e-10 and sres <= 1e-10, ("star-shh", seed, tres, sres)
@@ -206,7 +206,7 @@ class TestPropertySuite:
         for seed in range(self.N_INSTANCES):
             half_n = 3 + (seed % 4)
             pp = plant_t_shh(seed, half_n)
-            gr = pp.grouping
+            gr, targets = t_shh_groups(pp)
             shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
             zrng = np.random.default_rng([seed, 32])
             if seed % 2:
@@ -217,27 +217,25 @@ class TestPropertySuite:
                     zrng.standard_normal(shape[1]),
                     zrng.standard_normal(shape[2]),
                 )
-                res = t_shh_update(pp.shh, gr, *pp.target_groups, mhat=mhat)
+                res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
             else:
                 quad = [tuple(zrng.standard_normal(4)) for _ in range(shape[0])]
                 imag = [tuple(zrng.standard_normal(2)) for _ in range(shape[1])]
                 real = [tuple(zrng.standard_normal(2)) for _ in range(shape[2])]
                 res = t_shh_update(
-                    pp.shh, gr, *pp.target_groups,
+                    pp.pencil, gr, *targets,
                     z_params=t_shh_z_params(shape, quad, imag, real),
                 )
-            m1 = (pp.shh.m + res.delta_m).real
-            k1 = (pp.shh.k + res.delta_k).real
+            m1 = (pp.pencil.m + res.delta_m).real
+            k1 = (pp.pencil.k + res.delta_k).real
             SHHPencil(m1, k1, "T")
-            from nospillover.shh import t_shh_basis
-
-            xc, _ = t_shh_basis(gr)
+            xc = pp.change.x.real
             lam_a = res.provenance["lam_a"]
             expected = np.concatenate(
                 [np.linalg.eigvals(lam_a), np.diag(pp.fixed.lam)]
             )
             tres, sres, _, dist, unmatched = _check_update(
-                pp.shh.m.real, pp.shh.k.real, None, xc, lam_a,
+                pp.pencil.m.real, pp.pencil.k.real, None, xc, lam_a,
                 pp.fixed.x, pp.fixed.lam, res.delta_m.real, res.delta_k.real,
                 expected,
             )
@@ -332,28 +330,28 @@ class TestJReduction:
         worst = 0.0
         for seed in range(50):
             pp = plant_star_shh(seed, 3 + seed % 3, 1, seed % 2)
-            g, _ = shh_gramian(pp.shh, pp.change_x)
+            g, _ = shh_gramian(pp.pencil, pp.change.x)
             zrng = np.random.default_rng([seed, 33])
             p = g.shape[0]
             z1 = np.zeros((p, p), complex)
             z2 = np.zeros((p, p), complex)
-            for j in range(pp.num_couples):
+            for j in range(pp.parameters["num_couples"]):
                 a = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 b = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
                 z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
-            for kk in range(2 * pp.num_couples, p):
+            for kk in range(2 * pp.parameters["num_couples"], p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
             core = star_shh_core(
-                g, pp.change_lam, pp.target_lam, z1, z2, pp.num_couples
+                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
             )
-            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-            even = pp.shh.even_pencil()
+            res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+            even = pp.pencil.even_pencil()
             res_even = structured_update(
-                even, pp.change_x, pp.change_lam, pp.target_lam, core
+                even, pp.change.x, pp.change.lam, pp.target_lam, core
             )
-            j = pp.shh.j
+            j = pp.pencil.j
             scale = max(fnorm(res_even.delta_m) + fnorm(res_even.delta_k), 1.0)
             dev = (
                 fnorm(j @ res.delta_m - res_even.delta_m)

@@ -11,7 +11,7 @@ from nospillover import fileio
 from nospillover.cases import CASES
 from nospillover.cli import main
 from nospillover.pencil import T_EVEN, StructuredPencil
-from nospillover.randomgen import plant_problem
+from nospillover.randomgen import RANDOM_CLASSES, plant_problem
 
 
 DATA = Path(__file__).parent / "data"
@@ -29,6 +29,19 @@ def problems_of_two_sizes(tmp_path):
                     "--class", "hermitian", "--out", prob]) == 0
     assert run(["solve", "--input", big, "--out", delta]) == 0
     return small, big, delta
+
+
+def mislabelled_problem(tmp_path):
+    """A hermitian problem file relabelled symmetric, with the delta file and
+    fixed pairs of the correctly labelled one."""
+    prob, bad, delta = tmp_path / "prob.json", tmp_path / "bad.json", tmp_path / "d.json"
+    assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                "--class", "hermitian", "--out", prob]) == 0
+    assert run(["solve", "--input", prob, "--out", delta]) == 0
+    doc = json.loads(prob.read_text())
+    doc["structure"] = "symmetric"
+    bad.write_text(json.dumps(doc))
+    return bad, delta, f"{prob}.fixed.json"
 
 
 class TestSolve:
@@ -97,6 +110,14 @@ class TestSolve:
         code = run(["solve", "--input", prob, "--out", tmp_path / "d.json"])
         assert code == 3
         assert "SingularG" in capsys.readouterr().err
+
+    def test_structure_not_matching_pencil_exit_3(self, tmp_path, capsys):
+        bad, _, _ = mislabelled_problem(tmp_path)
+        capsys.readouterr()
+        assert run(["solve", "--input", bad, "--out", tmp_path / "out.json"]) == 3
+        assert "error: NotStructured: pencil does not have symmetric structure" in (
+            capsys.readouterr().err
+        )
 
     def test_schema_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -250,6 +271,38 @@ class TestVerify:
         empty.write_text('{"format": 1}')
         assert run(verify + [empty]) == 2
 
+    @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
+    def test_tampered_shh_core_fails(self, tmp_path, capsys, klass):
+        # U^star X_f = 0 hides a changed core from the spillover residual;
+        # the structure residuals of J L(lambda) still see it
+        prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
+        assert run(["random", "--seed", 11, "--n", 8, "--p", 2,
+                    "--class", klass, "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        verify = ["verify", "--pencil", prob, "--delta", delta,
+                  "--pairs", f"{prob}.fixed.json"]
+        capsys.readouterr()
+        assert run(verify) == 0
+        names = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("structure[")]
+        assert names == ["structure[jm_updated_skew]", "structure[jk_updated_sym]"]
+        doc = json.loads(delta.read_text())
+        khat = fileio.decode_matrix(doc["factors"]["khat"], "khat")
+        doc["factors"]["khat"] = fileio.encode_matrix(khat + 0.5 * np.triu(np.ones_like(khat), 1))
+        delta.write_text(json.dumps(doc))
+        assert run(verify) == 1
+        lines = capsys.readouterr().out.splitlines()
+        sym = [float(ln.split()[1]) for ln in lines if ln.startswith("structure[jk_updated_sym]")]
+        assert sym[0] > 1e-3 and lines[-1] == "FAIL"
+
+    def test_structure_not_matching_pencil_exit_3(self, tmp_path, capsys):
+        bad, delta, pairs = mislabelled_problem(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", "--pencil", bad, "--delta", delta, "--pairs", pairs]) == 3
+        assert "error: NotStructured: pencil does not have symmetric structure" in (
+            capsys.readouterr().err
+        )
+
     def test_format_1_delta_still_verifies(self, capsys):
         # written by the dense writer that preceded delta format 2
         prob, delta = DATA / "star-even-n8.json", DATA / "star-even-n8.format1.delta.json"
@@ -348,13 +401,13 @@ class TestReproduce:
 
 
 class TestRandom:
-    def test_deterministic_bytes(self, tmp_path):
+    @pytest.mark.parametrize("klass", RANDOM_CLASSES)
+    def test_deterministic_bytes(self, tmp_path, klass):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        assert run(["random", "--seed", 9, "--n", 7, "--p", 2,
-                    "--class", "hermitian", "--out", a]) == 0
-        assert run(["random", "--seed", 9, "--n", 7, "--p", 2,
-                    "--class", "hermitian", "--out", b]) == 0
+        for out in (a, b):
+            assert run(["random", "--seed", 9, "--n", 8, "--p", 2,
+                        "--class", klass, "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert Path(str(a) + ".fixed.json").read_bytes() == Path(
             str(b) + ".fixed.json"
@@ -417,6 +470,21 @@ class TestRandom:
         assert run(["solve", "--input", prob, "--out", delta]) == 0
         assert json.loads(delta.read_text())["format"] == 2
         assert delta.stat().st_size < 100_000
+
+    @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
+    def test_odd_n_for_shh_exit_3(self, tmp_path, capsys, klass):
+        out = tmp_path / "x.json"
+        assert run(["random", "--seed", 1, "--n", 7, "--p", 2,
+                    "--class", klass, "--out", out]) == 3
+        assert "error: BadParameters: SHH instances need even n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
+    def test_no_fixed_pair_left_exit_3(self, tmp_path, capsys, klass):
+        # at n=2 every split changes the whole spectrum: no attempt is accepted
+        assert run(["random", "--seed", 1, "--n", 2, "--p", 2,
+                    "--class", klass, "--out", tmp_path / "x.json"]) == 3
+        assert "error: BadParameters: could not plant" in capsys.readouterr().err
 
     def test_bad_class_exit_2(self, tmp_path):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,

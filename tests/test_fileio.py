@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import t_shh_groups
 
 from nospillover import fileio
 from nospillover.errors import SchemaError
@@ -187,16 +188,16 @@ class TestFactoredDelta:
     def test_shh_class_exact(self, tmp_path, klass):
         if klass == "star-shh":
             pp = plant_star_shh(4, 6, 1, 1)
-            g, _ = shh_gramian(pp.shh, pp.change_x)
-            core = scaled_gramian_core(g, pp.change_lam, pp.target_lam, 0.3)
-            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
+            g, _ = shh_gramian(pp.pencil, pp.change.x)
+            core = scaled_gramian_core(g, pp.change.lam, pp.target_lam, 0.3)
+            res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
         else:
             pp = plant_t_shh(5, 6)
-            gr = pp.grouping
+            gr, targets = t_shh_groups(pp)
             shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
             mhat = t_shh_mhat(shape, [0.5] * shape[0], [0.2] * shape[0],
                               [-0.3] * shape[1], [0.7] * shape[2])
-            res = t_shh_update(pp.shh, gr, *pp.target_groups, mhat=mhat)
+            res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
         back = self._round_trip(tmp_path, res)
         for loaded, mem in ((back.delta_m, res.delta_m), (back.delta_k, res.delta_k)):
             assert fnorm(mem) > 0

@@ -141,7 +141,7 @@ class TestGramians:
         planted = plant_problem(41, 8, 2, "t-odd")
         x = planted.change.x[:, :1]
         lam = np.diag(planted.change.lam)[:1]
-        partner = symmetry_partner(lam, planted.tag)
+        partner = symmetry_partner(lam, planted.pencil.tag)
         assert abs(lam[0] - partner[0]) > 1e-6
         g, f = gramians(planted.pencil, x, x)
         assert fnorm(g) <= 1e-9 * fnorm(planted.pencil.m)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import t_shh_groups
 
 from nospillover.errors import (
     BadBlockPattern,
@@ -30,7 +31,6 @@ from nospillover.shh import (
     shh_gramian,
     shh_update,
     star_shh_core,
-    t_shh_basis,
     t_shh_mhat,
     t_shh_update,
     t_shh_z_params,
@@ -112,12 +112,12 @@ class TestSHHPencil:
 class TestShhUpdate:
     def test_mhat_zero_branch(self):
         pp = plant_star_shh(3, 4, 1, 1)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
-        core = complete_core(g, pp.change_lam, pp.target_lam, np.zeros_like(g))
-        res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-        assert fnorm(res.delta_m) <= 1e-12 * fnorm(pp.shh.m)
-        m1, k1 = pp.shh.m + res.delta_m, pp.shh.k + res.delta_k
-        tres = fnorm(m1 @ pp.change_x @ pp.target_lam + k1 @ pp.change_x)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
+        core = complete_core(g, pp.change.lam, pp.target_lam, np.zeros_like(g))
+        res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+        assert fnorm(res.delta_m) <= 1e-12 * fnorm(pp.pencil.m)
+        m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
+        tres = fnorm(m1 @ pp.change.x @ pp.target_lam + k1 @ pp.change.x)
         assert tres <= 1e-10 * (fnorm(m1) + fnorm(k1))
 
     def test_j_reduction_equivalence(self):
@@ -125,17 +125,17 @@ class TestShhUpdate:
         rng = np.random.default_rng(4)
         for seed in range(10):
             pp = plant_star_shh(seed + 10, 4, 1, 1)
-            g, _ = shh_gramian(pp.shh, pp.change_x)
+            g, _ = shh_gramian(pp.pencil, pp.change.x)
             z1, z2 = random_patterned_z(
-                np.random.default_rng(seed), pp.num_couples, g.shape[0]
+                np.random.default_rng(seed), pp.parameters["num_couples"], g.shape[0]
             )
-            core = star_shh_core(g, pp.change_lam, pp.target_lam, z1, z2, pp.num_couples)
-            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-            even = pp.shh.even_pencil()
+            core = star_shh_core(g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"])
+            res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+            even = pp.pencil.even_pencil()
             res_even = structured_update(
-                even, pp.change_x, pp.change_lam, pp.target_lam, core
+                even, pp.change.x, pp.change.lam, pp.target_lam, core
             )
-            j = pp.shh.j
+            j = pp.pencil.j
             scale = fnorm(res_even.delta_m) + fnorm(res_even.delta_k)
             assert fnorm(j @ res.delta_m - res_even.delta_m) <= 1e-11 * scale
             assert fnorm(j @ res.delta_k - res_even.delta_k) <= 1e-11 * scale
@@ -144,13 +144,13 @@ class TestShhUpdate:
         rng = np.random.default_rng(5)
         for seed in range(8):
             pp = plant_star_shh(seed + 30, 4, 1, 1)
-            g, _ = shh_gramian(pp.shh, pp.change_x)
-            z1, z2 = random_patterned_z(rng, pp.num_couples, g.shape[0])
+            g, _ = shh_gramian(pp.pencil, pp.change.x)
+            z1, z2 = random_patterned_z(rng, pp.parameters["num_couples"], g.shape[0])
             core = star_shh_core(
-                g, pp.change_lam, pp.target_lam, z1, z2, pp.num_couples
+                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
             )
-            res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-            m1, k1 = pp.shh.m + res.delta_m, pp.shh.k + res.delta_k
+            res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+            m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
             SHHPencil(m1, k1, "*")  # structure must survive
             scale = fnorm(m1) + fnorm(k1)
             xf, lf = pp.fixed.x, pp.fixed.lam
@@ -164,11 +164,11 @@ class TestShhUpdate:
     def test_delta_structure_names(self):
         # J dM is skew-Hermitian and J dK Hermitian for the * case
         pp = plant_star_shh(6, 3, 1, 0)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
-        z1, z2 = random_patterned_z(np.random.default_rng(6), pp.num_couples, g.shape[0])
-        core = star_shh_core(g, pp.change_lam, pp.target_lam, z1, z2, pp.num_couples)
-        res = shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
-        j = pp.shh.j
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
+        z1, z2 = random_patterned_z(np.random.default_rng(6), pp.parameters["num_couples"], g.shape[0])
+        core = star_shh_core(g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"])
+        res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+        j = pp.pencil.j
         jm, jk = j @ res.delta_m, j @ res.delta_k
         assert fnorm(jm + jm.conj().T) <= 1e-11 * max(fnorm(jm), 1e-30)
         assert fnorm(jk - jk.conj().T) <= 1e-11 * max(fnorm(jk), 1e-30)
@@ -177,11 +177,11 @@ class TestShhUpdate:
 class TestStarShhCore:
     def test_zero_params_zero_core(self):
         pp = plant_star_shh(7, 3, 1, 1)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
         p = g.shape[0]
         core = star_shh_core(
-            g, pp.change_lam, pp.change_lam, np.zeros((p, p)), np.zeros((p, p)),
-            pp.num_couples,
+            g, pp.change.lam, pp.change.lam, np.zeros((p, p)), np.zeros((p, p)),
+            pp.parameters["num_couples"],
         )
         assert fnorm(core.mhat) <= 1e-14
         assert fnorm(core.khat) <= 1e-14
@@ -189,7 +189,7 @@ class TestStarShhCore:
     def test_gramian_block_form(self):
         # couples give [[0, g], [-conj g, 0]] blocks, imaginary tail entries
         pp = plant_star_shh(8, 4, 1, 1)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
         scale = fnorm(g)
         assert abs(g[0, 0]) <= 1e-8 * scale
         assert abs(g[1, 1]) <= 1e-8 * scale
@@ -199,21 +199,21 @@ class TestStarShhCore:
 
     def test_bad_z_pattern_rejected(self):
         pp = plant_star_shh(9, 3, 1, 0)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
         p = g.shape[0]
         z1 = np.eye(p)  # diagonal entries are not allowed in couple blocks
         with pytest.raises(BadBlockPattern):
-            star_shh_core(g, pp.change_lam, pp.target_lam, z1, np.zeros((p, p)), 1)
+            star_shh_core(g, pp.change.lam, pp.target_lam, z1, np.zeros((p, p)), 1)
 
     def test_non_block_gramian_rejected(self):
         pp = plant_star_shh(10, 3, 1, 0)
-        g, _ = shh_gramian(pp.shh, pp.change_x)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
         bad = np.array(g)
         bad[0, 0] = 1.0  # couples must have zero diagonal
         p = g.shape[0]
         with pytest.raises(NotSimpleEigenvalues):
             star_shh_core(
-                bad, pp.change_lam, pp.target_lam, np.zeros((p, p)),
+                bad, pp.change.lam, pp.target_lam, np.zeros((p, p)),
                 np.zeros((p, p)), 1,
             )
 
@@ -221,22 +221,22 @@ class TestStarShhCore:
 class TestTShh:
     def test_zero_params_zero_update(self):
         pp = plant_t_shh(11, 4)
-        gr = pp.grouping
+        gr, targets = t_shh_groups(pp)
         # keep the original eigenvalues as targets, no core parameters
         targets = (
             tuple(lam for lam, _, _ in gr.quadruples),
             tuple(lam for lam, _ in gr.imag_pairs),
             tuple(lam for lam, _, _ in gr.real_pairs),
         )
-        res = t_shh_update(pp.shh, gr, *targets)
-        assert fnorm(res.delta_m) <= 1e-11 * fnorm(pp.shh.m)
-        assert fnorm(res.delta_k) <= 1e-11 * fnorm(pp.shh.k)
+        res = t_shh_update(pp.pencil, gr, *targets)
+        assert fnorm(res.delta_m) <= 1e-11 * fnorm(pp.pencil.m)
+        assert fnorm(res.delta_k) <= 1e-11 * fnorm(pp.pencil.k)
 
     def test_planted_full_checks(self):
         rng = np.random.default_rng(12)
         for seed in range(8):
             pp = plant_t_shh(seed + 50, 4)
-            gr = pp.grouping
+            gr, targets = t_shh_groups(pp)
             shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
             mhat = t_shh_mhat(
                 shape,
@@ -245,9 +245,9 @@ class TestTShh:
                 rng.standard_normal(shape[1]),
                 rng.standard_normal(shape[2]),
             )
-            res = t_shh_update(pp.shh, gr, *pp.target_groups, mhat=mhat)
-            m1 = (pp.shh.m + res.delta_m).real
-            k1 = (pp.shh.k + res.delta_k).real
+            res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
+            m1 = (pp.pencil.m + res.delta_m).real
+            k1 = (pp.pencil.k + res.delta_k).real
             SHHPencil(m1, k1, "T")
             scale = fnorm(m1) + fnorm(k1)
             xf, lf = pp.fixed.x, pp.fixed.lam
@@ -265,26 +265,26 @@ class TestTShh:
         rng = np.random.default_rng(13)
         for seed in range(6):
             pp = plant_t_shh(seed + 70, 4)
-            gr = pp.grouping
+            gr, targets = t_shh_groups(pp)
             shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
             quad = [tuple(rng.standard_normal(4)) for _ in range(shape[0])]
             imag = [tuple(rng.standard_normal(2)) for _ in range(shape[1])]
             real = [tuple(rng.standard_normal(2)) for _ in range(shape[2])]
             z1, z2 = t_shh_z_params(shape, quad, imag, real)
-            res = t_shh_update(pp.shh, gr, *pp.target_groups, z_params=(z1, z2))
+            res = t_shh_update(pp.pencil, gr, *targets, z_params=(z1, z2))
             g = res.provenance["g"].real
             mh, kh = res.factors[1], res.factors[2]
             lam_c, lam_a = res.provenance["lam_c"], res.provenance["lam_a"]
             resid = fnorm(mh @ lam_a + kh - g @ (lam_c - lam_a))
             scale = fnorm(g) * (fnorm(lam_c) + fnorm(lam_a)) + fnorm(mh) * fnorm(lam_a)
             assert resid <= 1e-12 * max(scale, 1.0)
-            m1 = (pp.shh.m + res.delta_m).real
-            k1 = (pp.shh.k + res.delta_k).real
+            m1 = (pp.pencil.m + res.delta_m).real
+            k1 = (pp.pencil.k + res.delta_k).real
             SHHPencil(m1, k1, "T")
 
     def test_repeated_eigenvalue_rejected(self):
         pp = plant_t_shh(14, 4)
-        gr = pp.grouping
+        gr, targets = t_shh_groups(pp)
         if gr.quadruples:
             dup = EigGrouping(quadruples=gr.quadruples * 2)
             targets = ((gr.quadruples[0][0],) * 2, (), ())
@@ -295,7 +295,7 @@ class TestTShh:
             dup = EigGrouping(real_pairs=gr.real_pairs * 2)
             targets = ((), (), (gr.real_pairs[0][0],) * 2)
         with pytest.raises(RepeatedEigenvalue):
-            t_shh_update(pp.shh, dup, *targets)
+            t_shh_update(pp.pencil, dup, *targets)
 
     def test_grouping_covers_spectrum(self):
         for seed in range(10):
@@ -311,7 +311,6 @@ class TestTShh:
 
     def test_t_gramian_block_form(self):
         pp = plant_t_shh(15, 4)
-        xc, _ = t_shh_basis(pp.grouping)
-        g, _ = shh_gramian(pp.shh, xc.astype(complex))
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
         assert fnorm(g + g.T) <= 1e-8 * fnorm(g)  # T-skew overall
         assert fnorm(g.imag) <= 1e-8 * fnorm(g)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import plant_hermitian_definite, plant_t_odd_real
+from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_groups
 
 from nospillover.errors import SingularG
 from nospillover.linalg import (
@@ -190,7 +190,7 @@ class TestStructuredUpdate:
         assert fnorm(res.delta_m) <= 1e-13
         u = res.factors[0]
         want = u @ g @ (planted.change.lam - planted.target_lam) @ star(
-            u, planted.tag.star
+            u, planted.pencil.tag.star
         )
         np.testing.assert_allclose(res.delta_k, want, atol=1e-11 * fnorm(want))
 
@@ -249,7 +249,7 @@ class TestStructuredUpdate:
         planted = plant_problem(14, 6, 2, "star-even")
         g, _ = change_gramian(planted.pencil, planted.change.x)
         core = scaled_gramian_core(g, planted.change.lam, planted.target_lam, 0.1)
-        flags = core_structure_flags(core, g, planted.target_lam, planted.tag)
+        flags = core_structure_flags(core, g, planted.target_lam, planted.pencil.tag)
         assert flags["criteria_agree"]
         assert flags["core_structured"]
 
@@ -260,7 +260,7 @@ class TestStructuredUpdate:
         g, _ = change_gramian(planted.pencil, planted.change.x)
         bad_target = planted.target_lam + np.diag([0.5 + 0.3j, 0.0])
         core = scaled_gramian_core(g, planted.change.lam, bad_target, 0.1)
-        flags = core_structure_flags(core, g, bad_target, planted.tag)
+        flags = core_structure_flags(core, g, bad_target, planted.pencil.tag)
         assert not flags["core_structured"]
         assert flags["criteria_agree"]
 
@@ -351,14 +351,15 @@ def _structured():
 
 def _shh():
     pp = plant_star_shh(4, 6, 1, 1)
-    g, _ = shh_gramian(pp.shh, pp.change_x)
-    core = scaled_gramian_core(g, pp.change_lam, pp.target_lam, 0.3)
-    return shh_update(pp.shh, pp.change_x, pp.change_lam, pp.target_lam, core)
+    g, _ = shh_gramian(pp.pencil, pp.change.x)
+    core = scaled_gramian_core(g, pp.change.lam, pp.target_lam, 0.3)
+    return shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
 
 
 def _t_shh():
     pp = plant_t_shh(5, 6)
-    return t_shh_update(pp.shh, pp.grouping, *pp.target_groups)
+    gr, targets = t_shh_groups(pp)
+    return t_shh_update(pp.pencil, gr, *targets)
 
 
 def _hermitian():
