@@ -22,7 +22,7 @@ from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
 from .shh import SHHPencil, shh_gramian, shh_update, star_shh_core, t_shh_mhat
-from .special import QUADRATIC_CLASSES, QuadraticSpec, fixed_pair_from_eigs, solve_quadratic
+from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
 from .structured import (
     change_gramian,
     complete_core,
@@ -94,15 +94,10 @@ def _solve_quadratic(pf):
         kwargs["strategy"] = pf.parameters["strategy"]
         kwargs["slack"] = pf.parameters.get("slack", 0.0)
     result, info = solve_quadratic(pf.m, pf.k, spec, **kwargs)
-    problem = UpdateProblem(
-        DeflatingPair(result.provenance["xc_normalized"], np.diag(info["lam_c"])),
-        np.diag(info["lam_a"]),
-        fixed=fixed_pair_from_eigs(info["fixed"]),
-    )
     psd = ()
     if pf.parameters.get("strategy") == "psd-minimal":
         psd = ("delta_m", "delta_k")
-    return info["pencil"], result, problem, psd
+    return info["pencil"], result, info["problem"], psd
 
 
 def _pencil(m, k, structure: str):

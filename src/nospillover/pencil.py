@@ -160,9 +160,6 @@ class DeflatingPair:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.lam)
-
 
 def gramians(pencil: StructuredPencil, x1, x2, adjoint: str | None = None):
     """(G12, F12) = (X1^star M X2, X1^star K X2).

@@ -226,6 +226,13 @@ def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
     if class_name == "t-even" and n % 2:
         # complex skew-symmetric M is structurally singular at odd sizes
         raise BadParameters("t-even instances need even n")
+    if p % 2 and (class_name == "t-even" or (class_name == "t-odd" and not n % 2)):
+        # the spectrum pairs lambda with -lambda; only the zero eigenvalue of
+        # a t-odd K at odd n is its own partner and can fill an odd p
+        raise BadParameters(
+            f"{class_name} instances at even n need even p (got p={p}): their "
+            "spectrum has no self-paired eigenvalue"
+        )
     tag = TAG_BY_NAME[class_name]
     return _plant(
         seed,
@@ -305,6 +312,8 @@ def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> P
     """Planted *-SHH instance changing ``num_couples`` (l, -conj l) couples
     and ``num_imag`` purely imaginary eigenvalues, trimmed to what the drawn
     spectrum offers."""
+    if min(num_couples, num_imag) < 0 or num_couples + num_imag == 0:
+        raise BadParameters("star-shh instances need p >= 1: at least one change value")
     return _plant(
         seed,
         (half_n, num_couples, num_imag),

@@ -51,7 +51,7 @@ from .pencil import (
     normalize_columns,
 )
 from .structured import CoreSolution, complete_core, parametrized_core, structured_update
-from .unstructured import UpdateResult
+from .unstructured import UpdateProblem, UpdateResult
 
 _DIAG_TOL = 1e-10  # relative tolerance for real/imaginary/diagonal checks
 
@@ -455,7 +455,9 @@ def solve_quadratic(
     computed eigendata. ``strategy='psd-minimal'`` (hermitian class only)
     derives (Z1, Z2) from the PSD selection rule instead of explicit
     parameters. Returns (UpdateResult, info) where info carries the
-    computed change/fixed pairs for certification.
+    computed change/fixed pairs and ``problem``, the ``UpdateProblem``
+    solved (normalized change pair, lifted targets, fixed pair), for
+    certification.
     """
     lam_c_wanted, lam_a, tag = lift_quadratic(spec)
     pencil = StructuredPencil(m, k, tag)
@@ -472,12 +474,18 @@ def solve_quadratic(
         params = select_psd_params(lam_c.real, lam_a.real, slack=slack)
         z1, z2, mhat = params.z1, params.z2, None
     result = _definite_update(spec.klass, pencil, xc, lam_c, lam_a, mhat, z1, z2)
+    problem = UpdateProblem(
+        DeflatingPair(result.provenance["xc_normalized"], np.diag(lam_c)),
+        np.diag(lam_a),
+        fixed=fixed_pair_from_eigs(fixed),
+    )
     info = {
         "pencil": pencil,
         "lam_c": lam_c,
         "lam_a": lam_a,
         "change": change,
         "fixed": fixed,
+        "problem": problem,
     }
     return result, info
 

@@ -32,6 +32,9 @@ from .shh import SHHPencil, apply_j
 from .special import DEFINITE_TAGS, definite_eigvals
 from .unstructured import UpdateProblem, UpdateResult
 
+TAU_SPECTRUM = 1e-7  # relative distance of each matched eigenvalue
+TAU_PSD = 1e-10  # how far below zero a reported min eigenvalue may be
+
 
 @dataclass
 class SpectrumMatch:
@@ -58,17 +61,15 @@ class Certificate:
     definiteness: dict = field(default_factory=dict)
     spectrum: SpectrumMatch | None = None
     tol_defl: float = TAU_DEFL
-    tol_struct: float = TAU_STRUCT
-    tol_psd: float = 1e-10
 
     @property
     def passed(self) -> bool:
         residuals = (self.target_relative, self.spillover_relative)
         ok = all(value <= self.tol_defl for value in residuals if value is not None)
         for value in self.structure_residuals.values():
-            ok = ok and value <= self.tol_struct
+            ok = ok and value <= TAU_STRUCT
         for value in self.definiteness.values():
-            ok = ok and value >= -self.tol_psd
+            ok = ok and value >= -TAU_PSD
         if self.spectrum is not None:
             ok = ok and self.spectrum.passed
         return bool(ok)
@@ -112,9 +113,7 @@ def _spectrum(pencil_or_mk) -> tuple[list[complex | None], str]:
     return eigvals_pencil(*pencil_or_mk), "qz"
 
 
-def spectrum_match(
-    pencil_or_mk, expected, tol: float = 1e-7, allow_subset: bool = False
-) -> SpectrumMatch:
+def spectrum_match(pencil_or_mk, expected, tol: float = TAU_SPECTRUM) -> SpectrumMatch:
     """Match the computed spectrum against an expected multiset.
 
     The spectrum comes from ``_spectrum``: the Hermitian-definite reduction
@@ -122,19 +121,13 @@ def spectrum_match(
     for star-even) has a Cholesky factor, else a values-only QZ of the
     pencil or of the ``(M, K)`` tuple. The matching is
     ``match_multisets``'s minimum-cost assignment under
-    |a-b|/(1+max(|a|,|b|)). With ``allow_subset`` the expected values only
-    need to appear somewhere in the spectrum. Raises SingularPencil for
-    non-regular pencils.
+    |a-b|/(1+max(|a|,|b|)). Raises SingularPencil for non-regular pencils.
     """
     values, oracle = _spectrum(pencil_or_mk)
     computed = np.array([v for v in values if v is not None], dtype=np.complex128)
     infinite = len(values) - computed.size
     expected = np.atleast_1d(np.asarray(expected, dtype=np.complex128))
-    if allow_subset and expected.size > computed.size:
-        return SpectrumMatch(np.inf, expected.size - computed.size, infinite, tol, oracle)
     maxdist, unmatched = match_multisets(expected, computed)
-    if allow_subset:
-        return SpectrumMatch(maxdist, 0, infinite, tol, oracle)
     return SpectrumMatch(maxdist, unmatched + infinite, infinite, tol, oracle)
 
 
@@ -144,9 +137,7 @@ def certify(
     problem: UpdateProblem,
     expected_spectrum=None,
     psd: tuple[str, ...] = (),
-    check_structure: bool = True,
     tol_defl: float = TAU_DEFL,
-    spectrum_tol: float = 1e-7,
 ) -> Certificate:
     """Certificate for (dM, dK) against the problem's target and fixed pairs.
 
@@ -158,7 +149,7 @@ def certify(
     """
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
     m1, k1 = pencil.m + dm, pencil.k + dk
-    cert = _pair_certificate(pencil, m1, k1, problem.fixed, check_structure, tol_defl)
+    cert = _pair_certificate(pencil, m1, k1, problem.fixed, tol_defl)
     cert.target_residual, cert.target_relative = _pair_residual(
         m1, k1, problem.xa, problem.target_lam
     )
@@ -174,17 +165,17 @@ def certify(
         cert.definiteness[name] = float(evals[0]) / scale
     if expected_spectrum is not None:
         # the updated pencil keeps the tag, for the definite oracle, only
-        # when its structure residuals were computed and pass
+        # when it has one and its structure residuals pass
         structured = (
             isinstance(pencil, StructuredPencil)
             and cert.structure_residuals
-            and all(value <= cert.tol_struct for value in cert.structure_residuals.values())
+            and all(value <= TAU_STRUCT for value in cert.structure_residuals.values())
         )
         updated = StructuredPencil(m1, k1, pencil.tag) if structured else (m1, k1)
         try:
-            cert.spectrum = spectrum_match(updated, expected_spectrum, tol=spectrum_tol)
+            cert.spectrum = spectrum_match(updated, expected_spectrum)
         except SingularPencil:
-            cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0, spectrum_tol)
+            cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0, TAU_SPECTRUM)
     return cert
 
 
@@ -197,9 +188,7 @@ def certify_spillover(
     """Spillover-only certificate: the fixed pair's residual and the structure
     residuals of the updated pencil, for when no targets are known."""
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
-    return _pair_certificate(
-        pencil, pencil.m + dm, pencil.k + dk, fixed, check_structure=True, tol_defl=tol_defl
-    )
+    return _pair_certificate(pencil, pencil.m + dm, pencil.k + dk, fixed, tol_defl)
 
 
 def _pair_residual(m1, k1, x, lam) -> tuple[float, float]:
@@ -209,15 +198,13 @@ def _pair_residual(m1, k1, x, lam) -> tuple[float, float]:
     return res, res / max(scale, 1e-300)
 
 
-def _pair_certificate(pencil, m1, k1, fixed, check_structure, tol_defl) -> Certificate:
+def _pair_certificate(pencil, m1, k1, fixed, tol_defl) -> Certificate:
     """Spillover and structure residuals of the updated pencil (M1, K1)."""
     cert = Certificate(tol_defl=tol_defl)
     if fixed is not None:
         cert.spillover_residual, cert.spillover_relative = _pair_residual(
             m1, k1, fixed.x, fixed.lam
         )
-    if not check_structure:
-        return cert
     if isinstance(pencil, SHHPencil):
         rm, rk = structure_residuals(apply_j(m1), apply_j(k1), pencil.even_pencil().tag)
         cert.structure_residuals = {"jm_updated_skew": rm, "jk_updated_sym": rk}

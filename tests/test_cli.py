@@ -1,14 +1,16 @@
 """End-to-end command line tests (exit codes, files, determinism)."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_fresh_python
 
-from nospillover import fileio
-from nospillover.cases import CASES
+from nospillover import fileio, randomgen
+from nospillover.cases import CASES, run_case
 from nospillover.cli import main
 from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem
@@ -392,12 +394,51 @@ class TestVerify:
         )
 
 
+# the report lines after the residuals of each case, with the numbers masked
+REPORT_TAIL = {
+    "herm-6.1": ["structure dM hermitian", "structure dK hermitian",
+                 "structure updated M tag", "structure updated K tag",
+                 "min eig delta_m", "min eig delta_k"],
+    "odd-6.2": ["structure dM hermitian", "structure dK skew-hermitian",
+                "structure updated M tag", "structure updated K tag", "min eig delta_m"],
+    "even-6.3": ["structure dM skew-hermitian", "structure dK hermitian",
+                 "structure updated M tag", "structure updated K tag", "min eig delta_k"],
+    "shh-7": ["structure J dM skew-hermitian", "structure J dK hermitian"],
+}
+
+
 class TestReproduce:
     @pytest.mark.parametrize("case_id", list(CASES))
     def test_each_case_passes(self, case_id, capsys):
         assert run(["reproduce", case_id]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_brief_report_lines(self, capsys):
+        assert run(["reproduce", "all", "--brief"]) == 0
+        masked = re.sub(r"-?\d+(\.\d+)?e[+-]\d+", "#", capsys.readouterr().out)
+        expected = []
+        for case_id, tail in REPORT_TAIL.items():
+            expected += [
+                f"case {case_id}",
+                "  max scaled deviation dM: # (bound #)",
+                "  max scaled deviation dK: # (bound #)",
+                "  spillover residual:      # (published #, bound #)",
+                "  target residual:         #",
+                *(f"  {label}: #" for label in tail),
+                "  PASS",
+            ]
+        assert masked.splitlines() == expected
+
+    @pytest.mark.parametrize("case_id", list(CASES))
+    def test_residuals_are_the_certificates(self, case_id):
+        report = run_case(case_id)
+        assert report.certificate.passed
+        assert report.spillover == report.certificate.spillover_residual
+        assert report.target_residual == report.certificate.target_residual
+        # a failing certificate fails the case, whatever the printed-matrix bounds
+        failing = dataclasses.replace(report.certificate, tol_defl=0.0)
+        assert not dataclasses.replace(report, certificate=failing).passed
 
 
 class TestRandom:
@@ -485,6 +526,28 @@ class TestRandom:
         assert run(["random", "--seed", 1, "--n", 2, "--p", 2,
                     "--class", klass, "--out", tmp_path / "x.json"]) == 3
         assert "error: BadParameters: could not plant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("klass", ["t-odd", "t-even"])
+    def test_odd_p_at_even_n_exit_3(self, tmp_path, capsys, monkeypatch, klass):
+        # lambda pairs with -lambda and no value is its own partner: refused
+        # before any attempt runs its QZ
+        monkeypatch.setattr(randomgen, "_plant", None)
+        assert run(["random", "--seed", 1, "--n", 8, "--p", 3,
+                    "--class", klass, "--out", tmp_path / "x.json"]) == 3
+        err = capsys.readouterr().err
+        assert f"error: BadParameters: {klass} instances at even n need even p" in err
+
+    def test_t_odd_odd_p_at_odd_n(self, tmp_path):
+        # at odd n the skew-symmetric K has a zero eigenvalue, its own partner
+        assert run(["random", "--seed", 1, "--n", 9, "--p", 3,
+                    "--class", "t-odd", "--out", tmp_path / "x.json"]) == 0
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_star_shh_without_change_values_exit_3(self, tmp_path, capsys, monkeypatch, p):
+        monkeypatch.setattr(randomgen, "_plant", None)
+        assert run(["random", "--seed", 1, "--n", 8, "--p", p,
+                    "--class", "star-shh", "--out", tmp_path / "x.json"]) == 3
+        assert "error: BadParameters: star-shh instances need p >= 1" in capsys.readouterr().err
 
     def test_bad_class_exit_2(self, tmp_path):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,

@@ -2,15 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import (
-    hungarian_max,
-    plant_hermitian_definite,
-    plant_star_even,
-    plant_star_odd,
-    relative_cost,
-)
+from conftest import plant_hermitian_definite, plant_star_even, plant_star_odd
 
-from nospillover.linalg import eigvals_pencil
+from nospillover.linalg import TAU_STRUCT
 from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
 from nospillover.randomgen import plant_problem
 from nospillover.special import hermitian_update, star_even_update, star_odd_update
@@ -67,7 +61,7 @@ class TestCertify:
         assert not cert.passed
         # diagnosis localizes the failure: residuals out, structure flagged
         assert cert.target_relative > cert.tol_defl or any(
-            v > cert.tol_struct for v in cert.structure_residuals.values()
+            v > TAU_STRUCT for v in cert.structure_residuals.values()
         )
 
     def test_deterministic(self):
@@ -111,25 +105,6 @@ class TestSpectrumMatch:
         r1 = spectrum_match(pencil, [3.0, 1.0, 2.0])
         r2 = spectrum_match(pencil, [1.0, 2.0, 3.0])
         assert r1.max_distance == r2.max_distance
-
-    def test_subset_mode(self):
-        pencil = StructuredPencil(np.eye(3), -np.diag([1.0, 2.0, 3.0]), HERMITIAN)
-        report = spectrum_match(pencil, [2.0], allow_subset=True)
-        assert report.passed
-
-    def test_subset_distance_matches_hungarian(self):
-        rng = np.random.default_rng(13)
-        for _ in range(60):
-            n = int(rng.integers(2, 8))
-            spectrum = rng.integers(1, 5, n) + 0.5 * rng.integers(0, 2, n)  # repeats
-            pencil = StructuredPencil(np.eye(n), -np.diag(spectrum), HERMITIAN)
-            expected = rng.choice(spectrum, int(rng.integers(1, n + 1))) + rng.choice(
-                [0.0, 0.25], 1
-            )
-            report = spectrum_match(pencil, expected, allow_subset=True)
-            computed = [v for v in eigvals_pencil(pencil.m, pencil.k) if v is not None]
-            assert report.unmatched == 0
-            assert report.max_distance == hungarian_max(relative_cost(expected, computed))
 
     def test_mismatch_detected(self):
         pencil = StructuredPencil(np.eye(2), -np.diag([1.0, 2.0]), HERMITIAN)
@@ -203,10 +178,3 @@ class TestSpectrumOracle:
         assert cert.spectrum == forced.spectrum == spectrum_match(m1k1, expected)
         assert cert.passed == forced.passed
         assert cert.passed  # the update keeps its pairs whatever B1's inertia
-
-    def test_unchecked_structure_uses_the_qz(self):
-        pencil, result, problem, expected, _ = self._certified("hermitian", False)
-        cert = certify(
-            pencil, result, problem, expected_spectrum=expected, check_structure=False
-        )
-        assert cert.passed and cert.spectrum.oracle == "qz"
