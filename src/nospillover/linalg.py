@@ -237,8 +237,8 @@ def finite_eigenvalues(pairs: list[PencilEigenpair]) -> np.ndarray:
     return np.array([p.value for p in pairs if p.finite], dtype=np.complex128)
 
 
-def herm_eigs(a) -> np.ndarray:
-    """Ascending real spectrum of (A + A*)/2.
+def require_hermitian(a) -> np.ndarray:
+    """(A + A*)/2 of a square A, as a complex array.
 
     Raises NotHermitian when ||A - A*||_F > TAU_STRUCT * ||A||_F.
     """
@@ -249,7 +249,15 @@ def herm_eigs(a) -> np.ndarray:
             "matrix is not Hermitian at tolerance "
             f"{TAU_STRUCT} (residual {fnorm(a - a.conj().T) / na:.2e})"
         )
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return (a + a.conj().T) / 2.0
+
+
+def herm_eigs(a) -> np.ndarray:
+    """Ascending real spectrum of (A + A*)/2.
+
+    Raises NotHermitian when ||A - A*||_F > TAU_STRUCT * ||A||_F.
+    """
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
 def match_multisets(a, b):

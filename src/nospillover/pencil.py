@@ -72,10 +72,14 @@ _TAG_NAMES = {
 TAG_BY_NAME = {name: tag for tag, name in _TAG_NAMES.items()}
 
 
-def structure_residuals(m: np.ndarray, k: np.ndarray, tag: StructureTag):
-    """Relative symmetry residuals (for M and K) under the given tag."""
-    rm = fnorm(star(m, tag.star) - tag.eps1 * m) / max(fnorm(m), 1e-300)
-    rk = fnorm(star(k, tag.star) - tag.eps2 * k) / max(fnorm(k), 1e-300)
+def structure_residuals(m: np.ndarray, k: np.ndarray, tag: StructureTag, norms=None):
+    """Relative symmetry residuals (for M and K) under the given tag.
+
+    ``norms`` is (||M||_F, ||K||_F) when the caller has them already.
+    """
+    nm, nk = (fnorm(m), fnorm(k)) if norms is None else norms
+    rm = fnorm(star(m, tag.star) - tag.eps1 * m) / max(nm, 1e-300)
+    rk = fnorm(star(k, tag.star) - tag.eps2 * k) / max(nk, 1e-300)
     return rm, rk
 
 

@@ -38,7 +38,7 @@ from .linalg import (
     block_diag,
     eigh_definite,
     fnorm,
-    herm_eigs,
+    require_hermitian,
     unit_eigenpairs,
 )
 from .pencil import (
@@ -105,11 +105,26 @@ def _require_nonzero(lc: np.ndarray):
 
 
 def _require_positive_definite(w: np.ndarray, name: str):
-    evals = herm_eigs(w)
-    if evals[0] <= TAU_NUM * max(evals[-1], 1e-300):
-        raise NotPositiveDefinite(
-            f"{name} must be positive definite (min eigenvalue {evals[0]:.3e})"
-        )
+    """Raise NotPositiveDefinite unless lambda_min(H) > TAU_NUM * lambda_max(H)
+    for H = (W + W^*)/2, after the Hermitian check of ``herm_eigs``.
+
+    A Cholesky factor of H - 2 TAU_NUM ||H||_F I accepts without any
+    eigenvalue. ||H||_F >= lambda_max, and the factorization's backward
+    error is O(n eps) ||H||_2, so its success gives lambda_min >
+    (2 TAU_NUM - O(n eps)) ||H||_F > TAU_NUM lambda_max while n eps << TAU_NUM
+    (n eps is 5.7e-14 at n = 512). When it fails, ``eigvalsh`` decides, and
+    its min eigenvalue words the error.
+    """
+    h = require_hermitian(w)
+    b = h.real if not h.imag.any() else h
+    try:
+        np.linalg.cholesky(b - 2.0 * TAU_NUM * fnorm(b) * np.eye(b.shape[0]))
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(h)
+        if evals[0] <= TAU_NUM * max(evals[-1], 1e-300):
+            raise NotPositiveDefinite(
+                f"{name} must be positive definite (min eigenvalue {evals[0]:.3e})"
+            ) from None
 
 
 def _class_pencil(pencil: StructuredPencil, klass: str) -> StructuredPencil:
@@ -454,10 +469,9 @@ def solve_quadratic(
     change values against it, and applies the class update with the exact
     computed eigendata. ``strategy='psd-minimal'`` (hermitian class only)
     derives (Z1, Z2) from the PSD selection rule instead of explicit
-    parameters. Returns (UpdateResult, info) where info carries the
-    computed change/fixed pairs and ``problem``, the ``UpdateProblem``
-    solved (normalized change pair, lifted targets, fixed pair), for
-    certification.
+    parameters. Returns (UpdateResult, info) where info carries the lifted
+    ``pencil`` and ``problem``, the ``UpdateProblem`` solved (normalized
+    change pair, lifted targets, fixed pair), for certification.
     """
     lam_c_wanted, lam_a, tag = lift_quadratic(spec)
     pencil = StructuredPencil(m, k, tag)
@@ -479,15 +493,7 @@ def solve_quadratic(
         np.diag(lam_a),
         fixed=fixed_pair_from_eigs(fixed),
     )
-    info = {
-        "pencil": pencil,
-        "lam_c": lam_c,
-        "lam_a": lam_a,
-        "change": change,
-        "fixed": fixed,
-        "problem": problem,
-    }
-    return result, info
+    return result, {"pencil": pencil, "problem": problem}
 
 
 def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):

@@ -4,6 +4,12 @@ Everything is reported, nothing is thrown: a Certificate collects residuals
 (target, spillover), structure residuals, definiteness margins and an
 optional spectrum match, and aggregates them into a single pass flag.
 
+The target and spillover residuals are ``||M1 X Lam + K1 X||_F`` of a pair
+on the updated pencil (M1, K1). A diagonal Lam, as in every planted and
+quadratic fixed pair, is applied as a column scaling of M1 X; any other
+Lam is multiplied densely. ||M1||_F and ||K1||_F are computed once per
+certificate.
+
 The spectrum match takes the eigenvalues of a hermitian, star-odd or
 star-even pencil from the Hermitian-definite reduction when its definite
 matrix has a Cholesky factor (oracle ``"definite"``), and from a
@@ -149,9 +155,10 @@ def certify(
     """
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
     m1, k1 = pencil.m + dm, pencil.k + dk
-    cert = _pair_certificate(pencil, m1, k1, problem.fixed, tol_defl)
+    norms = fnorm(m1), fnorm(k1)
+    cert = _pair_certificate(pencil, m1, k1, norms, problem.fixed, tol_defl)
     cert.target_residual, cert.target_relative = _pair_residual(
-        m1, k1, problem.xa, problem.target_lam
+        m1, k1, norms, problem.xa, problem.target_lam
     )
     for name in psd:
         matrix = {
@@ -188,27 +195,43 @@ def certify_spillover(
     """Spillover-only certificate: the fixed pair's residual and the structure
     residuals of the updated pencil, for when no targets are known."""
     dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
-    return _pair_certificate(pencil, pencil.m + dm, pencil.k + dk, fixed, tol_defl)
+    m1, k1 = pencil.m + dm, pencil.k + dk
+    return _pair_certificate(pencil, m1, k1, (fnorm(m1), fnorm(k1)), fixed, tol_defl)
 
 
-def _pair_residual(m1, k1, x, lam) -> tuple[float, float]:
-    """||M1 X Lam + K1 X||_F, absolute and relative to (||M1|| ||Lam|| + ||K1||) ||X||."""
-    res = fnorm(m1 @ x @ lam + k1 @ x)
-    scale = (fnorm(m1) * fnorm(lam) + fnorm(k1)) * fnorm(x)
+def _pair_residual(m1, k1, norms, x, lam) -> tuple[float, float]:
+    """||M1 X Lam + K1 X||_F, absolute and relative to (||M1|| ||Lam|| + ||K1||) ||X||,
+    with ``norms`` = (||M1||_F, ||K1||_F).
+
+    A diagonal Lam (no nonzero off its diagonal) scales the columns of M1 X
+    in place of a third O(n^3) product; any other Lam, such as a realified
+    or T-SHH block, is multiplied densely.
+    """
+    diag = np.diagonal(lam)
+    if np.count_nonzero(lam) == np.count_nonzero(diag):
+        m1xl = (m1 @ x) * diag
+    else:
+        m1xl = m1 @ x @ lam
+    res = fnorm(m1xl + k1 @ x)
+    scale = (norms[0] * fnorm(lam) + norms[1]) * fnorm(x)
     return res, res / max(scale, 1e-300)
 
 
-def _pair_certificate(pencil, m1, k1, fixed, tol_defl) -> Certificate:
-    """Spillover and structure residuals of the updated pencil (M1, K1)."""
+def _pair_certificate(pencil, m1, k1, norms, fixed, tol_defl) -> Certificate:
+    """Spillover and structure residuals of the updated pencil (M1, K1),
+    whose Frobenius norms are ``norms``; J keeps them, as a signed row
+    permutation."""
     cert = Certificate(tol_defl=tol_defl)
     if fixed is not None:
         cert.spillover_residual, cert.spillover_relative = _pair_residual(
-            m1, k1, fixed.x, fixed.lam
+            m1, k1, norms, fixed.x, fixed.lam
         )
     if isinstance(pencil, SHHPencil):
-        rm, rk = structure_residuals(apply_j(m1), apply_j(k1), pencil.even_pencil().tag)
+        rm, rk = structure_residuals(
+            apply_j(m1), apply_j(k1), pencil.even_pencil().tag, norms
+        )
         cert.structure_residuals = {"jm_updated_skew": rm, "jk_updated_sym": rk}
     elif pencil.tag is not None:
-        rm, rk = structure_residuals(m1, k1, pencil.tag)
+        rm, rk = structure_residuals(m1, k1, pencil.tag, norms)
         cert.structure_residuals = {"m_updated": rm, "k_updated": rk}
     return cert

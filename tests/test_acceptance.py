@@ -293,7 +293,7 @@ class TestRecovery:
         direct = (
             case.m
             @ xn
-            @ np.diag(info["lam_c"] - info["lam_a"])
+            @ (info["problem"].change.lam - info["problem"].target_lam)
             @ xn.conj().T
             @ case.m
         )

@@ -108,7 +108,7 @@ class TestReferenceProblemThroughGeneralFamily:
         spec = QuadraticSpec("hermitian", case.lam_change, case.lam_target)
         res_q, info = solve_quadratic(case.m, case.k, spec, z1=case.z1, z2=case.z2)
         xn = res_q.provenance["xc_normalized"]
-        la = np.diag(info["lam_a"])
+        la = info["problem"].target_lam
         m1 = case.m + res_q.delta_m
         k1 = case.k + res_q.delta_k
         assert (

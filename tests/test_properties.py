@@ -194,8 +194,9 @@ class TestQuadraticRoundTrip:
         m1 = case.m + res.delta_m
         k1 = case.k + res.delta_k
         mu = finite_eigenvalues(eig_pencil(m1, k1))
+        problem = info["problem"]
         expected_mu = np.concatenate(
-            [info["lam_a"], [e.value for e in info["fixed"]]]
+            [np.diagonal(problem.target_lam), np.diagonal(problem.fixed.lam)]
         )
         dist, unmatched = match_multisets(mu, expected_mu)
         assert unmatched == 0 and dist <= 1e-6

@@ -15,6 +15,7 @@ from conftest import (
 
 from nospillover.errors import (
     EigenvalueOutsideClass,
+    NotHermitian,
     NotImaginaryDiagonal,
     NotPositiveDefinite,
     NotRealDiagonal,
@@ -24,6 +25,7 @@ from nospillover.errors import (
 from nospillover.linalg import (
     EIG_MATCH_TOL,
     TAU_DEFL,
+    TAU_NUM,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -42,6 +44,7 @@ from nospillover.pencil import (
 )
 from nospillover.special import (
     QuadraticSpec,
+    _require_positive_definite,
     definite_eig,
     hermitian_core,
     hermitian_update,
@@ -495,7 +498,8 @@ class TestZeroMhatRecovery:
         res, info = solve_quadratic(case.m, case.k, spec, mhat=np.zeros(2))
         assert fnorm(res.delta_m) == 0.0
         xn = res.provenance["xc_normalized"]
-        lam_c, lam_a = info["lam_c"], info["lam_a"]
+        problem = info["problem"]
+        lam_c, lam_a = np.diagonal(problem.change.lam), np.diagonal(problem.target_lam)
         direct = case.m @ xn @ np.diag(lam_c - lam_a) @ xn.conj().T @ case.m
         assert fnorm(res.delta_k - direct) <= 1e-13 * fnorm(direct)
         # Psi form: Psi = Lc_quad^2 - La_quad^2 with the resolved quadratic
@@ -623,3 +627,55 @@ class TestDefiniteEig:
     def test_indefinite_raises_not_positive_definite(self, tag, m, k):
         with pytest.raises(NotPositiveDefinite):
             definite_eig(StructuredPencil(m, k, tag))
+
+
+def _random_unitary(rng, n, real):
+    """A random orthogonal (real) or unitary Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) if real else crandn(rng, n, n))
+    return q
+
+
+def _eigvalsh_accepts(w):
+    evals = herm_eigs(w)
+    return bool(evals[0] > TAU_NUM * max(evals[-1], 1e-300))
+
+
+class TestRequirePositiveDefinite:
+    # lambda_min / lambda_max from 1e-8 down to 1e-15, then negative; the
+    # points within a factor 2 of TAU_NUM are skipped, since there the
+    # eigvalsh rule's own rounding, not the definiteness of W, decides
+    RATIOS = [
+        r for r in np.logspace(-8, -15, 15)
+        if not TAU_NUM / 2 <= r <= 2 * TAU_NUM
+    ] + [-1e-12, -1e-6, -0.5]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 37, 120, 300])
+    def test_same_decision_as_the_eigvalsh_rule(self, n, real):
+        rng = np.random.default_rng([n, int(real), 15])
+        q = _random_unitary(rng, n, real)
+        for ratio in self.RATIOS:
+            d = 3.0 * np.concatenate([[ratio, 1.0], rng.uniform(abs(ratio), 1.0, n - 2)])
+            w = (q * d) @ q.conj().T
+            w = (w + w.conj().T) / 2
+            if _eigvalsh_accepts(w):
+                _require_positive_definite(w, "W")
+            else:
+                with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
+                    _require_positive_definite(w, "W")
+
+    def test_well_conditioned_needs_no_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        q = _random_unitary(rng, 300, False)
+        w = (q * rng.uniform(1e-6, 1.0, 300)) @ q.conj().T
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a well-conditioned W")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        _require_positive_definite(w, "W")
+
+    def test_not_hermitian_raises(self):
+        w = np.eye(5) + np.triu(np.ones((5, 5)), 1)
+        with pytest.raises(NotHermitian):
+            _require_positive_definite(w, "W")

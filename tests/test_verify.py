@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import plant_hermitian_definite, plant_star_even, plant_star_odd
+from conftest import (
+    crandn,
+    plant_hermitian_definite,
+    plant_star_even,
+    plant_star_odd,
+    plant_t_odd_real,
+)
 
-from nospillover.linalg import TAU_STRUCT
+from nospillover.linalg import TAU_STRUCT, block_diag, fnorm
 from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
 from nospillover.randomgen import plant_problem
 from nospillover.special import hermitian_update, star_even_update, star_odd_update
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 from nospillover.unstructured import UpdateProblem, UpdateResult
-from nospillover.verify import certify, certify_spillover, spectrum_match
+from nospillover.verify import _pair_residual, certify, certify_spillover, spectrum_match
 
 
 def planted_setup(seed=1):
@@ -91,6 +97,47 @@ class TestCertify:
         cert = certify(planted.pencil, res, problem)
         lines = cert.summary_lines()
         assert lines[-1] in ("PASS", "FAIL")
+
+
+def _pair_inputs(rng, n, p):
+    m1, k1, x = crandn(rng, n, n), crandn(rng, n, n), crandn(rng, n, p)
+    return m1, k1, (fnorm(m1), fnorm(k1)), x
+
+
+class TestPairResidual:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_diagonal_lambda_matches_the_dense_product(self, n):
+        rng = np.random.default_rng([n, 11])
+        m1, k1, norms, x = _pair_inputs(rng, n, n - 4)
+        lam = np.diag(crandn(rng, n - 4))
+        res, rel = _pair_residual(m1, k1, norms, x, lam)
+        dense = fnorm(m1 @ x @ lam + k1 @ x)
+        assert abs(res - dense) <= 1e-13 * dense
+        scale = (norms[0] * fnorm(lam) + norms[1]) * fnorm(x)
+        assert abs(rel - dense / scale) <= 1e-13 * dense / scale
+
+    def test_realified_block_lambda_takes_the_dense_product(self):
+        # a realified conjugate pair (x, a + ib) of a real T-odd pencil is
+        # ([re x, im x], [[a, b], [-b, a]]): a column scaling would drop the b's
+        pencil, _, fixed = plant_t_odd_real(31, n=8, pairs=1)
+        upper = [e for e in fixed if e.value.imag > 0][:2]
+        x = np.hstack([np.column_stack([e.vector.real, e.vector.imag]) for e in upper])
+        lam = block_diag(
+            *[np.array([[e.value.real, e.value.imag], [-e.value.imag, e.value.real]])
+              for e in upper]
+        )
+        m1, k1 = pencil.m.astype(complex), pencil.k.astype(complex)
+        res, rel = _pair_residual(m1, k1, (fnorm(m1), fnorm(k1)), x, lam)
+        assert res == fnorm(m1 @ x @ lam + k1 @ x)
+        assert rel <= 1e-13
+
+    def test_zero_on_the_diagonal_off_diagonal_nonzero_is_dense(self):
+        rng = np.random.default_rng(12)
+        m1, k1, norms, x = _pair_inputs(rng, 16, 3)
+        lam = crandn(rng, 3, 3)
+        lam[1, 1] = 0.0
+        res, _ = _pair_residual(m1, k1, norms, x, lam)
+        assert res == fnorm(m1 @ x @ lam + k1 @ x)
 
 
 class TestSpectrumMatch:
