@@ -5,12 +5,16 @@ Subcommands: solve (problem file -> delta file + certificate), verify
 cases), random (seeded planted problem files).
 
 Exit codes: 0 success/pass, 1 certificate failure, 2 schema error,
-3 mathematical precondition failure (prints the error class name).
+3 mathematical precondition failure (prints the error class name). A
+closed standard output (``nospillover reproduce all | head -n 1``) ends the
+run quietly with 141, the shell's status for a SIGPIPE, so it is never
+read as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -317,9 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

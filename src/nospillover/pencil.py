@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, MissingStar, NotPositiveDefinite, NotStructured
-from .linalg import TAU_NUM, TAU_STRUCT, as_matrix, fnorm, require_square
+from .linalg import TAU_NUM, TAU_STRUCT, as_matrix, fnorm, require_square, star_residual
 
 STAR_CONJ = "*"
 STAR_TRANS = "T"
@@ -73,13 +73,15 @@ TAG_BY_NAME = {name: tag for tag, name in _TAG_NAMES.items()}
 
 
 def structure_residuals(m: np.ndarray, k: np.ndarray, tag: StructureTag, norms=None):
-    """Relative symmetry residuals (for M and K) under the given tag.
+    """Relative symmetry residuals ||M^star - eps1 M||_F / ||M||_F (and the
+    same for K, eps2) under the given tag, by the tiled ``star_residual``.
 
     ``norms`` is (||M||_F, ||K||_F) when the caller has them already.
     """
     nm, nk = (fnorm(m), fnorm(k)) if norms is None else norms
-    rm = fnorm(star(m, tag.star) - tag.eps1 * m) / max(nm, 1e-300)
-    rk = fnorm(star(k, tag.star) - tag.eps2 * k) / max(nk, 1e-300)
+    conjugate = tag.star == STAR_CONJ
+    rm = star_residual(m, conjugate, tag.eps1) / max(nm, 1e-300)
+    rk = star_residual(k, conjugate, tag.eps2) / max(nk, 1e-300)
     return rm, rk
 
 
@@ -89,9 +91,10 @@ def classify_structure(m, k, tol: float = TAU_STRUCT) -> list[StructureTag]:
     k = as_matrix(k, "K")
     if k.shape != m.shape:
         raise DimensionMismatch(f"M is {m.shape} but K is {k.shape}")
+    norms = fnorm(m), fnorm(k)
     found = []
     for tag in ALL_TAGS:
-        rm, rk = structure_residuals(m, k, tag)
+        rm, rk = structure_residuals(m, k, tag, norms)
         if rm <= tol and rk <= tol:
             found.append(tag)
     return found

@@ -36,9 +36,9 @@ from .linalg import (
     PencilEigenpair,
     as_matrix,
     block_diag,
+    check_hermitian,
     eigh_definite,
     fnorm,
-    require_hermitian,
     unit_eigenpairs,
 )
 from .pencil import (
@@ -106,21 +106,24 @@ def _require_nonzero(lc: np.ndarray):
 
 def _require_positive_definite(w: np.ndarray, name: str):
     """Raise NotPositiveDefinite unless lambda_min(H) > TAU_NUM * lambda_max(H)
-    for H = (W + W^*)/2, after the Hermitian check of ``herm_eigs``.
+    for H = (W + W^*)/2, after the Hermitian check of ``check_hermitian``.
 
-    A Cholesky factor of H - 2 TAU_NUM ||H||_F I accepts without any
-    eigenvalue. ||H||_F >= lambda_max, and the factorization's backward
-    error is O(n eps) ||H||_2, so its success gives lambda_min >
-    (2 TAU_NUM - O(n eps)) ||H||_F > TAU_NUM lambda_max while n eps << TAU_NUM
-    (n eps is 5.7e-14 at n = 512). When it fails, ``eigvalsh`` decides, and
-    its min eigenvalue words the error.
+    A Cholesky factor accepts without any eigenvalue. It reads the lower
+    triangle of W, which is the Hermitian H_L with ||H_L - H||_2 <=
+    ||W - W^*||_F, and its diagonal is shifted down in place by
+    s = 2 TAU_NUM ||W||_F + ||W - W^*||_F. Its backward error is O(n eps)
+    ||W||_2, so by Weyl's bound its success gives lambda_min(H) >
+    (2 TAU_NUM - O(n eps)) ||W||_F > TAU_NUM lambda_max(H) while
+    n eps << TAU_NUM (n eps is 5.7e-14 at n = 512). When it fails,
+    ``eigvalsh`` of H decides, and its min eigenvalue words the error.
     """
-    h = require_hermitian(w)
-    b = h.real if not h.imag.any() else h
+    w, nw, asym = check_hermitian(w)
+    b = np.array(w.real if not w.imag.any() else w)
+    b.flat[:: b.shape[0] + 1] -= 2.0 * TAU_NUM * nw + asym
     try:
-        np.linalg.cholesky(b - 2.0 * TAU_NUM * fnorm(b) * np.eye(b.shape[0]))
+        np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        evals = np.linalg.eigvalsh(h)
+        evals = np.linalg.eigvalsh((w + w.conj().T) / 2.0)
         if evals[0] <= TAU_NUM * max(evals[-1], 1e-300):
             raise NotPositiveDefinite(
                 f"{name} must be positive definite (min eigenvalue {evals[0]:.3e})"

@@ -26,8 +26,9 @@ from .linalg import (
     gramian_scale,
     require_square,
     scaled_rcond,
+    star_residual,
 )
-from .pencil import StructuredPencil, StructureTag, star
+from .pencil import STAR_CONJ, StructuredPencil, StructureTag, star
 from .unstructured import UpdateResult, core_family
 
 # G is treated as singular below this reciprocal condition number; we error
@@ -116,10 +117,10 @@ def core_structure_flags(
     disagreement is surfaced as a diagnostic rather than resolved silently.
     """
     mh, kh = core.mhat, core.khat
-    s = tag.star
+    conjugate = tag.star == STAR_CONJ
 
     def _sym(a, eps):
-        return fnorm(star(a, s) - eps * a) <= tol * max(fnorm(a), 1e-300)
+        return star_residual(a, conjugate, eps) <= tol * max(fnorm(a), 1e-300)
 
     direct = _sym(mh, tag.eps1) and _sym(kh, tag.eps2)
     alt = _sym(mh, tag.eps1) and _sym((mh + g) @ lam_a, tag.eps2)

@@ -10,6 +10,13 @@ quadratic fixed pair, is applied as a column scaling of M1 X; any other
 Lam is multiplied densely. ||M1||_F and ||K1||_F are computed once per
 certificate.
 
+Cost model: each pair block costs one O(n^3) product pair, M1 X and K1 X.
+Everything else is O(n^2) and reads each n x n matrix in contiguous
+passes. M1 = M + (left mhat) right is formed once, from the factors of a
+factored update; dM and dK are formed only when ``psd`` names them. The
+structure residuals are tiled passes (``linalg.star_residual``), not a
+transposed read of a whole matrix.
+
 The spectrum match takes the eigenvalues of a hermitian, star-odd or
 star-even pencil from the Hermitian-definite reduction when its definite
 matrix has a Cholesky factor (oracle ``"definite"``), and from a
@@ -22,11 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularPencil
+from .errors import NonFiniteEntries, SingularPencil
 from .linalg import (
     TAU_DEFL,
     TAU_STRUCT,
-    as_matrix,
     eig_pencil,  # noqa: F401  perfbench/tests wraps verify.eig_pencil by this name
     eigvals_pencil,
     fnorm,
@@ -153,20 +159,18 @@ def certify(
     SHH pencil they are those of the star-even pencil J L(lambda) after the
     update, reported as ``jm_updated_skew`` and ``jk_updated_sym``.
     """
-    dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
-    m1, k1 = pencil.m + dm, pencil.k + dk
-    norms = fnorm(m1), fnorm(k1)
+    m1, k1, norms = _updated_pencil(pencil, result)
     cert = _pair_certificate(pencil, m1, k1, norms, problem.fixed, tol_defl)
     cert.target_residual, cert.target_relative = _pair_residual(
         m1, k1, norms, problem.xa, problem.target_lam
     )
     for name in psd:
         matrix = {
-            "delta_m": dm,
-            "delta_k": dk,
-            "m_updated": m1,
-            "k_updated": k1,
-        }[name]
+            "delta_m": lambda: result.delta_m,
+            "delta_k": lambda: result.delta_k,
+            "m_updated": lambda: m1,
+            "k_updated": lambda: k1,
+        }[name]()
         evals = herm_eigs(matrix)
         scale = max(fnorm(matrix), 1e-300)
         cert.definiteness[name] = float(evals[0]) / scale
@@ -194,9 +198,32 @@ def certify_spillover(
 ) -> Certificate:
     """Spillover-only certificate: the fixed pair's residual and the structure
     residuals of the updated pencil, for when no targets are known."""
-    dm, dk = as_matrix(result.delta_m, "dM"), as_matrix(result.delta_k, "dK")
-    m1, k1 = pencil.m + dm, pencil.k + dk
-    return _pair_certificate(pencil, m1, k1, (fnorm(m1), fnorm(k1)), fixed, tol_defl)
+    return _pair_certificate(pencil, *_updated_pencil(pencil, result), fixed, tol_defl)
+
+
+def _updated_pencil(pencil, result: UpdateResult):
+    """(M1, K1, (||M1||_F, ||K1||_F)) of the updated pencil M1 = M + dM,
+    K1 = K + dK.
+
+    A factored update forms (left @ mhat) @ right, the same product as
+    ``result.delta_m``, and adds M to it in place, so M1 equals
+    ``pencil.m + result.delta_m`` bit for bit without a separate dM. M and K
+    are finite, so a NaN or Inf in the update shows in the norms; it raises
+    NonFiniteEntries, named for dM or dK.
+    """
+    if result.factors is not None:
+        left, mhat, khat, right = result.factors
+        m1, k1 = (((left @ core) @ right).astype(np.complex128, copy=False)
+                  for core in (mhat, khat))
+        m1 += pencil.m
+        k1 += pencil.k
+    else:
+        m1, k1 = pencil.m + result.dense[0], pencil.k + result.dense[1]
+    norms = fnorm(m1), fnorm(k1)
+    for name, matrix, norm in (("dM", m1, norms[0]), ("dK", k1, norms[1])):
+        if not np.isfinite(norm) and not np.isfinite(matrix).all():
+            raise NonFiniteEntries(f"{name} contains NaN or Inf entries")
+    return m1, k1, norms
 
 
 def _pair_residual(m1, k1, norms, x, lam) -> tuple[float, float]:
@@ -205,14 +232,16 @@ def _pair_residual(m1, k1, norms, x, lam) -> tuple[float, float]:
 
     A diagonal Lam (no nonzero off its diagonal) scales the columns of M1 X
     in place of a third O(n^3) product; any other Lam, such as a realified
-    or T-SHH block, is multiplied densely.
+    or T-SHH block, is multiplied densely. The sum is accumulated in M1 X.
     """
     diag = np.diagonal(lam)
+    r = m1 @ x
     if np.count_nonzero(lam) == np.count_nonzero(diag):
-        m1xl = (m1 @ x) * diag
+        r *= diag
     else:
-        m1xl = m1 @ x @ lam
-    res = fnorm(m1xl + k1 @ x)
+        r = r @ lam
+    r += k1 @ x
+    res = fnorm(r)
     scale = (norms[0] * fnorm(lam) + norms[1]) * fnorm(x)
     return res, res / max(scale, 1e-300)
 

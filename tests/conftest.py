@@ -139,13 +139,18 @@ def plant_t_even_real(seed, n=6, pairs=1):
     return pencil, change, fixed
 
 
-def run_fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
+def fresh_python_env():
+    """The environment of a new interpreter that imports this checkout's package."""
     src = str(Path(nospillover.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
     return subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=fresh_python_env(),
         capture_output=True,
         text=True,
     )

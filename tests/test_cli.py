@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_fresh_python
+from conftest import fresh_python_env, run_fresh_python
 
 from nospillover import fileio, randomgen
 from nospillover.cases import CASES, run_case
@@ -429,6 +432,21 @@ class TestReproduce:
                 "  PASS",
             ]
         assert masked.splitlines() == expected
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader is gone before the first write, as for `reproduce all | head -n 1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nospillover.cli", "reproduce", "herm-6.1", "--brief"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=fresh_python_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     @pytest.mark.parametrize("case_id", list(CASES))
     def test_residuals_are_the_certificates(self, case_id):

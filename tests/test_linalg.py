@@ -16,6 +16,7 @@ from nospillover.linalg import (
     as_matrix,
     assignment_max_cost,
     block_diag,
+    check_hermitian,
     eig_pencil,
     eigvals_pencil,
     finite_eigenvalues,
@@ -23,6 +24,7 @@ from nospillover.linalg import (
     herm_eigs,
     match_multisets,
     pseudoinverse,
+    star_residual,
 )
 
 
@@ -166,6 +168,43 @@ class TestHermEigs:
     def test_not_hermitian_raises(self):
         with pytest.raises(NotHermitian):
             herm_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestStarResidual:
+    # around one and two tiles of 64, and the size the benchmark runs
+    SIZES = [1, 2, 63, 64, 65, 130, 257, 512]
+    KINDS = [(True, 1), (True, -1), (False, 1), (False, -1)]  # (conjugate, eps)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_the_dense_residual(self, n):
+        rng = np.random.default_rng([n, 21])
+        for a in (rng.standard_normal((n, n)), crandn(rng, n, n)):
+            for conjugate, eps in self.KINDS:
+                adjoint = a.conj().T if conjugate else a.T
+                dense = fnorm(adjoint - eps * a)
+                assert abs(star_residual(a, conjugate, eps) - dense) <= 1e-14 * dense
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_one_asymmetric_corner_entry_is_caught(self, n):
+        # (0, n-1) and its mirror lie in the last tile pair of the first row
+        rng = np.random.default_rng([n, 22])
+        b = crandn(rng, n, n)
+        for conjugate, eps in self.KINDS:
+            a = (b + eps * (b.conj().T if conjugate else b.T)) / 2
+            assert star_residual(a, conjugate, eps) == 0.0
+            a[0, n - 1] += 0.5
+            expected = np.sqrt(2.0) * 0.5
+            assert abs(star_residual(a, conjugate, eps) - expected) <= 1e-14 * expected
+
+    def test_check_hermitian_keeps_a_complex_input(self):
+        a = crandn(np.random.default_rng(23), 70, 70)
+        a = a + a.conj().T
+        same, na, asym = check_hermitian(a)
+        assert same is a and na == fnorm(a) and asym == 0.0
+
+    def test_check_hermitian_rejects_nan(self):
+        with pytest.raises(NonFiniteEntries):
+            check_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestMatchMultisets:

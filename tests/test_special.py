@@ -679,3 +679,23 @@ class TestRequirePositiveDefinite:
         w = np.eye(5) + np.triu(np.ones((5, 5)), 1)
         with pytest.raises(NotHermitian):
             _require_positive_definite(w, "W")
+
+
+def test_positive_definite_lower_triangle_does_not_decide():
+    # Cholesky reads only W's lower triangle. Here that triangle is the
+    # positive definite P (lambda_min 5e-11), while W stays within TAU_STRUCT
+    # of Hermitian and its Hermitian part H = P - D has a negative eigenvalue:
+    # the shift by ||W - W^*||_F must make the Cholesky fail, so eigvalsh of H
+    # decides and rejects W.
+    rng = np.random.default_rng(17)
+    n = 50
+    q = _random_unitary(rng, n, True)
+    p = (q * np.concatenate([[5e-11], rng.uniform(0.1, 1.0, n - 1)])) @ q.T
+    p = (p + p.T) / 2
+    v = q[:, 0]
+    d = 1e-10 * (np.outer(v, v) - np.diag(v * v))
+    w = np.tril(p) + np.triu(p - 2 * d, 1)
+    assert np.linalg.eigvalsh((w + w.T) / 2)[0] < 0
+    np.linalg.cholesky(w - 2 * TAU_NUM * fnorm(w) * np.eye(n))  # P alone passes
+    with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
+        _require_positive_definite(w, "W")

@@ -10,9 +10,11 @@ from conftest import (
     plant_t_odd_real,
 )
 
+from nospillover import cli, fileio, verify
+from nospillover.errors import NonFiniteEntries
 from nospillover.linalg import TAU_STRUCT, block_diag, fnorm
 from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
-from nospillover.randomgen import plant_problem
+from nospillover.randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
 from nospillover.special import hermitian_update, star_even_update, star_odd_update
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 from nospillover.unstructured import UpdateProblem, UpdateResult
@@ -97,6 +99,122 @@ class TestCertify:
         cert = certify(planted.pencil, res, problem)
         lines = cert.summary_lines()
         assert lines[-1] in ("PASS", "FAIL")
+
+
+def planted_solve(klass, seed=5, n=12, p=2):
+    """(pencil, result, problem) of a class, as ``random`` plants the problem
+    and ``solve`` updates it, with the hidden fixed pair in the problem."""
+    if klass == "star-shh":
+        planted = plant_star_shh(seed, n // 2, p // 2, p % 2)
+    elif klass == "t-shh":
+        planted = plant_t_shh(seed, n // 2)
+    else:
+        planted = plant_problem(seed, n, p, klass)
+    pf = fileio.ProblemFile(
+        structure=klass,
+        m=planted.pencil.m,
+        k=planted.pencil.k,
+        change=fileio.PairBlock(x=planted.change.x, lam=planted.change.lam),
+        targets=fileio.PairBlock(lam=planted.target_lam),
+        fixed=fileio.PairBlock(x=planted.fixed.x, lam=planted.fixed.lam),
+        parameters=planted.parameters,
+    )
+    pencil, result, problem, _ = cli._solve_structured(pf)
+    return pencil, result, problem
+
+
+def _definite_solve(klass):
+    plant, update, z = {
+        "hermitian": (plant_hermitian_definite, hermitian_update, [0.3, -0.2]),
+        "star-odd": (plant_star_odd, star_odd_update, [0.3, -0.2]),
+        "star-even": (plant_star_even, star_even_update, [0.3j, -0.2j]),
+    }[klass]
+    pencil, xc, lam_c, xf, lam_f = plant(8)
+    result = update(pencil, xc, lam_c, 1.1 * lam_c, z1=z)
+    prov = result.provenance
+    problem = UpdateProblem(
+        DeflatingPair(prov["xc_normalized"], np.diag(prov["lam_c"])),
+        np.diag(prov["lam_a"]),
+        fixed=DeflatingPair(xf, np.diag(lam_f)),
+    )
+    return pencil, result, problem
+
+
+def _certified_pencils(monkeypatch, run):
+    """The (M1, K1) every ``_pair_residual`` call of ``run()`` receives."""
+    seen, pair_residual = [], verify._pair_residual
+
+    def spy(m1, k1, *args):
+        seen.append((m1, k1))
+        return pair_residual(m1, k1, *args)
+
+    monkeypatch.setattr(verify, "_pair_residual", spy)
+    run()
+    return seen
+
+
+class TestUpdatedPencil:
+    def _assert_bit_identical(self, monkeypatch, pencil, result, problem):
+        m1 = (pencil.m + result.delta_m).tobytes()
+        k1 = (pencil.k + result.delta_k).tobytes()
+        for run in (
+            lambda: certify(pencil, result, problem),
+            lambda: certify_spillover(pencil, result, problem.fixed),
+        ):
+            seen = _certified_pencils(monkeypatch, run)
+            assert seen
+            for got_m1, got_k1 in seen:
+                assert got_m1.tobytes() == m1 and got_k1.tobytes() == k1
+
+    @pytest.mark.parametrize("klass", RANDOM_CLASSES)
+    def test_planted_class_m1_k1_are_m_plus_dm(self, monkeypatch, klass):
+        pencil, result, problem = planted_solve(klass)
+        assert result.factors is not None
+        assert certify(pencil, result, problem).passed
+        self._assert_bit_identical(monkeypatch, pencil, result, problem)
+
+    @pytest.mark.parametrize("klass", ["hermitian", "star-odd", "star-even"])
+    def test_definite_recipe_m1_k1_are_m_plus_dm(self, monkeypatch, klass):
+        pencil, result, problem = _definite_solve(klass)
+        assert result.factors is not None
+        self._assert_bit_identical(monkeypatch, pencil, result, problem)
+
+    # an Inf times a zero entry of the next factor is a NaN, with numpy's warning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize(
+        "factor, named", [("left", "dM"), ("mhat", "dM"), ("khat", "dK")]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_factor_raises(self, factor, named, value):
+        pencil, result, problem = planted_solve("hermitian")
+        factors = dict(zip(("left", "mhat", "khat", "right"), result.factors))
+        factors[factor] = factors[factor].copy()
+        factors[factor][0, 0] = value
+        bad = UpdateResult(factors=tuple(factors.values()))
+        with pytest.raises(NonFiniteEntries, match=named):
+            certify(pencil, bad, problem)
+        with pytest.raises(NonFiniteEntries, match=named):
+            certify_spillover(pencil, bad, problem.fixed)
+
+    @pytest.mark.parametrize("which, named", [(0, "dM"), (1, "dK")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_dense_update_raises(self, which, named, value):
+        pencil, result, problem = planted_solve("symmetric")
+        dense = [np.array(result.delta_m), np.array(result.delta_k)]
+        dense[which][1, 2] = value
+        bad = UpdateResult(dense=tuple(dense))
+        with pytest.raises(NonFiniteEntries, match=named):
+            certify(pencil, bad, problem)
+        with pytest.raises(NonFiniteEntries, match=named):
+            certify_spillover(pencil, bad, problem.fixed)
+
+    def test_psd_forms_the_named_update(self):
+        pencil, result, problem = _definite_solve("hermitian")
+        cert = certify(pencil, result, problem, psd=("delta_m", "k_updated"))
+        assert set(cert.definiteness) == {"delta_m", "k_updated"}
+        dm = result.delta_m
+        expected = np.linalg.eigvalsh((dm + dm.conj().T) / 2)[0] / fnorm(dm)
+        assert cert.definiteness["delta_m"] == pytest.approx(expected, abs=1e-15)
 
 
 def _pair_inputs(rng, n, p):
