@@ -24,7 +24,7 @@ from .pencil import (
     gramians,
     normalize_columns,
 )
-from .shh import EigGrouping, SHHPencil, shh_update, star_shh_core, t_shh_update
+from .shh import EigGrouping, SHHPencil, shh_update, t_shh_update
 from .special import (
     QuadraticSpec,
     hermitian_update,
@@ -94,7 +94,6 @@ __all__ = [
     "spectrum_match",
     "star_even_update",
     "star_odd_update",
-    "star_shh_core",
     "structured_update",
     "t_even_real_update",
     "t_odd_real_update",

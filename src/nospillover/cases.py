@@ -16,8 +16,9 @@ import numpy as np
 
 from .linalg import TAU_STRUCT, eig_pencil, herm_eigs, largest_entry_scaled
 from .pencil import DeflatingPair, structure_residuals
-from .shh import SHHPencil, apply_j, shh_gramian, shh_update, star_shh_core
+from .shh import SHHPencil, apply_j, shh_gramian, shh_update
 from .special import QuadraticSpec, solve_quadratic
+from .structured import parametrized_core
 from .unstructured import UpdateProblem
 from .verify import TAU_PSD, Certificate, certify
 
@@ -195,7 +196,6 @@ class ReferenceCase:
     lam_target: tuple
     z1: np.ndarray
     z2: np.ndarray
-    num_couples: int = 0
     printed_delta_m: np.ndarray | None = None
     printed_delta_k: np.ndarray | None = None
     printed_spillover: float = 0.0
@@ -285,7 +285,6 @@ CASES = {
         lam_target=(-0.76954 + 0.53243j, 0.76954 + 0.53243j, -3.22147j),
         z1=np.asarray(_S7_Z1, dtype=complex),
         z2=np.asarray(_S7_Z2, dtype=complex),
-        num_couples=1,
         printed_delta_m=np.asarray(_S7_DM, dtype=complex),
         printed_delta_k=np.asarray(_S7_DK, dtype=complex),
         printed_spillover=1.5519e-14,
@@ -429,6 +428,6 @@ def _solve_shh_case(case: ReferenceCase):
 
     change, lam_a = pair(chosen), np.diag(case.lam_target)
     g, _ = shh_gramian(shh, change.x)
-    core = star_shh_core(g, change.lam, lam_a, case.z1, case.z2, case.num_couples)
+    core = parametrized_core(g, change.lam, lam_a, case.z1, case.z2)
     result = shh_update(shh, change.x, change.lam, lam_a, core)
     return shh, result, UpdateProblem(change, lam_a, fixed=pair(available))

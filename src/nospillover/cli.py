@@ -25,7 +25,7 @@ from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaErr
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .shh import SHHPencil, shh_gramian, shh_update, star_shh_core, t_shh_mhat
+from .shh import SHHPencil, shh_gramian, shh_update, t_shh_core, t_shh_mhat
 from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
 from .structured import (
     change_gramian,
@@ -118,13 +118,9 @@ def _as_square(v):
 
 
 def _core_from_parameters(pf, g, lam_c, lam_a):
+    """The core the file's parameters give: T-SHH ``t_shh_mhat`` parameters,
+    the scaled-Gramian ``t``, (Z1, Z2), or Mh (zero when none is given)."""
     params = pf.parameters
-    p = g.shape[0]
-    z1 = params.get("z1", np.zeros((p, p)))
-    z2 = params.get("z2", np.zeros((p, p)))
-    has_z = "z1" in params or "z2" in params
-    if pf.structure == "star-shh" and has_z:
-        return star_shh_core(g, lam_c, lam_a, z1, z2, params.get("num_couples", 0))
     if pf.structure == "t-shh" and "quad_alpha" in params:
         shape = (
             params.get("num_quadruples", 0),
@@ -132,14 +128,14 @@ def _core_from_parameters(pf, g, lam_c, lam_a):
             params.get("num_real_pairs", 0),
         )
         betas = [params.get(key, []) for key in ("quad_beta", "imag_beta", "real_beta")]
-        return complete_core(
-            g.real, lam_c, lam_a, t_shh_mhat(shape, params["quad_alpha"], *betas)
-        )
+        return t_shh_core(g, lam_c, lam_a, t_shh_mhat(shape, params["quad_alpha"], *betas))
     if "t" in params:
         return scaled_gramian_core(g, lam_c, lam_a, params["t"])
-    if has_z:
-        return parametrized_core(g, lam_c, lam_a, _as_square(z1), _as_square(z2))
-    return complete_core(g, lam_c, lam_a, _as_square(params.get("mhat", np.zeros_like(g))))
+    zero = np.zeros_like(g)
+    if "z1" in params or "z2" in params:
+        z1, z2 = (_as_square(params.get(key, zero)) for key in ("z1", "z2"))
+        return parametrized_core(g, lam_c, lam_a, z1, z2)
+    return complete_core(g, lam_c, lam_a, _as_square(params.get("mhat", zero)))
 
 
 def _solve_structured(pf):

@@ -86,18 +86,6 @@ class EigenvalueOutsideClass(NoSpilloverError):
     """A quadratic eigenvalue is not admissible for the requested class."""
 
 
-class NotSimpleEigenvalues(NoSpilloverError):
-    """The Gramian does not have the block form implied by simple eigenvalues."""
-
-
-class BadBlockPattern(NoSpilloverError):
-    """A parameter matrix violates its required block pattern."""
-
-
-class RepeatedEigenvalue(NoSpilloverError):
-    """Change eigenvalues must be distinct but are not."""
-
-
 class NotStructured(NoSpilloverError):
     """A pencil fails the symmetry test of its structure tag, beyond tolerance."""
 

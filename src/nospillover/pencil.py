@@ -125,6 +125,15 @@ class StructuredPencil:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
 
+    @classmethod
+    def _prechecked(cls, m: np.ndarray, k: np.ndarray, tag: StructureTag | None):
+        """The pencil of complex128 M and K whose tag residuals the caller has
+        already checked: neither is copied or checked again."""
+        pencil = object.__new__(cls)
+        for name, value in (("m", m), ("k", k), ("tag", tag)):
+            object.__setattr__(pencil, name, value)
+        return pencil
+
     @property
     def n(self) -> int:
         return self.m.shape[0]

@@ -293,7 +293,11 @@ def random_shh_pencil(rng, half_n: int, which_star: str) -> SHHPencil:
 
 
 def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
-    """Patterned (Z1, Z2) of ``star_shh_core``, from the stream [seed, 778]."""
+    """Patterned (Z1, Z2), from the stream [seed, 778]: couple blocks
+    [[0, a], [-conj a, 0]] and [[0, b], [conj b, 0]], then an imaginary Z1
+    and a real Z2 tail, which make lambda*Mh + Kh (*, -1, 1)-structured.
+    ``num_couples`` is written with them to keep the files' bytes; no code
+    reads it."""
     rng = np.random.default_rng([seed, 778])
     z1 = np.zeros((p, p), dtype=complex)
     z2 = np.zeros((p, p), dtype=complex)

@@ -12,17 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadBlockPattern,
-    BadBlockShape,
-    ComplexInput,
-    DimensionMismatch,
-    NotSHH,
-    NotSimpleEigenvalues,
-    NotStructured,
-    RepeatedEigenvalue,
-    SingularG,
-)
+from .errors import BadBlockShape, ComplexInput, DimensionMismatch, NotSHH, NotStructured
 from .linalg import (
     EIG_MATCH_TOL,
     J2,
@@ -34,7 +24,6 @@ from .linalg import (
 )
 from .pencil import STAR_CONJ, STAR_TRANS, StructuredPencil, StructureTag, star
 from .structured import (
-    G_RCOND_CUTOFF,
     CoreSolution,
     change_gramian,
     complete_core,
@@ -43,7 +32,7 @@ from .structured import (
 )
 from .unstructured import UpdateResult
 
-_PATTERN_TOL = 1e-8  # relative tolerance for G / parameter block patterns
+_PATTERN_TOL = 1e-8  # relative tolerance of the real-data checks
 
 
 def canonical_j(size: int) -> np.ndarray:
@@ -136,95 +125,6 @@ def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateRe
     result.factors = (apply_j(u, transpose=True), mhat, khat, us)
     result.provenance["method"] = "shh"
     return result
-
-
-# ---------------------------------------------------------------------------
-# complex *-SHH: couples (lambda, -conj(lambda)) plus imaginary singles
-
-def _couple_count_ok(lam_diag: np.ndarray, num_couples: int) -> bool:
-    p = lam_diag.size
-    return 0 <= 2 * num_couples <= p
-
-
-def _validate_star_grouped_lambda(lam, num_couples: int, name: str) -> np.ndarray:
-    """diag(l1, -conj(l1), ..., lm, -conj(lm), imaginary tail)."""
-    lam = require_square(as_matrix(lam, name), name)
-    d = np.diag(lam)
-    if fnorm(lam - np.diag(d)) > _PATTERN_TOL * max(fnorm(lam), 1e-300):
-        raise BadBlockPattern(f"{name} must be diagonal")
-    if not _couple_count_ok(d, num_couples):
-        raise BadBlockPattern("num_couples does not fit the matrix size")
-    for j in range(num_couples):
-        a, b = d[2 * j], d[2 * j + 1]
-        if abs(b + np.conj(a)) > EIG_MATCH_TOL * (1 + abs(a)):
-            raise BadBlockPattern(
-                f"{name} entries {2 * j},{2 * j + 1} are not a (l, -conj l) couple"
-            )
-        if abs(a.real) <= EIG_MATCH_TOL * (1 + abs(a)):
-            raise BadBlockPattern(
-                f"{name} couple value {a} should have nonzero real part"
-            )
-    for kk in range(2 * num_couples, d.size):
-        if abs(d[kk].real) > EIG_MATCH_TOL * (1 + abs(d[kk])):
-            raise BadBlockPattern(f"{name} tail entry {d[kk]} must be imaginary")
-    return lam
-
-
-def _check_block_pattern(z: np.ndarray, num_couples: int, kind: str, name: str):
-    """kind 'z1': couples [[0, a], [-conj a, 0]], imaginary tail;
-    kind 'z2': couples [[0, b], [conj b, 0]], real tail."""
-    p = z.shape[0]
-    scale = max(fnorm(z), 1e-300)
-    mask = np.zeros((p, p), dtype=bool)
-    for j in range(num_couples):
-        i0 = 2 * j
-        mask[i0, i0 + 1] = mask[i0 + 1, i0] = True
-        a = z[i0, i0 + 1]
-        mirror = -np.conj(a) if kind == "z1" else np.conj(a)
-        if abs(z[i0 + 1, i0] - mirror) > _PATTERN_TOL * scale:
-            raise BadBlockPattern(f"{name} couple block {j} violates its pattern")
-    for kk in range(2 * num_couples, p):
-        mask[kk, kk] = True
-        v = z[kk, kk]
-        bad = abs(v.real) if kind == "z1" else abs(v.imag)
-        if bad > _PATTERN_TOL * scale:
-            raise BadBlockPattern(
-                f"{name} tail entry {kk} must be "
-                + ("imaginary" if kind == "z1" else "real")
-            )
-    if np.abs(np.where(mask, 0.0, z)).max(initial=0.0) > _PATTERN_TOL * scale:
-        raise BadBlockPattern(f"{name} has entries outside its block pattern")
-
-
-def _validate_star_gramian(g: np.ndarray, num_couples: int):
-    """G = diag(G_1, ..., G_m, g_{m+1}, ..., g_p), G_j = [[0, g], [-conj g, 0]],
-    imaginary tail; the form implied by simple grouped eigenvalues."""
-    try:
-        _check_block_pattern(g, num_couples, "z1", "G")
-    except BadBlockPattern as exc:
-        raise NotSimpleEigenvalues(
-            f"Gramian does not have the simple-eigenvalue block form: {exc}"
-        ) from None
-
-
-def star_shh_core(g, lam_c, lam_a, z1, z2, num_couples: int) -> CoreSolution:
-    """Structured core for *-SHH from patterned parameters (Z1, Z2).
-
-    Z1 carries couple blocks [[0, a], [-conj a, 0]] and an imaginary tail;
-    Z2 couple blocks [[0, b], [conj b, 0]] and a real tail. The resulting
-    dM is *-skew-Hamiltonian and dK *-Hamiltonian.
-    """
-    g = require_square(as_matrix(g, "G"), "G")
-    lam_c = _validate_star_grouped_lambda(lam_c, num_couples, "Lambda_c")
-    lam_a = _validate_star_grouped_lambda(lam_a, num_couples, "Lambda_a")
-    z1 = require_square(as_matrix(z1, "Z1"), "Z1")
-    z2 = require_square(as_matrix(z2, "Z2"), "Z2")
-    if not (g.shape == lam_c.shape == lam_a.shape == z1.shape == z2.shape):
-        raise DimensionMismatch("G, Lc, La, Z1, Z2 must all be p x p")
-    _validate_star_gramian(g, num_couples)
-    _check_block_pattern(z1, num_couples, "z1", "Z1")
-    _check_block_pattern(z2, num_couples, "z2", "Z2")
-    return parametrized_core(g, lam_c, lam_a, z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -390,39 +290,14 @@ def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.nda
     return block_diag(*z1b), block_diag(*z2b)
 
 
-def _validate_t_gramian(g: np.ndarray, shape):
-    """G = diag of [[0, uI+vJ], [-uI+vJ, 0]] quadruple blocks and v*J2 pairs."""
-    m1, m2p, pr = shape
-    scale = max(fnorm(g), 1e-300)
-    pos = 0
-    mask = np.zeros(g.shape, dtype=bool)
-    for _ in range(m1):
-        blk = g[pos : pos + 4, pos : pos + 4].real
-        top = blk[:2, 2:]
-        bot = blk[2:, :2]
-        u = top[0, 0]
-        v = top[0, 1]
-        want_top = u * np.eye(2) + v * J2
-        want_bot = -u * np.eye(2) + v * J2
-        if (
-            np.abs(top - want_top).max() > _PATTERN_TOL * scale
-            or np.abs(bot - want_bot).max() > _PATTERN_TOL * scale
-        ):
-            raise NotSimpleEigenvalues("quadruple Gramian block off pattern")
-        mask[pos : pos + 2, pos + 2 : pos + 4] = True
-        mask[pos + 2 : pos + 4, pos : pos + 2] = True
-        pos += 4
-    for _ in range(m2p + pr):
-        blk = g[pos : pos + 2, pos : pos + 2].real
-        v = blk[0, 1]
-        if np.abs(blk - v * J2).max() > _PATTERN_TOL * scale:
-            raise NotSimpleEigenvalues("pair Gramian block off pattern")
-        mask[pos : pos + 2, pos : pos + 2] = True
-        pos += 2
-    if np.abs(np.where(mask, 0.0, g.real)).max(initial=0.0) > _PATTERN_TOL * scale:
-        raise NotSimpleEigenvalues("Gramian has coupling outside its blocks")
-    if np.abs(g.imag).max(initial=0.0) > _PATTERN_TOL * scale:
-        raise ComplexInput("T-SHH Gramian must be real")
+def t_shh_core(g, lam_c, lam_a, mhat=None, z_params=None) -> CoreSolution:
+    """The real T-SHH core on re(G): ``parametrized_core`` for patterned
+    ``z_params`` = (Z1, Z2) (see t_shh_z_params), else ``complete_core`` for
+    a structured ``mhat`` (see t_shh_mhat), Mh = 0 when neither is given."""
+    g = g.real
+    if z_params is not None:
+        return parametrized_core(g, lam_c, lam_a, *z_params)
+    return complete_core(g, lam_c, lam_a, np.zeros_like(g) if mhat is None else mhat)
 
 
 def t_shh_update(
@@ -437,45 +312,27 @@ def t_shh_update(
     """Real T-SHH update on grouped eigendata.
 
     Targets are given per group (quadruple values with re, im != 0;
-    imaginary pair values; real pair values). The core comes either from a
-    structured ``mhat`` (see t_shh_mhat) or from patterned (Z1, Z2) given as
-    ``z_params`` (see t_shh_z_params); passing neither uses Mh = 0.
+    imaginary pair values; real pair values). The core is ``t_shh_core``:
+    from a structured ``mhat`` (see t_shh_mhat) or from patterned (Z1, Z2)
+    given as ``z_params`` (see t_shh_z_params); passing neither uses Mh = 0.
+    The kernel raises SingularG when the grouping's Gramian is singular, as
+    for repeated change values or more columns than the pencil has.
     """
     if shh.star != STAR_TRANS:
         raise BadBlockShape("t_shh_update needs a T-SHH pencil")
     scale = max(fnorm(shh.m), fnorm(shh.k), 1e-300)
     if max(np.abs(shh.m.imag).max(), np.abs(shh.k.imag).max()) > _PATTERN_TOL * scale:
         raise ComplexInput("T-SHH update needs a real pencil")
-    vals = grouping.change_values()
-    for i, a in enumerate(vals):
-        for b in vals[i + 1 :]:
-            if abs(a - b) <= EIG_MATCH_TOL * (1 + max(abs(a), abs(b))):
-                raise RepeatedEigenvalue(
-                    f"change eigenvalues must be distinct, found {a} twice"
-                )
     xc, lam_c = t_shh_basis(grouping)
-    if xc.shape[1] > shh.size:
-        raise DimensionMismatch("grouping has more columns than the pencil size")
     shape = (
         len(grouping.quadruples),
         len(grouping.imag_pairs),
         len(grouping.real_pairs),
     )
     lam_a = t_shh_lambda(shape, quad_targets, imag_targets, real_targets)
-    g, g_rcond = shh_gramian(shh, xc)
-    if g_rcond <= G_RCOND_CUTOFF:
-        raise SingularG(f"X_c^T J M X_c is singular (rcond={g_rcond:.2e})")
-    _validate_t_gramian(g, shape)
-    g = g.real
-    if z_params is not None:
-        z1, z2 = z_params
-        core = parametrized_core(g, lam_c, lam_a, z1, z2)
-    else:
-        if mhat is None:
-            mhat = np.zeros_like(g)
-        core = complete_core(g, lam_c, lam_a, mhat)
-    xc_c = xc.astype(np.complex128)
-    result = shh_update(shh, xc_c, lam_c, lam_a, core)
+    g, _ = shh_gramian(shh, xc)
+    core = t_shh_core(g, lam_c, lam_a, mhat, z_params)
+    result = shh_update(shh, xc.astype(np.complex128), lam_c, lam_a, core)
     result.take_real()
     result.provenance.update(
         {"method": "t-shh", "grouping_shape": shape, "lam_c": lam_c, "lam_a": lam_a}

@@ -1,13 +1,14 @@
-"""Closed-form update families for definite structured pencils.
+"""Update recipes for the definite structured pencils.
 
 Covered classes: Hermitian with M > 0, star-odd with M > 0, star-even with
 K > 0, their real T-counterparts (built on realified conjugate pairs), a
 PSD parameter selection rule, and the quadratic lift mu = lambda^2 for
 undamped second-order models.
 
-All recipes assume the change vectors are normalized in the relevant inner
-product; the entry points renormalize internally, so any eigenvector
-scaling may be passed in.
+Every recipe is one ``_class_update``: its core is ``parametrized_core``
+(or ``complete_core`` for a given Mh) on a change basis normalized in the
+class's positive definite W, handed to ``structured_update``. The entry
+points renormalize internally, so any eigenvector scaling may be passed in.
 """
 
 from __future__ import annotations
@@ -50,21 +51,13 @@ from .pencil import (
     StructuredPencil,
     normalize_columns,
 )
-from .structured import CoreSolution, complete_core, parametrized_core, structured_update
+from .structured import complete_core, parametrized_core, structured_update
 from .unstructured import UpdateProblem, UpdateResult
 
 _DIAG_TOL = 1e-10  # relative tolerance for real/imaginary/diagonal checks
 
 # lambda^2 purely imaginary <=> lambda in {±sqrt(a/2)(1+i), ±sqrt(a/2)(1-i)}
 E_MEMBERSHIP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class DiagonalParams:
-    """Diagonal free parameters: the diagonals of Z1 and Z2."""
-
-    z1: np.ndarray
-    z2: np.ndarray
 
 
 def _diag_vec(v, name: str, err=NotRealDiagonal) -> np.ndarray:
@@ -130,10 +123,55 @@ def _require_positive_definite(w: np.ndarray, name: str):
             ) from None
 
 
-def _class_pencil(pencil: StructuredPencil, klass: str) -> StructuredPencil:
-    """The pencil under the class's tag, whose adjoint the kernel uses."""
-    tag = TAG_BY_NAME[klass]
-    return pencil if pencil.tag == tag else StructuredPencil(pencil.m, pencil.k, tag)
+# ---------------------------------------------------------------------------
+# one recipe for the definite and real-pair classes
+
+# class: (method, W). W is checked positive definite, and the change basis
+# is normalized to X^* W X = I, so that G = X^* M X is I for W = M and
+# -Lc^{-1} for W = K (K X = -M X Lc). The class's tag sets the rest: Lc and
+# La, Z1 and Mh, and Z2 follow eps1 eps2, eps1 and eps2, as real (eps = 1)
+# or imaginary (eps = -1) diagonals, or as I2 or J2 blocks (``_EPS_DIAG``,
+# ``_EPS_BLOCK``).
+_RECIPES = {
+    "hermitian": ("hermitian-definite", "M"),
+    "star-odd": ("star-odd-definite", "M"),
+    "star-even": ("star-even-definite", "K"),
+    "t-odd": ("t-odd-real", "M"),
+    "t-even": ("t-even-real", "K"),
+}
+_EPS_DIAG = {1: _real_diag, -1: _imaginary_diag}
+_EPS_BLOCK = {1: np.eye(2), -1: J2}
+
+
+def _class_update(
+    klass: str, pencil: StructuredPencil, xc, lam_c, lam_a, z1, z2, mhat, real: bool,
+    provenance: dict,
+) -> UpdateResult:
+    """``structured_update`` of the pencil under the class's tag, on the
+    W-normalized change basis ``xc`` with p x p Lc and La.
+
+    The core is ``complete_core(G, Lc, La, Mh)`` for a given ``mhat``, else
+    ``parametrized_core(G, Lc, La, Z1, Z2)``. ``real`` keeps the real parts
+    of the factors, and ``provenance`` is added to the result's.
+    """
+    method, weight = _RECIPES[klass]
+    if pencil.tag != TAG_BY_NAME[klass]:  # the kernel takes the class's adjoint
+        pencil = StructuredPencil(pencil.m, pencil.k, TAG_BY_NAME[klass])
+    _require_positive_definite(pencil.m if weight == "M" else pencil.k, weight)
+    if weight == "M":
+        g = np.eye(lam_c.shape[0])
+    else:
+        _require_nonzero(np.linalg.eigvals(lam_c))
+        g = -np.linalg.inv(lam_c)
+    if mhat is None:
+        core = parametrized_core(g, lam_c, lam_a, z1, z2)
+    else:
+        core = complete_core(g, lam_c, lam_a, mhat)
+    result = structured_update(pencil, xc, lam_c, lam_a, core)
+    if real:
+        result.take_real()
+    result.provenance.update(provenance, method=method)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +181,8 @@ def hermitian_core(lam_c, lam_a, z1, z2):
     """Diagonal core (Mh, Kh) for the Hermitian M > 0 family (G = I).
 
     Mh = Ha[(Lc - La) La + Z1 - Z2 La],  Kh = Ha[(Lc - La) - Z1 La + Z2 La^2]
-    with Ha = (La^2 + I)^{-1}; Z1, Z2 real diagonal.
+    with Ha = (La^2 + I)^{-1}; Z1, Z2 real diagonal. This is the closed form
+    of ``parametrized_core`` on that data, the paper's formula.
     """
     lc, la = _real_diag(lam_c, "Lambda_c"), _real_diag(lam_a, "Lambda_a")
     z1, z2 = _real_diag(z1, "Z1"), _real_diag(z2, "Z2")
@@ -168,8 +207,9 @@ def commuting_family_params(lam_c, lam_a, phi):
     return z1, z2
 
 
-def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> DiagonalParams:
-    """Diagonal (Z1, Z2) making both dM and dK positive semidefinite.
+def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (z1, z2) of (Z1, Z2) making both dM and dK positive
+    semidefinite.
 
     Valid in the K > 0 regime where every target eigenvalue is negative:
     choose z1_i - z2_i*la_i = max{(la_i - lc_i) la_i, lc_i/la_i - 1, 0} + slack
@@ -183,85 +223,33 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> DiagonalParams:
         raise PositiveTargetEigenvalue("all target eigenvalues must be negative")
     bound = np.maximum((la - lc) * la, lc / la - 1.0)
     z1 = np.maximum(bound, 0.0) + slack
-    z2 = np.zeros_like(z1)
-    return DiagonalParams(z1=z1, z2=z2)
-
-
-def star_odd_core(lam_c, lam_a, z1, z2):
-    """Diagonal core for the star-odd M > 0 family (G = I).
-
-    Mh = Ha[(La - Lc) La + Z1 + Z2 La],  Kh = Ha[(Lc - La) - Z1 La - Z2 La^2]
-    with Ha = (I - La^2)^{-1}; Z1 real diagonal, Z2 imaginary diagonal.
-    """
-    lc, la = _imaginary_diag(lam_c, "Lambda_c"), _imaginary_diag(lam_a, "Lambda_a")
-    z1, z2 = _real_diag(z1, "Z1"), _imaginary_diag(z2, "Z2")
-    ha = 1.0 / (1.0 - la**2)
-    mh = ha * ((la - lc) * la + z1 + z2 * la)
-    kh = ha * ((lc - la) - z1 * la - z2 * la**2)
-    return mh, kh
-
-
-def star_even_core(lam_c, lam_a, z1, z2):
-    """Diagonal core for the star-even K > 0 family (G = -Lc^{-1}).
-
-    Mh = Ha[Lc^{-1}(Lc - La) La + Z1 + Z2 La],
-    Kh = Ha[Lc^{-1}(La - Lc) - Z1 La - Z2 La^2],
-    with Ha = (I - La^2)^{-1}; Z1 imaginary diagonal, Z2 real diagonal.
-    """
-    lc, la = _imaginary_diag(lam_c, "Lambda_c"), _imaginary_diag(lam_a, "Lambda_a")
-    _require_nonzero(lc)
-    z1, z2 = _imaginary_diag(z1, "Z1"), _real_diag(z2, "Z2")
-    ha = 1.0 / (1.0 - la**2)
-    mh = ha * ((lc - la) / lc * la + z1 + z2 * la)
-    kh = ha * ((la - lc) / lc - z1 * la - z2 * la**2)
-    return mh, kh
-
-
-# class: (method, W, check of Lc and La, check of Mh, closed-form core). W is
-# checked positive definite and normalizes X_c to X_c^* W X_c = I, so that
-# G = X_c^* M X_c is I for W = M and -Lc^{-1} for W = K (K X_c = -M X_c Lc).
-_DEFINITE = {
-    "hermitian": ("hermitian-definite", "M", _real_diag, _real_diag, hermitian_core),
-    "star-odd": ("star-odd-definite", "M", _imaginary_diag, _real_diag, star_odd_core),
-    "star-even": (
-        "star-even-definite", "K", _imaginary_diag, _imaginary_diag, star_even_core,
-    ),
-}
+    return z1, np.zeros_like(z1)
 
 
 def _definite_update(
     klass: str, pencil: StructuredPencil, xc, lam_c, lam_a, mhat, z1, z2
 ) -> UpdateResult:
-    """``structured_update`` with a diagonal core on W-normalized X_c.
-
-    The core is the class's closed form in the diagonal (Z1, Z2), omitted
-    ones zero, or ``complete_core`` for a given diagonal Mh.
-    """
-    method, weight, check_lam, check_mhat, class_core = _DEFINITE[klass]
-    _require_positive_definite(pencil.m if weight == "M" else pencil.k, weight)
-    lc, la = check_lam(lam_c, "Lambda_c"), check_lam(lam_a, "Lambda_a")
-    if weight == "K":
-        _require_nonzero(lc)
+    """``_class_update`` on the W-normalized X_c, with diagonal Lc, La and
+    diagonal Z1, Z2 (omitted ones zero), or a given diagonal Mh."""
+    tag = TAG_BY_NAME[klass]
+    on_lam, on_z1, on_z2 = (_EPS_DIAG[e] for e in (tag.eps1 * tag.eps2, tag.eps1, tag.eps2))
+    lc, la = on_lam(lam_c, "Lambda_c"), on_lam(lam_a, "Lambda_a")
     if mhat is not None:
-        g = np.ones_like(lc) if weight == "M" else -1.0 / lc
-        mh = check_mhat(mhat, "Mhat")
-        core = complete_core(np.diag(g), np.diag(lc), np.diag(la), np.diag(mh))
+        mhat = np.diag(on_z1(mhat, "Mhat"))
     else:
         zero = np.zeros(lc.shape)
-        mh, kh = class_core(lc, la, zero if z1 is None else z1, zero if z2 is None else z2)
-        core = CoreSolution(np.diag(mh), np.diag(kh))
-    pencil = _class_pencil(pencil, klass)
-    xn = normalize_columns(pencil, xc, weight)
-    result = structured_update(pencil, xn, np.diag(lc), np.diag(la), core)
-    real_data = klass == "hermitian" and not (
+        z1 = np.diag(on_z1(zero if z1 is None else z1, "Z1"))
+        z2 = np.diag(on_z2(zero if z2 is None else z2, "Z2"))
+    xn = normalize_columns(pencil, xc, _RECIPES[klass][1])
+    real = klass == "hermitian" and not (
         pencil.m.imag.any()
         or pencil.k.imag.any()
         or np.asarray(xc, dtype=complex).imag.any()
     )
-    if real_data:
-        result.take_real()
-    result.provenance.update(method=method, xc_normalized=xn, lam_c=lc, lam_a=la)
-    return result
+    return _class_update(
+        klass, pencil, xn, np.diag(lc), np.diag(la), z1, z2, mhat, real,
+        {"xc_normalized": xn, "lam_c": lc, "lam_a": la},
+    )
 
 
 def hermitian_update(
@@ -282,8 +270,9 @@ def star_odd_update(
 ) -> UpdateResult:
     """star-odd update: dM Hermitian, dK skew-Hermitian.
 
-    Requires M > 0 and purely imaginary diagonal Lc, La. dM is PSD exactly
-    when the bracket (La - Lc) La + Z1 + Z2 La is nonnegative.
+    Requires M > 0 and purely imaginary diagonal Lc, La; Z1 (or Mh) is real
+    and Z2 imaginary diagonal. dM is PSD exactly when the bracket
+    (La - Lc) La + Z1 + Z2 La is nonnegative.
     """
     return _definite_update("star-odd", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -293,9 +282,10 @@ def star_even_update(
 ) -> UpdateResult:
     """star-even update: dM skew-Hermitian, dK Hermitian.
 
-    Requires K > 0 and nonzero purely imaginary Lc. Uses the K-normalized
-    vectors, under which the update range is K Xc. Shortcuts: Mh = 0 gives
-    dM = 0; Mh = Lc^{-1} - La^{-1} gives dK = 0.
+    Requires K > 0 and nonzero purely imaginary Lc; Z1 (or Mh) is imaginary
+    and Z2 real diagonal. Uses the K-normalized vectors, under which the
+    update range is K Xc. Shortcuts: Mh = 0 gives dM = 0;
+    Mh = Lc^{-1} - La^{-1} gives dK = 0.
     """
     return _definite_update("star-even", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -304,10 +294,11 @@ def star_even_update(
 # real T-odd / T-even pencils: conjugate pairs, realified 2x2 blocks
 
 def _as_real_pencil(pencil: StructuredPencil) -> tuple[np.ndarray, np.ndarray]:
+    """(M, K) as contiguous real arrays, for a pencil with no imaginary part."""
     scale = max(fnorm(pencil.m), fnorm(pencil.k), 1e-300)
     if max(np.abs(pencil.m.imag).max(), np.abs(pencil.k.imag).max()) > _DIAG_TOL * scale:
         raise ComplexInput("this path needs a real pencil")
-    return pencil.m.real, pencil.k.real
+    return np.ascontiguousarray(pencil.m.real), np.ascontiguousarray(pencil.k.real)
 
 
 def _imag_part(lam: complex, name: str) -> float:
@@ -318,7 +309,10 @@ def _imag_part(lam: complex, name: str) -> float:
 
 
 def _realified_change_basis(w: np.ndarray, eigenpairs) -> tuple[np.ndarray, list[float]]:
-    """Stack [re x, im x] per conjugate pair, scaled so X^T W X = I_{2p}."""
+    """Stack [re x, im x] per conjugate pair, scaled so X^T W X = I_{2p}.
+
+    For the real W, x^* W x has the real part re(x)^T W re(x) + im(x)^T W im(x).
+    """
     cols = []
     imag_parts = []
     for lam, x in eigenpairs:
@@ -326,62 +320,53 @@ def _realified_change_basis(w: np.ndarray, eigenpairs) -> tuple[np.ndarray, list
         if mu == 0.0:
             raise BadBlockShape("change eigenvalues must be nonreal")
         x = as_matrix(x, "eigenvector")
-        s = complex((x.conj().T @ w @ x)[0, 0]).real
+        parts = np.hstack([x.real, x.imag])
+        s = float(np.vdot(parts, w @ parts))
         if s <= 0:
             raise NotPositiveDefinite("eigenvector has nonpositive W-norm")
-        x = x * np.sqrt(2.0 / s)
-        cols.append(np.hstack([x.real, x.imag]))
+        cols.append(parts * np.sqrt(2.0 / s))
         imag_parts.append(mu)
     return np.hstack(cols), imag_parts
 
 
 def _check_real_eigenpairs(m, k, eigenpairs):
+    """Raise NotEigenpair unless ||M x lam + K x|| <= TAU_DEFL (|lam| ||M||_F
+    + ||K||_F) ||x|| for every pair. The real M and K act on [re x, im x],
+    so neither is cast to complex, and their norms are taken once."""
+    nm, nk = fnorm(m), fnorm(k)
     for lam, x in eigenpairs:
-        x = as_matrix(x, "eigenvector")
-        res = fnorm(m @ x * complex(lam) + k @ x)
-        scale = (abs(complex(lam)) * fnorm(m) + fnorm(k)) * float(np.linalg.norm(x))
+        lam, x = complex(lam), as_matrix(x, "eigenvector")
+        h, parts = x.shape[1], np.hstack([x.real, x.imag])
+        mx, kx = m @ parts, k @ parts
+        res = fnorm((mx[:, :h] + 1j * mx[:, h:]) * lam + kx[:, :h] + 1j * kx[:, h:])
+        scale = (abs(lam) * nm + nk) * float(np.linalg.norm(x))
         if res > TAU_DEFL * max(scale, 1e-300):
             raise NotEigenpair(f"({lam}) fails the eigenpair residual test")
-
-
-# class: (method, W, Z1 block, Z2 block). W is checked positive definite and
-# normalizes the realified basis, so G is I (W = M) or -Lc^{-1} (W = K).
-_REAL_PAIR = {
-    "t-odd": ("t-odd-real", "M", np.eye(2), J2),
-    "t-even": ("t-even-real", "K", J2, np.eye(2)),
-}
 
 
 def _real_pair_update(
     klass: str, pencil: StructuredPencil, eigenpairs, lam_target, alpha, beta
 ) -> UpdateResult:
-    """``structured_update`` on the realified basis with the block core
-    ``parametrized_core(G, Lc, La, Z1, Z2)``, Z1 and Z2 from the class's
-    2x2 blocks scaled by alpha_j and beta_j."""
-    method, weight, z1_block, z2_block = _REAL_PAIR[klass]
+    """``_class_update`` on the realified basis, with blocks mu_j J2 in Lc
+    and La, and alpha_j, beta_j times the class's 2x2 blocks in Z1, Z2."""
+    tag = TAG_BY_NAME[klass]
     m, k = _as_real_pencil(pencil)
-    w = m if weight == "M" else k
-    _require_positive_definite(w, weight)
     _check_real_eigenpairs(m, k, eigenpairs)
     p = len(eigenpairs)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if len(lam_target) != p or alpha.shape != (p,) or beta.shape != (p,):
         raise DimensionMismatch("need one target, alpha and beta per pair")
-    if weight == "K" and any(abs(complex(lam)) <= TAU_NUM for lam, _ in eigenpairs):
-        raise ZeroChangeEigenvalue("change eigenvalues must be nonzero")
-    xhat, mus = _realified_change_basis(w, eigenpairs)
+    xhat, mus = _realified_change_basis(m if _RECIPES[klass][1] == "M" else k, eigenpairs)
     mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
     lam_c = block_diag(*[mu * J2 for mu in mus])
     lam_a = block_diag(*[mu * J2 for mu in mus_a])
-    g = np.eye(2 * p) if weight == "M" else -np.linalg.inv(lam_c)
-    z1 = block_diag(*[a * z1_block for a in alpha])
-    z2 = block_diag(*[b * z2_block for b in beta])
-    core = parametrized_core(g, lam_c, lam_a, z1, z2)
-    result = structured_update(_class_pencil(pencil, klass), xhat, lam_c, lam_a, core)
-    result.take_real()
-    result.provenance.update(method=method, xc_realified=xhat, lam_c=lam_c, lam_a=lam_a)
-    return result
+    z1 = block_diag(*[a * _EPS_BLOCK[tag.eps1] for a in alpha])
+    z2 = block_diag(*[b * _EPS_BLOCK[tag.eps2] for b in beta])
+    return _class_update(
+        klass, pencil, xhat, lam_c, lam_a, z1, z2, None, True,
+        {"xc_realified": xhat, "lam_c": lam_c, "lam_a": lam_a},
+    )
 
 
 def t_odd_real_update(
@@ -488,8 +473,8 @@ def solve_quadratic(
             raise EigenvalueOutsideClass(
                 "the PSD selection rule applies to the hermitian K > 0 class"
             )
-        params = select_psd_params(lam_c.real, lam_a.real, slack=slack)
-        z1, z2, mhat = params.z1, params.z2, None
+        z1, z2 = select_psd_params(lam_c.real, lam_a.real, slack=slack)
+        mhat = None
     result = _definite_update(spec.klass, pencil, xc, lam_c, lam_a, mhat, z1, z2)
     problem = UpdateProblem(
         DeflatingPair(result.provenance["xc_normalized"], np.diag(lam_c)),

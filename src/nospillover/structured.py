@@ -94,8 +94,11 @@ def complete_core(g, lam_c, lam_a, mhat) -> CoreSolution:
 def parametrized_core(g, lam_c, lam_a, z1, z2) -> CoreSolution:
     """All core solutions, parametrized by free p x p matrices (Z1, Z2).
 
-    Structured cores are obtained by imposing structure on Z1, Z2 (see the
-    per-class helpers in ``special``).
+    Every class builds its core here, or with ``complete_core`` for a given
+    Mh. Z1 and Z2 with the class's pattern (real or imaginary diagonals or
+    2x2 blocks in ``special``, ``shh.t_shh_z_params``) give a structured
+    core; ``structured_update`` records whether it is one
+    (``core_structure_flags``), and the certificate checks the updated pencil.
     """
     g = as_matrix(g, "G")
     lam_c = as_matrix(lam_c, "Lambda_c")

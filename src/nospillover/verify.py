@@ -176,13 +176,13 @@ def certify(
         cert.definiteness[name] = float(evals[0]) / scale
     if expected_spectrum is not None:
         # the updated pencil keeps the tag, for the definite oracle, only
-        # when it has one and its structure residuals pass
+        # when it has one and the structure residuals just computed pass
         structured = (
             isinstance(pencil, StructuredPencil)
             and cert.structure_residuals
             and all(value <= TAU_STRUCT for value in cert.structure_residuals.values())
         )
-        updated = StructuredPencil(m1, k1, pencil.tag) if structured else (m1, k1)
+        updated = StructuredPencil._prechecked(m1, k1, pencil.tag) if structured else (m1, k1)
         try:
             cert.spectrum = spectrum_match(updated, expected_spectrum)
         except SingularPencil:

@@ -20,7 +20,6 @@ from nospillover.shh import (
     SHHPencil,
     shh_gramian,
     shh_update,
-    star_shh_core,
     t_shh_mhat,
     t_shh_update,
     t_shh_z_params,
@@ -184,9 +183,7 @@ class TestPropertySuite:
             for kk in range(2 * pp.parameters["num_couples"], p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
-            core = star_shh_core(
-                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
-            )
+            core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
             SHHPencil(m1, k1, "*")  # structure preserved
@@ -343,9 +340,7 @@ class TestJReduction:
             for kk in range(2 * pp.parameters["num_couples"], p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
-            core = star_shh_core(
-                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
-            )
+            core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             even = pp.pencil.even_pencil()
             res_even = structured_update(

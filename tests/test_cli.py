@@ -15,6 +15,7 @@ from conftest import fresh_python_env, run_fresh_python
 from nospillover import fileio, randomgen
 from nospillover.cases import CASES, run_case
 from nospillover.cli import main
+from nospillover.linalg import TAU_STRUCT
 from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem
 
@@ -123,6 +124,23 @@ class TestSolve:
         assert "error: NotStructured: pencil does not have symmetric structure" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("klass", RANDOM_CLASSES)
+    def test_unstructured_core_fails_the_certificate(self, tmp_path, capsys, klass):
+        # one rule for every class: a core that breaks the structure is no
+        # precondition error but a failed certificate, exit 1
+        prob, bad = tmp_path / "prob.json", tmp_path / "bad.json"
+        assert run(["random", "--seed", 11, "--n", 8, "--p", 2,
+                    "--class", klass, "--out", prob]) == 0
+        pf = fileio.load_problem(prob)
+        p = pf.change.lam.shape[0]
+        pf.parameters = {"z1": np.eye(p) + np.triu(np.ones((p, p)), 1)}
+        fileio.save_problem(bad, pf)
+        capsys.readouterr()
+        assert run(["solve", "--input", bad, "--out", tmp_path / "d.json"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        structure = [float(ln.split()[1]) for ln in lines if ln.startswith("structure[")]
+        assert lines[-1] == "FAIL" and max(structure) > TAU_STRUCT
 
     def test_schema_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

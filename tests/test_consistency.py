@@ -1,30 +1,48 @@
 """Cross-checks between independent routes to the same update.
 
-The diagonal class recipes must coincide with the generic core
-parametrization restricted to their parameter patterns, and the reference
-problems must be solvable through the known-fixed-pair family as well.
+The paper's closed-form diagonal cores must coincide with the generic core
+parametrization restricted to their parameter patterns, which is what the
+class recipes run, and the reference problems must be solvable through the
+known-fixed-pair family as well.
 """
 
 import numpy as np
-from conftest import crandn
 
 from nospillover.cases import CASES
 from nospillover.linalg import eig_pencil, fnorm
 from nospillover.pencil import DeflatingPair, HERMITIAN, StructuredPencil
-from nospillover.special import (
-    QuadraticSpec,
-    hermitian_core,
-    solve_quadratic,
-    star_even_core,
-    star_odd_core,
-)
+from nospillover.special import QuadraticSpec, hermitian_core, solve_quadratic
 from nospillover.structured import parametrized_core
 from nospillover.unstructured import UpdateProblem, solve_general
 
 
+def star_odd_core(lc, la, z1, z2):
+    """The closed-form star-odd M > 0 core (G = I), on diagonals:
+
+    Mh = Ha[(La - Lc) La + Z1 + Z2 La],  Kh = Ha[(Lc - La) - Z1 La - Z2 La^2]
+    with Ha = (I - La^2)^{-1}; Z1 real, Z2 imaginary.
+    """
+    ha = 1.0 / (1.0 - la**2)
+    return ha * ((la - lc) * la + z1 + z2 * la), ha * ((lc - la) - z1 * la - z2 * la**2)
+
+
+def star_even_core(lc, la, z1, z2):
+    """The closed-form star-even K > 0 core (G = -Lc^{-1}), on diagonals:
+
+    Mh = Ha[Lc^{-1}(Lc - La) La + Z1 + Z2 La],
+    Kh = Ha[Lc^{-1}(La - Lc) - Z1 La - Z2 La^2],
+    with Ha = (I - La^2)^{-1}; Z1 imaginary, Z2 real.
+    """
+    ha = 1.0 / (1.0 - la**2)
+    return (
+        ha * ((lc - la) / lc * la + z1 + z2 * la),
+        ha * ((la - lc) / lc - z1 * la - z2 * la**2),
+    )
+
+
 class TestClassCoresMatchGenericParametrization:
     """The per-class diagonal formulas are the generic family restricted to
-    diagonal parameters and the class Gramian."""
+    diagonal parameters and the class Gramian, as ``special`` builds it."""
 
     def test_hermitian(self):
         rng = np.random.default_rng(1)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from conftest import t_shh_groups
 
-from nospillover.errors import (
-    BadBlockPattern,
-    NotSHH,
-    NotSimpleEigenvalues,
-    RepeatedEigenvalue,
-)
+from nospillover.errors import NotSHH, SingularG
 from nospillover.linalg import (
+    TAU_DEFL,
+    TAU_STRUCT,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -30,12 +27,13 @@ from nospillover.shh import (
     group_t_shh_spectrum,
     shh_gramian,
     shh_update,
-    star_shh_core,
     t_shh_mhat,
     t_shh_update,
     t_shh_z_params,
 )
-from nospillover.structured import complete_core, structured_update
+from nospillover.structured import complete_core, parametrized_core, structured_update
+from nospillover.unstructured import UpdateProblem
+from nospillover.verify import certify
 
 
 def crandn(rng, *shape):
@@ -129,7 +127,7 @@ class TestShhUpdate:
             z1, z2 = random_patterned_z(
                 np.random.default_rng(seed), pp.parameters["num_couples"], g.shape[0]
             )
-            core = star_shh_core(g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"])
+            core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             even = pp.pencil.even_pencil()
             res_even = structured_update(
@@ -146,9 +144,7 @@ class TestShhUpdate:
             pp = plant_star_shh(seed + 30, 4, 1, 1)
             g, _ = shh_gramian(pp.pencil, pp.change.x)
             z1, z2 = random_patterned_z(rng, pp.parameters["num_couples"], g.shape[0])
-            core = star_shh_core(
-                g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"]
-            )
+            core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
             SHHPencil(m1, k1, "*")  # structure must survive
@@ -166,7 +162,7 @@ class TestShhUpdate:
         pp = plant_star_shh(6, 3, 1, 0)
         g, _ = shh_gramian(pp.pencil, pp.change.x)
         z1, z2 = random_patterned_z(np.random.default_rng(6), pp.parameters["num_couples"], g.shape[0])
-        core = star_shh_core(g, pp.change.lam, pp.target_lam, z1, z2, pp.parameters["num_couples"])
+        core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
         res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
         j = pp.pencil.j
         jm, jk = j @ res.delta_m, j @ res.delta_k
@@ -179,9 +175,8 @@ class TestStarShhCore:
         pp = plant_star_shh(7, 3, 1, 1)
         g, _ = shh_gramian(pp.pencil, pp.change.x)
         p = g.shape[0]
-        core = star_shh_core(
-            g, pp.change.lam, pp.change.lam, np.zeros((p, p)), np.zeros((p, p)),
-            pp.parameters["num_couples"],
+        core = parametrized_core(
+            g, pp.change.lam, pp.change.lam, np.zeros((p, p)), np.zeros((p, p))
         )
         assert fnorm(core.mhat) <= 1e-14
         assert fnorm(core.khat) <= 1e-14
@@ -197,25 +192,36 @@ class TestStarShhCore:
         assert abs(g[2, 2].real) <= 1e-8 * scale
         assert abs(g[0, 2]) <= 1e-8 * scale and abs(g[2, 0]) <= 1e-8 * scale
 
+    @staticmethod
+    def _solve_and_certify(pp, g, z1, z2):
+        core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
+        res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
+        problem = UpdateProblem(pp.change, pp.target_lam, fixed=pp.fixed)
+        return res, certify(pp.pencil, res, problem)
+
     def test_bad_z_pattern_rejected(self):
+        # diagonal entries in a couple block break the core's structure: the
+        # kernel flags the core, and the certificate fails on the updated pencil
         pp = plant_star_shh(9, 3, 1, 0)
         g, _ = shh_gramian(pp.pencil, pp.change.x)
         p = g.shape[0]
-        z1 = np.eye(p)  # diagonal entries are not allowed in couple blocks
-        with pytest.raises(BadBlockPattern):
-            star_shh_core(g, pp.change.lam, pp.target_lam, z1, np.zeros((p, p)), 1)
+        res, cert = self._solve_and_certify(pp, g, np.eye(p), np.zeros((p, p)))
+        assert res.provenance["core_structured"] is False
+        assert not cert.passed
+        assert cert.structure_residuals["jm_updated_skew"] > TAU_STRUCT
 
     def test_non_block_gramian_rejected(self):
+        # a core built from a G the change pair does not have misses the core
+        # equation of the kernel's own G, so the targets are not reached
         pp = plant_star_shh(10, 3, 1, 0)
         g, _ = shh_gramian(pp.pencil, pp.change.x)
         bad = np.array(g)
         bad[0, 0] = 1.0  # couples must have zero diagonal
         p = g.shape[0]
-        with pytest.raises(NotSimpleEigenvalues):
-            star_shh_core(
-                bad, pp.change.lam, pp.target_lam, np.zeros((p, p)),
-                np.zeros((p, p)), 1,
-            )
+        res, cert = self._solve_and_certify(pp, bad, np.zeros((p, p)), np.zeros((p, p)))
+        assert res.provenance["core_residual"] > 1e-8 * fnorm(g)
+        assert not cert.passed
+        assert cert.target_relative > TAU_DEFL
 
 
 class TestTShh:
@@ -294,7 +300,8 @@ class TestTShh:
         else:
             dup = EigGrouping(real_pairs=gr.real_pairs * 2)
             targets = ((), (), (gr.real_pairs[0][0],) * 2)
-        with pytest.raises(RepeatedEigenvalue):
+        # a repeated group gives X_c repeated columns: the kernel's Gramian check
+        with pytest.raises(SingularG):
             t_shh_update(pp.pencil, dup, *targets)
 
     def test_grouping_covers_spectrum(self):

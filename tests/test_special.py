@@ -15,6 +15,7 @@ from conftest import (
 
 from nospillover.errors import (
     EigenvalueOutsideClass,
+    NotEigenpair,
     NotHermitian,
     NotImaginaryDiagonal,
     NotPositiveDefinite,
@@ -52,13 +53,12 @@ from nospillover.special import (
     commuting_family_params,
     select_eigendata,
     select_psd_params,
-    star_even_core,
     star_even_update,
-    star_odd_core,
     star_odd_update,
     t_even_real_update,
     t_odd_real_update,
 )
+from nospillover.structured import parametrized_core
 
 
 def herm_res(a):
@@ -186,9 +186,9 @@ class TestCommutingFamilyRecovery:
 
 class TestPsdSelection:
     def test_unchanged_targets_zero(self):
-        params = select_psd_params([-2.0, -3.0], [-2.0, -3.0])
-        np.testing.assert_allclose(params.z1, 0.0, atol=1e-15)
-        np.testing.assert_allclose(params.z2, 0.0, atol=1e-15)
+        z1, z2 = select_psd_params([-2.0, -3.0], [-2.0, -3.0])
+        np.testing.assert_allclose(z1, 0.0, atol=1e-15)
+        np.testing.assert_allclose(z2, 0.0, atol=1e-15)
 
     def test_positive_target_rejected(self):
         with pytest.raises(PositiveTargetEigenvalue):
@@ -200,8 +200,8 @@ class TestPsdSelection:
             pencil, xc, lc, xf, lf = plant_hermitian_definite_pd_k(seed + 50)
             lc = lc.real
             la = lc * (1 + 0.3 * rng.uniform(-1, 1, size=lc.size))
-            params = select_psd_params(lc, la, slack=0.0)
-            res = hermitian_update(pencil, xc, lc, la, z1=params.z1, z2=params.z2)
+            z1, z2 = select_psd_params(lc, la, slack=0.0)
+            res = hermitian_update(pencil, xc, lc, la, z1=z1, z2=z2)
             for delta in (res.delta_m, res.delta_k):
                 evals = herm_eigs(delta)
                 assert evals[0] >= -1e-10 * max(fnorm(delta), 1.0)
@@ -222,15 +222,20 @@ class TestStarOdd:
             la = 1j * rng.standard_normal(p)
             z1 = rng.standard_normal(p)
             z2 = 1j * rng.standard_normal(p)
-            mh, kh = star_odd_core(lc, la, z1, z2)
+            core = parametrized_core(
+                np.eye(p), np.diag(lc), np.diag(la), np.diag(z1), np.diag(z2)
+            )  # the star-odd core: G = I on M-normalized vectors
+            mh, kh = np.diag(core.mhat), np.diag(core.khat)
+            assert np.count_nonzero(core.mhat) <= p and np.count_nonzero(core.khat) <= p
             scale = 1.0 + np.abs(lc).max() + np.abs(la).max() + np.abs(mh).max()
             assert np.abs(mh * la + kh - (lc - la)).max() <= 1e-12 * scale
             assert np.abs(mh.imag).max() <= 1e-12 * scale  # Mh real
             assert np.abs(kh.real).max() <= 1e-12 * scale  # Kh imaginary
 
     def test_rejects_nonimaginary_targets(self):
+        pencil, xc, lc, xf, lf = plant_star_odd(15)
         with pytest.raises(NotImaginaryDiagonal):
-            star_odd_core([1j], [0.5 + 1j], [0.0], [0.0])
+            star_odd_update(pencil, xc, lc, [0.5 + 1j, lc[1]])
 
     def test_plant_and_check(self):
         rng = np.random.default_rng(17)
@@ -268,8 +273,10 @@ class TestStarEven:
         assert skew_res(res.delta_m) <= 1e-12
 
     def test_zero_change_eigenvalue_rejected(self):
+        # G = -Lc^{-1} needs a nonsingular Lc
+        pencil, xc, lc, xf, lf = plant_star_even(19)
         with pytest.raises(ZeroChangeEigenvalue):
-            star_even_core([0.0], [1j], [0.0], [0.0])
+            star_even_update(pencil, xc, [0.0, lc[1]], [1j, lc[1]])
 
     def test_plant_and_check(self):
         rng = np.random.default_rng(20)
@@ -433,6 +440,23 @@ class TestThroughStructuredKernel:
         assert res.provenance["core_structured"] is True
         assert _rounding_level(res)
         assert spillover_residual(pencil, res.delta_m, res.delta_k, fixed) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "update, plant",
+        [(t_odd_real_update, plant_t_odd_real), (t_even_real_update, plant_t_even_real)],
+        ids=["t-odd", "t-even"],
+    )
+    def test_real_pair_rejects_non_eigenpair(self, update, plant):
+        pencil, change, fixed = plant(33, n=6, pairs=2)
+        (lam0, x0), (lam1, x1) = change
+        targets, zeros = [lam0, lam1], [0.0, 0.0]
+        update(pencil, change, targets, zeros, zeros)
+        with pytest.raises(NotEigenpair):  # each vector under the other's value
+            update(pencil, [(lam0, x1), (lam1, x0)], targets, zeros, zeros)
+        rng = np.random.default_rng(33)
+        off = x0 + 1e-6 * (rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape))
+        with pytest.raises(NotEigenpair):  # far above TAU_DEFL, still close to x0
+            update(pencil, [(lam0, off), (lam1, x1)], targets, zeros, zeros)
 
     def test_star_even_singular_m(self):
         # U = M X_c G^{-1} with G = -Lc^{-1}: a singular M leaves G nonsingular

@@ -331,6 +331,20 @@ class TestSpectrumOracle:
         assert cert.spectrum.max_distance <= 1e-12 and qz.max_distance <= 1e-12
 
     @pytest.mark.parametrize("klass", sorted(DEFINITE_PLANTS))
+    def test_oracle_takes_the_checked_pencil_as_it_is(self, klass, monkeypatch):
+        # M1, K1 and the tag whose residuals the certificate has just
+        # checked go to the oracle without another StructuredPencil check
+        pencil, result, problem, expected, m1k1 = self._certified(klass, False)
+        checks = []
+        post_init = StructuredPencil.__post_init__
+        monkeypatch.setattr(
+            StructuredPencil, "__post_init__", lambda self: checks.append(1) or post_init(self)
+        )
+        cert = certify(pencil, result, problem, expected_spectrum=expected)
+        assert not checks and cert.spectrum.oracle == "definite"
+        assert cert.spectrum == spectrum_match(StructuredPencil(*m1k1, pencil.tag), expected)
+
+    @pytest.mark.parametrize("klass", sorted(DEFINITE_PLANTS))
     def test_indefinite_b1_falls_back_to_qz(self, klass):
         pencil, result, problem, expected, m1k1 = self._certified(klass, True)
         cert = certify(pencil, result, problem, expected_spectrum=expected)
