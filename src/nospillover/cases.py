@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TAU_STRUCT, eig_pencil, herm_eigs, largest_entry_scaled
+from .linalg import (
+    PUBLISHED_MATRIX_TOL, PUBLISHED_VALUE_TOL, TAU_PSD, TAU_STRUCT,
+    eig_pencil, herm_eigs, largest_entry_scaled,
+)
 from .pencil import DeflatingPair, structure_residuals
 from .shh import SHHPencil, apply_j, shh_gramian, shh_update
 from .special import QuadraticSpec, solve_quadratic
 from .structured import parametrized_core
 from .unstructured import UpdateProblem
-from .verify import TAU_PSD, Certificate, certify
+from .verify import Certificate, certify
 
 _H61_M = np.diag([1.294] * 5)
 _H61_K = [
@@ -196,14 +199,13 @@ class ReferenceCase:
     lam_target: tuple
     z1: np.ndarray
     z2: np.ndarray
+    spillover_bound: float
     printed_delta_m: np.ndarray | None = None
     printed_delta_k: np.ndarray | None = None
     printed_spillover: float = 0.0
     printed_xc: np.ndarray | None = None
     printed_xf: np.ndarray | None = None
     printed_lam_f: tuple = ()
-    spillover_bound: float = 1e-12
-    match_bound: float = 5e-4
     psd: tuple = ()
 
 
@@ -339,7 +341,7 @@ class CaseReport:
     def passed(self) -> bool:
         case = self.case
         ok = self.certificate.passed and self.spillover <= case.spillover_bound
-        ok = ok and max(self.dev_delta_m, self.dev_delta_k) <= case.match_bound
+        ok = ok and max(self.dev_delta_m, self.dev_delta_k) <= PUBLISHED_MATRIX_TOL
         ok = ok and all(value <= TAU_STRUCT for value in self.structure.values())
         ok = ok and all(value >= -TAU_PSD for value in self.min_eigs.values())
         return bool(ok)
@@ -348,8 +350,8 @@ class CaseReport:
         case = self.case
         out = [
             f"case {case.case_id}",
-            f"  max scaled deviation dM: {self.dev_delta_m:.3e} (bound {case.match_bound:.0e})",
-            f"  max scaled deviation dK: {self.dev_delta_k:.3e} (bound {case.match_bound:.0e})",
+            f"  max scaled deviation dM: {self.dev_delta_m:.3e} (bound {PUBLISHED_MATRIX_TOL:.0e})",
+            f"  max scaled deviation dK: {self.dev_delta_k:.3e} (bound {PUBLISHED_MATRIX_TOL:.0e})",
             f"  spillover residual:      {self.spillover:.4e} "
             f"(published {case.printed_spillover:.4e}, bound {case.spillover_bound:.0e})",
             f"  target residual:         {self.target_residual:.4e}",
@@ -417,7 +419,7 @@ def _solve_shh_case(case: ReferenceCase):
     chosen = []
     for w in case.lam_change:
         best = min(available, key=lambda i: abs(eigs[i].value - w))
-        if abs(eigs[best].value - w) > 1e-3 * (1 + abs(w)):
+        if abs(eigs[best].value - w) > PUBLISHED_VALUE_TOL * (1 + abs(w)):
             raise ValueError(f"case eigenvalue {w} not found in computed spectrum")
         available.remove(best)
         chosen.append(best)

@@ -178,7 +178,6 @@ def cmd_solve(args) -> int:
         pf = fileio.load_problem(args.input)
     except SchemaError as exc:
         return _fail_schema(str(exc))
-    tol = args.tol if args.tol is not None else TAU_DEFL
     if args.unstructured or pf.structure == "unstructured":
         solve_path = _solve_unstructured
     elif args.quadratic or pf.quadratic:
@@ -186,7 +185,7 @@ def cmd_solve(args) -> int:
     else:
         solve_path = _solve_structured
     try:
-        result, cert = _certify(*solve_path(pf), tol)
+        result, cert = _certify(*solve_path(pf), args.tol)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:
@@ -219,12 +218,11 @@ def cmd_verify(args) -> int:
     spillover_only = targets is None and has_fixed
     if not spillover_only and (targets is None or targets.x is None or targets.lam is None):
         return _fail_schema("pairs file needs targets with x and lambda, or a fixed pair")
-    tol = args.tol if args.tol is not None else TAU_DEFL
     try:
         pencil = _pencil(m, k, structure)
         fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
         if spillover_only:
-            cert = certify_spillover(pencil, result, fixed_pair, tol_defl=tol)
+            cert = certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol)
         else:
             problem = UpdateProblem(
                 DeflatingPair(targets.x, targets.lam),
@@ -232,7 +230,7 @@ def cmd_verify(args) -> int:
                 target_x=targets.x,
                 fixed=fixed_pair,
             )
-            cert = certify(pencil, result, problem, tol_defl=tol)
+            cert = certify(pencil, result, problem, tol_defl=args.tol)
     except NoSpilloverError as exc:
         return _fail_math(exc)
     for line in cert.summary_lines():
@@ -290,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--unstructured", action="store_true")
     p_solve.add_argument("--quadratic", action="store_true")
-    p_solve.add_argument("--tol", type=float, default=None)
+    p_solve.add_argument("--tol", type=float, default=TAU_DEFL)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="verify a delta file")
     p_verify.add_argument("--pencil", required=True)
     p_verify.add_argument("--delta", required=True)
     p_verify.add_argument("--pairs", required=True)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=float, default=TAU_DEFL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="re-run a bundled reference case")

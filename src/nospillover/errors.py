@@ -95,4 +95,5 @@ class NotSHH(NoSpilloverError):
 
 
 class BadParameters(NoSpilloverError):
-    """Invalid parameters for random problem generation."""
+    """Invalid parameters: a random problem that cannot be planted, or an
+    update core given by more than one of mhat, z1/z2 and strategy."""

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
+from .linalg import TAU_SPECTRUM
 from .unstructured import UpdateResult
 
 FORMAT_VERSION = 1
@@ -309,13 +310,13 @@ def certificate_dict(cert) -> dict:
             "max_distance": cert.spectrum.max_distance,
             "unmatched": cert.spectrum.unmatched,
             "infinite_computed": cert.spectrum.infinite_computed,
-            "tol": cert.spectrum.tol,
+            "tol": TAU_SPECTRUM,
             "oracle": cert.spectrum.oracle,
         }
     return doc
 
 
-def save_result(path, result, cert=None, extra=None):
+def save_result(path, result, cert=None):
     """Delta file of ``result``: ``format: 2`` with its factors when it has
     them, else ``format: 1`` with the dense dM and dK."""
     factors = result.factors
@@ -338,8 +339,6 @@ def save_result(path, result, cert=None, extra=None):
         }
     doc["provenance"] = prov
     doc["certificate"] = certificate_dict(cert) if cert is not None else None
-    if extra:
-        doc.update(extra)
     _write(path, doc)
 
 

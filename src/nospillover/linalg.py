@@ -27,21 +27,127 @@ from .errors import (
     SingularPencil,
 )
 
-# Working tolerances (relative, Frobenius-scaled). Chosen for double
-# precision with headroom up to n ~ 500.
-TAU_NUM = 1e-12     # SVD cutoff for rank decisions
-TAU_STRUCT = 1e-10  # symmetry-structure residual acceptance
-TAU_DEFL = 1e-9     # deflating-pair residual acceptance
+# ---------------------------------------------------------------------------
+# Tolerances: every threshold the package decides with. Each row gives the
+# value, the quantity it bounds (relative to the scale named) and why the
+# value is what it is. Values are for double precision (eps = 2.2e-16) up to
+# n ~ 500, where n eps is about 1e-13. No function takes a tolerance
+# argument: the only one a user sets is the certificate's pair-residual
+# gate, which ``--tol`` of ``solve`` and ``verify`` passes to
+# ``verify.certify(tol_defl=)`` in place of TAU_DEFL.
 
-# Eigenvalue equality: |a - b| <= EIG_MATCH_TOL * (1 + max(|a|, |b|))
+# -- certificate
+TAU_DEFL = 1e-9
+# bounds: a pair's residual ||M X Lam + K X||_F over (||M|| ||Lam|| + ||K||)
+#   ||X||: the certificate's target and spillover gates, and the eigenpair
+#   check of the real T-odd/T-even recipes.
+# why: planted pairs at n = 512 certify at about 1e-12; three orders of
+#   headroom leave room for eigendata read from a file.
+TAU_STRUCT = 1e-10
+# bounds: a symmetry residual ||A^star - eps A||_F / ||A||_F: of a tagged
+#   pencil, of a core (``core_structure_flags``), of the updated pencil, of
+#   a W that must be Hermitian. Also (formerly ``special._DIAG_TOL``),
+#   relative to 1 + the largest |entry|, the off-diagonal, imaginary or real
+#   part of a diagonal parameter and the real part of a realified change or
+#   target value, and, relative to max(||M||_F, ||K||_F), the imaginary part
+#   of a real T-odd/T-even pencil.
+# why: exact structure leaves rounding only, with no eigensolver error: the
+#   reference cases measure 1e-21 to 1e-15.
+TAU_PSD = 1e-10
+# bounds: how far below zero the least eigenvalue of a matrix named PSD may
+#   be, over its ||.||_F in the certificate and absolute in ``reproduce``.
+# why: rounding of a PSD update; the reference cases measure -4.6e-16 at
+#   worst.
+TAU_SPECTRUM = 1e-7
+# bounds: |a - b| / (1 + max(|a|, |b|)) of each matched eigenvalue in the
+#   certificate's spectrum match.
+# why: an eigenvalue moves by its pair residual times its condition number;
+#   this admits condition numbers to ~100 at the TAU_DEFL gate.
+
+# -- rank, conditioning and definiteness
+TAU_NUM = 1e-12
+# bounds: sigma_min / sigma_max at or below which a matrix is singular (the
+#   pseudoinverse cutoff, rank of X and of [X_a X_f], rcond of the change
+#   Gramian G, formerly ``structured.G_RCOND_CUTOFF``); lambda_min /
+#   lambda_max of a W that must be positive definite; a zero change value.
+# why: about 5e3 eps, above the O(n eps) rounding of a regular problem. A G at
+#   the cutoff is refused, not regularized, since regularizing would
+#   silently break the exactness of the update.
+
+# -- eigenvalues
 EIG_MATCH_TOL = 1e-8
-
-# QZ eigenvalue classification of lambda = -alpha/beta.
-# alpha ~ ||K|| and beta ~ ||M|| both at rounding-noise level: no regular pencil.
+# bounds: |re lambda| or |im lambda| over 1 + |lambda| at which a computed
+#   value lies on the imaginary or real axis (T-SHH grouping and blocks);
+#   over 1 + |lambda|^2, that lambda^2 does, for a quadratic class, and
+#   |lambda| at which it is zero for star-even (formerly
+#   ``special.E_MEMBERSHIP_TOL``).
+# why: about sqrt(eps). The QZ does not keep the spectral symmetry, so a
+#   value on an axis comes out off it by rounding times its condition.
+#   Mismatch: the real T-odd/T-even recipes ask a change or target value to
+#   be imaginary at TAU_STRUCT, where a T-SHH imaginary pair asks it here.
+T_SHH_PARTNER_FACTOR = 1e4
+# bounds: the factor by which ``group_t_shh_spectrum`` widens EIG_MATCH_TOL
+#   to find a value's partners, and below which (times EIG_MATCH_TOL) a
+#   |lambda| is left ungrouped as near zero.
+# why: partners are separate QZ values, each with its own rounding, so
+#   they agree less closely than one value lies on its axis.
 QZ_SINGULAR_TOL = 1e-10
-# |beta| below this fraction of |alpha|: -alpha/beta is beyond double precision,
-# so the eigenvalue is tagged infinite.
+# bounds: |alpha| / ||K||_F and |beta| / ||M||_F of a QZ pair; both at or
+#   below it is no regular pencil.
+# why: both at rounding-noise level, with headroom for n eps growth.
 QZ_INFINITE_TOL = 1e-14
+# bounds: |beta| / |alpha| of a QZ pair (and |w| / max |w| of the definite
+#   reduction of star-even) at or below which lambda is tagged infinite.
+# why: -alpha/beta is then beyond double precision.
+REAL_DATA_TOL = 1e-8
+# bounds: the largest |imaginary part| of a T-SHH pencil over max(||M||_F,
+#   ||K||_F), or of a real pair's eigenvectors over their largest |entries|,
+#   that still counts as real (formerly ``shh._PATTERN_TOL``).
+# why: a real pair's eigenvectors come from a complex QZ, whose imaginary
+#   parts are rounding times the vectors' condition. Mismatch: the real
+#   T-odd/T-even recipes ask the same of their pencil at TAU_STRUCT. Making
+#   the two agree changes which inputs one path accepts, so it would be a
+#   change of its own.
+
+# -- published reference values
+PUBLISHED_VALUE_TOL = 1e-3
+# bounds: |lambda - w| / (1 + |w|) within which a computed eigenvalue is
+#   taken for a wanted change value w (``special.select_eigendata`` and the
+#   SHH reference case).
+# why: wanted values are published to 4-6 significant digits.
+PUBLISHED_MATRIX_TOL = 5e-4
+# bounds: max |computed - printed| / max |printed| of a reference case's dM
+#   and dK (``reproduce``).
+# why: the printed matrices are rounded and computed from printed eigendata;
+#   the four cases measure 9e-7 to 8.4e-6.
+
+# -- planting (``randomgen``): a draw outside these is retried, not repaired
+MIN_SEPARATION = 1e-5
+# bounds: |a - b| / (1 + |a|) (or 1 + max(|a|, |b|)) at which two values
+#   count as equal: a change value and a fixed value's symmetry partner,
+#   a target and a fixed value, two change values, orbit mates.
+# why: keeps planted instances off the boundary of the no-spillover
+#   condition and of the Gramian's block structure.
+PLANT_BASIS_CUTOFF = 1e-8
+# bounds: the least rcond([X_c X_f]) of an accepted planted instance.
+# why: four orders above TAU_NUM, so the pairs of a planted file are
+#   comfortably independent.
+PLANT_GRAMIAN_CUTOFF = 1e-6
+# bounds: the least rcond of the change Gramian G of an accepted instance.
+# why: six orders above TAU_NUM, so no planted file is near ``SingularG``.
+STAR_SHH_SELF_TOL = 2e-8
+# bounds: |lambda + conj lambda| / (1 + |lambda|) at which a *-SHH value is
+#   its own partner (imaginary).
+# why: 1e-8 on |re lambda|, as EIG_MATCH_TOL asks of a T-SHH value, on a
+#   distance that is 2 |re lambda|.
+STAR_SHH_MATE_TOL = 1e-6
+# bounds: |mu + conj lambda| / (1 + |lambda|) at which mu is the couple mate
+#   of a *-SHH value lambda.
+# why: mates are separate QZ values, each with its own rounding.
+T_SHH_GROUP_TOL = 1e-6
+# bounds: |lambda - r| / (1 + |r|) at which a computed value belongs to the
+#   planted T-SHH change group of r; the rest make the fixed pair.
+# why: group members are separate QZ values, as for STAR_SHH_MATE_TOL.
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -94,28 +200,17 @@ def pseudoinverse(a) -> np.ndarray:
     return np.linalg.pinv(a, rcond=TAU_NUM)
 
 
-def rcond_estimate(a) -> float:
-    """sigma_min / sigma_max of a (0.0 for the zero matrix)."""
-    a = as_matrix(a, "A")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0.0
-    return float(s[-1] / s[0])
-
-
-def scaled_rcond(a, floor_scale: float = 0.0) -> float:
-    """sigma_min(A) relative to max(sigma_max(A), floor_scale).
+def rcond_estimate(a, floor_scale: float = 0.0) -> float:
+    """sigma_min(A) relative to max(sigma_max(A), floor_scale); 0.0 for an
+    empty or zero A.
 
     Gramians G = X^star W X can collapse entirely (e.g. isotropic vectors),
     in which case sigma_min/sigma_max is a meaningless 1; the floor ties the
     estimate to the outer scale ||W||*sigma_max(X)^2 instead.
     """
-    a = as_matrix(a, "A")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(as_matrix(a, "A"), compute_uv=False)
     denom = max(float(s[0]) if s.size else 0.0, floor_scale)
-    if denom == 0.0:
-        return 0.0
-    return float(s[-1] / denom) if s.size else 0.0
+    return float(s[-1] / denom) if s.size and denom else 0.0
 
 
 def gramian_scale(w: np.ndarray, x: np.ndarray) -> float:

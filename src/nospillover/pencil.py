@@ -85,8 +85,8 @@ def structure_residuals(m: np.ndarray, k: np.ndarray, tag: StructureTag, norms=N
     return rm, rk
 
 
-def classify_structure(m, k, tol: float = TAU_STRUCT) -> list[StructureTag]:
-    """All structure tags whose symmetry residuals pass the tolerance."""
+def classify_structure(m, k) -> list[StructureTag]:
+    """All structure tags whose symmetry residuals are within TAU_STRUCT."""
     m = require_square(as_matrix(m, "M"), "M")
     k = as_matrix(k, "K")
     if k.shape != m.shape:
@@ -95,7 +95,7 @@ def classify_structure(m, k, tol: float = TAU_STRUCT) -> list[StructureTag]:
     found = []
     for tag in ALL_TAGS:
         rm, rk = structure_residuals(m, k, tag, norms)
-        if rm <= tol and rk <= tol:
+        if rm <= TAU_STRUCT and rk <= TAU_STRUCT:
             found.append(tag)
     return found
 

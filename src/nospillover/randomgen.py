@@ -21,7 +21,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadParameters, NoSpilloverError
-from .linalg import largest_entry_scaled, rcond_estimate
+from .linalg import (
+    MIN_SEPARATION, PLANT_BASIS_CUTOFF, PLANT_GRAMIAN_CUTOFF, STAR_SHH_MATE_TOL,
+    STAR_SHH_SELF_TOL, T_SHH_GROUP_TOL, largest_entry_scaled, rcond_estimate,
+)
 from .pencil import (
     STAR_EVEN,
     DeflatingPair,
@@ -44,7 +47,6 @@ from .shh import (
 
 RANDOM_CLASSES = (*TAG_BY_NAME, "star-shh", "t-shh")
 
-_MIN_SEPARATION = 1e-5
 _MAX_ATTEMPTS = 64
 
 
@@ -127,21 +129,22 @@ def _accepted(pencil, chosen: _Split, xf: np.ndarray, lam_f: np.ndarray) -> bool
         g_rcond = rcond_estimate(star(chosen.xc, tag.star) @ pencil.m @ chosen.xc)
     partners = symmetry_partner(lam_f, tag)
     for c in chosen.change_values:
-        if np.any(np.abs(partners - c) <= _MIN_SEPARATION * (1 + np.abs(c))):
+        if np.any(np.abs(partners - c) <= MIN_SEPARATION * (1 + np.abs(c))):
             return False
-    if rcond_estimate(np.hstack([chosen.xc, xf])) < 1e-8 or g_rcond < 1e-6:
+    basis_rcond = rcond_estimate(np.hstack([chosen.xc, xf]))
+    if basis_rcond < PLANT_BASIS_CUTOFF or g_rcond < PLANT_GRAMIAN_CUTOFF:
         return False
     if chosen.check_targets:
         for t in np.diag(chosen.target_lam):
-            if np.any(np.abs(lam_f - t) <= _MIN_SEPARATION * (1 + abs(t))):
+            if np.any(np.abs(lam_f - t) <= MIN_SEPARATION * (1 + abs(t))):
                 return False
     return True
 
 
 def _distinct(values, pair_scale) -> bool:
-    """No two values closer than _MIN_SEPARATION * pair_scale(a, b)."""
+    """No two values closer than MIN_SEPARATION * pair_scale(a, b)."""
     return not any(
-        abs(a - b) <= _MIN_SEPARATION * pair_scale(a, b) for a, b in combinations(values, 2)
+        abs(a - b) <= MIN_SEPARATION * pair_scale(a, b) for a, b in combinations(values, 2)
     )
 
 
@@ -203,7 +206,7 @@ def _perturb_target(value: complex, tag: StructureTag, rng) -> complex:
     shift = 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
     mu = value * (1 + 0.1 * rng.standard_normal()) + shift
     partner = tag.eps1 * tag.eps2 * star_scalar(mu, tag.star)
-    if abs(star_scalar(value, tag.star) * tag.eps1 * tag.eps2 - value) <= _MIN_SEPARATION * (
+    if abs(star_scalar(value, tag.star) * tag.eps1 * tag.eps2 - value) <= MIN_SEPARATION * (
         1 + abs(value)
     ):
         # self-symmetric slot: project the target onto the fixed-point set
@@ -247,7 +250,7 @@ def _split_orbits(pencil, eigs, rng, p: int, seed: int):
     """p change values made of whole symmetry orbits."""
     tag = pencil.tag
     values = np.array([e.value for e in eigs])
-    orbits = _orbits(values, tag, _MIN_SEPARATION, _MIN_SEPARATION, lambda v, w: 1 + abs(w))
+    orbits = _orbits(values, tag, MIN_SEPARATION, MIN_SEPARATION, lambda v, w: 1 + abs(w))
     if orbits is None:
         return None
     chosen = _pick_orbits(orbits, p, rng)
@@ -329,9 +332,9 @@ def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> P
 
 def _split_couples(eigs, rng, num_couples: int, num_imag: int, seed: int):
     values = np.array([e.value for e in eigs])
-    # singles are imaginary to 1e-8 on |re lambda|, which is 2e-8 on the
-    # distance 2 |re lambda| to the partner -conj(lambda); mates to 1e-6
-    orbits = _orbits(values, STAR_EVEN, 2e-8, 1e-6, lambda v, w: 1 + abs(v))
+    orbits = _orbits(
+        values, STAR_EVEN, STAR_SHH_SELF_TOL, STAR_SHH_MATE_TOL, lambda v, w: 1 + abs(v)
+    )
     if orbits is None:
         return None
     couples = [orbit for orbit in orbits if len(orbit) == 2]
@@ -431,7 +434,7 @@ def _split_group(eigs, rng, seed: int):
     change_values = grouping.change_values()
     fixed_idx = []
     for i, e in enumerate(eigs):
-        if not any(abs(e.value - r) <= 1e-6 * (1 + abs(r)) for r in change_values):
+        if not any(abs(e.value - r) <= T_SHH_GROUP_TOL * (1 + abs(r)) for r in change_values):
             fixed_idx.append(i)
     if len(fixed_idx) != len(eigs) - grouping.column_count:
         return None

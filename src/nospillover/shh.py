@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadBlockShape, ComplexInput, DimensionMismatch, NotSHH, NotStructured
 from .linalg import (
-    EIG_MATCH_TOL,
+    EIG_MATCH_TOL, REAL_DATA_TOL, T_SHH_PARTNER_FACTOR,
     J2,
     as_matrix,
     block_diag,
@@ -31,8 +31,6 @@ from .structured import (
     structured_update,
 )
 from .unstructured import UpdateResult
-
-_PATTERN_TOL = 1e-8  # relative tolerance of the real-data checks
 
 
 def canonical_j(size: int) -> np.ndarray:
@@ -222,7 +220,7 @@ def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
             raise BadBlockShape(f"real-pair value {lam} must be real nonzero")
         x = as_matrix(x, "x")
         xhat = as_matrix(xhat, "xhat")
-        if max(np.abs(x.imag).max(), np.abs(xhat.imag).max()) > _PATTERN_TOL * (
+        if max(np.abs(x.imag).max(), np.abs(xhat.imag).max()) > REAL_DATA_TOL * (
             np.abs(x).max() + np.abs(xhat).max()
         ):
             raise ComplexInput("real-pair eigenvectors must be real")
@@ -321,7 +319,7 @@ def t_shh_update(
     if shh.star != STAR_TRANS:
         raise BadBlockShape("t_shh_update needs a T-SHH pencil")
     scale = max(fnorm(shh.m), fnorm(shh.k), 1e-300)
-    if max(np.abs(shh.m.imag).max(), np.abs(shh.k.imag).max()) > _PATTERN_TOL * scale:
+    if max(np.abs(shh.m.imag).max(), np.abs(shh.k.imag).max()) > REAL_DATA_TOL * scale:
         raise ComplexInput("T-SHH update needs a real pencil")
     xc, lam_c = t_shh_basis(grouping)
     shape = (
@@ -340,14 +338,16 @@ def t_shh_update(
     return result
 
 
-def group_t_shh_spectrum(eigs, tol: float = 1e-8):
+def group_t_shh_spectrum(eigs):
     """Group the full spectrum of a real T-SHH pencil, given as ``shh.eig()``.
 
     Returns (groups, leftovers) where groups is an EigGrouping covering every
     eigenvalue that participates in a quadruple / imaginary pair / real pair,
     and leftovers is the list of eigenpairs that could not be grouped (e.g.
     near-zero eigenvalues). Pairing is strict: a candidate quadruple without
-    all four members present is rejected into leftovers.
+    all four members present is rejected into leftovers. A value is on an
+    axis to EIG_MATCH_TOL; partners match, and |lambda| is near zero, to
+    EIG_MATCH_TOL times T_SHH_PARTNER_FACTOR.
     """
     eigs = [e for e in eigs if e.finite]
     used = [False] * len(eigs)
@@ -356,7 +356,7 @@ def group_t_shh_spectrum(eigs, tol: float = 1e-8):
         for i, e in enumerate(eigs):
             if used[i]:
                 continue
-            if abs(e.value - value) <= tol * (1 + abs(value)) * 1e4:
+            if abs(e.value - value) <= EIG_MATCH_TOL * (1 + abs(value)) * T_SHH_PARTNER_FACTOR:
                 return i
         return None
 
@@ -369,11 +369,11 @@ def group_t_shh_spectrum(eigs, tol: float = 1e-8):
             continue
         lam = eigs[i].value
         s = 1 + abs(lam)
-        if abs(lam) <= tol * 1e4:
+        if abs(lam) <= EIG_MATCH_TOL * T_SHH_PARTNER_FACTOR:
             leftovers.append(eigs[i])
             used[i] = True
             continue
-        if abs(lam.real) <= tol * s:
+        if abs(lam.real) <= EIG_MATCH_TOL * s:
             if lam.imag < 0:
                 continue  # handled from its positive partner
             used[i] = True
@@ -383,7 +383,7 @@ def group_t_shh_spectrum(eigs, tol: float = 1e-8):
                 continue
             used[jpart] = True
             imag_pairs.append((lam, eigs[i].vector.reshape(-1, 1)))
-        elif abs(lam.imag) <= tol * s:
+        elif abs(lam.imag) <= EIG_MATCH_TOL * s:
             if lam.real < 0:
                 continue
             used[i] = True

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadBlockShape,
+    BadParameters,
     ComplexInput,
     DimensionMismatch,
     EigenvalueOutsideClass,
@@ -30,10 +31,8 @@ from .errors import (
     ZeroChangeEigenvalue,
 )
 from .linalg import (
+    EIG_MATCH_TOL, PUBLISHED_VALUE_TOL, QZ_INFINITE_TOL, TAU_DEFL, TAU_NUM, TAU_STRUCT,
     J2,
-    QZ_INFINITE_TOL,
-    TAU_DEFL,
-    TAU_NUM,
     PencilEigenpair,
     as_matrix,
     block_diag,
@@ -54,11 +53,6 @@ from .pencil import (
 from .structured import complete_core, parametrized_core, structured_update
 from .unstructured import UpdateProblem, UpdateResult
 
-_DIAG_TOL = 1e-10  # relative tolerance for real/imaginary/diagonal checks
-
-# lambda^2 purely imaginary <=> lambda in {±sqrt(a/2)(1+i), ±sqrt(a/2)(1-i)}
-E_MEMBERSHIP_TOL = 1e-8
-
 
 def _diag_vec(v, name: str, err=NotRealDiagonal) -> np.ndarray:
     """Accept a 1-d sequence or a square diagonal matrix; return 1-d."""
@@ -66,7 +60,7 @@ def _diag_vec(v, name: str, err=NotRealDiagonal) -> np.ndarray:
     if arr.ndim == 2:
         scale = 1.0 + float(np.abs(np.diag(arr)).max(initial=0.0))
         off = arr - np.diag(np.diag(arr))
-        if np.abs(off).max(initial=0.0) > _DIAG_TOL * scale:
+        if np.abs(off).max(initial=0.0) > TAU_STRUCT * scale:
             raise err(f"{name} must be diagonal")
         arr = np.diag(arr)
     if arr.ndim != 1:
@@ -78,7 +72,7 @@ def _real_diag(v, name: str) -> np.ndarray:
     """The diagonal of ``v``, which must have real entries."""
     d = _diag_vec(v, name)
     scale = 1.0 + float(np.abs(d).max(initial=0.0))
-    if np.abs(d.imag).max(initial=0.0) > _DIAG_TOL * scale:
+    if np.abs(d.imag).max(initial=0.0) > TAU_STRUCT * scale:
         raise NotRealDiagonal(f"{name} must have real entries")
     return d
 
@@ -87,7 +81,7 @@ def _imaginary_diag(v, name: str) -> np.ndarray:
     """The diagonal of ``v``, which must have purely imaginary entries."""
     d = _diag_vec(v, name, NotImaginaryDiagonal)
     scale = 1.0 + float(np.abs(d).max(initial=0.0))
-    if np.abs(d.real).max(initial=0.0) > _DIAG_TOL * scale:
+    if np.abs(d.real).max(initial=0.0) > TAU_STRUCT * scale:
         raise NotImaginaryDiagonal(f"{name} must have purely imaginary entries")
     return d
 
@@ -226,11 +220,20 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> tuple[np.ndarray, np.
     return z1, np.zeros_like(z1)
 
 
+def _require_one_core_source(mhat, z1, z2, strategy=None):
+    """Raise BadParameters when more than one of ``mhat``, ``z1``/``z2`` and
+    ``strategy`` is given: each sets the whole core, so another would be
+    dropped unread."""
+    if sum((mhat is not None, z1 is not None or z2 is not None, strategy is not None)) > 1:
+        raise BadParameters("the core comes from one of mhat, z1/z2 and strategy")
+
+
 def _definite_update(
     klass: str, pencil: StructuredPencil, xc, lam_c, lam_a, mhat, z1, z2
 ) -> UpdateResult:
     """``_class_update`` on the W-normalized X_c, with diagonal Lc, La and
     diagonal Z1, Z2 (omitted ones zero), or a given diagonal Mh."""
+    _require_one_core_source(mhat, z1, z2)
     tag = TAG_BY_NAME[klass]
     on_lam, on_z1, on_z2 = (_EPS_DIAG[e] for e in (tag.eps1 * tag.eps2, tag.eps1, tag.eps2))
     lc, la = on_lam(lam_c, "Lambda_c"), on_lam(lam_a, "Lambda_a")
@@ -258,9 +261,10 @@ def hermitian_update(
     """Hermitian update dM = M Xc Mh Xc^* M, dK = M Xc (Lc-La-Mh La) Xc^* M.
 
     Requires M > 0 and real diagonal Lc, La. The core Mh is either given
-    directly (real diagonal) or built from (Z1, Z2); omitted parameters
-    default to the dM = 0 branch. Columns of Xc are renormalized so that
-    Xc^* M Xc = I. Real inputs produce real perturbations.
+    directly (real diagonal) or built from (Z1, Z2), not both
+    (BadParameters); omitted parameters default to the dM = 0 branch.
+    Columns of Xc are renormalized so that Xc^* M Xc = I. Real inputs
+    produce real perturbations.
     """
     return _definite_update("hermitian", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -296,14 +300,14 @@ def star_even_update(
 def _as_real_pencil(pencil: StructuredPencil) -> tuple[np.ndarray, np.ndarray]:
     """(M, K) as contiguous real arrays, for a pencil with no imaginary part."""
     scale = max(fnorm(pencil.m), fnorm(pencil.k), 1e-300)
-    if max(np.abs(pencil.m.imag).max(), np.abs(pencil.k.imag).max()) > _DIAG_TOL * scale:
+    if max(np.abs(pencil.m.imag).max(), np.abs(pencil.k.imag).max()) > TAU_STRUCT * scale:
         raise ComplexInput("this path needs a real pencil")
     return np.ascontiguousarray(pencil.m.real), np.ascontiguousarray(pencil.k.real)
 
 
 def _imag_part(lam: complex, name: str) -> float:
     lam = complex(lam)
-    if abs(lam.real) > _DIAG_TOL * (1.0 + abs(lam)):
+    if abs(lam.real) > TAU_STRUCT * (1.0 + abs(lam)):
         raise BadBlockShape(f"{name} must be purely imaginary, got {lam}")
     return lam.imag
 
@@ -417,19 +421,20 @@ class QuadraticSpec:
 
 
 def _check_membership(lam: complex, klass: str, role: str):
+    # lambda^2 purely imaginary <=> lambda in {±sqrt(a/2)(1+i), ±sqrt(a/2)(1-i)}
     sq = lam * lam
     scale = 1.0 + abs(lam) ** 2
     if klass == "hermitian":
-        if abs(sq.imag) > E_MEMBERSHIP_TOL * scale:
+        if abs(sq.imag) > EIG_MATCH_TOL * scale:
             raise EigenvalueOutsideClass(
                 f"{role} {lam} has nonreal square; not admissible for hermitian"
             )
     else:
-        if abs(sq.real) > E_MEMBERSHIP_TOL * scale:
+        if abs(sq.real) > EIG_MATCH_TOL * scale:
             raise EigenvalueOutsideClass(
                 f"{role} {lam} has square off the imaginary axis"
             )
-        if klass == "star-even" and abs(lam) <= E_MEMBERSHIP_TOL:
+        if klass == "star-even" and abs(lam) <= EIG_MATCH_TOL:
             raise EigenvalueOutsideClass(f"{role} must be nonzero for star-even")
 
 
@@ -457,10 +462,13 @@ def solve_quadratic(
     change values against it, and applies the class update with the exact
     computed eigendata. ``strategy='psd-minimal'`` (hermitian class only)
     derives (Z1, Z2) from the PSD selection rule instead of explicit
-    parameters. Returns (UpdateResult, info) where info carries the lifted
-    ``pencil`` and ``problem``, the ``UpdateProblem`` solved (normalized
-    change pair, lifted targets, fixed pair), for certification.
+    parameters. The core comes from one of ``mhat``, ``z1``/``z2`` and
+    ``strategy``; more than one raises BadParameters. Returns
+    (UpdateResult, info) where info carries the lifted ``pencil`` and
+    ``problem``, the ``UpdateProblem`` solved (normalized change pair,
+    lifted targets, fixed pair), for certification.
     """
+    _require_one_core_source(mhat, z1, z2, strategy)
     lam_c_wanted, lam_a, tag = lift_quadratic(spec)
     pencil = StructuredPencil(m, k, tag)
     change, fixed = select_eigendata(pencil, lam_c_wanted)
@@ -474,7 +482,6 @@ def solve_quadratic(
                 "the PSD selection rule applies to the hermitian K > 0 class"
             )
         z1, z2 = select_psd_params(lam_c.real, lam_a.real, slack=slack)
-        mhat = None
     result = _definite_update(spec.klass, pencil, xc, lam_c, lam_a, mhat, z1, z2)
     problem = UpdateProblem(
         DeflatingPair(result.provenance["xc_normalized"], np.diag(lam_c)),
@@ -484,13 +491,13 @@ def solve_quadratic(
     return result, {"pencil": pencil, "problem": problem}
 
 
-def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):
+def select_eigendata(pencil: StructuredPencil, wanted):
     """Split the computed spectrum into matched change pairs and the rest.
 
     Each wanted value is matched to the nearest computed finite eigenvalue
-    (injectively, within a relative tolerance that accommodates truncated
-    published values). Returns (change list, fixed list) of eigenpairs.
-    The pencil is of one of the three definite classes, and its eigenpairs
+    (injectively, within the relative PUBLISHED_VALUE_TOL, which admits
+    truncated published values). Returns (change list, fixed list) of
+    eigenpairs. The pencil is of one of the three definite classes, and its eigenpairs
     come from the Hermitian-definite solver (``definite_eig``).
     """
     eigs = [e for e in definite_eig(pencil) if e.finite]
@@ -503,9 +510,9 @@ def select_eigendata(pencil: StructuredPencil, wanted, tol: float = 1e-3):
             d = abs(eigs[idx].value - w) / (1.0 + abs(w))
             if d < best_d:
                 best, best_d = idx, d
-        if best is None or best_d > tol:
+        if best is None or best_d > PUBLISHED_VALUE_TOL:
             raise NotEigenpair(
-                f"no computed eigenvalue matches {w} within relative {tol}"
+                f"no computed eigenvalue matches {w} within relative {PUBLISHED_VALUE_TOL}"
             )
         available.remove(best)
         change.append(eigs[best])

@@ -20,20 +20,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingStar, SingularG
 from .linalg import (
-    TAU_STRUCT,
+    TAU_NUM, TAU_STRUCT,
     as_matrix,
     fnorm,
     gramian_scale,
+    rcond_estimate,
     require_square,
-    scaled_rcond,
     star_residual,
 )
 from .pencil import STAR_CONJ, StructuredPencil, StructureTag, star
 from .unstructured import UpdateResult, core_family
-
-# G is treated as singular below this reciprocal condition number; we error
-# rather than regularize, since regularization silently breaks exactness.
-G_RCOND_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,14 @@ def change_gramian(pencil: StructuredPencil, xc):
     if xc.shape[0] != pencil.n:
         raise DimensionMismatch("X_c rows must equal the pencil size")
     g = star(xc, pencil.star) @ pencil.m @ xc
-    return g, scaled_rcond(g, gramian_scale(pencil.m, xc))
+    return g, rcond_estimate(g, gramian_scale(pencil.m, xc))
 
 
 def build_update_basis(pencil: StructuredPencil, xc, g, rcond) -> np.ndarray:
     """U = M X_c G^{-1}, with X_c^star U = I_p: the range that carries the
-    whole update. ``g`` and ``rcond`` are what ``change_gramian`` returned."""
-    if rcond <= G_RCOND_CUTOFF:
+    whole update. ``g`` and ``rcond`` are what ``change_gramian`` returned;
+    a G with rcond at or below TAU_NUM raises SingularG."""
+    if rcond <= TAU_NUM:
         raise SingularG(f"X_c^star M X_c is singular (rcond={rcond:.2e})")
     return np.linalg.solve(g.T, (pencil.m @ xc).T).T
 
@@ -111,10 +108,9 @@ def parametrized_core(g, lam_c, lam_a, z1, z2) -> CoreSolution:
     return CoreSolution(mh, kh)
 
 
-def core_structure_flags(
-    core: CoreSolution, g, lam_a, tag: StructureTag, tol: float = TAU_STRUCT
-):
-    """Structure check of lambda*Mh + Kh, plus the equivalent criterion.
+def core_structure_flags(core: CoreSolution, g, lam_a, tag: StructureTag):
+    """Structure check of lambda*Mh + Kh at TAU_STRUCT, plus the equivalent
+    criterion.
 
     Returns a dict with both verdicts; they agree in exact arithmetic, so a
     disagreement is surfaced as a diagnostic rather than resolved silently.
@@ -123,7 +119,7 @@ def core_structure_flags(
     conjugate = tag.star == STAR_CONJ
 
     def _sym(a, eps):
-        return star_residual(a, conjugate, eps) <= tol * max(fnorm(a), 1e-300)
+        return star_residual(a, conjugate, eps) <= TAU_STRUCT * max(fnorm(a), 1e-300)
 
     direct = _sym(mh, tag.eps1) and _sym(kh, tag.eps2)
     alt = _sym(mh, tag.eps1) and _sym((mh + g) @ lam_a, tag.eps2)

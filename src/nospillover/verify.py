@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteEntries, SingularPencil
 from .linalg import (
-    TAU_DEFL,
-    TAU_STRUCT,
+    TAU_DEFL, TAU_PSD, TAU_SPECTRUM, TAU_STRUCT,
     eig_pencil,  # noqa: F401  perfbench/tests wraps verify.eig_pencil by this name
     eigvals_pencil,
     fnorm,
@@ -44,21 +43,17 @@ from .shh import SHHPencil, apply_j
 from .special import DEFINITE_TAGS, definite_eigvals
 from .unstructured import UpdateProblem, UpdateResult
 
-TAU_SPECTRUM = 1e-7  # relative distance of each matched eigenvalue
-TAU_PSD = 1e-10  # how far below zero a reported min eigenvalue may be
-
 
 @dataclass
 class SpectrumMatch:
     max_distance: float
     unmatched: int
     infinite_computed: int
-    tol: float
     oracle: str = "qz"  # "definite" or "qz": where the computed spectrum came from
 
     @property
     def passed(self) -> bool:
-        return self.unmatched == 0 and self.max_distance <= self.tol
+        return self.unmatched == 0 and self.max_distance <= TAU_SPECTRUM
 
 
 @dataclass
@@ -125,7 +120,7 @@ def _spectrum(pencil_or_mk) -> tuple[list[complex | None], str]:
     return eigvals_pencil(*pencil_or_mk), "qz"
 
 
-def spectrum_match(pencil_or_mk, expected, tol: float = TAU_SPECTRUM) -> SpectrumMatch:
+def spectrum_match(pencil_or_mk, expected) -> SpectrumMatch:
     """Match the computed spectrum against an expected multiset.
 
     The spectrum comes from ``_spectrum``: the Hermitian-definite reduction
@@ -133,14 +128,15 @@ def spectrum_match(pencil_or_mk, expected, tol: float = TAU_SPECTRUM) -> Spectru
     for star-even) has a Cholesky factor, else a values-only QZ of the
     pencil or of the ``(M, K)`` tuple. The matching is
     ``match_multisets``'s minimum-cost assignment under
-    |a-b|/(1+max(|a|,|b|)). Raises SingularPencil for non-regular pencils.
+    |a-b|/(1+max(|a|,|b|)), which passes within TAU_SPECTRUM. Raises
+    SingularPencil for non-regular pencils.
     """
     values, oracle = _spectrum(pencil_or_mk)
     computed = np.array([v for v in values if v is not None], dtype=np.complex128)
     infinite = len(values) - computed.size
     expected = np.atleast_1d(np.asarray(expected, dtype=np.complex128))
     maxdist, unmatched = match_multisets(expected, computed)
-    return SpectrumMatch(maxdist, unmatched + infinite, infinite, tol, oracle)
+    return SpectrumMatch(maxdist, unmatched + infinite, infinite, oracle)
 
 
 def certify(
@@ -186,7 +182,7 @@ def certify(
         try:
             cert.spectrum = spectrum_match(updated, expected_spectrum)
         except SingularPencil:
-            cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0, TAU_SPECTRUM)
+            cert.spectrum = SpectrumMatch(np.inf, len(expected_spectrum), 0)
     return cert
 
 

@@ -210,6 +210,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"error: NotPositiveDefinite: {definite} must be positive definite" in err
 
+    @pytest.mark.parametrize("second", ["mhat", "strategy"])
+    def test_quadratic_file_with_two_core_sources_exit_3(self, tmp_path, capsys, second):
+        doc = json.loads((DATA / "herm-6.1.quadratic.json").read_text())
+        params = doc["parameters"]
+        params[second] = params["z1"] if second == "mhat" else "psd-minimal"
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc))
+        assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
+        assert "error: BadParameters: the core comes from one of" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
     def test_quadratic_solve_loads_no_scipy(self, tmp_path):
         """A passing quadratic solve runs on numpy alone: the eigendata and
         the spectrum oracle come from the Hermitian-definite reduction."""

@@ -14,6 +14,7 @@ from conftest import (
 )
 
 from nospillover.errors import (
+    BadParameters,
     EigenvalueOutsideClass,
     NotEigenpair,
     NotHermitian,
@@ -510,6 +511,44 @@ class TestQuadraticLift:
             lift_quadratic(QuadraticSpec("star-odd", (1.5 + 0.2j,), (1j,)))
         with pytest.raises(EigenvalueOutsideClass):
             lift_quadratic(QuadraticSpec("star-even", (0.0,), (1j,)))
+
+
+class TestOneCoreSource:
+    """mhat, z1/z2 and strategy each set the whole core: two of them are
+    refused, not one dropped unread."""
+
+    @pytest.mark.parametrize(
+        "plant, update",
+        [
+            (plant_hermitian_definite, hermitian_update),
+            (plant_star_odd, star_odd_update),
+            (plant_star_even, star_even_update),
+        ],
+        ids=["hermitian", "star-odd", "star-even"],
+    )
+    @pytest.mark.parametrize("z", ["z1", "z2"])
+    def test_recipe_refuses_mhat_with_z(self, plant, update, z):
+        pencil, xc, lc, xf, lf = plant(31)
+        with pytest.raises(BadParameters, match="one of mhat, z1/z2 and strategy"):
+            update(pencil, xc, lc, 1.1 * lc, mhat=np.zeros(2), **{z: np.zeros(2)})
+
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            {"mhat": np.zeros(2), "z1": np.zeros(2)},
+            {"z2": np.zeros(2), "strategy": "psd-minimal"},
+            {"mhat": np.zeros(2), "strategy": "psd-minimal"},
+        ],
+        ids=["mhat+z1", "z2+strategy", "mhat+strategy"],
+    )
+    def test_solve_quadratic_refuses_two_sources(self, sources):
+        from nospillover.cases import CASES
+        from nospillover.special import solve_quadratic
+
+        case = CASES["herm-6.1"]
+        spec = QuadraticSpec("hermitian", case.lam_change, case.lam_target)
+        with pytest.raises(BadParameters, match="one of mhat, z1/z2 and strategy"):
+            solve_quadratic(case.m, case.k, spec, **sources)
 
 
 class TestZeroMhatRecovery:

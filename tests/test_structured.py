@@ -8,6 +8,7 @@ from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_groups
 
 from nospillover.errors import SingularG
 from nospillover.linalg import (
+    TAU_NUM,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -301,14 +302,13 @@ class TestStructuredUpdate:
         args = (planted.pencil, planted.change.x, planted.change.lam, planted.target_lam)
         g, _ = change_gramian(planted.pencil, planted.change.x)
         core = complete_core(g, planted.change.lam, planted.target_lam, 0.5 * g)
-        real, calls = structured.scaled_rcond, []
-        monkeypatch.setattr(structured, "scaled_rcond", lambda *a: calls.append(a) or real(*a))
+        real, calls = structured.rcond_estimate, []
+        monkeypatch.setattr(structured, "rcond_estimate", lambda *a: calls.append(a) or real(*a))
         structured_update(*args, core)
         assert len(calls) == 1
         # a G exactly at the cutoff is singular
         calls.clear()
-        cutoff = structured.G_RCOND_CUTOFF
-        monkeypatch.setattr(structured, "scaled_rcond", lambda *a: calls.append(a) or cutoff)
+        monkeypatch.setattr(structured, "rcond_estimate", lambda *a: calls.append(a) or TAU_NUM)
         with pytest.raises(SingularG, match=r"X_c\^star M X_c is singular \(rcond=1.00e-12\)"):
             structured_update(*args, core)
         assert len(calls) == 1

@@ -283,7 +283,7 @@ class TestSpectrumMatch:
         expected = np.concatenate(
             [np.diag(problem.target_lam), np.diag(problem.fixed.lam)]
         )
-        report = spectrum_match((m1, k1), expected, tol=1e-6)
+        report = spectrum_match((m1, k1), expected)
         assert report.passed
 
 
