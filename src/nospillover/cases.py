@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    PUBLISHED_MATRIX_TOL, PUBLISHED_VALUE_TOL, TAU_PSD, TAU_STRUCT,
-    eig_pencil, herm_eigs, largest_entry_scaled,
+    PUBLISHED_MATRIX_TOL, TAU_PSD, TAU_STRUCT,
+    eig_pencil, herm_eigs, largest_entry_scaled, nearest_eigenvalues,
 )
 from .pencil import DeflatingPair, structure_residuals
 from .shh import SHHPencil, apply_j, shh_gramian, shh_update
@@ -415,14 +415,7 @@ def _solve_quadratic_case(case: ReferenceCase):
 def _solve_shh_case(case: ReferenceCase):
     shh = SHHPencil(case.m, case.k, "*")
     eigs = [e for e in eig_pencil(case.m, case.k) if e.finite]
-    available = list(range(len(eigs)))
-    chosen = []
-    for w in case.lam_change:
-        best = min(available, key=lambda i: abs(eigs[i].value - w))
-        if abs(eigs[best].value - w) > PUBLISHED_VALUE_TOL * (1 + abs(w)):
-            raise ValueError(f"case eigenvalue {w} not found in computed spectrum")
-        available.remove(best)
-        chosen.append(best)
+    chosen, available = nearest_eigenvalues(eigs, case.lam_change)
 
     def pair(idx) -> DeflatingPair:
         x = np.hstack([largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in idx])

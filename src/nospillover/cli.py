@@ -25,7 +25,7 @@ from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaErr
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .shh import SHHPencil, shh_gramian, shh_update, t_shh_core, t_shh_mhat
+from .shh import SHHPencil, shh_gramian, shh_update, t_shh_core, t_shh_mhat, t_shh_update
 from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
 from .structured import (
     change_gramian,
@@ -140,13 +140,15 @@ def _core_from_parameters(pf, g, lam_c, lam_a):
 
 def _solve_structured(pf):
     """The six symmetry classes and the two SHH classes, from the file's
-    change pair, targets and core parameters."""
+    change pair, targets and core parameters. A ``t-shh`` file takes the
+    library's real T-SHH update, ``t_shh_update``."""
     xc = _need(pf.change, "x", "change.x")
     lam_c = _need(pf.change, "lam", "change.lambda")
     lam_a = _need(pf.targets, "lam", "targets.lambda")
     pencil = _pencil(pf.m, pf.k, pf.structure)
     if isinstance(pencil, SHHPencil):
-        gramian, update = shh_gramian, shh_update
+        gramian = shh_gramian
+        update = t_shh_update if pf.structure == "t-shh" else shh_update
     else:
         gramian, update = change_gramian, structured_update
     g, _ = gramian(pencil, xc)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonFiniteEntries,
+    NotEigenpair,
     NotHermitian,
     SingularPencil,
 )
@@ -100,9 +101,11 @@ QZ_INFINITE_TOL = 1e-14
 #   reduction of star-even) at or below which lambda is tagged infinite.
 # why: -alpha/beta is then beyond double precision.
 REAL_DATA_TOL = 1e-8
-# bounds: the largest |imaginary part| of a T-SHH pencil over max(||M||_F,
-#   ||K||_F), or of a real pair's eigenvectors over their largest |entries|,
-#   that still counts as real (formerly ``shh._PATTERN_TOL``).
+# bounds: the largest |imaginary part| of the data of a T-SHH update over
+#   its scale, that still counts as real (formerly ``shh._PATTERN_TOL``):
+#   of the pencil over max(||M||_F, ||K||_F), of the change basis, the two
+#   Lambdas and the core over their largest Frobenius norm, and of a real
+#   pair's eigenvectors over their largest |entries|.
 # why: a real pair's eigenvectors come from a complex QZ, whose imaginary
 #   parts are rounding times the vectors' condition. Mismatch: the real
 #   T-odd/T-even recipes ask the same of their pencil at TAU_STRUCT. Making
@@ -112,8 +115,7 @@ REAL_DATA_TOL = 1e-8
 # -- published reference values
 PUBLISHED_VALUE_TOL = 1e-3
 # bounds: |lambda - w| / (1 + |w|) within which a computed eigenvalue is
-#   taken for a wanted change value w (``special.select_eigendata`` and the
-#   SHH reference case).
+#   taken for a wanted change value w (``nearest_eigenvalues``).
 # why: wanted values are published to 4-6 significant digits.
 PUBLISHED_MATRIX_TOL = 5e-4
 # bounds: max |computed - printed| / max |printed| of a reference case's dM
@@ -187,6 +189,30 @@ def block_diag(*blocks) -> np.ndarray:
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
+
+
+def realified_pairs(values, vectors=None):
+    """(X, Lambda): the real form of eigenpairs (lam_j, x_j) of a real pencil,
+    with M X Lambda + K X = 0 whenever each M x_j lam_j + K x_j = 0.
+
+    A real lam (a float, not a complex with zero imaginary part) gives the
+    column re x and the 1 x 1 block [lam]. A complex lam = a + ib stands for
+    the conjugate pair (lam, conj lam): it gives the columns [re x, im x]
+    and the block [[a, b], [-b, a]]. Lambda is block diagonal; X is None
+    when no vectors are given. The imaginary value 1j * mu has real part
+    +0.0 or -0.0 with the sign of mu, so its block is exactly mu * J2.
+    """
+    blocks, cols = [], []
+    for j, lam in enumerate(values):
+        pair = np.iscomplexobj(lam)
+        blocks.append(
+            np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+            if pair else np.array([[lam]], dtype=float)
+        )
+        if vectors is not None:
+            x = as_matrix(vectors[j], "eigenvector")
+            cols += [x.real, x.imag] if pair else [x.real]
+    return (None if vectors is None else np.hstack(cols)), block_diag(*blocks)
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -414,6 +440,31 @@ def match_multisets(a, b):
     absa, absb = np.abs(a)[:, None], np.abs(b)[None, :]
     cost = np.abs(a[:, None] - b[None, :]) / (1.0 + np.maximum(absa, absb))
     return assignment_max_cost(cost), abs(a.size - b.size)
+
+
+def nearest_eigenvalues(eigs, wanted) -> tuple[list[int], list[int]]:
+    """(chosen, rest): the index into ``eigs`` of the computed eigenvalue
+    nearest each wanted value w, none taken twice, and the indices left.
+
+    Raises NotEigenpair when the nearest is farther than the relative
+    PUBLISHED_VALUE_TOL, |lambda - w| / (1 + |w|), which admits wanted
+    values published to 4-6 digits.
+    """
+    rest = list(range(len(eigs)))
+    chosen = []
+    for w in np.atleast_1d(np.asarray(wanted, dtype=np.complex128)):
+        best, best_d = None, np.inf
+        for idx in rest:
+            d = abs(eigs[idx].value - w) / (1.0 + abs(w))
+            if d < best_d:
+                best, best_d = idx, d
+        if best is None or best_d > PUBLISHED_VALUE_TOL:
+            raise NotEigenpair(
+                f"no computed eigenvalue matches {w} within relative {PUBLISHED_VALUE_TOL}"
+            )
+        rest.remove(best)
+        chosen.append(best)
+    return chosen, rest
 
 
 def assignment_max_cost(cost: np.ndarray) -> float:

@@ -12,14 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadBlockShape, ComplexInput, DimensionMismatch, NotSHH, NotStructured
+from .errors import (
+    BadBlockShape, BadParameters, ComplexInput, DimensionMismatch, NotSHH, NotStructured,
+)
 from .linalg import (
     EIG_MATCH_TOL, REAL_DATA_TOL, T_SHH_PARTNER_FACTOR,
     J2,
     as_matrix,
     block_diag,
     eig_pencil,
-    fnorm,
+    realified_pairs,
     require_square,
 )
 from .pencil import STAR_CONJ, STAR_TRANS, StructuredPencil, StructureTag, star
@@ -130,7 +132,8 @@ def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateRe
 
 @dataclass(frozen=True)
 class EigGrouping:
-    """Grouped change eigendata of a real T-SHH pencil.
+    """Grouped eigendata of a real T-SHH pencil: what ``group_t_shh_spectrum``
+    returns, and what ``t_shh_basis`` turns into a real change pair.
 
     quadruples: (lam, x, xhat) with re(lam) > 0, im(lam) > 0; x and xhat are
     eigenvectors for lam and -conj(lam). imag_pairs: (lam, x) with lam = i*mu,
@@ -162,15 +165,25 @@ class EigGrouping:
         return vals
 
 
-def _quad_block(lam: complex) -> np.ndarray:
-    lam = complex(lam)
-    hat = np.array(
-        [[lam.real, lam.imag], [-lam.imag, lam.real]]
-    )
-    out = np.zeros((4, 4))
-    out[:2, :2] = hat
-    out[2:, 2:] = -hat.T
-    return out
+def _t_shh_values(quad_values, imag_values, real_values) -> list:
+    """The ``realified_pairs`` value of each block, in group order: lam and
+    -conj(lam) per quadruple, i*mu per imaginary pair, lam and -lam per real
+    pair. Imaginary and real values are taken on their axis, to
+    EIG_MATCH_TOL."""
+    values = []
+    for v in map(complex, quad_values):
+        values += [v, -v.conjugate()]
+    for v in map(complex, imag_values):
+        if abs(v.real) > EIG_MATCH_TOL * (1 + abs(v)):
+            raise BadBlockShape(f"imaginary-pair value {v} must be imaginary")
+        values.append(1j * v.imag)
+    for v in map(complex, real_values):
+        if abs(v.imag) > EIG_MATCH_TOL * (1 + abs(v)):
+            raise BadBlockShape(f"real-pair value {v} must be real")
+        values += [v.real, -v.real]
+    if not values:
+        raise DimensionMismatch("empty grouping")
+    return values
 
 
 def t_shh_lambda(grouping_shape, quad_values, imag_values, real_values) -> np.ndarray:
@@ -178,25 +191,17 @@ def t_shh_lambda(grouping_shape, quad_values, imag_values, real_values) -> np.nd
     m1, m2p, pr = grouping_shape
     if len(quad_values) != m1 or len(imag_values) != m2p or len(real_values) != pr:
         raise DimensionMismatch("value counts do not match the grouping shape")
-    blocks = [_quad_block(v) for v in quad_values]
-    for v in imag_values:
-        v = complex(v)
-        if abs(v.real) > EIG_MATCH_TOL * (1 + abs(v)):
-            raise BadBlockShape(f"imaginary-pair value {v} must be imaginary")
-        blocks.append(v.imag * J2)
-    for v in real_values:
-        v = complex(v)
-        if abs(v.imag) > EIG_MATCH_TOL * (1 + abs(v)):
-            raise BadBlockShape(f"real-pair value {v} must be real")
-        blocks.append(np.diag([v.real, -v.real]))
-    if not blocks:
-        raise DimensionMismatch("empty grouping")
-    return block_diag(*blocks)
+    return realified_pairs(_t_shh_values(quad_values, imag_values, real_values))[1]
 
 
 def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
     """(X_c, Lambda_c) with real X_c columns per group and block Lambda_c."""
-    cols = []
+    values = _t_shh_values(
+        [lam for lam, _, _ in grouping.quadruples],
+        [lam for lam, _ in grouping.imag_pairs],
+        [lam for lam, _, _ in grouping.real_pairs],
+    )
+    vectors = []
     for lam, x, xhat in grouping.quadruples:
         lam = complex(lam)
         if abs(lam.real) <= EIG_MATCH_TOL * (1 + abs(lam)) or abs(
@@ -205,18 +210,13 @@ def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
             raise BadBlockShape(
                 f"quadruple value {lam} needs nonzero real and imaginary parts"
             )
-        x = as_matrix(x, "x")
-        xhat = as_matrix(xhat, "xhat")
-        cols.append(np.hstack([x.real, x.imag, xhat.real, xhat.imag]))
+        vectors += [x, xhat]
     for lam, x in grouping.imag_pairs:
-        lam = complex(lam)
-        if abs(lam.real) > EIG_MATCH_TOL * (1 + abs(lam)) or lam.imag == 0:
+        if complex(lam).imag == 0:
             raise BadBlockShape(f"imaginary-pair value {lam} must be i*mu, mu != 0")
-        x = as_matrix(x, "x")
-        cols.append(np.hstack([x.real, x.imag]))
+        vectors.append(x)
     for lam, x, xhat in grouping.real_pairs:
-        lam = complex(lam)
-        if abs(lam.imag) > EIG_MATCH_TOL * (1 + abs(lam)) or lam.real == 0:
+        if complex(lam).real == 0:
             raise BadBlockShape(f"real-pair value {lam} must be real nonzero")
         x = as_matrix(x, "x")
         xhat = as_matrix(xhat, "xhat")
@@ -224,22 +224,8 @@ def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
             np.abs(x).max() + np.abs(xhat).max()
         ):
             raise ComplexInput("real-pair eigenvectors must be real")
-        cols.append(np.hstack([x.real, xhat.real]))
-    if not cols:
-        raise DimensionMismatch("empty grouping")
-    xc = np.hstack(cols)
-    shape = (
-        len(grouping.quadruples),
-        len(grouping.imag_pairs),
-        len(grouping.real_pairs),
-    )
-    lam_c = t_shh_lambda(
-        shape,
-        [lam for lam, _, _ in grouping.quadruples],
-        [lam for lam, _ in grouping.imag_pairs],
-        [lam for lam, _, _ in grouping.real_pairs],
-    )
-    return xc, lam_c
+        vectors += [x, xhat]
+    return realified_pairs(values, vectors)
 
 
 def t_shh_mhat(grouping_shape, quad_alpha, quad_beta, imag_beta, real_beta) -> np.ndarray:
@@ -291,50 +277,43 @@ def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.nda
 def t_shh_core(g, lam_c, lam_a, mhat=None, z_params=None) -> CoreSolution:
     """The real T-SHH core on re(G): ``parametrized_core`` for patterned
     ``z_params`` = (Z1, Z2) (see t_shh_z_params), else ``complete_core`` for
-    a structured ``mhat`` (see t_shh_mhat), Mh = 0 when neither is given."""
+    a structured ``mhat`` (see t_shh_mhat), Mh = 0 when neither is given.
+    Each sets the whole core, so giving both raises BadParameters."""
+    if mhat is not None and z_params is not None:
+        raise BadParameters("the T-SHH core comes from one of mhat and z_params")
     g = g.real
     if z_params is not None:
         return parametrized_core(g, lam_c, lam_a, *z_params)
     return complete_core(g, lam_c, lam_a, np.zeros_like(g) if mhat is None else mhat)
 
 
-def t_shh_update(
-    shh: SHHPencil,
-    grouping: EigGrouping,
-    quad_targets,
-    imag_targets,
-    real_targets,
-    mhat=None,
-    z_params=None,
-) -> UpdateResult:
-    """Real T-SHH update on grouped eigendata.
+def t_shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateResult:
+    """``shh_update`` of a real T-SHH pencil, kept real.
 
-    Targets are given per group (quadruple values with re, im != 0;
-    imaginary pair values; real pair values). The core is ``t_shh_core``:
-    from a structured ``mhat`` (see t_shh_mhat) or from patterned (Z1, Z2)
-    given as ``z_params`` (see t_shh_z_params); passing neither uses Mh = 0.
-    The kernel raises SingularG when the grouping's Gramian is singular, as
-    for repeated change values or more columns than the pencil has.
+    Takes what ``structured_update`` and ``shh_update`` take: the real
+    change pair (X_c, Lc) and targets La of ``t_shh_basis`` and
+    ``t_shh_lambda`` (as a ``t-shh`` problem file holds them) and a core,
+    for instance ``t_shh_core``'s. The update is then real in exact
+    arithmetic, so the real parts of its factors are kept. A pencil, change
+    pair, Lambda or core with an imaginary part above REAL_DATA_TOL of its
+    scale raises ComplexInput, since the real parts would not be an update
+    of it.
     """
     if shh.star != STAR_TRANS:
         raise BadBlockShape("t_shh_update needs a T-SHH pencil")
-    scale = max(fnorm(shh.m), fnorm(shh.k), 1e-300)
-    if max(np.abs(shh.m.imag).max(), np.abs(shh.k.imag).max()) > REAL_DATA_TOL * scale:
-        raise ComplexInput("T-SHH update needs a real pencil")
-    xc, lam_c = t_shh_basis(grouping)
-    shape = (
-        len(grouping.quadruples),
-        len(grouping.imag_pairs),
-        len(grouping.real_pairs),
-    )
-    lam_a = t_shh_lambda(shape, quad_targets, imag_targets, real_targets)
-    g, _ = shh_gramian(shh, xc)
-    core = t_shh_core(g, lam_c, lam_a, mhat, z_params)
-    result = shh_update(shh, xc.astype(np.complex128), lam_c, lam_a, core)
+    for what, parts in (
+        ("pencil", (shh.m, shh.k)),
+        ("change basis", (xc,)),
+        ("Lambda", (lam_c, lam_a)),
+        ("core", (core.mhat, core.khat)),
+    ):
+        parts = [np.asarray(a) for a in parts]
+        scale = max(max(np.linalg.norm(a) for a in parts), 1e-300)
+        if max(np.abs(a.imag).max(initial=0.0) for a in parts) > REAL_DATA_TOL * scale:
+            raise ComplexInput(f"T-SHH update needs a real {what}")
+    result = shh_update(shh, xc, lam_c, lam_a, core)
     result.take_real()
-    result.provenance.update(
-        {"method": "t-shh", "grouping_shape": shape, "lam_c": lam_c, "lam_a": lam_a}
-    )
+    result.provenance["method"] = "t-shh"
     return result
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ZeroChangeEigenvalue,
 )
 from .linalg import (
-    EIG_MATCH_TOL, PUBLISHED_VALUE_TOL, QZ_INFINITE_TOL, TAU_DEFL, TAU_NUM, TAU_STRUCT,
+    EIG_MATCH_TOL, QZ_INFINITE_TOL, TAU_DEFL, TAU_NUM, TAU_STRUCT,
     J2,
     PencilEigenpair,
     as_matrix,
@@ -39,6 +39,8 @@ from .linalg import (
     check_hermitian,
     eigh_definite,
     fnorm,
+    nearest_eigenvalues,
+    realified_pairs,
     unit_eigenpairs,
 )
 from .pencil import (
@@ -312,27 +314,6 @@ def _imag_part(lam: complex, name: str) -> float:
     return lam.imag
 
 
-def _realified_change_basis(w: np.ndarray, eigenpairs) -> tuple[np.ndarray, list[float]]:
-    """Stack [re x, im x] per conjugate pair, scaled so X^T W X = I_{2p}.
-
-    For the real W, x^* W x has the real part re(x)^T W re(x) + im(x)^T W im(x).
-    """
-    cols = []
-    imag_parts = []
-    for lam, x in eigenpairs:
-        mu = _imag_part(lam, "change eigenvalue")
-        if mu == 0.0:
-            raise BadBlockShape("change eigenvalues must be nonreal")
-        x = as_matrix(x, "eigenvector")
-        parts = np.hstack([x.real, x.imag])
-        s = float(np.vdot(parts, w @ parts))
-        if s <= 0:
-            raise NotPositiveDefinite("eigenvector has nonpositive W-norm")
-        cols.append(parts * np.sqrt(2.0 / s))
-        imag_parts.append(mu)
-    return np.hstack(cols), imag_parts
-
-
 def _check_real_eigenpairs(m, k, eigenpairs):
     """Raise NotEigenpair unless ||M x lam + K x|| <= TAU_DEFL (|lam| ||M||_F
     + ||K||_F) ||x|| for every pair. The real M and K act on [re x, im x],
@@ -351,8 +332,9 @@ def _check_real_eigenpairs(m, k, eigenpairs):
 def _real_pair_update(
     klass: str, pencil: StructuredPencil, eigenpairs, lam_target, alpha, beta
 ) -> UpdateResult:
-    """``_class_update`` on the realified basis, with blocks mu_j J2 in Lc
-    and La, and alpha_j, beta_j times the class's 2x2 blocks in Z1, Z2."""
+    """``_class_update`` on the realified pairs of ``realified_pairs``:
+    [re x, im x] per pair, scaled so that X^T W X = I_{2p}, blocks mu_j J2 in
+    Lc and La, and alpha_j, beta_j times the class's 2x2 blocks in Z1, Z2."""
     tag = TAG_BY_NAME[klass]
     m, k = _as_real_pencil(pencil)
     _check_real_eigenpairs(m, k, eigenpairs)
@@ -361,10 +343,18 @@ def _real_pair_update(
     beta = np.asarray(beta, dtype=float)
     if len(lam_target) != p or alpha.shape != (p,) or beta.shape != (p,):
         raise DimensionMismatch("need one target, alpha and beta per pair")
-    xhat, mus = _realified_change_basis(m if _RECIPES[klass][1] == "M" else k, eigenpairs)
-    mus_a = [_imag_part(t, "target eigenvalue") for t in lam_target]
-    lam_c = block_diag(*[mu * J2 for mu in mus])
-    lam_a = block_diag(*[mu * J2 for mu in mus_a])
+    mus = [_imag_part(lam, "change eigenvalue") for lam, _ in eigenpairs]
+    if 0.0 in mus:
+        raise BadBlockShape("change eigenvalues must be nonreal")
+    xhat, lam_c = realified_pairs([1j * mu for mu in mus], [x for _, x in eigenpairs])
+    w = m if _RECIPES[klass][1] == "M" else k
+    for j in range(0, 2 * p, 2):
+        # x^* W x of the real W is re(x)^T W re(x) + im(x)^T W im(x)
+        s = float(np.vdot(xhat[:, j:j + 2], w @ xhat[:, j:j + 2]))
+        if s <= 0:
+            raise NotPositiveDefinite("eigenvector has nonpositive W-norm")
+        xhat[:, j:j + 2] *= np.sqrt(2.0 / s)
+    _, lam_a = realified_pairs([1j * _imag_part(t, "target eigenvalue") for t in lam_target])
     z1 = block_diag(*[a * _EPS_BLOCK[tag.eps1] for a in alpha])
     z2 = block_diag(*[b * _EPS_BLOCK[tag.eps2] for b in beta])
     return _class_update(
@@ -495,29 +485,13 @@ def select_eigendata(pencil: StructuredPencil, wanted):
     """Split the computed spectrum into matched change pairs and the rest.
 
     Each wanted value is matched to the nearest computed finite eigenvalue
-    (injectively, within the relative PUBLISHED_VALUE_TOL, which admits
-    truncated published values). Returns (change list, fixed list) of
+    by ``nearest_eigenvalues``. Returns (change list, fixed list) of
     eigenpairs. The pencil is of one of the three definite classes, and its eigenpairs
     come from the Hermitian-definite solver (``definite_eig``).
     """
     eigs = [e for e in definite_eig(pencil) if e.finite]
-    wanted = np.atleast_1d(np.asarray(wanted, dtype=np.complex128))
-    available = list(range(len(eigs)))
-    change = []
-    for w in wanted:
-        best, best_d = None, np.inf
-        for idx in available:
-            d = abs(eigs[idx].value - w) / (1.0 + abs(w))
-            if d < best_d:
-                best, best_d = idx, d
-        if best is None or best_d > PUBLISHED_VALUE_TOL:
-            raise NotEigenpair(
-                f"no computed eigenvalue matches {w} within relative {PUBLISHED_VALUE_TOL}"
-            )
-        available.remove(best)
-        change.append(eigs[best])
-    fixed = [eigs[i] for i in available]
-    return change, fixed
+    change, fixed = nearest_eigenvalues(eigs, wanted)
+    return [eigs[i] for i in change], [eigs[i] for i in fixed]
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:

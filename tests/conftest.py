@@ -182,31 +182,20 @@ def spillover_residual(pencil, delta_m, delta_k, fixed_eigs):
     return fnorm(m1 @ xf @ lf + k1 @ xf) / (fnorm(m1) * (1 + fnorm(lf)) + fnorm(k1))
 
 
-def t_shh_groups(planted):
-    """(EigGrouping, target groups) of a ``plant_t_shh`` instance, read back
-    from its change basis (the columns ``t_shh_basis`` builds) and from the
-    blocks of its change and target Lambdas."""
-    from nospillover.shh import EigGrouping
+def t_shh_shape(planted):
+    """(quadruples, imaginary pairs, real pairs) of a ``plant_t_shh`` instance."""
+    return tuple(
+        planted.parameters[key]
+        for key in ("num_quadruples", "num_imag_pairs", "num_real_pairs")
+    )
 
-    counts = [planted.parameters[key] for key in
-              ("num_quadruples", "num_imag_pairs", "num_real_pairs")]
-    x = planted.change.x.real
-    lam_c, lam_a = planted.change.lam.real, planted.target_lam.real
-    groups, targets = ([], [], []), ([], [], [])
-    pos = 0
-    for kind, count in enumerate(counts):
-        for _ in range(count):
-            c = x[:, pos:pos + 4]
-            if kind == 0:  # quadruple: x.real, x.imag, xhat.real, xhat.imag
-                lam = complex(lam_c[pos, pos], lam_c[pos, pos + 1])
-                mu = complex(lam_a[pos, pos], lam_a[pos, pos + 1])
-                groups[0].append((lam, c[:, :1] + 1j * c[:, 1:2], c[:, 2:3] + 1j * c[:, 3:4]))
-            elif kind == 1:  # imaginary pair: x.real, x.imag
-                lam, mu = 1j * lam_c[pos, pos + 1], 1j * lam_a[pos, pos + 1]
-                groups[1].append((lam, c[:, :1] + 1j * c[:, 1:2]))
-            else:  # real pair: x, xhat
-                lam, mu = complex(lam_c[pos, pos]), lam_a[pos, pos]
-                groups[2].append((lam, c[:, :1], c[:, 1:2]))
-            targets[kind].append(mu)
-            pos += 4 if kind == 0 else 2
-    return EigGrouping(*map(tuple, groups)), tuple(map(tuple, targets))
+
+def t_shh_solve(planted, **core_source):
+    """``t_shh_update`` of a ``plant_t_shh`` instance on its change pair and
+    targets, with the core ``t_shh_core`` builds from ``core_source``."""
+    from nospillover.shh import shh_gramian, t_shh_core, t_shh_update
+
+    xc, lam_c, lam_a = planted.change.x, planted.change.lam, planted.target_lam
+    g, _ = shh_gramian(planted.pencil, xc)
+    core = t_shh_core(g, lam_c, lam_a, **core_source)
+    return t_shh_update(planted.pencil, xc, lam_c, lam_a, core)

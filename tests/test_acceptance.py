@@ -4,7 +4,7 @@ PASS/FAIL line. Tolerances are pinned here and nowhere else."""
 import time
 
 import numpy as np
-from conftest import crandn, plant_hermitian_definite_pd_k, t_shh_groups
+from conftest import crandn, plant_hermitian_definite_pd_k, t_shh_shape, t_shh_solve
 
 from nospillover.cases import run_case
 from nospillover.linalg import (
@@ -21,7 +21,6 @@ from nospillover.shh import (
     shh_gramian,
     shh_update,
     t_shh_mhat,
-    t_shh_update,
     t_shh_z_params,
 )
 from nospillover.special import hermitian_core, hermitian_update, commuting_family_params
@@ -203,8 +202,7 @@ class TestPropertySuite:
         for seed in range(self.N_INSTANCES):
             half_n = 3 + (seed % 4)
             pp = plant_t_shh(seed, half_n)
-            gr, targets = t_shh_groups(pp)
-            shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
+            shape = t_shh_shape(pp)
             zrng = np.random.default_rng([seed, 32])
             if seed % 2:
                 mhat = t_shh_mhat(
@@ -214,20 +212,17 @@ class TestPropertySuite:
                     zrng.standard_normal(shape[1]),
                     zrng.standard_normal(shape[2]),
                 )
-                res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
+                res = t_shh_solve(pp, mhat=mhat)
             else:
                 quad = [tuple(zrng.standard_normal(4)) for _ in range(shape[0])]
                 imag = [tuple(zrng.standard_normal(2)) for _ in range(shape[1])]
                 real = [tuple(zrng.standard_normal(2)) for _ in range(shape[2])]
-                res = t_shh_update(
-                    pp.pencil, gr, *targets,
-                    z_params=t_shh_z_params(shape, quad, imag, real),
-                )
+                res = t_shh_solve(pp, z_params=t_shh_z_params(shape, quad, imag, real))
             m1 = (pp.pencil.m + res.delta_m).real
             k1 = (pp.pencil.k + res.delta_k).real
             SHHPencil(m1, k1, "T")
             xc = pp.change.x.real
-            lam_a = res.provenance["lam_a"]
+            lam_a = pp.target_lam.real
             expected = np.concatenate(
                 [np.linalg.eigvals(lam_a), np.diag(pp.fixed.lam)]
             )

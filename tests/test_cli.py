@@ -15,6 +15,7 @@ from conftest import fresh_python_env, run_fresh_python
 from nospillover import fileio, randomgen
 from nospillover.cases import CASES, run_case
 from nospillover.cli import main
+from nospillover.errors import NotEigenpair
 from nospillover.linalg import TAU_STRUCT
 from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem
@@ -219,6 +220,31 @@ class TestSolve:
         prob.write_text(json.dumps(doc))
         assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
         assert "error: BadParameters: the core comes from one of" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_t_shh_file_runs_the_library_update(self, tmp_path):
+        prob, delta = tmp_path / "prob.json", tmp_path / "d.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", "t-shh", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        doc = json.loads(delta.read_text())
+        assert doc["provenance"]["method"] == "t-shh"
+        # the real parts are kept: every imaginary part is +0.0
+        imag = [z[1] for f in doc["factors"].values() for row in f for z in row]
+        assert imag == [0.0] * len(imag) and not np.signbit(imag).any()
+
+    def test_complex_t_shh_pencil_exit_3(self, tmp_path, capsys):
+        prob, bad = tmp_path / "prob.json", tmp_path / "bad.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", "t-shh", "--out", prob]) == 0
+        doc = json.loads(prob.read_text())
+        # M + 1e-3i J^T S with S skew (S[0, 1] = 1) is still T-SHH, and complex
+        doc["m"][4][1][1] += 1e-3
+        doc["m"][5][0][1] -= 1e-3
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", "--input", bad, "--out", tmp_path / "d.json"]) == 3
+        assert capsys.readouterr().err == "error: ComplexInput: T-SHH update needs a real pencil\n"
         assert not (tmp_path / "d.json").exists()
 
     def test_quadratic_solve_loads_no_scipy(self, tmp_path):
@@ -486,6 +512,15 @@ class TestReproduce:
         # a failing certificate fails the case, whatever the printed-matrix bounds
         failing = dataclasses.replace(report.certificate, tol_defl=0.0)
         assert not dataclasses.replace(report, certificate=failing).passed
+
+    @pytest.mark.parametrize("case_id, far", [("herm-6.1", 30j), ("shh-7", 5 + 5j)])
+    def test_unmatched_change_value_is_not_an_eigenpair(self, monkeypatch, case_id, far):
+        # the quadratic and the SHH cases match wanted values the same way
+        case = CASES[case_id]
+        monkeypatch.setitem(CASES, case_id, dataclasses.replace(
+            case, lam_change=(far,) + case.lam_change[1:]))
+        with pytest.raises(NotEigenpair, match="no computed eigenvalue matches"):
+            run_case(case_id)
 
 
 class TestRandom:

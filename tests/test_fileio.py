@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import t_shh_groups
+from conftest import t_shh_shape, t_shh_solve
 
 from nospillover import fileio
 from nospillover.errors import SchemaError
 from nospillover.linalg import fnorm
 from nospillover.randomgen import plant_problem, plant_star_shh, plant_t_shh
-from nospillover.shh import shh_gramian, shh_update, t_shh_mhat, t_shh_update
+from nospillover.shh import shh_gramian, shh_update, t_shh_mhat
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
 
 
@@ -193,11 +193,10 @@ class TestFactoredDelta:
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
         else:
             pp = plant_t_shh(5, 6)
-            gr, targets = t_shh_groups(pp)
-            shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
+            shape = t_shh_shape(pp)
             mhat = t_shh_mhat(shape, [0.5] * shape[0], [0.2] * shape[0],
                               [-0.3] * shape[1], [0.7] * shape[2])
-            res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
+            res = t_shh_solve(pp, mhat=mhat)
         back = self._round_trip(tmp_path, res)
         for loaded, mem in ((back.delta_m, res.delta_m), (back.delta_k, res.delta_k)):
             assert fnorm(mem) > 0

@@ -8,11 +8,13 @@ from conftest import hungarian_max, relative_cost, run_fresh_python
 from nospillover.errors import (
     DimensionMismatch,
     NonFiniteEntries,
+    NotEigenpair,
     NotHermitian,
     SingularPencil,
 )
 from nospillover.linalg import (
     J2,
+    PencilEigenpair,
     as_matrix,
     assignment_max_cost,
     block_diag,
@@ -23,7 +25,9 @@ from nospillover.linalg import (
     fnorm,
     herm_eigs,
     match_multisets,
+    nearest_eigenvalues,
     pseudoinverse,
+    realified_pairs,
     star_residual,
 )
 
@@ -294,3 +298,49 @@ def test_import_loads_no_scipy():
     )
     proc = run_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestRealifiedPairs:
+    def test_real_form_of_a_real_pencil(self):
+        rng = np.random.default_rng(21)
+        m, k = rng.standard_normal((6, 6)) + 6 * np.eye(6), rng.standard_normal((6, 6))
+        eigs = eig_pencil(m, k)
+        pair = next(e for e in eigs if e.value.imag > 1e-8)
+        real = next(e for e in eigs if abs(e.value.imag) <= 1e-12)
+        x, lam = realified_pairs([pair.value, real.value.real], [pair.vector, real.vector.real])
+        assert x.shape == (6, 3) and lam.shape == (3, 3) and not np.iscomplexobj(x)
+        a, b = pair.value.real, pair.value.imag
+        assert np.array_equal(lam[:2, :2], [[a, b], [-b, a]]) and lam[2, 2] == real.value.real
+        assert fnorm(m @ x @ lam + k @ x) <= 1e-12 * (fnorm(m) * fnorm(lam) + fnorm(k))
+
+    @pytest.mark.parametrize("mu", [0.7, -0.7])
+    def test_imaginary_value_gives_mu_j2_bit_for_bit(self, mu):
+        # the sign of the zero diagonal is the sign of mu, as in mu * J2
+        assert realified_pairs([1j * mu])[1].tobytes() == (mu * J2).tobytes()
+
+    def test_the_type_decides_the_block(self):
+        assert realified_pairs([0j])[1].shape == (2, 2)
+        assert realified_pairs([0.0])[1].shape == (1, 1)
+        x, lam = realified_pairs([1j, 2.0], [[1.0 + 2j, 3.0], [4.0, 5.0]])
+        assert np.array_equal(x, [[1.0, 2.0, 4.0], [3.0, 0.0, 5.0]])
+        assert realified_pairs([1j])[0] is None
+
+
+class TestNearestEigenvalues:
+    EIGS = [PencilEigenpair(complex(v), np.ones(2)) for v in (1.0, 2.0, 3.0)]
+
+    def test_nearest_and_injective(self):
+        assert nearest_eigenvalues(self.EIGS, [2.0001, 1.0]) == ([1, 0], [2])
+        with pytest.raises(NotEigenpair):  # 2 is taken, and 1 and 3 are far
+            nearest_eigenvalues(self.EIGS, [2.0, 2.0001])
+
+    @pytest.mark.parametrize("fraction", [0.5, 2.0])
+    def test_relative_published_value_tol(self, fraction):
+        # |lambda - w| / (1 + |w|) against PUBLISHED_VALUE_TOL = 1e-3
+        off = fraction * 1e-3 * 3.0 / (1.0 - fraction * 1e-3)
+        wanted = [2.0 + off]
+        if fraction > 1:
+            with pytest.raises(NotEigenpair, match="no computed eigenvalue matches"):
+                nearest_eigenvalues(self.EIGS, wanted)
+        else:
+            assert nearest_eigenvalues(self.EIGS, wanted) == ([1], [0, 2])

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import t_shh_groups
+from conftest import t_shh_shape, t_shh_solve
 
-from nospillover.errors import NotSHH, SingularG
+from nospillover.errors import BadParameters, ComplexInput, NotSHH, SingularG
 from nospillover.linalg import (
+    J2,
     TAU_DEFL,
     TAU_STRUCT,
+    block_diag,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -20,13 +22,14 @@ from nospillover.randomgen import (
     random_shh_pencil,
 )
 from nospillover.shh import (
-    EigGrouping,
     SHHPencil,
     apply_j,
     canonical_j,
     group_t_shh_spectrum,
     shh_gramian,
     shh_update,
+    t_shh_core,
+    t_shh_lambda,
     t_shh_mhat,
     t_shh_update,
     t_shh_z_params,
@@ -227,14 +230,10 @@ class TestStarShhCore:
 class TestTShh:
     def test_zero_params_zero_update(self):
         pp = plant_t_shh(11, 4)
-        gr, targets = t_shh_groups(pp)
         # keep the original eigenvalues as targets, no core parameters
-        targets = (
-            tuple(lam for lam, _, _ in gr.quadruples),
-            tuple(lam for lam, _ in gr.imag_pairs),
-            tuple(lam for lam, _, _ in gr.real_pairs),
-        )
-        res = t_shh_update(pp.pencil, gr, *targets)
+        g, _ = shh_gramian(pp.pencil, pp.change.x)
+        lam_c = pp.change.lam
+        res = t_shh_update(pp.pencil, pp.change.x, lam_c, lam_c, t_shh_core(g, lam_c, lam_c))
         assert fnorm(res.delta_m) <= 1e-11 * fnorm(pp.pencil.m)
         assert fnorm(res.delta_k) <= 1e-11 * fnorm(pp.pencil.k)
 
@@ -242,8 +241,7 @@ class TestTShh:
         rng = np.random.default_rng(12)
         for seed in range(8):
             pp = plant_t_shh(seed + 50, 4)
-            gr, targets = t_shh_groups(pp)
-            shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
+            shape = t_shh_shape(pp)
             mhat = t_shh_mhat(
                 shape,
                 rng.standard_normal(shape[0]),
@@ -251,16 +249,15 @@ class TestTShh:
                 rng.standard_normal(shape[1]),
                 rng.standard_normal(shape[2]),
             )
-            res = t_shh_update(pp.pencil, gr, *targets, mhat=mhat)
+            res = t_shh_solve(pp, mhat=mhat)
             m1 = (pp.pencil.m + res.delta_m).real
             k1 = (pp.pencil.k + res.delta_k).real
             SHHPencil(m1, k1, "T")
             scale = fnorm(m1) + fnorm(k1)
             xf, lf = pp.fixed.x, pp.fixed.lam
             assert fnorm(m1 @ xf @ lf + k1 @ xf) <= 1e-10 * scale
-            lam_a = res.provenance["lam_a"]
             expected = np.concatenate(
-                [np.linalg.eigvals(lam_a), np.diag(lf)]
+                [np.linalg.eigvals(pp.target_lam), np.diag(lf)]
             )
             dist, unmatched = match_multisets(
                 expected, finite_eigenvalues(eig_pencil(m1, k1))
@@ -271,16 +268,15 @@ class TestTShh:
         rng = np.random.default_rng(13)
         for seed in range(6):
             pp = plant_t_shh(seed + 70, 4)
-            gr, targets = t_shh_groups(pp)
-            shape = (len(gr.quadruples), len(gr.imag_pairs), len(gr.real_pairs))
+            shape = t_shh_shape(pp)
             quad = [tuple(rng.standard_normal(4)) for _ in range(shape[0])]
             imag = [tuple(rng.standard_normal(2)) for _ in range(shape[1])]
             real = [tuple(rng.standard_normal(2)) for _ in range(shape[2])]
             z1, z2 = t_shh_z_params(shape, quad, imag, real)
-            res = t_shh_update(pp.pencil, gr, *targets, z_params=(z1, z2))
+            res = t_shh_solve(pp, z_params=(z1, z2))
             g = res.provenance["g"].real
             mh, kh = res.factors[1], res.factors[2]
-            lam_c, lam_a = res.provenance["lam_c"], res.provenance["lam_a"]
+            lam_c, lam_a = pp.change.lam.real, pp.target_lam.real
             resid = fnorm(mh @ lam_a + kh - g @ (lam_c - lam_a))
             scale = fnorm(g) * (fnorm(lam_c) + fnorm(lam_a)) + fnorm(mh) * fnorm(lam_a)
             assert resid <= 1e-12 * max(scale, 1.0)
@@ -290,19 +286,60 @@ class TestTShh:
 
     def test_repeated_eigenvalue_rejected(self):
         pp = plant_t_shh(14, 4)
-        gr, targets = t_shh_groups(pp)
-        if gr.quadruples:
-            dup = EigGrouping(quadruples=gr.quadruples * 2)
-            targets = ((gr.quadruples[0][0],) * 2, (), ())
-        elif gr.imag_pairs:
-            dup = EigGrouping(imag_pairs=gr.imag_pairs * 2)
-            targets = ((), (gr.imag_pairs[0][0],) * 2, ())
-        else:
-            dup = EigGrouping(real_pairs=gr.real_pairs * 2)
-            targets = ((), (), (gr.real_pairs[0][0],) * 2)
         # a repeated group gives X_c repeated columns: the kernel's Gramian check
+        xc = np.hstack([pp.change.x, pp.change.x])
+        lam_c = block_diag(pp.change.lam, pp.change.lam)
+        lam_a = block_diag(pp.target_lam, pp.target_lam)
+        g, _ = shh_gramian(pp.pencil, xc)
         with pytest.raises(SingularG):
-            t_shh_update(pp.pencil, dup, *targets)
+            t_shh_update(pp.pencil, xc, lam_c, lam_a, t_shh_core(g, lam_c, lam_a))
+
+    @pytest.mark.parametrize("mu", [0.7, -0.7])
+    def test_imaginary_pair_block_is_mu_j2(self, mu):
+        # taken on the axis, with the sign of mu on its zeros, as ``random`` writes it
+        lam = t_shh_lambda((0, 1, 0), [], [1e-12 + 1j * mu], [])
+        assert lam.tobytes() == (mu * J2).tobytes()
+
+    def test_records_its_method_and_real_factors(self):
+        res = t_shh_solve(plant_t_shh(4242, 6))
+        assert res.provenance["method"] == "t-shh"
+        assert all(not np.signbit(f.imag).any() and not f.imag.any() for f in res.factors)
+
+    def test_two_core_sources_rejected(self):
+        # each source sets the whole core, so neither is dropped unread
+        pp = plant_t_shh(4242, 6)
+        shape = t_shh_shape(pp)
+        mhat = t_shh_mhat(shape, [0.5] * shape[0], [0.2] * shape[0],
+                          [-0.3] * shape[1], [0.7] * shape[2])
+        z_params = t_shh_z_params(
+            shape, [(0.5, 0.2, 0.1, 0.3)] * shape[0], [(-0.3, 0.4)] * shape[1],
+            [(0.7, 0.4)] * shape[2],
+        )
+        with pytest.raises(BadParameters, match="one of mhat and z_params"):
+            t_shh_solve(pp, mhat=mhat, z_params=z_params)
+        t_shh_solve(pp, mhat=mhat)
+        t_shh_solve(pp, z_params=z_params)
+
+    @pytest.mark.parametrize("what", ["pencil", "change basis", "Lambda", "core"])
+    def test_complex_data_rejected(self, what):
+        # the real parts of a complex update are no update of the data
+        pp = plant_t_shh(4242, 6)
+        pencil, xc, lam_c, lam_a = pp.pencil, pp.change.x, pp.change.lam, pp.target_lam
+        g, _ = shh_gramian(pencil, xc)
+        core = t_shh_core(g, lam_c, lam_a)
+        if what == "pencil":
+            skew = np.zeros((12, 12))
+            skew[0, 1], skew[1, 0] = 1.0, -1.0
+            # M = J^T S with S skew keeps (JM)^T = -JM
+            pencil = SHHPencil(pencil.m + 1e-3j * apply_j(skew, transpose=True), pencil.k, "T")
+        elif what == "change basis":
+            xc = xc * np.exp(0.1j)
+        elif what == "Lambda":
+            lam_a = lam_a * (1 + 1e-3j)
+        else:
+            core = complete_core(g, lam_c, lam_a, 1e-3j * np.eye(g.shape[0]))
+        with pytest.raises(ComplexInput, match=f"real {what}"):
+            t_shh_update(pencil, xc, lam_c, lam_a, core)
 
     def test_grouping_covers_spectrum(self):
         for seed in range(10):

@@ -26,8 +26,10 @@ from nospillover.errors import (
 )
 from nospillover.linalg import (
     EIG_MATCH_TOL,
+    J2,
     TAU_DEFL,
     TAU_NUM,
+    block_diag,
     eig_pencil,
     finite_eigenvalues,
     fnorm,
@@ -41,6 +43,7 @@ from nospillover.pencil import (
     STAR_ODD,
     T_EVEN,
     T_ODD,
+    DeflatingPair,
     StructuredPencil,
     classify_structure,
 )
@@ -48,6 +51,7 @@ from nospillover.special import (
     QuadraticSpec,
     _require_positive_definite,
     definite_eig,
+    fixed_pair_from_eigs,
     hermitian_core,
     hermitian_update,
     lift_quadratic,
@@ -60,6 +64,8 @@ from nospillover.special import (
     t_odd_real_update,
 )
 from nospillover.structured import parametrized_core
+from nospillover.unstructured import UpdateProblem
+from nospillover.verify import certify
 
 
 def herm_res(a):
@@ -441,6 +447,29 @@ class TestThroughStructuredKernel:
         assert res.provenance["core_structured"] is True
         assert _rounding_level(res)
         assert spillover_residual(pencil, res.delta_m, res.delta_k, fixed) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "update, plant, weight",
+        [(t_odd_real_update, plant_t_odd_real, "m"), (t_even_real_update, plant_t_even_real, "k")],
+        ids=["t-odd", "t-even"],
+    )
+    def test_real_pair_provenance(self, update, plant, weight):
+        # the realified change pair and targets, as a caller certifies with them
+        pencil, change, fixed = plant(34, n=6, pairs=2)
+        change[0] = (np.conj(change[0][0]), change[0][1].conj())  # mu < 0 as well
+        targets = [-1j * lam.imag * 1.3 for lam, _ in change]
+        res = update(pencil, change, targets, [0.4, -0.3], [0.2, 0.5])
+        prov = res.provenance
+        xc, lam_c, lam_a = prov["xc_realified"], prov["lam_c"], prov["lam_a"]
+        assert not np.iscomplexobj(xc) and xc.shape == (6, 4)
+        w = getattr(pencil, weight).real
+        assert np.allclose(xc.T @ w @ xc, np.eye(4), atol=1e-12)
+        for lam, blocks in ((lam_c, [lam for lam, _ in change]), (lam_a, targets)):
+            assert lam.tobytes() == block_diag(*[v.imag * J2 for v in blocks]).tobytes()
+        problem = UpdateProblem(
+            DeflatingPair(xc, lam_c), lam_a, fixed=fixed_pair_from_eigs(fixed)
+        )
+        assert certify(pencil, res, problem).passed
 
     @pytest.mark.parametrize(
         "update, plant",

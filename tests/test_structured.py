@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_groups
+from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_solve
 
 from nospillover.errors import SingularG
 from nospillover.linalg import (
@@ -27,7 +27,7 @@ from nospillover.pencil import (
 from nospillover import structured
 from nospillover.cases import CASES
 from nospillover.randomgen import plant_problem, plant_star_shh, plant_t_shh
-from nospillover.shh import shh_gramian, shh_update, t_shh_update
+from nospillover.shh import shh_gramian, shh_update
 from nospillover.special import (
     QuadraticSpec,
     hermitian_update,
@@ -357,9 +357,7 @@ def _shh():
 
 
 def _t_shh():
-    pp = plant_t_shh(5, 6)
-    gr, targets = t_shh_groups(pp)
-    return t_shh_update(pp.pencil, gr, *targets)
+    return t_shh_solve(plant_t_shh(5, 6))
 
 
 def _hermitian():

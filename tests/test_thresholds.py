@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import plant_t_odd_real, t_shh_groups
+from conftest import plant_t_odd_real
 
 import nospillover
 from nospillover.errors import (
@@ -18,7 +18,7 @@ from nospillover.errors import (
     NotRealDiagonal,
     SingularBasis,
 )
-from nospillover.linalg import PencilEigenpair, fnorm
+from nospillover.linalg import J2, PencilEigenpair, fnorm
 from nospillover.pencil import T_ODD, DeflatingPair, StructuredPencil
 from nospillover.randomgen import plant_t_shh, random_shh_pencil
 from nospillover.shh import (
@@ -26,7 +26,9 @@ from nospillover.shh import (
     SHHPencil,
     apply_j,
     group_t_shh_spectrum,
+    shh_gramian,
     t_shh_basis,
+    t_shh_core,
     t_shh_lambda,
     t_shh_update,
 )
@@ -177,8 +179,9 @@ class TestRealDataTolerance:
     @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
     def test_real_pencil(self, fraction):
         planted = plant_t_shh(11, 4)
-        grouping, targets = t_shh_groups(planted)
         m, k = planted.pencil.m, planted.pencil.k
+        xc, lam_c, lam_a = planted.change.x, planted.change.lam, planted.target_lam
+        core = t_shh_core(shh_gramian(planted.pencil, xc)[0], lam_c, lam_a)
         skew = np.zeros((8, 8))
         skew[0, 1], skew[1, 0] = 1.0, -1.0
         # M = J^T S with S skew keeps (JM)^T = -JM
@@ -186,15 +189,15 @@ class TestRealDataTolerance:
         tinted = SHHPencil(m + dm, k, "T")
         if fraction == OUTSIDE:
             with pytest.raises(ComplexInput):
-                t_shh_update(tinted, grouping, *targets)
+                t_shh_update(tinted, xc, lam_c, lam_a, core)
         else:
-            t_shh_update(tinted, grouping, *targets)
+            t_shh_update(tinted, xc, lam_c, lam_a, core)
 
     def test_star_shh_pencil(self):
         pencil = random_shh_pencil(np.random.default_rng(3), 2, "*")
-        grouping = EigGrouping(imag_pairs=((2j, np.ones((4, 1))),))
+        xc, lam = np.ones((4, 2)), 2.0 * J2
         with pytest.raises(BadBlockShape, match="T-SHH"):
-            t_shh_update(pencil, grouping, (), (3j,), ())
+            t_shh_update(pencil, xc, lam, lam, t_shh_core(np.eye(2), lam, lam))
 
 
 class TestEigMatchTolerance:
