@@ -8,8 +8,10 @@ being encoded as large floats.
 Hermitian-definite pairs are solved with numpy alone (``eigh_definite``: a
 Cholesky reduction and ``eigh``). scipy is imported where it is first
 needed, so importing the package loads numpy only: ``scipy.linalg`` on the
-first QZ (``eig_pencil``, ``eigvals_pencil``), which planting and the
-spectrum check of a pencil that is not Hermitian-definite run, and
+first QZ: the values-only ``eigvals_pencil`` of the spectrum check of a
+pencil that is not Hermitian-definite, or ``eig_pencil`` with vectors,
+which the CLI runs only for the bundled SHH reference case (planting
+builds its pencil from a known eigenbasis and runs no QZ), and
 ``scipy.optimize`` only when an assignment in ``match_multisets`` is not
 settled by the row minima of its cost matrix.
 """
@@ -91,7 +93,9 @@ T_SHH_PARTNER_FACTOR = 1e4
 #   to find a value's partners, and below which (times EIG_MATCH_TOL) a
 #   |lambda| is left ungrouped as near zero.
 # why: partners are separate QZ values, each with its own rounding, so
-#   they agree less closely than one value lies on its axis.
+#   they agree less closely than one value lies on its axis. Planting
+#   no longer groups a computed spectrum, so the row goes with
+#   ``group_t_shh_spectrum``, which only the benchmark's tracer still names.
 QZ_SINGULAR_TOL = 1e-10
 # bounds: |alpha| / ||K||_F and |beta| / ||M||_F of a QZ pair; both at or
 #   below it is no regular pencil.
@@ -127,7 +131,7 @@ PUBLISHED_MATRIX_TOL = 5e-4
 MIN_SEPARATION = 1e-5
 # bounds: |a - b| / (1 + |a|) (or 1 + max(|a|, |b|)) at which two values
 #   count as equal: a change value and a fixed value's symmetry partner,
-#   a target and a fixed value, two change values, orbit mates.
+#   a target and a fixed value, two change values.
 # why: keeps planted instances off the boundary of the no-spillover
 #   condition and of the Gramian's block structure.
 PLANT_BASIS_CUTOFF = 1e-8
@@ -137,19 +141,6 @@ PLANT_BASIS_CUTOFF = 1e-8
 PLANT_GRAMIAN_CUTOFF = 1e-6
 # bounds: the least rcond of the change Gramian G of an accepted instance.
 # why: six orders above TAU_NUM, so no planted file is near ``SingularG``.
-STAR_SHH_SELF_TOL = 2e-8
-# bounds: |lambda + conj lambda| / (1 + |lambda|) at which a *-SHH value is
-#   its own partner (imaginary).
-# why: 1e-8 on |re lambda|, as EIG_MATCH_TOL asks of a T-SHH value, on a
-#   distance that is 2 |re lambda|.
-STAR_SHH_MATE_TOL = 1e-6
-# bounds: |mu + conj lambda| / (1 + |lambda|) at which mu is the couple mate
-#   of a *-SHH value lambda.
-# why: mates are separate QZ values, each with its own rounding.
-T_SHH_GROUP_TOL = 1e-6
-# bounds: |lambda - r| / (1 + |r|) at which a computed value belongs to the
-#   planted T-SHH change group of r; the rest make the fixed pair.
-# why: group members are separate QZ values, as for STAR_SHH_MATE_TOL.
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

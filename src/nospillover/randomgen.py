@@ -1,16 +1,34 @@
 """Seeded random structured pencils with planted complementary pairs.
 
-Every class plants through one retry loop, ``_plant``: attempt a draws a
-pencil from the generator seeded ``[seed, a, *key]``, the class splits its
-spectrum into a change part with targets and a fixed part, and the first
-split that passes ``_accepted`` is the instance. The shared checks are the
-no-spillover condition (no change value near the symmetry partner of a
-fixed value, under the tag of J L(lambda) for SHH), rcond([X_c X_f]), the
-rcond of the change Gramian, and targets off the fixed spectrum. The checks
-that differ between classes stay in their split functions. The core
-parameters of the problem file come from the streams ``[seed, 777]``,
-``[seed, 778]`` and ``[seed, 779]``, so the output is a pure function of
-(seed, n, p, class).
+An instance is built from a known eigenbasis, so no eigensolver runs. A
+class draws its spectrum as the blocks of a block-diagonal pencil
+lambda*D_M + D_K with D_K = -D_M Lambda, whose eigenbasis is the identity:
+
+- a self-paired value lambda = eps1 eps2 lambda^star is a 1 x 1 block;
+- a partner pair (mu, eps1 eps2 mu^star) is the 2 x 2 block
+  D_M = [[0, m], [eps1 m^star, 0]] with Lambda = diag(mu, eps1 eps2 mu^star);
+- a real T-SHH quadruple or pair is the block of ``t_shh_mhat`` with the
+  Lambda of ``t_shh_lambda`` (4 x 4 for a quadruple, 2 x 2 for a pair).
+
+Each block carries the (star, eps1, eps2) structure of the class, for SHH
+the star-even one of J L(lambda). X is drawn in the style of randsvd
+(N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+SIAM 2002, ch. 28): X = U S V^star with random unitary (for T-SHH real
+orthogonal) U and V and singular values spread log-uniformly over
+``_COND_SPREAD``, its columns then scaled to unit norm, so that
+Y = X^{-1} = C V S^{-1} U^star needs no inversion. Then M = Y^star D_M Y
+and K = Y^star D_K Y (J^T times them for SHH) satisfy M X Lambda + K X = 0:
+the change/fixed split, the values and the vectors are known by
+construction.
+
+Every class plants through one retry loop, ``_plant``: attempt a draws from
+the generator seeded ``[seed, a, *key]``, and the first draw that passes
+``_accepted`` is the instance. The checks are the no-spillover condition
+(no change value near the symmetry partner of a fixed value), pairwise
+distinct change values, rcond([X_c X_f]), the rcond of the change Gramian,
+and targets off the fixed spectrum. The core parameters of the problem
+file come from the streams ``[seed, 777]``, ``[seed, 778]`` and
+``[seed, 779]``, so the output is a pure function of (seed, n, p, class).
 """
 
 from __future__ import annotations
@@ -20,13 +38,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadParameters, NoSpilloverError
+from .errors import BadParameters
 from .linalg import (
-    MIN_SEPARATION, PLANT_BASIS_CUTOFF, PLANT_GRAMIAN_CUTOFF, STAR_SHH_MATE_TOL,
-    STAR_SHH_SELF_TOL, T_SHH_GROUP_TOL, largest_entry_scaled, rcond_estimate,
+    MIN_SEPARATION, PLANT_BASIS_CUTOFF, PLANT_GRAMIAN_CUTOFF, block_diag, rcond_estimate,
 )
 from .pencil import (
     STAR_EVEN,
+    STAR_TRANS,
+    T_EVEN,
     DeflatingPair,
     StructuredPencil,
     StructureTag,
@@ -35,19 +54,18 @@ from .pencil import (
     star_scalar,
     symmetry_partner,
 )
-from .shh import (
-    EigGrouping,
-    SHHPencil,
-    apply_j,
-    group_t_shh_spectrum,
-    shh_gramian,
-    t_shh_basis,
-    t_shh_lambda,
-)
+from .shh import SHHPencil, apply_j, shh_gramian, t_shh_lambda, t_shh_mhat
 
 RANDOM_CLASSES = (*TAG_BY_NAME, "star-shh", "t-shh")
 
 _MAX_ATTEMPTS = 64
+# sigma_max / sigma_min that the singular values of X span. With it the
+# unit-column cond([X_c X_f]) is about 140-200 at n = 60, above the medians
+# (70-110) of the eigenbases of dense random structured pencils. A wider
+# spread shrinks the scaled rcond of an SHH change Gramian toward
+# PLANT_GRAMIAN_CUTOFF: a spread of 1e3 takes it to about 1e-6 at n = 240.
+_COND_SPREAD = 200.0
+_T_SHH_SIZES = (4, 2, 2)  # columns of a quadruple, an imaginary pair, a real pair
 
 
 @dataclass(frozen=True)
@@ -65,153 +83,194 @@ class PlantedProblem:
 
 
 @dataclass(frozen=True)
-class _Split:
-    """One attempt's split of the spectrum, before the shared checks."""
+class _Spectrum:
+    """One attempt's blocks; the first p columns are the change pair."""
 
-    xc: np.ndarray  # change basis, p columns
-    lam_c: np.ndarray  # p x p change Lambda
-    change_values: np.ndarray  # the eigenvalues of lam_c
-    fixed_idx: list  # indices of the fixed eigenpairs
-    target_lam: np.ndarray  # p x p target Lambda
+    d_m: np.ndarray  # block-diagonal D_M (of J M for SHH)
+    lam: np.ndarray  # block-diagonal Lambda, with D_K = -D_M Lambda
+    p: int
+    target_lam: np.ndarray
     parameters: dict
-    check_targets: bool = True  # keep the targets off the fixed spectrum
 
 
-def _complex_randn(rng, n) -> np.ndarray:
+def _complex_randn(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def _columns(eigs, idx) -> np.ndarray:
-    return np.hstack([eigs[i].vector.reshape(-1, 1) for i in idx])
+def _crandn(rng) -> complex:
+    return complex(*rng.standard_normal(2))
 
 
-def _plant(seed: int, key: tuple, draw, split, what: str) -> PlantedProblem:
+def _plant(
+    seed: int, key: tuple, draw, tag: StructureTag, shh: str | None, what: str
+) -> PlantedProblem:
     """The retry loop every class plants through.
 
-    ``draw(rng)`` gives the pencil and ``split(pencil, eigs, rng)`` a
-    ``_Split`` of its eigenpairs ``eigs`` (or None); ``what`` names the
-    instance in the error raised when no attempt is accepted.
+    ``draw(rng)`` gives a ``_Spectrum`` (or None) of a pencil with the
+    block structure ``tag``, made SHH with that star when ``shh`` is given;
+    ``what`` names the instance in the error raised when no attempt is
+    accepted.
     """
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt, *key])
-        pencil = draw(rng)
-        eigs = pencil.eig()
-        if not all(e.finite for e in eigs):
+        spectrum = draw(rng)
+        if spectrum is None:
             continue
-        chosen = split(pencil, eigs, rng)
-        if chosen is None or not chosen.fixed_idx:
-            continue
-        xf = _columns(eigs, chosen.fixed_idx)
-        lam_f = np.array([eigs[i].value for i in chosen.fixed_idx])
-        if _accepted(pencil, chosen, xf, lam_f):
+        pencil, x = _assemble(rng, spectrum, tag, shh)
+        p = spectrum.p
+        xc, lam_c = x[:, :p], spectrum.lam[:p, :p]
+        xf, values_f = _complex_pairs(x[:, p:], spectrum.lam[p:, p:])
+        if _accepted(pencil, tag, xc, lam_c, xf, values_f, spectrum.target_lam):
             return PlantedProblem(
                 pencil,
-                DeflatingPair(chosen.xc, chosen.lam_c),
-                DeflatingPair(xf, np.diag(lam_f)),
-                chosen.target_lam,
-                chosen.parameters,
+                DeflatingPair(xc, lam_c),
+                DeflatingPair(xf, np.diag(values_f)),
+                spectrum.target_lam,
+                spectrum.parameters,
                 seed,
                 attempt,
             )
     raise BadParameters(f"could not plant a well-conditioned instance for seed={seed}, {what}")
 
 
-def _accepted(pencil, chosen: _Split, xf: np.ndarray, lam_f: np.ndarray) -> bool:
-    """The checks every class shares (see the module docstring). An SHH
-    pencil pairs its spectrum under the tag of J L(lambda) and has the
-    scaled rcond of ``shh_gramian``; the others their tag and a plain
-    sigma ratio."""
+def _basis(rng, n: int, real: bool):
+    """(X, Y) with Y = X^{-1}: X = U S V^star scaled to unit columns, with
+    U, V from the QR of Gaussian matrices and log10 of each singular value
+    uniform on [-log10 _COND_SPREAD, 0]."""
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) if real else _complex_randn(rng, n))[0]
+            for _ in range(2))
+    s = _COND_SPREAD ** -rng.random(n)
+    x = (u * s) @ v.conj().T
+    norms = np.linalg.norm(x, axis=0)
+    return x / norms, ((v / s) @ u.conj().T) * norms[:, None]
+
+
+def _banded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B for a block-diagonal A with blocks of order at most 4, read as
+    a band of three diagonals on each side of the main one."""
+    out = a.diagonal()[:, None] * b
+    for d in range(1, 4):
+        out[:-d] += a.diagonal(d)[:, None] * b[d:]
+        out[d:] += a.diagonal(-d)[:, None] * b[:-d]
+    return out
+
+
+def _assemble(rng, spectrum: _Spectrum, tag: StructureTag, shh: str | None):
+    """(pencil, X): M = Y^star D_M Y and K = -Y^star D_M Lambda Y made exactly
+    ``tag``-structured (then J^T M, J^T K for SHH), and the eigenbasis X."""
+    x, y = _basis(rng, spectrum.lam.shape[0], shh == STAR_TRANS)
+    ys = star(y, tag.star)
+    m = ys @ _banded_product(spectrum.d_m, y)
+    k = ys @ _banded_product(spectrum.d_m, -_banded_product(spectrum.lam, y))
+    m = (m + tag.eps1 * star(m, tag.star)) / 2
+    k = (k + tag.eps2 * star(k, tag.star)) / 2
+    if shh is None:
+        return StructuredPencil(m, k, tag), x
+    return SHHPencil(apply_j(m, transpose=True), apply_j(k, transpose=True), shh), x
+
+
+def _complex_pairs(x: np.ndarray, lam: np.ndarray):
+    """(X, values): the complex eigenpairs of a pair (X, Lambda) whose
+    Lambda has 1 x 1 blocks and realified 2 x 2 blocks [[a, b], [-b, a]]
+    (``realified_pairs``), which the columns [c1, c2] give as c1 + i c2 for
+    a + ib and c1 - i c2 for a - ib. A diagonal Lambda is kept as it is."""
+    cols, values, j = [], [], 0
+    while j < lam.shape[0]:
+        if j + 1 < lam.shape[0] and lam[j, j + 1] != 0:
+            z, v = x[:, j] + 1j * x[:, j + 1], complex(lam[j, j], lam[j, j + 1])
+            cols += [z, z.conj()]
+            values += [v, v.conjugate()]
+            j += 2
+        else:
+            cols.append(x[:, j])
+            values.append(lam[j, j])
+            j += 1
+    return np.column_stack(cols), np.array(values, dtype=complex)
+
+
+def _accepted(pencil, tag, xc, lam_c, xf, values_f, target_lam) -> bool:
+    """The checks of the module docstring. Values pair under ``tag``, that
+    of J L(lambda) for SHH; an SHH pencil has the scaled rcond of
+    ``shh_gramian``, the others a plain sigma ratio."""
     if isinstance(pencil, SHHPencil):
-        tag = pencil.even_pencil().tag
-        g_rcond = shh_gramian(pencil, chosen.xc)[1]
+        g_rcond = shh_gramian(pencil, xc)[1]
     else:
-        tag = pencil.tag
-        g_rcond = rcond_estimate(star(chosen.xc, tag.star) @ pencil.m @ chosen.xc)
-    partners = symmetry_partner(lam_f, tag)
-    for c in chosen.change_values:
+        g_rcond = rcond_estimate(star(xc, tag.star) @ pencil.m @ xc)
+    values_c = _complex_pairs(xc, lam_c)[1]
+    partners = symmetry_partner(values_f, tag)
+    for c in values_c:
         if np.any(np.abs(partners - c) <= MIN_SEPARATION * (1 + np.abs(c))):
             return False
-    basis_rcond = rcond_estimate(np.hstack([chosen.xc, xf]))
+    # pairwise-distinct change values keep the Gramian block structure
+    if any(abs(a - b) <= MIN_SEPARATION * (1 + max(abs(a), abs(b)))
+           for a, b in combinations(values_c, 2)):
+        return False
+    basis_rcond = rcond_estimate(np.hstack([xc, xf]))
     if basis_rcond < PLANT_BASIS_CUTOFF or g_rcond < PLANT_GRAMIAN_CUTOFF:
         return False
-    if chosen.check_targets:
-        for t in np.diag(chosen.target_lam):
-            if np.any(np.abs(lam_f - t) <= MIN_SEPARATION * (1 + abs(t))):
-                return False
+    for t in np.linalg.eigvals(target_lam):
+        if np.any(np.abs(values_f - t) <= MIN_SEPARATION * (1 + abs(t))):
+            return False
     return True
 
 
-def _distinct(values, pair_scale) -> bool:
-    """No two values closer than MIN_SEPARATION * pair_scale(a, b)."""
-    return not any(
-        abs(a - b) <= MIN_SEPARATION * pair_scale(a, b) for a, b in combinations(values, 2)
+# ---------------------------------------------------------------------------
+# the six symmetry classes and star-shh: self-paired values and partner pairs
+
+def _orbit_block(rng, tag: StructureTag, pair: bool):
+    """(D_M, Lambda) of one partner pair, or of one self-paired value."""
+    z, m = _crandn(rng), _crandn(rng)
+    m_star = tag.eps1 * star_scalar(m, tag.star)
+    if pair:
+        return np.array([[0, m], [m_star, 0]]), np.diag([z, symmetry_partner(z, tag)[0]])
+    # the projections onto D_M^star = eps1 D_M and onto the self-paired values
+    d = (m + m_star) / 2
+    return np.array([[d]]), np.array([[(z + symmetry_partner(z, tag)[0]) / 2]])
+
+
+def _orbit_spectrum(rng, tag: StructureTag, n: int, pairs: int, singles: int, parameters):
+    """``pairs`` change pairs and ``singles`` self-paired change values, then
+    fixed ones up to n. A class with no pairs (symmetric) fixes singles, a
+    T class with pairs fixes pairs and at odd n its one zero, and a star
+    class a random number of pairs; targets keep each orbit's pattern.
+    Returns None when no fixed column is left."""
+    rest = n - 2 * pairs - singles
+    if rest <= 0:
+        return None
+    if tag.star == STAR_TRANS and tag.eps1 * tag.eps2 == 1:
+        fixed_pairs = 0
+    elif tag.star == STAR_TRANS:
+        fixed_pairs = rest // 2
+    else:
+        fixed_pairs = int(rng.integers(rest // 2 + 1))
+    kinds = [True] * pairs + [False] * singles
+    kinds += [True] * fixed_pairs + [False] * (rest - 2 * fixed_pairs)
+    d_m, lam = zip(*(_orbit_block(rng, tag, pair) for pair in kinds))
+    firsts = [block[0, 0] for block in lam[: pairs + singles]]
+    return _Spectrum(
+        block_diag(*d_m),
+        block_diag(*lam),
+        2 * pairs + singles,
+        np.diag(_orbit_targets(rng, tag, firsts, pairs)),
+        parameters,
     )
 
 
-# ---------------------------------------------------------------------------
-# the six symmetry classes
-
-def random_structured_pencil(rng, n: int, tag: StructureTag) -> StructuredPencil:
-    """Dense random pencil with exact (star, eps1, eps2)-structure."""
-    a = _complex_randn(rng, n)
-    b = _complex_randn(rng, n)
-    m = (a + tag.eps1 * star(a, tag.star)) / 2
-    k = (b + tag.eps2 * star(b, tag.star)) / 2
-    return StructuredPencil(m, k, tag)
-
-
-def _orbits(values: np.ndarray, tag: StructureTag, self_tol, mate_tol, mate_scale):
-    """Eigenvalue indices in symmetry orbits, or None if a value has no
-    partner: (i,) when lambda_i is within ``self_tol`` of its own partner,
-    (i, j) when lambda_j is within ``mate_tol * mate_scale(lambda_i,
-    lambda_j)`` of the partner of lambda_i."""
-    partner = symmetry_partner(values, tag)
-    used = [False] * len(values)
-    orbits = []
-    for i, v in enumerate(values):
-        if used[i]:
+def _orbit_targets(rng, tag: StructureTag, firsts, pairs: int) -> list:
+    """Targets near the first value of each change orbit: mu and its partner
+    for a pair, mu kept at least 0.1 off its partner, or the projection of
+    mu onto the self-paired values for a single."""
+    targets = []
+    for j, value in enumerate(firsts):
+        mu = value * (1 + 0.1 * rng.standard_normal()) + 0.2 * _crandn(rng)
+        gap = mu - symmetry_partner(mu, tag)[0]
+        if j >= pairs:
+            targets.append(mu - gap / 2)
             continue
-        used[i] = True
-        if abs(partner[i] - v) <= self_tol * (1 + abs(v)):
-            orbits.append((i,))
-            continue
-        mate = None
-        for j in range(len(values)):
-            near = abs(values[j] - partner[i]) <= mate_tol * mate_scale(v, values[j])
-            if not used[j] and near:
-                mate = j
-                break
-        if mate is None:
-            return None  # spectrum not symmetry-closed at tolerance; retry
-        used[mate] = True
-        orbits.append((i, mate))
-    return orbits
-
-
-def _pick_orbits(orbits, p: int, rng):
-    """A subset of orbits with total size exactly p (or None)."""
-    order = list(rng.permutation(len(orbits)))
-    singles = [i for i in order if len(orbits[i]) == 1]
-    pairs = [i for i in order if len(orbits[i]) == 2]
-    for npairs in range(min(len(pairs), p // 2), -1, -1):
-        nsingles = p - 2 * npairs
-        if nsingles <= len(singles):
-            chosen = pairs[:npairs] + singles[:nsingles]
-            return [orbits[i] for i in chosen]
-    return None
-
-
-def _perturb_target(value: complex, tag: StructureTag, rng) -> complex:
-    """A random target near ``value`` respecting self-symmetry when needed."""
-    shift = 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
-    mu = value * (1 + 0.1 * rng.standard_normal()) + shift
-    partner = tag.eps1 * tag.eps2 * star_scalar(mu, tag.star)
-    if abs(star_scalar(value, tag.star) * tag.eps1 * tag.eps2 - value) <= MIN_SEPARATION * (
-        1 + abs(value)
-    ):
-        # self-symmetric slot: project the target onto the fixed-point set
-        return (mu + partner) / 2
-    return mu
+        if abs(gap) < 0.1:
+            mu += 0.1 * np.exp(1j * np.angle(gap))
+        targets += [mu, symmetry_partner(mu, tag)[0]]
+    return targets
 
 
 def _scaled_gramian_parameters(seed: int) -> dict:
@@ -221,7 +280,10 @@ def _scaled_gramian_parameters(seed: int) -> dict:
 
 
 def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
-    """Deterministic planted instance for one of the six symmetry classes."""
+    """Deterministic planted instance for one of the six symmetry classes:
+    p // 2 partner pairs and p % 2 self-paired values change (p
+    self-paired values for symmetric, whose every value is its own
+    partner)."""
     if class_name not in TAG_BY_NAME:
         raise BadParameters(f"unknown class {class_name!r}")
     if not 0 < p < n:
@@ -237,63 +299,20 @@ def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
             "spectrum has no self-paired eigenvalue"
         )
     tag = TAG_BY_NAME[class_name]
+    pairs = 0 if class_name == "symmetric" else p // 2
+    parameters = _scaled_gramian_parameters(seed)
     return _plant(
         seed,
         (n, p),
-        lambda rng: random_structured_pencil(rng, n, tag),
-        lambda pencil, eigs, rng: _split_orbits(pencil, eigs, rng, p, seed),
+        lambda rng: _orbit_spectrum(rng, tag, n, pairs, p - 2 * pairs, parameters),
+        tag,
+        None,
         f"n={n}, p={p}, class={class_name}",
-    )
-
-
-def _split_orbits(pencil, eigs, rng, p: int, seed: int):
-    """p change values made of whole symmetry orbits."""
-    tag = pencil.tag
-    values = np.array([e.value for e in eigs])
-    orbits = _orbits(values, tag, MIN_SEPARATION, MIN_SEPARATION, lambda v, w: 1 + abs(w))
-    if orbits is None:
-        return None
-    chosen = _pick_orbits(orbits, p, rng)
-    if chosen is None:
-        return None
-    change_idx = [i for orbit in chosen for i in orbit]
-    lam_c = values[change_idx]
-    # pairwise-distinct change values keep the Gramian block structure
-    if not _distinct(lam_c, lambda a, b: 1 + max(abs(a), abs(b))):
-        return None
-    # targets keep each orbit's symmetry pattern: mu, or mu and its partner
-    target = []
-    for orbit in chosen:
-        mu = _perturb_target(values[orbit[0]], tag, rng)
-        target.append(mu)
-        if len(orbit) == 2:
-            target.append(tag.eps1 * tag.eps2 * star_scalar(mu, tag.star))
-    return _Split(
-        _columns(eigs, change_idx),
-        np.diag(lam_c),
-        lam_c,
-        [i for i in range(len(eigs)) if i not in change_idx],
-        np.diag(target),
-        _scaled_gramian_parameters(seed),
     )
 
 
 # ---------------------------------------------------------------------------
 # SHH instances
-
-def random_shh_pencil(rng, half_n: int, which_star: str) -> SHHPencil:
-    """Random SHH pencil of size 2*half_n: M = -J S, K = -J H with S
-    star-skew and H star-symmetric (real entries for star = 'T')."""
-    size = 2 * half_n
-    if which_star == "*":
-        a, b = _complex_randn(rng, size), _complex_randn(rng, size)
-    else:
-        a = rng.standard_normal((size, size)).astype(complex)
-        b = rng.standard_normal((size, size)).astype(complex)
-    s = (a - star(a, which_star)) / 2
-    h = (b + star(b, which_star)) / 2
-    return SHHPencil(apply_j(s, transpose=True), apply_j(h, transpose=True), which_star)
-
 
 def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
     """Patterned (Z1, Z2), from the stream [seed, 778]: couple blocks
@@ -316,59 +335,18 @@ def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
 
 
 def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedProblem:
-    """Planted *-SHH instance changing ``num_couples`` (l, -conj l) couples
-    and ``num_imag`` purely imaginary eigenvalues, trimmed to what the drawn
-    spectrum offers."""
+    """Planted *-SHH instance changing exactly ``num_couples`` (l, -conj l)
+    couples and ``num_imag`` purely imaginary eigenvalues."""
     if min(num_couples, num_imag) < 0 or num_couples + num_imag == 0:
         raise BadParameters("star-shh instances need p >= 1: at least one change value")
+    parameters = _star_shh_parameters(seed, 2 * num_couples + num_imag, num_couples)
     return _plant(
         seed,
         (half_n, num_couples, num_imag),
-        lambda rng: random_shh_pencil(rng, half_n, "*"),
-        lambda pencil, eigs, rng: _split_couples(eigs, rng, num_couples, num_imag, seed),
+        lambda rng: _orbit_spectrum(rng, STAR_EVEN, 2 * half_n, num_couples, num_imag, parameters),
+        STAR_EVEN,
+        "*",
         f"n={2 * half_n}, couples={num_couples}, imag={num_imag}, class=star-shh",
-    )
-
-
-def _split_couples(eigs, rng, num_couples: int, num_imag: int, seed: int):
-    values = np.array([e.value for e in eigs])
-    orbits = _orbits(
-        values, STAR_EVEN, STAR_SHH_SELF_TOL, STAR_SHH_MATE_TOL, lambda v, w: 1 + abs(v)
-    )
-    if orbits is None:
-        return None
-    couples = [orbit for orbit in orbits if len(orbit) == 2]
-    singles = [orbit[0] for orbit in orbits if len(orbit) == 1]
-    # the drawn spectrum may offer fewer couples/imaginary values than asked
-    # for; trim to availability but keep at least one change value
-    nc = min(num_couples, len(couples))
-    ni = min(num_imag, len(singles))
-    if 2 * nc + ni == 0:
-        return None
-    rng.shuffle(couples)
-    rng.shuffle(singles)
-    change_idx = [i for pair in couples[:nc] for i in pair] + singles[:ni]
-    lam_c = values[change_idx]
-    if not _distinct(lam_c, lambda a, b: 1 + abs(a)):
-        return None
-    targets = []
-    for pair in couples[:nc]:
-        mu = values[pair[0]] * (1 + 0.1 * rng.standard_normal()) + 0.2 * (
-            rng.standard_normal() + 1j * rng.standard_normal()
-        )
-        if abs(mu.real) < 0.05:
-            mu += 0.1 * np.sign(mu.real or 1.0)
-        targets += [mu, -np.conj(mu)]
-    for idx in singles[:ni]:
-        wobble = values[idx].imag * (1 + 0.1 * rng.standard_normal())
-        targets.append(1j * (wobble + 0.2 * rng.standard_normal()))
-    return _Split(
-        np.hstack([largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in change_idx]),
-        np.diag(lam_c),
-        lam_c,
-        [i for i in range(len(eigs)) if i not in change_idx],
-        np.diag(targets),
-        _star_shh_parameters(seed, len(change_idx), nc),
     )
 
 
@@ -386,69 +364,64 @@ def _t_shh_parameters(seed: int, shape: tuple) -> dict:
     }
 
 
+def _by_kind(kind: int, value) -> list:
+    """The per-kind value lists of ``t_shh_lambda`` for one group of ``kind``."""
+    return [[value] if k == kind else [] for k in range(3)]
+
+
+def _t_shh_group(rng, kind: int):
+    """(D_M, Lambda, value) of one group of ``kind`` (quadruple, imaginary
+    pair, real pair), with the value a + ib, ib or a of a drawn (a, b)."""
+    a, b, alpha, beta = rng.standard_normal(4)
+    value = (complex(a, b), 1j * b, a)[kind]
+    shape = tuple(int(k == kind) for k in range(3))
+    d_m = t_shh_mhat(shape, [alpha] * shape[0], *([beta] * count for count in shape))
+    return d_m, t_shh_lambda(shape, *_by_kind(kind, value)), value
+
+
+def _t_shh_spectrum(rng, n: int, seed: int):
+    """One changed group, its kind drawn among those that leave a fixed
+    column, then fixed groups of drawn kinds up to n. The target keeps the
+    group's kind, off the axes it must leave."""
+    fits = [k for k in range(3) if _T_SHH_SIZES[k] < n]
+    if not fits:
+        return None
+    kinds = [fits[int(rng.integers(len(fits)))]]
+    rest = n - _T_SHH_SIZES[kinds[0]]
+    while rest:
+        fits = [k for k in range(3) if _T_SHH_SIZES[k] <= rest]
+        kinds.append(fits[int(rng.integers(len(fits)))])
+        rest -= _T_SHH_SIZES[kinds[-1]]
+    d_m, lam, values = zip(*(_t_shh_group(rng, kind) for kind in kinds))
+    kind = kinds[0]
+    mu = complex(values[0]) * (1 + 0.1 * rng.standard_normal()) + 0.1 * _crandn(rng)
+    mu = (mu, 1j * mu.imag, mu.real)[kind]
+    if kind != 1 and abs(mu.real) < 0.05:
+        mu += 0.1
+    if kind != 2 and abs(mu.imag) < 0.05:
+        mu += 0.1j
+    shape = tuple(int(k == kind) for k in range(3))
+    return _Spectrum(
+        block_diag(*d_m),
+        block_diag(*lam),
+        _T_SHH_SIZES[kind],
+        t_shh_lambda(shape, *_by_kind(kind, mu)),
+        _t_shh_parameters(seed, shape),
+    )
+
+
 def plant_t_shh(seed: int, half_n: int) -> PlantedProblem:
     """Planted real T-SHH instance changing one full symmetry group.
 
     The group kind (quadruple, imaginary pair, real pair) is drawn among
-    those the spectrum offers, so p is 4 or 2. The change pair is the real
-    basis of ``t_shh_basis`` with its block Lambda.
+    those that leave a fixed pair, so p is 4 or 2. The change pair is the
+    real basis of the group with its block Lambda (``t_shh_lambda``).
     """
     return _plant(
         seed,
         (half_n,),
-        lambda rng: random_shh_pencil(rng, half_n, "T"),
-        lambda pencil, eigs, rng: _split_group(eigs, rng, seed),
+        lambda rng: _t_shh_spectrum(rng, 2 * half_n, seed),
+        T_EVEN,
+        STAR_TRANS,
         f"n={2 * half_n}, class=t-shh",
     )
-
-
-def _split_group(eigs, rng, seed: int):
-    full, leftovers = group_t_shh_spectrum(eigs)
-    if leftovers:
-        return None
-    kinds = (full.quadruples, full.imag_pairs, full.real_pairs)
-    offered = [k for k, groups in enumerate(kinds) if groups]
-    if not offered:
-        return None
-    kind = offered[int(rng.integers(len(offered)))]
-    groups = kinds[kind]
-    group = groups[int(rng.integers(len(groups)))]
-    lam = complex(group[0])
-    if kind == 0:  # quadruple
-        mu = lam * (1 + 0.1 * rng.standard_normal()) + 0.1 * (
-            rng.standard_normal() + 1j * rng.standard_normal()
-        )
-        if abs(mu.real) < 0.05 or abs(mu.imag) < 0.05:
-            mu = mu + 0.1 + 0.1j
-    elif kind == 1:  # imaginary pair
-        mu = 1j * (lam.imag * (1 + 0.1 * rng.standard_normal()) + 0.1 * rng.standard_normal())
-        if abs(mu.imag) < 0.05:
-            mu = 1j * (mu.imag + 0.1)
-    else:  # real pair
-        mu = lam.real * (1 + 0.1 * rng.standard_normal()) + 0.1 * rng.standard_normal()
-        if abs(mu) < 0.05:
-            mu += 0.1
-    grouping = EigGrouping(*((group,) if k == kind else () for k in range(3)))
-    shape = tuple(int(k == kind) for k in range(3))
-    # fixed pair: all eigenpairs whose values are not in the change group
-    change_values = grouping.change_values()
-    fixed_idx = []
-    for i, e in enumerate(eigs):
-        if not any(abs(e.value - r) <= T_SHH_GROUP_TOL * (1 + abs(r)) for r in change_values):
-            fixed_idx.append(i)
-    if len(fixed_idx) != len(eigs) - grouping.column_count:
-        return None
-    try:
-        xc, lam_c = t_shh_basis(grouping)
-    except NoSpilloverError:
-        return None
-    return _Split(
-        xc.astype(complex),
-        lam_c,
-        np.array(change_values),
-        fixed_idx,
-        t_shh_lambda(shape, *((mu,) if k == kind else () for k in range(3))),
-        _t_shh_parameters(seed, shape),
-        check_targets=False,
-    )
-

@@ -1,4 +1,5 @@
-"""Shared generators for the definite structured classes."""
+"""Shared generators: dense random structured and SHH pencils, and planted
+instances of the definite structured classes."""
 
 import os
 import subprocess
@@ -16,11 +17,36 @@ from nospillover.pencil import (
     T_EVEN,
     T_ODD,
     StructuredPencil,
+    star,
 )
+from nospillover.shh import SHHPencil, apply_j
 
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_structured_pencil(rng, n, tag):
+    """Dense random pencil with exact (star, eps1, eps2)-structure."""
+    a = crandn(rng, n, n)
+    b = crandn(rng, n, n)
+    m = (a + tag.eps1 * star(a, tag.star)) / 2
+    k = (b + tag.eps2 * star(b, tag.star)) / 2
+    return StructuredPencil(m, k, tag)
+
+
+def random_shh_pencil(rng, half_n, which_star):
+    """Random SHH pencil of size 2*half_n: M = -J S, K = -J H with S
+    star-skew and H star-symmetric (real entries for star = 'T')."""
+    size = 2 * half_n
+    if which_star == "*":
+        a, b = crandn(rng, size, size), crandn(rng, size, size)
+    else:
+        a = rng.standard_normal((size, size)).astype(complex)
+        b = rng.standard_normal((size, size)).astype(complex)
+    s = (a - star(a, which_star)) / 2
+    h = (b + star(b, which_star)) / 2
+    return SHHPencil(apply_j(s, transpose=True), apply_j(h, transpose=True), which_star)
 
 
 def _split(eigs, p, key=None):

@@ -536,6 +536,25 @@ class TestRandom:
             str(b) + ".fixed.json"
         ).read_bytes()
 
+    def test_random_loads_no_scipy(self, tmp_path):
+        """Planting runs on numpy alone: the instance is assembled from its
+        eigenbasis, with no QZ."""
+        code = (
+            "import sys\n"
+            "from nospillover.cli import main\n"
+            "from nospillover.randomgen import RANDOM_CLASSES\n"
+            "for klass in RANDOM_CLASSES:\n"
+            f"    out = {str(tmp_path)!r} + '/' + klass + '.json'\n"
+            "    rc = main(['random', '--seed', '7', '--n', '12', '--p', '2',\n"
+            "               '--class', klass, '--out', out])\n"
+            "    assert rc == 0, (klass, rc)\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.fixed.json"))) == len(RANDOM_CLASSES)
+
     @pytest.mark.parametrize(
         "klass,n,p",
         [

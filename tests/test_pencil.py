@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_structured_pencil
 
 from nospillover.errors import MissingStar, NotPositiveDefinite
 from nospillover.linalg import eig_pencil, finite_eigenvalues, fnorm, match_multisets
@@ -19,7 +20,7 @@ from nospillover.pencil import (
     star,
     symmetry_partner,
 )
-from nospillover.randomgen import plant_problem, random_structured_pencil
+from nospillover.randomgen import plant_problem
 from nospillover.unstructured import UpdateResult
 from nospillover.verify import certify_spillover
 

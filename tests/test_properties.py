@@ -13,6 +13,7 @@ from conftest import (
     plant_star_odd,
     plant_t_even_real,
     plant_t_odd_real,
+    random_structured_pencil,
     spillover_residual,
 )
 from hypothesis import example, given, settings
@@ -33,7 +34,6 @@ from nospillover.pencil import (
     classify_structure,
     symmetry_partner,
 )
-from nospillover.randomgen import random_structured_pencil
 from nospillover.special import (
     hermitian_update,
     star_even_update,

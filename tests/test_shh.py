@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import t_shh_shape, t_shh_solve
+from conftest import random_shh_pencil, t_shh_shape, t_shh_solve
 
 from nospillover.errors import BadParameters, ComplexInput, NotSHH, SingularG
 from nospillover.linalg import (
@@ -19,7 +19,6 @@ from nospillover.pencil import StructureTag
 from nospillover.randomgen import (
     plant_star_shh,
     plant_t_shh,
-    random_shh_pencil,
 )
 from nospillover.shh import (
     SHHPencil,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import plant_t_odd_real
+from conftest import plant_t_odd_real, random_shh_pencil
 
 import nospillover
 from nospillover.errors import (
@@ -20,7 +20,7 @@ from nospillover.errors import (
 )
 from nospillover.linalg import J2, PencilEigenpair, fnorm
 from nospillover.pencil import T_ODD, DeflatingPair, StructuredPencil
-from nospillover.randomgen import plant_t_shh, random_shh_pencil
+from nospillover.randomgen import plant_t_shh
 from nospillover.shh import (
     EigGrouping,
     SHHPencil,
