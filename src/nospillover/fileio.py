@@ -1,8 +1,8 @@
 """Text problem/result files.
 
-JSON-shaped, UTF-8, schema versioned with a ``format`` field. Complex
-entries are stored as [re, im] pairs; floats round-trip exactly through
-repr, so parse(emit(x)) is bitwise faithful.
+UTF-8 JSON, schema versioned with a ``format`` field. Complex entries are
+stored as [re, im] pairs, each float in its shortest round-trip digits, so
+parse(emit(x)) is bitwise faithful.
 
 Problem and pairs files are ``format: 1``. A delta file is ``format: 2``
 when the update carries its factors: a ``factors`` block with ``left``
@@ -10,14 +10,17 @@ when the update carries its factors: a ``factors`` block with ``left``
 ``load_delta`` returns as the factors of an ``UpdateResult``. Otherwise it
 is ``format: 1`` with the dense ``delta_m`` and ``delta_k``.
 
-Files are written as ``json.dumps(doc, indent=1, sort_keys=True)`` with
-every matrix encoded by ``encode_matrix``; ``_dumps`` produces exactly those
-bytes without walking each float in Python.
+Files are compact, with sorted keys, written by ``orjson`` a matrix row at
+a time from each array's float64 view. orjson cannot spell a non-finite
+number, so an array or number holding a NaN or an infinity is written by
+``json.dumps`` instead, as ``NaN``/``Infinity`` (never ``null``). Files
+are read by ``orjson``; one it refuses is parsed again by ``json.loads``,
+which takes those tokens and ``1e400`` and words the error. Both libraries
+are imported on first use, so importing the CLI loads neither.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,11 +48,15 @@ STRUCTURE_NAMES = (
 )
 
 
+def _float_view(a) -> np.ndarray:
+    """``a`` as complex128 in C order, viewed as float64 of shape
+    ``a.shape + (2,)``: each entry as its [re, im] pair."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,))
+
+
 def encode_matrix(a) -> list:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return _float_view(a).tolist()
 
 
 def decode_matrix(obj, name: str) -> np.ndarray:
@@ -57,57 +64,55 @@ def decode_matrix(obj, name: str) -> np.ndarray:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name}: not a numeric array: {exc}") from None
-    if arr.ndim == 2 and arr.shape[-1] == 2:  # vector of [re, im]
-        return arr[:, 0] + 1j * arr[:, 1]
-    if arr.ndim == 3 and arr.shape[-1] == 2:
-        return arr[:, :, 0] + 1j * arr[:, :, 1]
+    if arr.ndim in (2, 3) and arr.shape[-1] == 2:  # a vector or a matrix of [re, im]
+        return arr[..., 0] + 1j * arr[..., 1]
     raise SchemaError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
 
 
-def _dumps(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=1, sort_keys=True)`` at nesting ``depth``,
-    with each ndarray written as ``encode_matrix`` would encode it.
-
-    Dict keys must be strings. Scalars go through ``json.dumps`` itself.
-    """
-    if isinstance(obj, np.ndarray):
-        return _dumps_matrix(obj, depth)
+def _views(obj):
+    """``obj`` with each ndarray replaced by its ``_float_view``."""
     if isinstance(obj, dict):
-        items = [f"{json.dumps(key)}: {_dumps(obj[key], depth + 1)}" for key in sorted(obj)]
-        return _nest(items, depth, "{}")
+        return {key: _views(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return _nest([_dumps(item, depth + 1) for item in obj], depth, "[]")
-    return json.dumps(obj)
+        return [_views(value) for value in obj]
+    return _float_view(obj) if isinstance(obj, np.ndarray) else obj
 
 
-def _nest(items, depth: int, brackets: str = "[]") -> str:
-    """Items of a JSON list or object opening at ``depth``, one per line."""
-    if not items:
-        return brackets
-    inner = "\n" + " " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
+def _chunks(tree):
+    """The compact JSON of a ``_views`` tree, keys sorted, in pieces of at
+    most one matrix row: ``orjson.dumps(tree, OPT_SORT_KEYS)`` when every
+    number is finite. orjson would write a NaN or an infinity as null, so an
+    array or number holding one is written by ``json.dumps``.
 
+    One ``dumps`` of the whole tree grows a buffer as large as the file;
+    freeing it leaves the process's heap in a state that depends on the
+    allocation history, so the peak memory of whatever runs next varies
+    from one run to the next. Row-sized pieces leave no such buffer.
+    """
+    import orjson
 
-def _matrix_template(shape: tuple, depth: int) -> str:
-    """%r template of an encoded array of ``shape`` opening at ``depth``."""
-    text = _nest(["%r", "%r"], depth + len(shape))
-    for axis in reversed(range(len(shape))):
-        text = _nest([text] * shape[axis], depth + axis)
-    return text
+    if isinstance(tree, dict):
+        for i, key in enumerate(sorted(tree)):
+            yield (b",%s:" if i else b"{%s:") % orjson.dumps(key)
+            yield from _chunks(tree[key])
+        yield b"}" if tree else b"{}"
+    elif isinstance(tree, list) or (isinstance(tree, np.ndarray) and tree.ndim > 2):
+        for i, item in enumerate(tree):  # a matrix's items are its rows
+            yield b"," if i else b"["
+            yield from _chunks(item)
+        yield b"]" if len(tree) else b"[]"
+    elif isinstance(tree, (np.ndarray, float)) and not np.isfinite(tree).all():
+        import json
 
-
-def _dumps_matrix(a, depth: int) -> str:
-    # %r of a Python float is float.__repr__, the text json writes. NaN and
-    # Inf (spelled NaN/Infinity by json) and empty arrays take the slow path.
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim not in (1, 2) or a.size == 0 or not np.isfinite(a).all():
-        return _dumps(encode_matrix(a), depth)
-    floats = np.ascontiguousarray(a).view(np.float64).ravel().tolist()
-    return _matrix_template(a.shape, depth) % tuple(floats)
+        yield json.dumps(tree, default=np.ndarray.tolist, separators=(",", ":")).encode()
+    else:
+        yield orjson.dumps(tree, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _write(path, doc):
-    Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
+    with open(path, "wb") as f:
+        f.writelines(_chunks(_views(doc)))
+        f.write(b"\n")
 
 
 def _decode_optional(block, key, name):
@@ -168,22 +173,24 @@ def _decode_pair_block(obj, name) -> PairBlock:
 def _encode_pair_block(block: PairBlock | None):
     if block is None:
         return None
-    out = {}
-    if block.x is not None:
-        out["x"] = np.asarray(block.x)
-    if block.lam is not None:
-        out["lambda"] = np.asarray(block.lam)
-    if block.eigenvalues is not None:
-        out["eigenvalues"] = np.asarray(block.eigenvalues)
-    return out or None
+    arrays = {"x": block.x, "lambda": block.lam, "eigenvalues": block.eigenvalues}
+    return {key: np.asarray(a) for key, a in arrays.items() if a is not None} or None
 
 
 def _read(path, what: str, formats=(FORMAT_VERSION,)) -> dict:
     """The JSON object of a ``what`` file (problem, pencil, pairs, delta)
     whose ``format`` is one of ``formats``; SchemaError otherwise."""
+    import orjson
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+        try:
+            raw = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            import json
+
+            raw = json.loads(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
         raise SchemaError(f"cannot read {what} file: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{what} file must hold a JSON object")
@@ -268,10 +275,6 @@ def _problem_doc(pf: ProblemFile) -> dict:
         "fixed": _encode_pair_block(pf.fixed),
         "parameters": params or None,
     }
-
-
-def dump_problem(pf: ProblemFile) -> str:
-    return _dumps(_problem_doc(pf))
 
 
 def save_problem(path, pf: ProblemFile):

@@ -2,6 +2,7 @@
 instances of the definite structured classes."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,21 @@ def run_fresh_python(code):
         capture_output=True,
         text=True,
     )
+
+
+def same_values(a, b) -> bool:
+    """Whether two parsed JSON trees hold the same values: equal keys,
+    types and strings, and floats with equal bit patterns (-0.0 is not 0.0,
+    and NaN equals NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_values(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
 
 
 def hungarian_max(cost):

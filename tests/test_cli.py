@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fresh_python_env, run_fresh_python
+from conftest import fresh_python_env, run_fresh_python, same_values
 
 from nospillover import fileio, randomgen
 from nospillover.cases import CASES, run_case
@@ -247,6 +247,25 @@ class TestSolve:
         assert capsys.readouterr().err == "error: ComplexInput: T-SHH update needs a real pencil\n"
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    def test_non_finite_problem_entry_exit_3(self, tmp_path, capsys, token):
+        # stdlib json reads both tokens (1e400 as inf); the pencil refuses them
+        doc = json.loads((DATA / "star-even-n8.json").read_text())
+        doc["m"][0][0][0] = "TOKEN"
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        capsys.readouterr()
+        assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
+        assert capsys.readouterr().err == "error: NonFiniteEntries: M contains NaN or Inf entries\n"
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert run(["solve", "--input", bad, "--out", tmp_path / "d.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: cannot read problem file: 'utf-8' codec can't decode")
+
     def test_quadratic_solve_loads_no_scipy(self, tmp_path):
         """A passing quadratic solve runs on numpy alone: the eigendata and
         the spectrum oracle come from the Hermitian-definite reduction."""
@@ -261,8 +280,11 @@ class TestSolve:
             parameters={"z1": case.z1, "z2": case.z2},
             quadratic=True,
         )
-        # the checked-in problem is the herm-6.1 reference case
-        assert prob.read_text() == fileio.dump_problem(pf) + "\n"
+        # the checked-in problem is the herm-6.1 reference case, and the
+        # writer writes its values
+        again = tmp_path / "again.json"
+        fileio.save_problem(again, pf)
+        assert same_values(json.loads(again.read_text()), json.loads(prob.read_text()))
         out = tmp_path / "d.json"
         code = (
             "import sys\n"
@@ -418,6 +440,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "schema error: fixed.lambda is 7 x 7, but fixed.x has 8 columns" in err
 
+    @pytest.mark.parametrize("flag, what", [("--pencil", "pencil"), ("--delta", "delta"),
+                                            ("--pairs", "pairs")])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, flag, what):
+        prob, delta = tmp_path / "prob.json", tmp_path / "d.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", "hermitian", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        args = {"--pencil": prob, "--delta": delta, "--pairs": f"{prob}.fixed.json"}
+        args[flag] = tmp_path / "bad.json"
+        args[flag].write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert run(["verify", *(x for item in args.items() for x in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: cannot read {what} file: 'utf-8' codec can't decode")
+
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")
         pf = fileio.ProblemFile(
@@ -502,6 +539,21 @@ class TestReproduce:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_reproduce_loads_no_json_library(self):
+        # fileio imports json and orjson where a file is first read or written;
+        # scipy's own imports bring json in during reproduce, but not orjson
+        code = (
+            "import io, sys, contextlib\n"
+            "from nospillover.cli import main\n"
+            "loaded = [m for m in ('json', 'orjson') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['reproduce', 'all', '--brief']) == 0\n"
+            "assert 'orjson' not in sys.modules\n"
+        )
+        proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("case_id", list(CASES))
     def test_residuals_are_the_certificates(self, case_id):

@@ -1,10 +1,12 @@
 """Round-trip and schema tests for the text file formats."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import t_shh_shape, t_shh_solve
+from conftest import same_values, t_shh_shape, t_shh_solve
 
 from nospillover import fileio
 from nospillover.errors import SchemaError
@@ -12,6 +14,10 @@ from nospillover.linalg import fnorm
 from nospillover.randomgen import plant_problem, plant_star_shh, plant_t_shh
 from nospillover.shh import shh_gramian, shh_update, t_shh_mhat
 from nospillover.structured import change_gramian, scaled_gramian_core, structured_update
+from nospillover.unstructured import UpdateResult
+from nospillover.verify import Certificate, SpectrumMatch
+
+DATA = Path(__file__).parent / "data"
 
 
 def crandn(rng, *shape):
@@ -69,7 +75,10 @@ class TestProblemFile:
 
     def test_emit_is_deterministic(self, tmp_path):
         pf = self._sample()
-        assert fileio.dump_problem(pf) == fileio.dump_problem(pf)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        fileio.save_problem(first, pf)
+        fileio.save_problem(second, pf)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_bad_format_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -119,8 +128,6 @@ class TestProblemFile:
 
 class TestDeltaAndPairs:
     def test_result_round_trip(self, tmp_path):
-        from nospillover.unstructured import UpdateResult
-
         rng = np.random.default_rng(3)
         dm, dk = crandn(rng, 3, 3), crandn(rng, 3, 3)
         res = UpdateResult(dense=(dm, dk), provenance={"method": "test", "g": crandn(rng, 2, 2)})
@@ -234,8 +241,29 @@ def _encoded(obj):
 
 
 def _reference(doc) -> str:
-    """The bytes format-1 files held before the array writer."""
+    """The bytes format-1 files held before the orjson writer."""
     return json.dumps(_encoded(doc), indent=1, sort_keys=True)
+
+
+def _written(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    fileio._write(path, doc)
+    return path.read_text(encoding="utf-8")
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def _holds(path, doc) -> bool:
+    """Whether the file at ``path`` is strict JSON holding the values of
+    ``_reference(doc)``."""
+    text = path.read_text(encoding="utf-8")
+    return same_values(json.loads(text, parse_constant=_refuse), json.loads(_reference(doc)))
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
 
 
 _RNG = np.random.default_rng(8)
@@ -260,16 +288,38 @@ GOLDEN_ARRAYS = {
 
 
 class TestGoldenBytes:
-    """The array writer emits exactly json.dumps(indent=1, sort_keys=True)."""
+    """Every file holds the values ``json.dumps(indent=1, sort_keys=True)``
+    wrote before the orjson writer: stdlib json reads both to the same tree,
+    floats compared as bit patterns. A finite document is strict RFC 8259
+    JSON; a NaN or an infinity is spelled NaN/Infinity, never null."""
 
     @pytest.mark.parametrize("name", list(GOLDEN_ARRAYS))
-    def test_array_at_every_depth(self, name):
+    def test_array_at_every_depth(self, tmp_path, name):
         a = GOLDEN_ARRAYS[name]
         doc = {"a": a, "nested": {"list": [a, {"deeper": a}], "s": "x"}}
-        assert fileio._dumps(a) == _reference(a)
-        assert fileio._dumps(doc) == _reference(doc)
+        for obj in (a, doc):
+            text = _written(tmp_path, obj)
+            assert same_values(json.loads(text), json.loads(_reference(obj)))
+            assert "null" not in text
+            if np.isfinite(a).all():
+                json.loads(text, parse_constant=_refuse)
 
-    def test_problem_with_parameter_matrices(self):
+    @pytest.mark.parametrize(
+        "name", [name for name, a in GOLDEN_ARRAYS.items() if np.isfinite(a).all()])
+    def test_rows_join_to_one_dumps(self, tmp_path, name):
+        """A finite document is written a matrix row at a time; the pieces
+        are the bytes of one ``orjson.dumps`` of the whole document."""
+        import orjson
+
+        a = GOLDEN_ARRAYS[name]
+        doc = {"b": a, "a": {"list": [a, {"deeper": a}, {}], "s": '%r ["]\n\\ é', "e": []}}
+        whole = orjson.dumps(fileio._views(doc),
+                             option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
+        path = tmp_path / "doc.json"
+        fileio._write(path, doc)
+        assert path.read_bytes() == whole + b"\n"
+
+    def test_problem_with_parameter_matrices(self, tmp_path):
         rng = np.random.default_rng(9)
         z1, z2, mhat = crandn(rng, 3, 3), crandn(rng, 3), crandn(rng, 3, 3).T
         pf = fileio.ProblemFile(
@@ -295,11 +345,11 @@ class TestGoldenBytes:
                 "quad_alpha": [1.0, 2.5], "strategy": '%r ["]\n\\ é',
             },
         }
-        assert fileio.dump_problem(pf) == _reference(expected)
+        path = tmp_path / "prob.json"
+        fileio.save_problem(path, pf)
+        assert _holds(path, expected)
 
     def test_result_with_provenance_arrays(self, tmp_path):
-        from nospillover.unstructured import UpdateResult
-
         rng = np.random.default_rng(10)
         g = crandn(rng, 2, 2)
         prov = {"method": 'a "%s" }', "g": g, "lam": g[0], "z": 1 - 2j, "ok": True, "n": 3}
@@ -310,7 +360,7 @@ class TestGoldenBytes:
             "format": 1, "delta_m": res.delta_m, "delta_k": res.delta_k,
             "provenance": dict(prov, z=[1.0, -2.0]), "certificate": None,
         }
-        assert path.read_text(encoding="utf-8") == _reference(expected) + "\n"
+        assert _holds(path, expected)
 
     def test_pairs_file(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -318,4 +368,85 @@ class TestGoldenBytes:
         path = tmp_path / "pairs.json"
         fileio.save_pairs(path, x, lam)
         expected = {"format": 1, "fixed": {"x": x, "lambda": lam}}
-        assert path.read_text(encoding="utf-8") == _reference(expected) + "\n"
+        assert _holds(path, expected)
+
+
+class TestNonFinite:
+    """orjson has no token for a NaN or an infinity: a number or an array
+    row holding one is written by stdlib json as NaN/Infinity, and read
+    back as before."""
+
+    def test_infinite_spectrum_distance_in_delta(self, tmp_path):
+        rng = np.random.default_rng(12)
+        res = UpdateResult(factors=(crandn(rng, 3, 1), crandn(rng, 1, 1),
+                                    crandn(rng, 1, 1), crandn(rng, 1, 3)))
+        # what certify records when the updated pencil is singular
+        cert = Certificate(target_residual=0.5, target_relative=0.25,
+                           spectrum=SpectrumMatch(np.inf, 2, 0))
+        path = tmp_path / "delta.json"
+        fileio.save_result(path, res, cert)
+        text = path.read_text(encoding="utf-8")
+        assert '"max_distance":Infinity' in text
+        expected = {"format": 2, "factors": dict(zip(fileio._FACTOR_NAMES, res.factors)),
+                    "provenance": {}, "certificate": fileio.certificate_dict(cert)}
+        assert same_values(json.loads(text), json.loads(_reference(expected)))
+        back = fileio.load_delta(path)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(back.factors, res.factors))
+
+    def test_nan_in_problem_matrix(self, tmp_path):
+        pf = TestProblemFile()._sample()
+        pf.m[1, 2] = complex(np.nan, 2.0)
+        pf.k[0, 0] = complex(-np.inf, 1.5)
+        path = tmp_path / "prob.json"
+        fileio.save_problem(path, pf)
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" in text and "-Infinity" in text
+        raw = json.loads(text)
+        assert same_values(raw, json.loads(_reference(fileio._problem_doc(pf))))
+        assert math.isnan(raw["m"][1][2][0]) and raw["fixed"] is not None
+        back = fileio.load_problem(path)
+        for got, want in ((back.m, pf.m), (back.k, pf.k), (back.fixed.x, pf.fixed.x)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+# each checked-in file, its loader, and the arrays the loader returns by JSON key
+FIXTURES = {
+    "herm-6.1.quadratic.json": (fileio.load_problem, lambda pf: {
+        ("m",): pf.m, ("k",): pf.k,
+        ("change", "eigenvalues"): pf.change.eigenvalues,
+        ("targets", "eigenvalues"): pf.targets.eigenvalues,
+        ("parameters", "z1"): pf.parameters["z1"], ("parameters", "z2"): pf.parameters["z2"],
+    }),
+    "star-even-n8.json": (fileio.load_problem, lambda pf: {
+        ("m",): pf.m, ("k",): pf.k, ("change", "x"): pf.change.x,
+        ("change", "lambda"): pf.change.lam, ("targets", "lambda"): pf.targets.lam,
+    }),
+    "star-even-n8.json.fixed.json": (fileio.load_pairs, lambda pairs: {
+        ("fixed", "x"): pairs["fixed"].x, ("fixed", "lambda"): pairs["fixed"].lam,
+    }),
+    "star-even-n8.format1.delta.json": (fileio.load_delta, lambda res: {
+        ("delta_m",): res.delta_m, ("delta_k",): res.delta_k,
+    }),
+}
+
+
+class TestOldLayout:
+    """The checked-in files keep the indent-1 layout of the earlier writer,
+    exponents spelled ``e-05``; each loads to what json.loads and
+    decode_matrix give, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixture_reads_as_json_loads(self, name):
+        path = DATA / name
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith('{\n "')
+        raw = json.loads(text)
+        assert same_values(fileio._read(path, "fixture", (1, 2)), raw)
+        load, arrays = FIXTURES[name]
+        for keys, got in arrays(load(path)).items():
+            node = raw
+            for key in keys:
+                node = node[key]
+            want = fileio.decode_matrix(node, ".".join(keys))
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
