@@ -40,6 +40,7 @@ from .structured import (
     build_update_basis,
     change_gramian,
     complete_core,
+    core_from_parameters,
     parametrized_core,
     scaled_gramian_core,
     structured_update,
@@ -78,6 +79,7 @@ __all__ = [
     "change_gramian",
     "classify_structure",
     "complete_core",
+    "core_from_parameters",
     "dual_basis_update",
     "eig_pencil",
     "gramians",

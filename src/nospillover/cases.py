@@ -21,7 +21,7 @@ from .linalg import (
 from .pencil import DeflatingPair, structure_residuals
 from .shh import SHHPencil, apply_j, shh_gramian, shh_update
 from .special import QuadraticSpec, solve_quadratic
-from .structured import parametrized_core
+from .structured import core_from_parameters
 from .unstructured import UpdateProblem
 from .verify import Certificate, certify
 
@@ -423,6 +423,6 @@ def _solve_shh_case(case: ReferenceCase):
 
     change, lam_a = pair(chosen), np.diag(case.lam_target)
     g, _ = shh_gramian(shh, change.x)
-    core = parametrized_core(g, change.lam, lam_a, case.z1, case.z2)
+    core = core_from_parameters(g, change.lam, lam_a, z1=case.z1, z2=case.z2)
     result = shh_update(shh, change.x, change.lam, lam_a, core)
     return shh, result, UpdateProblem(change, lam_a, fixed=pair(available))

@@ -25,19 +25,24 @@ from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaErr
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .shh import SHHPencil, shh_gramian, shh_update, t_shh_core, t_shh_mhat, t_shh_update
+from .shh import SHHPencil, shh_gramian, shh_update, t_shh_mhat, t_shh_update
 from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
 from .structured import (
+    ONE_CORE_SOURCE,
     change_gramian,
-    complete_core,
-    parametrized_core,
-    scaled_gramian_core,
+    core_from_parameters,
     structured_update,
 )
 from .unstructured import UpdateProblem, solve_general
 from .verify import certify, certify_spillover
 
 _SHH_STARS = {"star-shh": "*", "t-shh": "T"}
+
+# the group counts, then the t_shh_mhat arguments, of a t-shh file's Mh
+_T_SHH_KEYS = (
+    "num_quadruples", "num_imag_pairs", "num_real_pairs",
+    "quad_alpha", "quad_beta", "imag_beta", "real_beta",
+)
 
 
 def _fail_schema(msg: str) -> int:
@@ -79,28 +84,30 @@ def _solve_unstructured(pf):
     return pencil, solve_general(pencil, problem), problem, ()
 
 
+def _refuse(params, keys, where):
+    """BadParameters when the file names a parameter its path does not take."""
+    named = [key for key in keys if key in params]
+    if named:
+        raise BadParameters(f"{where} takes no {', '.join(named)}")
+
+
 def _solve_quadratic(pf):
     if pf.structure not in QUADRATIC_CLASSES:
         raise SchemaError(
             f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
             f"got {pf.structure!r}"
         )
+    params = pf.parameters
+    _refuse(params, ("t",) + _T_SHH_KEYS, "a quadratic file")
     spec = QuadraticSpec(
         pf.structure,
         tuple(_need(pf.change, "eigenvalues", "change.eigenvalues")),
         tuple(_need(pf.targets, "eigenvalues", "targets.eigenvalues")),
     )
-    kwargs = {}
-    for key in ("z1", "z2", "mhat"):
-        if key in pf.parameters:
-            kwargs[key] = pf.parameters[key]
-    if pf.parameters.get("strategy"):
-        kwargs["strategy"] = pf.parameters["strategy"]
-        kwargs["slack"] = pf.parameters.get("slack", 0.0)
+    keys = ("z1", "z2", "mhat", "strategy", "slack")
+    kwargs = {key: params[key] for key in keys if key in params}
     result, info = solve_quadratic(pf.m, pf.k, spec, **kwargs)
-    psd = ()
-    if pf.parameters.get("strategy") == "psd-minimal":
-        psd = ("delta_m", "delta_k")
+    psd = ("delta_m", "delta_k") if params.get("strategy") == "psd-minimal" else ()
     return info["pencil"], result, info["problem"], psd
 
 
@@ -117,31 +124,29 @@ def _as_square(v):
     return np.diag(v) if np.asarray(v).ndim == 1 else v
 
 
-def _core_from_parameters(pf, g, lam_c, lam_a):
-    """The core the file's parameters give: T-SHH ``t_shh_mhat`` parameters,
-    the scaled-Gramian ``t``, (Z1, Z2), or Mh (zero when none is given)."""
+def _core_sources(pf) -> dict:
+    """The file's core source, as ``core_from_parameters`` takes it: ``t``,
+    ``z1``/``z2``, ``mhat``, or for ``t-shh`` the T-SHH parameters as
+    Mh = ``t_shh_mhat``. A source its path does not take is refused."""
     params = pf.parameters
-    if pf.structure == "t-shh" and "quad_alpha" in params:
-        shape = (
-            params.get("num_quadruples", 0),
-            params.get("num_imag_pairs", 0),
-            params.get("num_real_pairs", 0),
-        )
-        betas = [params.get(key, []) for key in ("quad_beta", "imag_beta", "real_beta")]
-        return t_shh_core(g, lam_c, lam_a, t_shh_mhat(shape, params["quad_alpha"], *betas))
+    refused = ("strategy", "slack") + (() if pf.structure == "t-shh" else _T_SHH_KEYS)
+    _refuse(params, refused, f"a {pf.structure} file")
+    sources = {key: _as_square(params[key]) for key in ("mhat", "z1", "z2") if key in params}
     if "t" in params:
-        return scaled_gramian_core(g, lam_c, lam_a, params["t"])
-    zero = np.zeros_like(g)
-    if "z1" in params or "z2" in params:
-        z1, z2 = (_as_square(params.get(key, zero)) for key in ("z1", "z2"))
-        return parametrized_core(g, lam_c, lam_a, z1, z2)
-    return complete_core(g, lam_c, lam_a, _as_square(params.get("mhat", zero)))
+        sources["t"] = params["t"]
+    if any(key in params for key in _T_SHH_KEYS):  # a t-shh file: refused elsewhere
+        if "mhat" in sources:  # both give Mh
+            raise BadParameters(ONE_CORE_SOURCE)
+        shape = tuple(params.get(key, 0) for key in _T_SHH_KEYS[:3])
+        sources["mhat"] = t_shh_mhat(shape, *(params.get(key, []) for key in _T_SHH_KEYS[3:]))
+    return sources
 
 
 def _solve_structured(pf):
     """The six symmetry classes and the two SHH classes, from the file's
     change pair, targets and core parameters. A ``t-shh`` file takes the
-    library's real T-SHH update, ``t_shh_update``."""
+    library's real T-SHH update, ``t_shh_update``, with its core on re(G)."""
+    sources = _core_sources(pf)
     xc = _need(pf.change, "x", "change.x")
     lam_c = _need(pf.change, "lam", "change.lambda")
     lam_a = _need(pf.targets, "lam", "targets.lambda")
@@ -152,7 +157,8 @@ def _solve_structured(pf):
     else:
         gramian, update = change_gramian, structured_update
     g, _ = gramian(pencil, xc)
-    result = update(pencil, xc, lam_c, lam_a, _core_from_parameters(pf, g, lam_c, lam_a))
+    core = core_from_parameters(g.real if pf.structure == "t-shh" else g, lam_c, lam_a, **sources)
+    result = update(pencil, xc, lam_c, lam_a, core)
     problem = UpdateProblem(DeflatingPair(xc, lam_c), lam_a, fixed=_fixed_from_file(pf))
     return pencil, result, problem, ()
 
@@ -182,7 +188,7 @@ def cmd_solve(args) -> int:
         return _fail_schema(str(exc))
     if args.unstructured or pf.structure == "unstructured":
         solve_path = _solve_unstructured
-    elif args.quadratic or pf.quadratic:
+    elif pf.quadratic:
         solve_path = _solve_quadratic
     else:
         solve_path = _solve_structured
@@ -289,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--unstructured", action="store_true")
-    p_solve.add_argument("--quadratic", action="store_true")
     p_solve.add_argument("--tol", type=float, default=TAU_DEFL)
     p_solve.set_defaults(func=cmd_solve)
 

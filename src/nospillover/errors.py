@@ -96,4 +96,5 @@ class NotSHH(NoSpilloverError):
 
 class BadParameters(NoSpilloverError):
     """Invalid parameters: a random problem that cannot be planted, or an
-    update core given by more than one of mhat, z1/z2 and strategy."""
+    update core given by two sources, by a source its path does not take,
+    or by an unknown strategy or a negative slack."""

@@ -65,7 +65,7 @@ def decode_matrix(obj, name: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name}: not a numeric array: {exc}") from None
     if arr.ndim in (2, 3) and arr.shape[-1] == 2:  # a vector or a matrix of [re, im]
-        return arr[..., 0] + 1j * arr[..., 1]
+        return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
     raise SchemaError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
 
 
@@ -142,9 +142,25 @@ class ProblemFile:
 
 _PARAM_MATRIX_KEYS = ("z1", "z2", "mhat")
 _PARAM_LIST_KEYS = ("quad_alpha", "quad_beta", "imag_beta", "real_beta")
-_PARAM_SCALAR_KEYS = ("t", "slack")
-_PARAM_INT_KEYS = ("num_couples", "num_quadruples", "num_imag_pairs", "num_real_pairs")
-_PARAM_STR_KEYS = ("strategy",)
+# the conversion of every other parameter's JSON value
+_PARAM_TYPES = {
+    **dict.fromkeys(_PARAM_LIST_KEYS, lambda value: [float(v) for v in value]),
+    **dict.fromkeys(("t", "slack"), float),
+    **dict.fromkeys(("num_couples", "num_quadruples", "num_imag_pairs", "num_real_pairs"), int),
+    "strategy": str,
+}
+
+
+def _decode_parameter(key, value):
+    """A ``parameters`` entry in its type; SchemaError naming it otherwise."""
+    if key in _PARAM_MATRIX_KEYS:
+        return decode_matrix(value, f"parameters.{key}")
+    if key not in _PARAM_TYPES:
+        raise SchemaError(f"unknown parameter {key!r}")
+    try:
+        return _PARAM_TYPES[key](value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"parameters.{key}: {exc}") from None
 
 
 def _decode_pair_block(obj, name) -> PairBlock:
@@ -222,22 +238,11 @@ def load_problem(path) -> ProblemFile:
     params_raw = raw.get("parameters") or {}
     if not isinstance(params_raw, dict):
         raise SchemaError("parameters must be an object")
-    params = {}
-    for key, value in params_raw.items():
-        if value is None:
-            continue
-        if key in _PARAM_MATRIX_KEYS:
-            params[key] = decode_matrix(value, f"parameters.{key}")
-        elif key in _PARAM_LIST_KEYS:
-            params[key] = [float(v) for v in value]
-        elif key in _PARAM_SCALAR_KEYS:
-            params[key] = float(value)
-        elif key in _PARAM_INT_KEYS:
-            params[key] = int(value)
-        elif key in _PARAM_STR_KEYS:
-            params[key] = str(value)
-        else:
-            raise SchemaError(f"unknown parameter {key!r}")
+    params = {
+        key: _decode_parameter(key, value)
+        for key, value in params_raw.items()
+        if value is not None
+    }
     pf = ProblemFile(
         structure=structure,
         m=m,

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadBlockShape, BadParameters, ComplexInput, DimensionMismatch, NotSHH, NotStructured,
-)
+from .errors import BadBlockShape, ComplexInput, DimensionMismatch, NotSHH, NotStructured
 from .linalg import (
     EIG_MATCH_TOL, REAL_DATA_TOL, T_SHH_PARTNER_FACTOR,
     J2,
@@ -25,13 +23,7 @@ from .linalg import (
     require_square,
 )
 from .pencil import STAR_CONJ, STAR_TRANS, StructuredPencil, StructureTag, star
-from .structured import (
-    CoreSolution,
-    change_gramian,
-    complete_core,
-    parametrized_core,
-    structured_update,
-)
+from .structured import CoreSolution, change_gramian, structured_update
 from .unstructured import UpdateResult
 
 
@@ -274,26 +266,14 @@ def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.nda
     return block_diag(*z1b), block_diag(*z2b)
 
 
-def t_shh_core(g, lam_c, lam_a, mhat=None, z_params=None) -> CoreSolution:
-    """The real T-SHH core on re(G): ``parametrized_core`` for patterned
-    ``z_params`` = (Z1, Z2) (see t_shh_z_params), else ``complete_core`` for
-    a structured ``mhat`` (see t_shh_mhat), Mh = 0 when neither is given.
-    Each sets the whole core, so giving both raises BadParameters."""
-    if mhat is not None and z_params is not None:
-        raise BadParameters("the T-SHH core comes from one of mhat and z_params")
-    g = g.real
-    if z_params is not None:
-        return parametrized_core(g, lam_c, lam_a, *z_params)
-    return complete_core(g, lam_c, lam_a, np.zeros_like(g) if mhat is None else mhat)
-
-
 def t_shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateResult:
     """``shh_update`` of a real T-SHH pencil, kept real.
 
     Takes what ``structured_update`` and ``shh_update`` take: the real
     change pair (X_c, Lc) and targets La of ``t_shh_basis`` and
-    ``t_shh_lambda`` (as a ``t-shh`` problem file holds them) and a core,
-    for instance ``t_shh_core``'s. The update is then real in exact
+    ``t_shh_lambda`` (as a ``t-shh`` problem file holds them) and a core
+    on re(G), for instance ``core_from_parameters`` of ``t_shh_mhat`` or
+    ``t_shh_z_params``. The update is then real in exact
     arithmetic, so the real parts of its factors are kept. A pencil, change
     pair, Lambda or core with an imaginary part above REAL_DATA_TOL of its
     scale raises ComplexInput, since the real parts would not be an update

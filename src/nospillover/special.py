@@ -5,10 +5,10 @@ K > 0, their real T-counterparts (built on realified conjugate pairs), a
 PSD parameter selection rule, and the quadratic lift mu = lambda^2 for
 undamped second-order models.
 
-Every recipe is one ``_class_update``: its core is ``parametrized_core``
-(or ``complete_core`` for a given Mh) on a change basis normalized in the
-class's positive definite W, handed to ``structured_update``. The entry
-points renormalize internally, so any eigenvector scaling may be passed in.
+Every recipe is one ``_class_update``: on a change basis normalized in the
+class's positive definite W, it takes its core from ``core_from_parameters``
+and hands it to ``structured_update``. The entry points renormalize
+internally, so any eigenvector scaling may be passed in.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .pencil import (
     StructuredPencil,
     normalize_columns,
 )
-from .structured import complete_core, parametrized_core, structured_update
+from .structured import ONE_CORE_SOURCE, core_from_parameters, structured_update
 from .unstructured import UpdateProblem, UpdateResult
 
 
@@ -146,9 +146,9 @@ def _class_update(
     """``structured_update`` of the pencil under the class's tag, on the
     W-normalized change basis ``xc`` with p x p Lc and La.
 
-    The core is ``complete_core(G, Lc, La, Mh)`` for a given ``mhat``, else
-    ``parametrized_core(G, Lc, La, Z1, Z2)``. ``real`` keeps the real parts
-    of the factors, and ``provenance`` is added to the result's.
+    The core is ``core_from_parameters(G, Lc, La, mhat, z1, z2)``. ``real``
+    keeps the real parts of the factors, and ``provenance`` is added to the
+    result's.
     """
     method, weight = _RECIPES[klass]
     if pencil.tag != TAG_BY_NAME[klass]:  # the kernel takes the class's adjoint
@@ -159,10 +159,7 @@ def _class_update(
     else:
         _require_nonzero(np.linalg.eigvals(lam_c))
         g = -np.linalg.inv(lam_c)
-    if mhat is None:
-        core = parametrized_core(g, lam_c, lam_a, z1, z2)
-    else:
-        core = complete_core(g, lam_c, lam_a, mhat)
+    core = core_from_parameters(g, lam_c, lam_a, mhat, z1, z2)
     result = structured_update(pencil, xc, lam_c, lam_a, core)
     if real:
         result.take_real()
@@ -214,7 +211,7 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> tuple[np.ndarray, np.
     lc = _real_diag(lam_c, "Lambda_c").real
     la = _real_diag(lam_a, "Lambda_a").real
     if slack < 0:
-        raise ValueError("slack must be nonnegative")
+        raise BadParameters("slack must be nonnegative")
     if np.any(la >= 0):
         raise PositiveTargetEigenvalue("all target eigenvalues must be negative")
     bound = np.maximum((la - lc) * la, lc / la - 1.0)
@@ -222,29 +219,21 @@ def select_psd_params(lam_c, lam_a, slack: float = 0.0) -> tuple[np.ndarray, np.
     return z1, np.zeros_like(z1)
 
 
-def _require_one_core_source(mhat, z1, z2, strategy=None):
-    """Raise BadParameters when more than one of ``mhat``, ``z1``/``z2`` and
-    ``strategy`` is given: each sets the whole core, so another would be
-    dropped unread."""
-    if sum((mhat is not None, z1 is not None or z2 is not None, strategy is not None)) > 1:
-        raise BadParameters("the core comes from one of mhat, z1/z2 and strategy")
-
-
 def _definite_update(
     klass: str, pencil: StructuredPencil, xc, lam_c, lam_a, mhat, z1, z2
 ) -> UpdateResult:
     """``_class_update`` on the W-normalized X_c, with diagonal Lc, La and
-    diagonal Z1, Z2 (omitted ones zero), or a given diagonal Mh."""
-    _require_one_core_source(mhat, z1, z2)
+    diagonal Z1, Z2 (an omitted one zero), or a given diagonal Mh. With
+    none of them, Z1 = Z2 = 0."""
     tag = TAG_BY_NAME[klass]
     on_lam, on_z1, on_z2 = (_EPS_DIAG[e] for e in (tag.eps1 * tag.eps2, tag.eps1, tag.eps2))
     lc, la = on_lam(lam_c, "Lambda_c"), on_lam(lam_a, "Lambda_a")
-    if mhat is not None:
-        mhat = np.diag(on_z1(mhat, "Mhat"))
-    else:
-        zero = np.zeros(lc.shape)
-        z1 = np.diag(on_z1(zero if z1 is None else z1, "Z1"))
-        z2 = np.diag(on_z2(zero if z2 is None else z2, "Z2"))
+    if mhat is None and z1 is None and z2 is None:
+        z1 = z2 = np.zeros(lc.shape)
+    mhat, z1, z2 = (
+        None if v is None else np.diag(check(v, name))
+        for v, check, name in ((mhat, on_z1, "Mhat"), (z1, on_z1, "Z1"), (z2, on_z2, "Z2"))
+    )
     xn = normalize_columns(pencil, xc, _RECIPES[klass][1])
     real = klass == "hermitian" and not (
         pencil.m.imag.any()
@@ -264,9 +253,9 @@ def hermitian_update(
 
     Requires M > 0 and real diagonal Lc, La. The core Mh is either given
     directly (real diagonal) or built from (Z1, Z2), not both
-    (BadParameters); omitted parameters default to the dM = 0 branch.
-    Columns of Xc are renormalized so that Xc^* M Xc = I. Real inputs
-    produce real perturbations.
+    (BadParameters). With no parameters, Z1 = Z2 = 0, which is not the
+    dM = 0 branch (mhat = 0 is). Columns of Xc are renormalized so that
+    Xc^* M Xc = I. Real inputs produce real perturbations.
     """
     return _definite_update("hermitian", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -277,8 +266,8 @@ def star_odd_update(
     """star-odd update: dM Hermitian, dK skew-Hermitian.
 
     Requires M > 0 and purely imaginary diagonal Lc, La; Z1 (or Mh) is real
-    and Z2 imaginary diagonal. dM is PSD exactly when the bracket
-    (La - Lc) La + Z1 + Z2 La is nonnegative.
+    and Z2 imaginary diagonal, with no parameters Z1 = Z2 = 0. dM is PSD
+    exactly when the bracket (La - Lc) La + Z1 + Z2 La is nonnegative.
     """
     return _definite_update("star-odd", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -289,9 +278,9 @@ def star_even_update(
     """star-even update: dM skew-Hermitian, dK Hermitian.
 
     Requires K > 0 and nonzero purely imaginary Lc; Z1 (or Mh) is imaginary
-    and Z2 real diagonal. Uses the K-normalized vectors, under which the
-    update range is K Xc. Shortcuts: Mh = 0 gives dM = 0;
-    Mh = Lc^{-1} - La^{-1} gives dK = 0.
+    and Z2 real diagonal, with no parameters Z1 = Z2 = 0. Uses the
+    K-normalized vectors, under which the update range is K Xc. Shortcuts:
+    Mh = 0 gives dM = 0; Mh = Lc^{-1} - La^{-1} gives dK = 0.
     """
     return _definite_update("star-even", pencil, xc, lam_c, lam_a, mhat, z1, z2)
 
@@ -453,12 +442,14 @@ def solve_quadratic(
     computed eigendata. ``strategy='psd-minimal'`` (hermitian class only)
     derives (Z1, Z2) from the PSD selection rule instead of explicit
     parameters. The core comes from one of ``mhat``, ``z1``/``z2`` and
-    ``strategy``; more than one raises BadParameters. Returns
+    ``strategy``; more than one raises BadParameters, and so does an unknown
+    ``strategy``. With none, Z1 = Z2 = 0, as in the recipes. Returns
     (UpdateResult, info) where info carries the lifted ``pencil`` and
     ``problem``, the ``UpdateProblem`` solved (normalized change pair,
     lifted targets, fixed pair), for certification.
     """
-    _require_one_core_source(mhat, z1, z2, strategy)
+    if strategy is not None and (z1 is not None or z2 is not None):
+        raise BadParameters(ONE_CORE_SOURCE)
     lam_c_wanted, lam_a, tag = lift_quadratic(spec)
     pencil = StructuredPencil(m, k, tag)
     change, fixed = select_eigendata(pencil, lam_c_wanted)
@@ -466,7 +457,7 @@ def solve_quadratic(
     xc = np.hstack([e.vector.reshape(-1, 1) for e in change])
     if strategy is not None:
         if strategy != "psd-minimal":
-            raise ValueError(f"unknown strategy {strategy!r}")
+            raise BadParameters(f"unknown strategy {strategy!r}")
         if spec.klass != "hermitian":
             raise EigenvalueOutsideClass(
                 "the PSD selection rule applies to the hermitian K > 0 class"

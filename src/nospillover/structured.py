@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingStar, SingularG
+from .errors import BadParameters, DimensionMismatch, MissingStar, SingularG
 from .linalg import (
     TAU_NUM, TAU_STRUCT,
     as_matrix,
@@ -77,35 +77,63 @@ def build_update_basis(pencil: StructuredPencil, xc, g, rcond) -> np.ndarray:
     return np.linalg.solve(g.T, (pencil.m @ xc).T).T
 
 
+def _core_inputs(g, lam_c, lam_a, **parameters) -> list[np.ndarray]:
+    """G, Lc, La and the named parameter matrices as complex matrices, which
+    must all be p x p (DimensionMismatch otherwise)."""
+    named = {"G": g, "Lambda_c": lam_c, "Lambda_a": lam_a, **parameters}
+    mats = [as_matrix(a, name) for name, a in named.items()]
+    p = mats[0].shape[0]
+    if any(a.shape != (p, p) for a in mats):
+        raise DimensionMismatch(f"{', '.join(named)} must all be p x p")
+    return mats
+
+
 def complete_core(g, lam_c, lam_a, mhat) -> CoreSolution:
     """The unique Kh for a given Mh: Kh = G (Lc - La) - Mh La."""
-    g = as_matrix(g, "G")
-    lam_c = as_matrix(lam_c, "Lambda_c")
-    lam_a = as_matrix(lam_a, "Lambda_a")
-    mhat = as_matrix(mhat, "Mhat")
-    if not (g.shape == lam_c.shape == lam_a.shape == mhat.shape):
-        raise DimensionMismatch("G, Lc, La, Mhat must all be p x p")
+    g, lam_c, lam_a, mhat = _core_inputs(g, lam_c, lam_a, Mhat=mhat)
     return CoreSolution(mhat, g @ (lam_c - lam_a) - mhat @ lam_a)
 
 
 def parametrized_core(g, lam_c, lam_a, z1, z2) -> CoreSolution:
     """All core solutions, parametrized by free p x p matrices (Z1, Z2).
 
-    Every class builds its core here, or with ``complete_core`` for a given
-    Mh. Z1 and Z2 with the class's pattern (real or imaginary diagonals or
+    Z1 and Z2 with the class's pattern (real or imaginary diagonals or
     2x2 blocks in ``special``, ``shh.t_shh_z_params``) give a structured
     core; ``structured_update`` records whether it is one
     (``core_structure_flags``), and the certificate checks the updated pencil.
     """
-    g = as_matrix(g, "G")
-    lam_c = as_matrix(lam_c, "Lambda_c")
-    lam_a = as_matrix(lam_a, "Lambda_a")
-    z1 = as_matrix(z1, "Z1")
-    z2 = as_matrix(z2, "Z2")
-    if not (g.shape == lam_c.shape == lam_a.shape == z1.shape == z2.shape):
-        raise DimensionMismatch("G, Lc, La, Z1, Z2 must all be p x p")
+    g, lam_c, lam_a, z1, z2 = _core_inputs(g, lam_c, lam_a, Z1=z1, Z2=z2)
     mh, kh = core_family(g @ (lam_c - lam_a), lam_a, z1, z2)
     return CoreSolution(mh, kh)
+
+
+def scaled_gramian_core(g, lam_c, lam_a, t: float) -> CoreSolution:
+    """The one-parameter subclass Mh = t G, Kh = G (Lc - (1+t) La).
+
+    Preserves structure whenever G La is eps2-symmetric under the tag.
+    """
+    g, lam_c, lam_a = _core_inputs(g, lam_c, lam_a)
+    return CoreSolution(t * g, g @ (lam_c - (1.0 + t) * lam_a))
+
+
+ONE_CORE_SOURCE = "the core comes from one of mhat, z1/z2 and strategy, or t"
+
+
+def core_from_parameters(g, lam_c, lam_a, mhat=None, z1=None, z2=None, t=None) -> CoreSolution:
+    """The core of at most one source, which every path takes its core from:
+    ``t`` gives ``scaled_gramian_core``, Z1 and Z2 ``parametrized_core``
+    (an omitted one zero), Mh ``complete_core``, and no source Mh = 0.
+    Each source sets the whole core, so two raise BadParameters.
+    """
+    z = None if z1 is None and z2 is None else (z1, z2)
+    if sum(source is not None for source in (mhat, z, t)) > 1:
+        raise BadParameters(ONE_CORE_SOURCE)
+    if t is not None:
+        return scaled_gramian_core(g, lam_c, lam_a, t)
+    zero = np.zeros_like(g)
+    if z is not None:
+        return parametrized_core(g, lam_c, lam_a, *(zero if a is None else a for a in z))
+    return complete_core(g, lam_c, lam_a, zero if mhat is None else mhat)
 
 
 def core_structure_flags(core: CoreSolution, g, lam_a, tag: StructureTag):
@@ -158,14 +186,3 @@ def structured_update(
             **flags,
         },
     )
-
-
-def scaled_gramian_core(g, lam_c, lam_a, t: float) -> CoreSolution:
-    """The one-parameter subclass Mh = t G, Kh = G (Lc - (1+t) La).
-
-    Preserves structure whenever G La is eps2-symmetric under the tag.
-    """
-    g = as_matrix(g, "G")
-    lam_c = as_matrix(lam_c, "Lambda_c")
-    lam_a = as_matrix(lam_a, "Lambda_a")
-    return CoreSolution(t * g, g @ (lam_c - (1.0 + t) * lam_a))

@@ -232,12 +232,15 @@ def t_shh_shape(planted):
     )
 
 
-def t_shh_solve(planted, **core_source):
+def t_shh_solve(planted, mhat=None, z_params=None):
     """``t_shh_update`` of a ``plant_t_shh`` instance on its change pair and
-    targets, with the core ``t_shh_core`` builds from ``core_source``."""
-    from nospillover.shh import shh_gramian, t_shh_core, t_shh_update
+    targets, with the core ``core_from_parameters`` builds on re(G) from
+    ``mhat`` or ``z_params`` = (Z1, Z2), Mh = 0 when neither is given."""
+    from nospillover.shh import shh_gramian, t_shh_update
+    from nospillover.structured import core_from_parameters
 
     xc, lam_c, lam_a = planted.change.x, planted.change.lam, planted.target_lam
     g, _ = shh_gramian(planted.pencil, xc)
-    core = t_shh_core(g, lam_c, lam_a, **core_source)
+    z1, z2 = (None, None) if z_params is None else z_params
+    core = core_from_parameters(g.real, lam_c, lam_a, mhat=mhat, z1=z1, z2=z2)
     return t_shh_update(planted.pencil, xc, lam_c, lam_a, core)

@@ -51,6 +51,35 @@ def mislabelled_problem(tmp_path):
     return bad, delta, f"{prob}.fixed.json"
 
 
+def with_parameters(tmp_path, source, **params):
+    """The herm-6.1 quadratic fixture (``source`` None) or a ``random`` file
+    of class ``source`` (seed 7, n=8, p=2), with ``params`` set in its
+    parameters, as tmp_path/prob.json."""
+    prob = tmp_path / "prob.json"
+    if source is None:
+        doc = json.loads((DATA / "herm-6.1.quadratic.json").read_text())
+    else:
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", source, "--out", prob]) == 0
+        doc = json.loads(prob.read_text())
+    doc["parameters"].update(params)
+    prob.write_text(json.dumps(doc))
+    return prob
+
+
+def refused(tmp_path, capsys, prob, code):
+    """The stderr of a ``solve`` of ``prob`` that exits ``code`` and writes no
+    delta file."""
+    capsys.readouterr()
+    assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == code
+    assert not (tmp_path / "d.json").exists()
+    return capsys.readouterr().err
+
+
+# the z1 of the herm-6.1 fixture: a diagonal, [re, im] per entry
+_DIAG = [[0.0, 0.0], [0.021592, 0.0]]
+
+
 class TestSolve:
     def test_reference_quadratic_problem(self, tmp_path):
         # the bundled Hermitian example expressed as a problem file
@@ -211,16 +240,67 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"error: NotPositiveDefinite: {definite} must be positive definite" in err
 
-    @pytest.mark.parametrize("second", ["mhat", "strategy"])
+    @pytest.mark.parametrize(
+        "second",
+        ["mhat", "strategy", "hermitian+z1", "star-even+mhat", "t-shh+t", "t-shh+mhat"],
+    )
     def test_quadratic_file_with_two_core_sources_exit_3(self, tmp_path, capsys, second):
+        # next to the fixture's z1 and z2, a random file's t, or a t-shh file's
+        # T-SHH parameters, which give Mh
+        source, _, key = second.rpartition("+")
+        value = {"t": 0.25, "strategy": "psd-minimal"}.get(key, _DIAG)
+        prob = with_parameters(tmp_path, source or None, **{key: value})
+        err = refused(tmp_path, capsys, prob, 3)
+        assert "error: BadParameters: the core comes from one of" in err
+
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            (None, "t", 0.25),
+            (None, "quad_alpha", [0.5]),
+            ("hermitian", "strategy", "psd-minimal"),
+            ("star-even", "slack", 1.0),
+            ("star-shh", "quad_alpha", [0.5]),
+            ("hermitian", "num_quadruples", 1),
+        ],
+        ids=["quadratic+t", "quadratic+quad_alpha", "hermitian+strategy",
+             "star-even+slack", "star-shh+quad_alpha", "hermitian+num_quadruples"],
+    )
+    def test_parameter_its_path_does_not_take_exit_3(self, tmp_path, capsys, source, key, value):
+        prob = with_parameters(tmp_path, source, **{key: value})
+        err = refused(tmp_path, capsys, prob, 3)
+        assert re.search(f"error: BadParameters: a [a-z-]+ file takes no {key}\n", err)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"strategy": "foo"}, "unknown strategy 'foo'"),
+         ({"strategy": "psd-minimal", "slack": -1.0}, "slack must be nonnegative")],
+        ids=["unknown-strategy", "negative-slack"],
+    )
+    def test_bad_quadratic_strategy_exit_3(self, tmp_path, capsys, params, message):
         doc = json.loads((DATA / "herm-6.1.quadratic.json").read_text())
-        params = doc["parameters"]
-        params[second] = params["z1"] if second == "mhat" else "psd-minimal"
+        doc["parameters"] = params
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps(doc))
-        assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 3
-        assert "error: BadParameters: the core comes from one of" in capsys.readouterr().err
-        assert not (tmp_path / "d.json").exists()
+        assert f"error: BadParameters: {message}" in refused(tmp_path, capsys, prob, 3)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("t", "abc"), ("t", [1, 2]), ("quad_alpha", 5), ("num_quadruples", "x")],
+        ids=["t-string", "t-list", "quad_alpha-number", "num_quadruples-string"],
+    )
+    def test_malformed_parameter_exit_2(self, tmp_path, capsys, key, value):
+        prob = with_parameters(tmp_path, "hermitian", **{key: value})
+        assert f"schema error: parameters.{key}: " in refused(tmp_path, capsys, prob, 2)
+
+    def test_core_of_other_size_exit_3(self, tmp_path, capsys):
+        # the random file's t with a 3 x 3 target Lambda for its 2 change columns
+        prob = with_parameters(tmp_path, "hermitian")
+        doc = json.loads(prob.read_text())
+        doc["targets"]["lambda"] = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 3)
+        assert "error: DimensionMismatch: G, Lambda_c, Lambda_a must all be p x p" in err
 
     def test_t_shh_file_runs_the_library_update(self, tmp_path):
         prob, delta = tmp_path / "prob.json", tmp_path / "d.json"

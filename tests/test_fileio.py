@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +25,29 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# an infinite imaginary part, and imaginary parts of -0.0 next to a NaN and a number
+_EDGE = np.array([complex(1.5, -math.inf), complex(math.nan, -0.0), complex(2.0, -0.0)])
+
+
+def _decoded(a):
+    """``a`` written by encode_matrix and read back by decode_matrix, with
+    any warning raised."""
+    encoded = json.loads(json.dumps(fileio.encode_matrix(a)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fileio.decode_matrix(encoded, "a")
+
+
 class TestMatrixCodec:
     def test_matrix_round_trip_bitwise(self):
         rng = np.random.default_rng(1)
         a = crandn(rng, 4, 3)
-        encoded = json.loads(json.dumps(fileio.encode_matrix(a)))
-        back = fileio.decode_matrix(encoded, "a")
-        assert np.array_equal(back, a)  # exact, not approximate
+        a[0] = _EDGE
+        assert np.array_equal(_bits(_decoded(a)), _bits(a))  # exact, not approximate
 
     def test_vector_round_trip(self):
-        v = np.array([1.5 + 2.25j, -3.125])
-        back = fileio.decode_matrix(
-            json.loads(json.dumps(fileio.encode_matrix(v))), "v"
-        )
-        assert np.array_equal(back, v)
+        v = np.concatenate([[1.5 + 2.25j, -3.125], _EDGE])
+        assert np.array_equal(_bits(_decoded(v)), _bits(v))
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(SchemaError):

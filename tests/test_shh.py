@@ -27,13 +27,17 @@ from nospillover.shh import (
     group_t_shh_spectrum,
     shh_gramian,
     shh_update,
-    t_shh_core,
     t_shh_lambda,
     t_shh_mhat,
     t_shh_update,
     t_shh_z_params,
 )
-from nospillover.structured import complete_core, parametrized_core, structured_update
+from nospillover.structured import (
+    complete_core,
+    core_from_parameters,
+    parametrized_core,
+    structured_update,
+)
 from nospillover.unstructured import UpdateProblem
 from nospillover.verify import certify
 
@@ -232,7 +236,8 @@ class TestTShh:
         # keep the original eigenvalues as targets, no core parameters
         g, _ = shh_gramian(pp.pencil, pp.change.x)
         lam_c = pp.change.lam
-        res = t_shh_update(pp.pencil, pp.change.x, lam_c, lam_c, t_shh_core(g, lam_c, lam_c))
+        core = core_from_parameters(g.real, lam_c, lam_c)
+        res = t_shh_update(pp.pencil, pp.change.x, lam_c, lam_c, core)
         assert fnorm(res.delta_m) <= 1e-11 * fnorm(pp.pencil.m)
         assert fnorm(res.delta_k) <= 1e-11 * fnorm(pp.pencil.k)
 
@@ -291,7 +296,7 @@ class TestTShh:
         lam_a = block_diag(pp.target_lam, pp.target_lam)
         g, _ = shh_gramian(pp.pencil, xc)
         with pytest.raises(SingularG):
-            t_shh_update(pp.pencil, xc, lam_c, lam_a, t_shh_core(g, lam_c, lam_a))
+            t_shh_update(pp.pencil, xc, lam_c, lam_a, core_from_parameters(g.real, lam_c, lam_a))
 
     @pytest.mark.parametrize("mu", [0.7, -0.7])
     def test_imaginary_pair_block_is_mu_j2(self, mu):
@@ -314,7 +319,7 @@ class TestTShh:
             shape, [(0.5, 0.2, 0.1, 0.3)] * shape[0], [(-0.3, 0.4)] * shape[1],
             [(0.7, 0.4)] * shape[2],
         )
-        with pytest.raises(BadParameters, match="one of mhat and z_params"):
+        with pytest.raises(BadParameters, match="the core comes from one of"):
             t_shh_solve(pp, mhat=mhat, z_params=z_params)
         t_shh_solve(pp, mhat=mhat)
         t_shh_solve(pp, z_params=z_params)
@@ -325,7 +330,7 @@ class TestTShh:
         pp = plant_t_shh(4242, 6)
         pencil, xc, lam_c, lam_a = pp.pencil, pp.change.x, pp.change.lam, pp.target_lam
         g, _ = shh_gramian(pencil, xc)
-        core = t_shh_core(g, lam_c, lam_a)
+        core = core_from_parameters(g.real, lam_c, lam_a)
         if what == "pencil":
             skew = np.zeros((12, 12))
             skew[0, 1], skew[1, 0] = 1.0, -1.0

@@ -542,24 +542,37 @@ class TestQuadraticLift:
             lift_quadratic(QuadraticSpec("star-even", (0.0,), (1j,)))
 
 
+_DEFINITE_RECIPES = pytest.mark.parametrize(
+    "plant, update",
+    [
+        (plant_hermitian_definite, hermitian_update),
+        (plant_star_odd, star_odd_update),
+        (plant_star_even, star_even_update),
+    ],
+    ids=["hermitian", "star-odd", "star-even"],
+)
+
+
 class TestOneCoreSource:
     """mhat, z1/z2 and strategy each set the whole core: two of them are
     refused, not one dropped unread."""
 
-    @pytest.mark.parametrize(
-        "plant, update",
-        [
-            (plant_hermitian_definite, hermitian_update),
-            (plant_star_odd, star_odd_update),
-            (plant_star_even, star_even_update),
-        ],
-        ids=["hermitian", "star-odd", "star-even"],
-    )
+    @_DEFINITE_RECIPES
     @pytest.mark.parametrize("z", ["z1", "z2"])
     def test_recipe_refuses_mhat_with_z(self, plant, update, z):
         pencil, xc, lc, xf, lf = plant(31)
         with pytest.raises(BadParameters, match="one of mhat, z1/z2 and strategy"):
             update(pencil, xc, lc, 1.1 * lc, mhat=np.zeros(2), **{z: np.zeros(2)})
+
+    @_DEFINITE_RECIPES
+    def test_no_parameters_mean_zero_z(self, plant, update):
+        # the recipes' default is Z1 = Z2 = 0, which moves M; Mh = 0 is dM = 0
+        pencil, xc, lc, xf, lf = plant(31)
+        none = update(pencil, xc, lc, 1.1 * lc)
+        zeros = update(pencil, xc, lc, 1.1 * lc, z1=np.zeros(2), z2=np.zeros(2))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(none.factors, zeros.factors))
+        assert fnorm(none.delta_m) > 1e-3 * fnorm(pencil.m)
+        assert fnorm(update(pencil, xc, lc, 1.1 * lc, mhat=np.zeros(2)).delta_m) == 0.0
 
     @pytest.mark.parametrize(
         "sources",

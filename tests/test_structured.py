@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_solve
 
-from nospillover.errors import SingularG
+from nospillover.errors import BadParameters, DimensionMismatch, SingularG
 from nospillover.linalg import (
     TAU_NUM,
     eig_pencil,
@@ -39,6 +39,7 @@ from nospillover.structured import (
     build_update_basis,
     change_gramian,
     complete_core,
+    core_from_parameters,
     core_structure_flags,
     parametrized_core,
     scaled_gramian_core,
@@ -174,6 +175,42 @@ class TestCores:
             core = parametrized_core(g, lc, la, z1, z2)
             scale = fnorm(g) * (fnorm(lc) + fnorm(la)) + fnorm(core.mhat) * fnorm(la)
             assert core.equation_residual(g, lc, la) <= 1e-12 * max(scale, 1.0)
+
+
+class TestCoreFromParameters:
+    """One source sets the whole core: t, Z1/Z2 or Mh, and no source Mh = 0."""
+
+    def _data(self):
+        rng = np.random.default_rng(12)
+        return crandn(rng, 3, 3), crandn(rng, 3, 3), crandn(rng, 3, 3), crandn(rng, 3, 3)
+
+    def test_each_source_gives_its_builder(self):
+        g, lc, la, z = self._data()
+        zero = np.zeros((3, 3))
+        for got, want in (
+            (core_from_parameters(g, lc, la, t=0.3), scaled_gramian_core(g, lc, la, 0.3)),
+            (core_from_parameters(g, lc, la, z2=z), parametrized_core(g, lc, la, zero, z)),
+            (core_from_parameters(g, lc, la, mhat=z), complete_core(g, lc, la, z)),
+            (core_from_parameters(g, lc, la), complete_core(g, lc, la, zero)),
+        ):
+            assert got.mhat.tobytes() == want.mhat.tobytes()
+            assert got.khat.tobytes() == want.khat.tobytes()
+
+    @pytest.mark.parametrize("keys", [("mhat", "z1"), ("z2", "t"), ("mhat", "t")])
+    def test_two_sources_rejected(self, keys):
+        g, lc, la, z = self._data()
+        sources = {key: 0.5 if key == "t" else z for key in keys}
+        with pytest.raises(BadParameters, match="the core comes from one of"):
+            core_from_parameters(g, lc, la, **sources)
+
+    @pytest.mark.parametrize("builder", ["complete", "parametrized", "scaled_gramian"])
+    def test_every_builder_checks_p_by_p(self, builder):
+        # a 3 x 3 target Lambda for a 2 x 2 G and Lc
+        g, lc, la = np.eye(2), np.eye(2), np.eye(3)
+        args = {"complete": (np.eye(2),), "parametrized": (np.eye(2), np.eye(2)),
+                "scaled_gramian": (0.5,)}[builder]
+        with pytest.raises(DimensionMismatch, match="must all be p x p"):
+            getattr(structured, f"{builder}_core")(g, lc, la, *args)
 
 
 class TestStructuredUpdate:

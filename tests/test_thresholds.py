@@ -28,11 +28,11 @@ from nospillover.shh import (
     group_t_shh_spectrum,
     shh_gramian,
     t_shh_basis,
-    t_shh_core,
     t_shh_lambda,
     t_shh_update,
 )
 from nospillover.special import QuadraticSpec, hermitian_core, lift_quadratic, t_odd_real_update
+from nospillover.structured import core_from_parameters
 from nospillover.unstructured import UpdateProblem, dual_basis_update
 
 PACKAGE = Path(nospillover.__file__).parent
@@ -181,7 +181,7 @@ class TestRealDataTolerance:
         planted = plant_t_shh(11, 4)
         m, k = planted.pencil.m, planted.pencil.k
         xc, lam_c, lam_a = planted.change.x, planted.change.lam, planted.target_lam
-        core = t_shh_core(shh_gramian(planted.pencil, xc)[0], lam_c, lam_a)
+        core = core_from_parameters(shh_gramian(planted.pencil, xc)[0].real, lam_c, lam_a)
         skew = np.zeros((8, 8))
         skew[0, 1], skew[1, 0] = 1.0, -1.0
         # M = J^T S with S skew keeps (JM)^T = -JM
@@ -197,7 +197,7 @@ class TestRealDataTolerance:
         pencil = random_shh_pencil(np.random.default_rng(3), 2, "*")
         xc, lam = np.ones((4, 2)), 2.0 * J2
         with pytest.raises(BadBlockShape, match="T-SHH"):
-            t_shh_update(pencil, xc, lam, lam, t_shh_core(np.eye(2), lam, lam))
+            t_shh_update(pencil, xc, lam, lam, core_from_parameters(np.eye(2), lam, lam))
 
 
 class TestEigMatchTolerance:
