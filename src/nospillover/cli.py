@@ -38,12 +38,6 @@ from .verify import certify, certify_spillover
 
 _SHH_STARS = {"star-shh": "*", "t-shh": "T"}
 
-# the group counts, then the t_shh_mhat arguments, of a t-shh file's Mh
-_T_SHH_KEYS = (
-    "num_quadruples", "num_imag_pairs", "num_real_pairs",
-    "quad_alpha", "quad_beta", "imag_beta", "real_beta",
-)
-
 
 def _fail_schema(msg: str) -> int:
     print(f"schema error: {msg}", file=sys.stderr)
@@ -84,31 +78,20 @@ def _solve_unstructured(pf):
     return pencil, solve_general(pencil, problem), problem, ()
 
 
-def _refuse(params, keys, where):
-    """BadParameters when the file names a parameter its path does not take."""
-    named = [key for key in keys if key in params]
-    if named:
-        raise BadParameters(f"{where} takes no {', '.join(named)}")
-
-
 def _solve_quadratic(pf):
     if pf.structure not in QUADRATIC_CLASSES:
         raise SchemaError(
             f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
             f"got {pf.structure!r}"
         )
-    params = pf.parameters
-    _refuse(params, ("t",) + _T_SHH_KEYS, "a quadratic file")
     spec = QuadraticSpec(
         pf.structure,
         tuple(_need(pf.change, "eigenvalues", "change.eigenvalues")),
         tuple(_need(pf.targets, "eigenvalues", "targets.eigenvalues")),
     )
-    keys = ("z1", "z2", "mhat", "strategy", "slack")
-    kwargs = {key: params[key] for key in keys if key in params}
-    result, info = solve_quadratic(pf.m, pf.k, spec, **kwargs)
-    psd = ("delta_m", "delta_k") if params.get("strategy") == "psd-minimal" else ()
-    return info["pencil"], result, info["problem"], psd
+    # after _refuse, each key is one whose row lists the quadratic path: a solve_quadratic keyword
+    result, info = solve_quadratic(pf.m, pf.k, spec, **pf.parameters)
+    return info["pencil"], result, info["problem"], info["psd"]
 
 
 def _pencil(m, k, structure: str):
@@ -125,21 +108,23 @@ def _as_square(v):
 
 
 def _core_sources(pf) -> dict:
-    """The file's core source, as ``core_from_parameters`` takes it: ``t``,
-    ``z1``/``z2``, ``mhat``, or for ``t-shh`` the T-SHH parameters as
-    Mh = ``t_shh_mhat``. A source its path does not take is refused."""
-    params = pf.parameters
-    refused = ("strategy", "slack") + (() if pf.structure == "t-shh" else _T_SHH_KEYS)
-    _refuse(params, refused, f"a {pf.structure} file")
-    sources = {key: _as_square(params[key]) for key in ("mhat", "z1", "z2") if key in params}
-    if "t" in params:
-        sources["t"] = params["t"]
-    if any(key in params for key in _T_SHH_KEYS):  # a t-shh file: refused elsewhere
-        if "mhat" in sources:  # both give Mh
+    """The file's core source, as ``core_from_parameters`` takes it: its
+    number and matrix parameters, a matrix given as a matrix or as its
+    diagonal. A ``t-shh`` file may give Mh instead by the rows of
+    ``fileio.PARAMETERS`` that only ``t-shh`` takes: ``t_shh_mhat`` of
+    their values, in the rows' order, the integer counts first. The integer
+    ``num_couples`` of a ``star-shh`` file is read by none."""
+    params, rows = pf.parameters, fileio.PARAMETERS
+    t_shh = [key for key, (_, paths) in rows.items() if paths == ("t-shh",)]
+    if any(key in params for key in t_shh):
+        if not set(t_shh).issuperset(params):  # Mh and a second source
             raise BadParameters(ONE_CORE_SOURCE)
-        shape = tuple(params.get(key, 0) for key in _T_SHH_KEYS[:3])
-        sources["mhat"] = t_shh_mhat(shape, *(params.get(key, []) for key in _T_SHH_KEYS[3:]))
-    return sources
+        shape = tuple(params.get(key, 0) for key in t_shh if rows[key][0] == "integer")
+        lists = (params.get(key, []) for key in t_shh if rows[key][0] != "integer")
+        return dict(mhat=t_shh_mhat(shape, *lists))
+    kinds = {key: rows[key][0] for key in params}
+    return {key: _as_square(v) if kinds[key] == "matrix" else v
+            for key, v in params.items() if kinds[key] in ("matrix", "number")}
 
 
 def _solve_structured(pf):
@@ -181,19 +166,26 @@ def _certify(pencil, result, problem, psd, tol):
     )
 
 
+def _refuse(params, path):
+    """BadParameters when the file names a parameter whose row in
+    ``fileio.PARAMETERS`` does not list the file's solve path."""
+    named = [key for key in params if path not in fileio.PARAMETERS[key][1]]
+    if named:
+        article = "an" if path == "unstructured" else "a"
+        raise BadParameters(f"{article} {path} file takes no {', '.join(named)}")
+
+
 def cmd_solve(args) -> int:
     try:
         pf = fileio.load_problem(args.input)
     except SchemaError as exc:
         return _fail_schema(str(exc))
-    if args.unstructured or pf.structure == "unstructured":
-        solve_path = _solve_unstructured
-    elif pf.quadratic:
-        solve_path = _solve_quadratic
-    else:
-        solve_path = _solve_structured
+    # a quadratic file's path is "quadratic", any other's its structure
+    path = "quadratic" if pf.quadratic else pf.structure
+    solve = {"unstructured": _solve_unstructured, "quadratic": _solve_quadratic}
     try:
-        result, cert = _certify(*solve_path(pf), args.tol)
+        _refuse(pf.parameters, path)
+        result, cert = _certify(*solve.get(path, _solve_structured)(pf), args.tol)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:
@@ -294,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--unstructured", action="store_true")
     p_solve.add_argument("--tol", type=float, default=TAU_DEFL)
     p_solve.set_defaults(func=cmd_solve)
 

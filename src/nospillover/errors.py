@@ -95,6 +95,7 @@ class NotSHH(NoSpilloverError):
 
 
 class BadParameters(NoSpilloverError):
-    """Invalid parameters: a random problem that cannot be planted, or an
-    update core given by two sources, by a source its path does not take,
-    or by an unknown strategy or a negative slack."""
+    """Invalid parameters: a random problem that cannot be planted, a
+    problem-file parameter its solve path does not take, an update core
+    given by two sources, an unknown strategy, or a slack that is negative
+    or given without a strategy."""

@@ -140,27 +140,48 @@ class ProblemFile:
     quadratic: bool = False
 
 
-_PARAM_MATRIX_KEYS = ("z1", "z2", "mhat")
-_PARAM_LIST_KEYS = ("quad_alpha", "quad_beta", "imag_beta", "real_beta")
-# the conversion of every other parameter's JSON value
-_PARAM_TYPES = {
-    **dict.fromkeys(_PARAM_LIST_KEYS, lambda value: [float(v) for v in value]),
-    **dict.fromkeys(("t", "slack"), float),
-    **dict.fromkeys(("num_couples", "num_quadruples", "num_imag_pairs", "num_real_pairs"), int),
-    "strategy": str,
+_STRUCTURED, _T_SHH = STRUCTURE_NAMES[1:], ("t-shh",)
+
+# Each key a problem file's ``parameters`` may hold: the JSON type of its
+# value, and the solve paths that take it (a structure name, "quadratic" or
+# "unstructured"). A file names no other key, and its path takes the keys it
+# names. The T-SHH rows follow the arguments of ``shh.t_shh_mhat``.
+PARAMETERS = {
+    "t": ("number", _STRUCTURED),
+    **dict.fromkeys(("mhat", "z1", "z2"), ("matrix", _STRUCTURED + ("quadratic",))),
+    "strategy": ("string", ("quadratic",)),
+    "slack": ("number", ("quadratic",)),
+    "num_couples": ("integer", ("star-shh",)),
+    **dict.fromkeys(("num_quadruples", "num_imag_pairs", "num_real_pairs"), ("integer", _T_SHH)),
+    **dict.fromkeys(
+        ("quad_alpha", "quad_beta", "imag_beta", "real_beta"), ("list of numbers", _T_SHH)
+    ),
+}
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)  # JSON true is no number
+
+
+# whether a decoded JSON value is of each type but "matrix", which decode_matrix reads
+_IS_TYPE = {
+    "number": _is_number,
+    "integer": lambda value: _is_number(value, int),
+    "list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "string": lambda value: isinstance(value, str),
 }
 
 
 def _decode_parameter(key, value):
-    """A ``parameters`` entry in its type; SchemaError naming it otherwise."""
-    if key in _PARAM_MATRIX_KEYS:
-        return decode_matrix(value, f"parameters.{key}")
-    if key not in _PARAM_TYPES:
+    """A ``parameters`` entry, of its row's JSON type; SchemaError naming it otherwise."""
+    if key not in PARAMETERS:
         raise SchemaError(f"unknown parameter {key!r}")
-    try:
-        return _PARAM_TYPES[key](value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"parameters.{key}: {exc}") from None
+    kind = PARAMETERS[key][0]
+    if kind == "matrix":
+        return decode_matrix(value, f"parameters.{key}")
+    if not _IS_TYPE[kind](value):
+        raise SchemaError(f"parameters.{key}: not a {kind}")
+    return value
 
 
 def _decode_pair_block(obj, name) -> PairBlock:
@@ -243,7 +264,10 @@ def load_problem(path) -> ProblemFile:
         for key, value in params_raw.items()
         if value is not None
     }
-    pf = ProblemFile(
+    quadratic = raw.get("quadratic", False)
+    if not isinstance(quadratic, bool):
+        raise SchemaError("quadratic must be true or false")
+    return ProblemFile(
         structure=structure,
         m=m,
         k=k,
@@ -255,20 +279,19 @@ def load_problem(path) -> ProblemFile:
             else None
         ),
         parameters=params,
-        quadratic=bool(raw.get("quadratic", False)),
+        quadratic=quadratic,
     )
-    return pf
+
+
+def _encode_parameter(key, value):
+    kind = PARAMETERS[key][0]
+    if kind == "matrix":
+        return np.asarray(value)
+    return [float(v) for v in value] if kind == "list of numbers" else value
 
 
 def _problem_doc(pf: ProblemFile) -> dict:
-    params = {}
-    for key, value in pf.parameters.items():
-        if key in _PARAM_MATRIX_KEYS:
-            params[key] = np.asarray(value)
-        elif key in _PARAM_LIST_KEYS:
-            params[key] = [float(v) for v in value]
-        else:
-            params[key] = value
+    params = {key: _encode_parameter(key, value) for key, value in pf.parameters.items()}
     return {
         "format": FORMAT_VERSION,
         "structure": pf.structure,

@@ -345,10 +345,6 @@ def eigh_definite(a, b, vectors: bool = True):
     return w, li.conj().T @ y
 
 
-def finite_eigenvalues(pairs: list[PencilEigenpair]) -> np.ndarray:
-    return np.array([p.value for p in pairs if p.finite], dtype=np.complex128)
-
-
 STAR_TILE = 64  # tile order of ``star_residual``: a pair of complex tiles is 128 KB
 
 

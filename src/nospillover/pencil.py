@@ -147,9 +147,6 @@ class StructuredPencil:
     def eig(self):
         return linalg.eig_pencil(self.m, self.k)
 
-    def scale(self) -> float:
-        return fnorm(self.m) + fnorm(self.k)
-
 
 @dataclass(frozen=True)
 class DeflatingPair:

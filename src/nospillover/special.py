@@ -433,7 +433,7 @@ def lift_quadratic(spec: QuadraticSpec):
 
 def solve_quadratic(
     m, k, spec: QuadraticSpec, z1=None, z2=None, mhat=None,
-    strategy: str | None = None, slack: float = 0.0,
+    strategy: str | None = None, slack: float | None = None,
 ):
     """Full quadratic pipeline: lift, find eigendata, dispatch, update.
 
@@ -443,13 +443,16 @@ def solve_quadratic(
     derives (Z1, Z2) from the PSD selection rule instead of explicit
     parameters. The core comes from one of ``mhat``, ``z1``/``z2`` and
     ``strategy``; more than one raises BadParameters, and so does an unknown
-    ``strategy``. With none, Z1 = Z2 = 0, as in the recipes. Returns
-    (UpdateResult, info) where info carries the lifted ``pencil`` and
-    ``problem``, the ``UpdateProblem`` solved (normalized change pair,
-    lifted targets, fixed pair), for certification.
+    ``strategy`` or a ``slack`` without one. With none, Z1 = Z2 = 0, as in
+    the recipes. Returns (UpdateResult, info) where info carries the lifted
+    ``pencil`` and ``problem``, the ``UpdateProblem`` solved (normalized
+    change pair, lifted targets, fixed pair), and ``psd``, the matrices the
+    strategy makes positive semidefinite, for certification.
     """
     if strategy is not None and (z1 is not None or z2 is not None):
         raise BadParameters(ONE_CORE_SOURCE)
+    if slack is not None and strategy is None:
+        raise BadParameters("slack is read only with a strategy")
     lam_c_wanted, lam_a, tag = lift_quadratic(spec)
     pencil = StructuredPencil(m, k, tag)
     change, fixed = select_eigendata(pencil, lam_c_wanted)
@@ -462,14 +465,15 @@ def solve_quadratic(
             raise EigenvalueOutsideClass(
                 "the PSD selection rule applies to the hermitian K > 0 class"
             )
-        z1, z2 = select_psd_params(lam_c.real, lam_a.real, slack=slack)
+        z1, z2 = select_psd_params(lam_c.real, lam_a.real, slack=slack or 0.0)
     result = _definite_update(spec.klass, pencil, xc, lam_c, lam_a, mhat, z1, z2)
     problem = UpdateProblem(
         DeflatingPair(result.provenance["xc_normalized"], np.diag(lam_c)),
         np.diag(lam_a),
         fixed=fixed_pair_from_eigs(fixed),
     )
-    return result, {"pencil": pencil, "problem": problem}
+    psd = ("delta_m", "delta_k") if strategy is not None else ()
+    return result, {"pencil": pencil, "problem": problem, "psd": psd}
 
 
 def select_eigendata(pencil: StructuredPencil, wanted):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import nospillover
-from nospillover.linalg import eig_pencil
+from nospillover.linalg import eig_pencil, fnorm
 from nospillover.pencil import (
     HERMITIAN,
     STAR_EVEN,
@@ -21,6 +21,16 @@ from nospillover.pencil import (
     star,
 )
 from nospillover.shh import SHHPencil, apply_j
+
+
+def finite_eigenvalues(pairs) -> np.ndarray:
+    """The finite eigenvalues of a list of pencil eigenpairs."""
+    return np.array([p.value for p in pairs if p.finite], dtype=np.complex128)
+
+
+def pencil_scale(pencil) -> float:
+    """||M||_F + ||K||_F of a pencil."""
+    return fnorm(pencil.m) + fnorm(pencil.k)
 
 
 def crandn(rng, *shape):

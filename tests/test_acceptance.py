@@ -4,12 +4,17 @@ PASS/FAIL line. Tolerances are pinned here and nowhere else."""
 import time
 
 import numpy as np
-from conftest import crandn, plant_hermitian_definite_pd_k, t_shh_shape, t_shh_solve
+from conftest import (
+    crandn,
+    finite_eigenvalues,
+    plant_hermitian_definite_pd_k,
+    t_shh_shape,
+    t_shh_solve,
+)
 
 from nospillover.cases import run_case
 from nospillover.linalg import (
     eig_pencil,
-    finite_eigenvalues,
     fnorm,
     herm_eigs,
     match_multisets,

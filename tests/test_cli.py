@@ -1,6 +1,8 @@
 """End-to-end command line tests (exit codes, files, determinism)."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -12,13 +14,16 @@ import numpy as np
 import pytest
 from conftest import fresh_python_env, run_fresh_python, same_values
 
-from nospillover import fileio, randomgen
+from nospillover import cli, fileio, randomgen
 from nospillover.cases import CASES, run_case
 from nospillover.cli import main
 from nospillover.errors import NotEigenpair
 from nospillover.linalg import TAU_STRUCT
 from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem
+from nospillover.shh import t_shh_mhat
+from nospillover.special import solve_quadratic
+from nospillover.structured import core_from_parameters
 
 
 DATA = Path(__file__).parent / "data"
@@ -190,7 +195,7 @@ class TestSolve:
         prob = tmp_path / "prob.json"
         out = tmp_path / "delta.json"
         fileio.save_problem(prob, pf)
-        assert run(["solve", "--input", prob, "--out", out, "--unstructured"]) == 0
+        assert run(["solve", "--input", prob, "--out", out]) == 0
         # a dense delta file; nothing else in it is larger than n x p
         doc = json.loads(out.read_text())
         assert doc["format"] == 1 and "factors" not in doc
@@ -379,6 +384,166 @@ class TestSolve:
         assert proc.stdout.splitlines()[-1] == "PASS"
         spectrum = json.loads(out.read_text())["certificate"]["spectrum"]
         assert spectrum["oracle"] == "definite" and spectrum["unmatched"] == 0
+
+
+# every solve path: unstructured, quadratic, and the structured path of each structure
+SOLVE_PATHS = ("unstructured", "quadratic") + RANDOM_CLASSES
+# a value of each JSON type of fileio.PARAMETERS, and values of other types
+VALID = {"number": 0.25, "integer": 1, "list of numbers": [0.5], "string": "psd-minimal",
+         "matrix": _DIAG}
+WRONG = {"number": ["0.25", True], "integer": [1.9, "1", True],
+         "list of numbers": ["12", [True], 5], "string": [5, True], "matrix": ["x", True]}
+
+
+@pytest.fixture(scope="module")
+def path_docs(tmp_path_factory):
+    """A problem document of each solve path: a ``random`` file (seed 7,
+    n=8, p=2) of each structure, the herm-6.1 quadratic fixture, and the
+    symmetric file relabelled ``unstructured``, with no parameters."""
+    tmp = tmp_path_factory.mktemp("paths")
+    docs = {"quadratic": json.loads((DATA / "herm-6.1.quadratic.json").read_text())}
+    for klass in RANDOM_CLASSES:
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", klass, "--out", tmp / f"{klass}.json"]) == 0
+        docs[klass] = json.loads((tmp / f"{klass}.json").read_text())
+    docs["unstructured"] = dict(docs["symmetric"], structure="unstructured", parameters={})
+    return docs
+
+
+def problem_of_path(tmp_path, path_docs, path, **params):
+    """tmp_path/prob.json: the document of solve path ``path``, with ``params``
+    set in its parameters."""
+    doc = dict(path_docs[path])
+    doc["parameters"] = {**(doc["parameters"] or {}), **params}
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc))
+    return prob
+
+
+def parameter_literals(path: Path) -> list[str]:
+    """The string literals of the module at ``path`` that name a row of
+    ``fileio.PARAMETERS``."""
+    source = path.read_text()
+    return [
+        f"{path.name}:{node.lineno} literal {node.value!r}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in fileio.PARAMETERS
+    ]
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key, (kind, _) in fileio.PARAMETERS.items() for value in WRONG[kind]],
+    )
+    def test_value_of_another_type_exit_2(self, tmp_path, capsys, key, value):
+        prob = with_parameters(tmp_path, "hermitian", **{key: value})
+        assert f"schema error: parameters.{key}: " in refused(tmp_path, capsys, prob, 2)
+
+    @pytest.mark.parametrize(
+        "key, path",
+        [
+            (key, path)
+            for key, (_, paths) in fileio.PARAMETERS.items()
+            for path in SOLVE_PATHS
+            if path not in paths
+        ],
+    )
+    def test_key_on_a_path_its_row_does_not_list_exit_3(self, tmp_path, capsys, path_docs, key, path):
+        value = VALID[fileio.PARAMETERS[key][0]]
+        prob = problem_of_path(tmp_path, path_docs, path, **{key: value})
+        article = "an" if path == "unstructured" else "a"
+        expected = f"error: BadParameters: {article} {path} file takes no {key}\n"
+        assert refused(tmp_path, capsys, prob, 3) == expected
+
+    def test_rows_list_the_class_of_every_random_file(self, path_docs):
+        for klass in RANDOM_CLASSES:
+            assert all(klass in fileio.PARAMETERS[key][1] for key in path_docs[klass]["parameters"])
+
+    def test_rows_are_the_arguments_they_feed(self):
+        # the quadratic rows are solve_quadratic's keywords, the other core
+        # sources core_from_parameters', and the t-shh rows t_shh_mhat's
+        # arguments, counts first, in its order
+        rows = fileio.PARAMETERS
+        quadratic = [key for key, (_, paths) in rows.items() if "quadratic" in paths]
+        assert set(quadratic) <= set(inspect.signature(solve_quadratic).parameters)
+        core = [key for key, (kind, paths) in rows.items()
+                if "hermitian" in paths and kind in ("number", "matrix")]
+        assert set(core) == set(inspect.signature(core_from_parameters).parameters) - {
+            "g", "lam_c", "lam_a"}
+        t_shh = [key for key, (kind, paths) in rows.items() if paths == ("t-shh",)]
+        kinds = [rows[key][0] for key in t_shh]
+        assert kinds == ["integer"] * 3 + ["list of numbers"] * 4
+        assert t_shh[3:] == list(inspect.signature(t_shh_mhat).parameters)[1:]
+
+    @pytest.mark.parametrize(
+        "path, params, code",
+        [
+            ("star-even", {"t": "0.25"}, 2),
+            ("star-even", {"t": True}, 2),
+            ("t-shh", {"num_quadruples": 1.9}, 2),
+            ("t-shh", {"quad_alpha": "12"}, 2),
+            ("hermitian", {"num_couples": 1}, 3),
+            ("quadratic", {"num_couples": 1}, 3),
+            ("unstructured", {"t": 0.25, "mhat": _DIAG, "strategy": "psd-minimal"}, 3),
+            ("quadratic", {"slack": 5.0}, 3),
+        ],
+        ids=["t-string", "t-true", "num_quadruples-1.9", "quad_alpha-string",
+             "hermitian+num_couples", "quadratic+num_couples", "unstructured+t+mhat+strategy",
+             "slack-without-strategy"],
+    )
+    def test_input_read_loosely_before_is_refused(
+        self, tmp_path, capsys, path_docs, path, params, code
+    ):
+        prob = problem_of_path(tmp_path, path_docs, path, **params)
+        err = refused(tmp_path, capsys, prob, code)
+        assert err.startswith("schema error: parameters." if code == 2 else "error: BadParameters: ")
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_quadratic_flag_not_a_boolean_exit_2(self, tmp_path, capsys, path_docs, value):
+        prob = problem_of_path(tmp_path, path_docs, "quadratic")
+        doc = json.loads(prob.read_text())
+        doc["quadratic"] = value
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == "schema error: quadratic must be true or false\n"
+
+    def test_quadratic_unstructured_file_exit_2(self, tmp_path, capsys, path_docs):
+        # the quadratic flag is read: no unstructured file is quadratic
+        prob = problem_of_path(tmp_path, path_docs, "quadratic")
+        doc = json.loads(prob.read_text())
+        doc["structure"] = "unstructured"
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err.startswith("schema error: quadratic problems need structure in")
+
+    def test_psd_strategy_certifies_both_deltas(self, tmp_path, path_docs):
+        prob = problem_of_path(tmp_path, path_docs, "quadratic")
+        doc = json.loads(prob.read_text())
+        doc["parameters"] = {"strategy": "psd-minimal", "slack": 0.5}
+        prob.write_text(json.dumps(doc))
+        assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == 0
+        cert = json.loads((tmp_path / "d.json").read_text())["certificate"]
+        assert set(cert["definiteness"]) == {"delta_m", "delta_k"}
+
+    def test_no_unstructured_flag(self, tmp_path, capsys):
+        # a file's structure picks the unstructured path; solve has no flag for it
+        prob = with_parameters(tmp_path, "symmetric")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--input", prob, "--out", tmp_path / "d.json", "--unstructured"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unstructured" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_cli_names_no_parameter(self):
+        assert parameter_literals(Path(cli.__file__)) == []
+
+    def test_scan_sees_parameter_literals(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text('"""t and mhat"""\nx = {"t": 1}.get("mhat", "tt")\n')
+        assert sorted(f.split(" ", 1)[1] for f in parameter_literals(module)) == [
+            "literal 'mhat'", "literal 't'"]
 
 
 class TestVerify:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import hungarian_max, relative_cost, run_fresh_python
+from conftest import finite_eigenvalues, hungarian_max, relative_cost, run_fresh_python
 
 from nospillover.errors import (
     DimensionMismatch,
@@ -21,7 +21,6 @@ from nospillover.linalg import (
     check_hermitian,
     eig_pencil,
     eigvals_pencil,
-    finite_eigenvalues,
     fnorm,
     herm_eigs,
     match_multisets,

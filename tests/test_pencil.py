@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import random_structured_pencil
+from conftest import finite_eigenvalues, random_structured_pencil
 
 from nospillover.errors import MissingStar, NotPositiveDefinite
-from nospillover.linalg import eig_pencil, finite_eigenvalues, fnorm, match_multisets
+from nospillover.linalg import eig_pencil, fnorm, match_multisets
 from nospillover.pencil import (
     ALL_TAGS,
     HERMITIAN,

@@ -8,6 +8,7 @@ release checklist asks for.
 import numpy as np
 import pytest
 from conftest import (
+    finite_eigenvalues,
     plant_hermitian_definite,
     plant_star_even,
     plant_star_odd,
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from nospillover.linalg import (
     eig_pencil,
-    finite_eigenvalues,
     TAU_NUM,
     fnorm,
     match_multisets,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_shh_pencil, t_shh_shape, t_shh_solve
+from conftest import finite_eigenvalues, random_shh_pencil, t_shh_shape, t_shh_solve
 
 from nospillover.errors import BadParameters, ComplexInput, NotSHH, SingularG
 from nospillover.linalg import (
@@ -11,7 +11,6 @@ from nospillover.linalg import (
     TAU_STRUCT,
     block_diag,
     eig_pencil,
-    finite_eigenvalues,
     fnorm,
     match_multisets,
 )

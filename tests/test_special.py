@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     crandn,
+    finite_eigenvalues,
     plant_hermitian_definite,
     plant_hermitian_definite_pd_k,
     plant_star_even,
@@ -31,7 +32,6 @@ from nospillover.linalg import (
     TAU_NUM,
     block_diag,
     eig_pencil,
-    finite_eigenvalues,
     fnorm,
     herm_eigs,
     match_multisets,
@@ -591,6 +591,18 @@ class TestOneCoreSource:
         spec = QuadraticSpec("hermitian", case.lam_change, case.lam_target)
         with pytest.raises(BadParameters, match="one of mhat, z1/z2 and strategy"):
             solve_quadratic(case.m, case.k, spec, **sources)
+
+    @pytest.mark.parametrize("sources", [{}, {"mhat": np.zeros(2)}], ids=["none", "mhat"])
+    @pytest.mark.parametrize("slack", [0.0, 5.0])
+    def test_solve_quadratic_refuses_slack_without_strategy(self, sources, slack):
+        # slack shifts the strategy's Z1: without a strategy nothing reads it
+        from nospillover.cases import CASES
+        from nospillover.special import solve_quadratic
+
+        case = CASES["herm-6.1"]
+        spec = QuadraticSpec("hermitian", case.lam_change, case.lam_target)
+        with pytest.raises(BadParameters, match="slack is read only with a strategy"):
+            solve_quadratic(case.m, case.k, spec, slack=slack, **sources)
 
 
 class TestZeroMhatRecovery:

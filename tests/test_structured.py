@@ -4,13 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import plant_hermitian_definite, plant_t_odd_real, t_shh_solve
+from conftest import finite_eigenvalues, plant_hermitian_definite, plant_t_odd_real, t_shh_solve
 
 from nospillover.errors import BadParameters, DimensionMismatch, SingularG
 from nospillover.linalg import (
     TAU_NUM,
     eig_pencil,
-    finite_eigenvalues,
     fnorm,
     match_multisets,
 )

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import finite_eigenvalues, pencil_scale
 
 from nospillover.errors import MissingFixedPair, RankDeficientA
 from nospillover.linalg import (
     eig_pencil,
-    finite_eigenvalues,
     fnorm,
     match_multisets,
     pseudoinverse,
@@ -55,7 +55,7 @@ class TestTargetDefect:
         pencil, problem = random_problem(1)
         same = UpdateProblem(problem.change, problem.change.lam, fixed=problem.fixed)
         ra = target_defect(pencil, same)
-        assert fnorm(ra) <= 1e-10 * pencil.scale()
+        assert fnorm(ra) <= 1e-10 * pencil_scale(pencil)
 
     def test_diagonal_example(self):
         d = np.diag([3.0, 5.0])
@@ -82,8 +82,8 @@ class TestGeneralSolution:
         pencil, problem = random_problem(3)
         same = UpdateProblem(problem.change, problem.change.lam, fixed=problem.fixed)
         res = solve_general(pencil, same)
-        assert fnorm(res.delta_m) <= 1e-9 * pencil.scale()
-        assert fnorm(res.delta_k) <= 1e-9 * pencil.scale()
+        assert fnorm(res.delta_m) <= 1e-9 * pencil_scale(pencil)
+        assert fnorm(res.delta_k) <= 1e-9 * pencil_scale(pencil)
 
     def test_restores_both_pairs(self):
         for seed in range(10):
