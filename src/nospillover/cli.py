@@ -25,14 +25,9 @@ from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaErr
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .shh import SHHPencil, shh_gramian, shh_update, t_shh_mhat, t_shh_update
+from .shh import SHHPencil, shh_gramian, shh_update, t_shh_update
 from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
-from .structured import (
-    ONE_CORE_SOURCE,
-    change_gramian,
-    core_from_parameters,
-    structured_update,
-)
+from .structured import change_gramian, core_from_parameters, structured_update
 from .unstructured import UpdateProblem, solve_general
 from .verify import certify, certify_spillover
 
@@ -108,23 +103,11 @@ def _as_square(v):
 
 
 def _core_sources(pf) -> dict:
-    """The file's core source, as ``core_from_parameters`` takes it: its
-    number and matrix parameters, a matrix given as a matrix or as its
-    diagonal. A ``t-shh`` file may give Mh instead by the rows of
-    ``fileio.PARAMETERS`` that only ``t-shh`` takes: ``t_shh_mhat`` of
-    their values, in the rows' order, the integer counts first. The integer
-    ``num_couples`` of a ``star-shh`` file is read by none."""
-    params, rows = pf.parameters, fileio.PARAMETERS
-    t_shh = [key for key, (_, paths) in rows.items() if paths == ("t-shh",)]
-    if any(key in params for key in t_shh):
-        if not set(t_shh).issuperset(params):  # Mh and a second source
-            raise BadParameters(ONE_CORE_SOURCE)
-        shape = tuple(params.get(key, 0) for key in t_shh if rows[key][0] == "integer")
-        lists = (params.get(key, []) for key in t_shh if rows[key][0] != "integer")
-        return dict(mhat=t_shh_mhat(shape, *lists))
-    kinds = {key: rows[key][0] for key in params}
-    return {key: _as_square(v) if kinds[key] == "matrix" else v
-            for key, v in params.items() if kinds[key] in ("matrix", "number")}
+    """The file's core source, as ``core_from_parameters`` takes it: after
+    ``_refuse``, its parameters are number and matrix rows of
+    ``fileio.PARAMETERS``, a matrix given as a matrix or as its diagonal."""
+    return {key: _as_square(v) if fileio.PARAMETERS[key][0] == "matrix" else v
+            for key, v in pf.parameters.items()}
 
 
 def _solve_structured(pf):

@@ -34,6 +34,13 @@ FORMAT_VERSION = 1
 FACTORED_DELTA_FORMAT = 2
 
 _FACTOR_NAMES = ("left", "mhat", "khat", "right")
+# the keys each reader reads; a problem or pencil file, a pairs file or a
+# pair block that holds another is refused
+_PROBLEM_KEYS = (
+    "format", "structure", "quadratic", "m", "k", "change", "targets", "fixed", "parameters"
+)
+_PAIRS_KEYS = ("format", "targets", "fixed")
+_PAIR_BLOCK_KEYS = ("x", "lambda", "eigenvalues")
 
 STRUCTURE_NAMES = (
     "unstructured",
@@ -140,42 +147,37 @@ class ProblemFile:
     quadratic: bool = False
 
 
-_STRUCTURED, _T_SHH = STRUCTURE_NAMES[1:], ("t-shh",)
+_STRUCTURED = STRUCTURE_NAMES[1:]
 
 # Each key a problem file's ``parameters`` may hold: the JSON type of its
 # value, and the solve paths that take it (a structure name, "quadratic" or
 # "unstructured"). A file names no other key, and its path takes the keys it
-# names. The T-SHH rows follow the arguments of ``shh.t_shh_mhat``.
+# names.
 PARAMETERS = {
     "t": ("number", _STRUCTURED),
     **dict.fromkeys(("mhat", "z1", "z2"), ("matrix", _STRUCTURED + ("quadratic",))),
     "strategy": ("string", ("quadratic",)),
     "slack": ("number", ("quadratic",)),
-    "num_couples": ("integer", ("star-shh",)),
-    **dict.fromkeys(("num_quadruples", "num_imag_pairs", "num_real_pairs"), ("integer", _T_SHH)),
-    **dict.fromkeys(
-        ("quad_alpha", "quad_beta", "imag_beta", "real_beta"), ("list of numbers", _T_SHH)
-    ),
 }
 
-
-def _is_number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)  # JSON true is no number
-
-
-# whether a decoded JSON value is of each type but "matrix", which decode_matrix reads
+# whether a decoded JSON value is of each type but "matrix", which decode_matrix
+# reads; JSON true is no number
 _IS_TYPE = {
-    "number": _is_number,
-    "integer": lambda value: _is_number(value, int),
-    "list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
     "string": lambda value: isinstance(value, str),
 }
 
 
+def _known_keys(obj: dict, keys, what: str) -> dict:
+    """``obj``; SchemaError naming its first key outside ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{what}: unknown key {key!r}")
+    return obj
+
+
 def _decode_parameter(key, value):
     """A ``parameters`` entry, of its row's JSON type; SchemaError naming it otherwise."""
-    if key not in PARAMETERS:
-        raise SchemaError(f"unknown parameter {key!r}")
     kind = PARAMETERS[key][0]
     if kind == "matrix":
         return decode_matrix(value, f"parameters.{key}")
@@ -191,6 +193,7 @@ def _decode_pair_block(obj, name) -> PairBlock:
         return PairBlock()
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object")
+    _known_keys(obj, _PAIR_BLOCK_KEYS, name)
     block = PairBlock(
         x=_decode_optional(obj, "x", f"{name}.x"),
         lam=_decode_optional(obj, "lambda", f"{name}.lambda"),
@@ -214,9 +217,10 @@ def _encode_pair_block(block: PairBlock | None):
     return {key: np.asarray(a) for key, a in arrays.items() if a is not None} or None
 
 
-def _read(path, what: str, formats=(FORMAT_VERSION,)) -> dict:
+def _read(path, what: str, formats=(FORMAT_VERSION,), keys=None) -> dict:
     """The JSON object of a ``what`` file (problem, pencil, pairs, delta)
-    whose ``format`` is one of ``formats``; SchemaError otherwise."""
+    whose ``format`` is one of ``formats`` and whose keys, when ``keys`` is
+    given, are among them; SchemaError otherwise."""
     import orjson
 
     try:
@@ -233,7 +237,17 @@ def _read(path, what: str, formats=(FORMAT_VERSION,)) -> dict:
         raise SchemaError(f"{what} file must hold a JSON object")
     if raw.get("format") not in formats:
         raise SchemaError(f"unsupported format {raw.get('format')!r}")
-    return raw
+    return raw if keys is None else _known_keys(raw, keys, f"{what} file")
+
+
+def _structure(raw) -> str:
+    """A file's ``structure``, "unstructured" when absent or null."""
+    structure = raw.get("structure")
+    if structure is None:
+        return "unstructured"
+    if structure not in STRUCTURE_NAMES:
+        raise SchemaError(f"unknown structure {structure!r}")
+    return structure
 
 
 def _pencil_matrices(raw, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -249,16 +263,13 @@ def _pencil_matrices(raw, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_problem(path) -> ProblemFile:
-    raw = _read(path, "problem")
-    structure = raw.get("structure", "unstructured")
-    if structure is None:
-        structure = "unstructured"
-    if structure not in STRUCTURE_NAMES:
-        raise SchemaError(f"unknown structure {structure!r}")
+    raw = _read(path, "problem", keys=_PROBLEM_KEYS)
+    structure = _structure(raw)
     m, k = _pencil_matrices(raw, "problem")
     params_raw = raw.get("parameters") or {}
     if not isinstance(params_raw, dict):
         raise SchemaError("parameters must be an object")
+    _known_keys(params_raw, PARAMETERS, "parameters")
     params = {
         key: _decode_parameter(key, value)
         for key, value in params_raw.items()
@@ -283,15 +294,9 @@ def load_problem(path) -> ProblemFile:
     )
 
 
-def _encode_parameter(key, value):
-    kind = PARAMETERS[key][0]
-    if kind == "matrix":
-        return np.asarray(value)
-    return [float(v) for v in value] if kind == "list of numbers" else value
-
-
 def _problem_doc(pf: ProblemFile) -> dict:
-    params = {key: _encode_parameter(key, value) for key, value in pf.parameters.items()}
+    params = {key: np.asarray(value) if PARAMETERS[key][0] == "matrix" else value
+              for key, value in pf.parameters.items()}
     return {
         "format": FORMAT_VERSION,
         "structure": pf.structure,
@@ -318,7 +323,7 @@ def save_pairs(path, fixed_x, fixed_lam):
 
 
 def load_pairs(path) -> dict:
-    raw = _read(path, "pairs")
+    raw = _read(path, "pairs", keys=_PAIRS_KEYS)
     out = {}
     for key in ("targets", "fixed"):
         if raw.get(key) is not None:
@@ -407,8 +412,6 @@ def load_delta(path) -> UpdateResult:
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:
     """(M, K, structure) from a problem file or a bare pencil file."""
-    raw = _read(path, "pencil")
-    structure = raw.get("structure") or "unstructured"
-    if structure not in STRUCTURE_NAMES:
-        raise SchemaError(f"unknown structure {structure!r}")
+    raw = _read(path, "pencil", keys=_PROBLEM_KEYS)
+    structure = _structure(raw)
     return (*_pencil_matrices(raw, "pencil"), structure)

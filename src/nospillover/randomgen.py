@@ -317,9 +317,7 @@ def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
 def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
     """Patterned (Z1, Z2), from the stream [seed, 778]: couple blocks
     [[0, a], [-conj a, 0]] and [[0, b], [conj b, 0]], then an imaginary Z1
-    and a real Z2 tail, which make lambda*Mh + Kh (*, -1, 1)-structured.
-    ``num_couples`` is written with them to keep the files' bytes; no code
-    reads it."""
+    and a real Z2 tail, which make lambda*Mh + Kh (*, -1, 1)-structured."""
     rng = np.random.default_rng([seed, 778])
     z1 = np.zeros((p, p), dtype=complex)
     z2 = np.zeros((p, p), dtype=complex)
@@ -331,7 +329,7 @@ def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
     for kk in range(2 * num_couples, p):
         z1[kk, kk] = 1j * rng.standard_normal()
         z2[kk, kk] = rng.standard_normal()
-    return {"z1": z1, "z2": z2, "num_couples": num_couples}
+    return {"z1": z1, "z2": z2}
 
 
 def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedProblem:
@@ -351,17 +349,12 @@ def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> P
 
 
 def _t_shh_parameters(seed: int, shape: tuple) -> dict:
-    """Group counts and ``t_shh_mhat`` parameters, from the stream [seed, 779]."""
+    """Mh = ``t_shh_mhat`` of the group ``shape``, its values (quad_alpha,
+    quad_beta, imag_beta, real_beta) drawn in turn from the stream
+    [seed, 779] and rounded to 6 digits."""
     rng = np.random.default_rng([seed, 779])
-    return {
-        "num_quadruples": shape[0],
-        "num_imag_pairs": shape[1],
-        "num_real_pairs": shape[2],
-        "quad_alpha": list(np.round(rng.standard_normal(shape[0]), 6)),
-        "quad_beta": list(np.round(rng.standard_normal(shape[0]), 6)),
-        "imag_beta": list(np.round(rng.standard_normal(shape[1]), 6)),
-        "real_beta": list(np.round(rng.standard_normal(shape[2]), 6)),
-    }
+    values = (np.round(rng.standard_normal(count), 6) for count in (shape[0], *shape))
+    return {"mhat": t_shh_mhat(shape, *values)}
 
 
 def _by_kind(kind: int, value) -> list:

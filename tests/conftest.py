@@ -235,11 +235,14 @@ def spillover_residual(pencil, delta_m, delta_k, fixed_eigs):
 
 
 def t_shh_shape(planted):
-    """(quadruples, imaginary pairs, real pairs) of a ``plant_t_shh`` instance."""
-    return tuple(
-        planted.parameters[key]
-        for key in ("num_quadruples", "num_imag_pairs", "num_real_pairs")
-    )
+    """(quadruples, imaginary pairs, real pairs) of a ``plant_t_shh`` instance,
+    whose one changed group is read off its change Lambda: a 4 x 4 block is
+    a quadruple, a 2 x 2 block with a zero diagonal an imaginary pair, and a
+    diagonal one a real pair."""
+    lam = planted.change.lam
+    if lam.shape == (4, 4):
+        return (1, 0, 0)
+    return (0, 1, 0) if not lam.diagonal().any() else (0, 0, 1)
 
 
 def t_shh_solve(planted, mhat=None, z_params=None):

@@ -173,18 +173,19 @@ class TestPropertySuite:
         wt = ws = wd = 0.0
         for seed in range(self.N_INSTANCES):
             half_n = 3 + (seed % 4)
-            pp = plant_star_shh(seed, half_n, 1, seed % 2)
+            num_couples = 1
+            pp = plant_star_shh(seed, half_n, num_couples, seed % 2)
             g, _ = shh_gramian(pp.pencil, pp.change.x)
             p = g.shape[0]
             zrng = np.random.default_rng([seed, 31])
             z1 = np.zeros((p, p), complex)
             z2 = np.zeros((p, p), complex)
-            for j in range(pp.parameters["num_couples"]):
+            for j in range(num_couples):
                 a = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 b = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
                 z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
-            for kk in range(2 * pp.parameters["num_couples"], p):
+            for kk in range(2 * num_couples, p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
             core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
@@ -326,18 +327,19 @@ class TestJReduction:
     def test_equivalence(self):
         worst = 0.0
         for seed in range(50):
-            pp = plant_star_shh(seed, 3 + seed % 3, 1, seed % 2)
+            num_couples = 1
+            pp = plant_star_shh(seed, 3 + seed % 3, num_couples, seed % 2)
             g, _ = shh_gramian(pp.pencil, pp.change.x)
             zrng = np.random.default_rng([seed, 33])
             p = g.shape[0]
             z1 = np.zeros((p, p), complex)
             z2 = np.zeros((p, p), complex)
-            for j in range(pp.parameters["num_couples"]):
+            for j in range(num_couples):
                 a = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 b = complex(zrng.standard_normal() + 1j * zrng.standard_normal())
                 z1[2 * j, 2 * j + 1], z1[2 * j + 1, 2 * j] = a, -np.conj(a)
                 z2[2 * j, 2 * j + 1], z2[2 * j + 1, 2 * j] = b, np.conj(b)
-            for kk in range(2 * pp.parameters["num_couples"], p):
+            for kk in range(2 * num_couples, p):
                 z1[kk, kk] = 1j * zrng.standard_normal()
                 z2[kk, kk] = zrng.standard_normal()
             core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fresh_python_env, run_fresh_python, same_values
+from conftest import fresh_python_env, run_fresh_python, same_values, t_shh_shape
 
 from nospillover import cli, fileio, randomgen
 from nospillover.cases import CASES, run_case
@@ -247,11 +247,10 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "second",
-        ["mhat", "strategy", "hermitian+z1", "star-even+mhat", "t-shh+t", "t-shh+mhat"],
+        ["mhat", "strategy", "hermitian+z1", "star-even+mhat", "t-shh+t"],
     )
     def test_quadratic_file_with_two_core_sources_exit_3(self, tmp_path, capsys, second):
-        # next to the fixture's z1 and z2, a random file's t, or a t-shh file's
-        # T-SHH parameters, which give Mh
+        # next to the fixture's z1 and z2, a random file's t, or a t-shh file's mhat
         source, _, key = second.rpartition("+")
         value = {"t": 0.25, "strategy": "psd-minimal"}.get(key, _DIAG)
         prob = with_parameters(tmp_path, source or None, **{key: value})
@@ -262,14 +261,10 @@ class TestSolve:
         "source, key, value",
         [
             (None, "t", 0.25),
-            (None, "quad_alpha", [0.5]),
             ("hermitian", "strategy", "psd-minimal"),
             ("star-even", "slack", 1.0),
-            ("star-shh", "quad_alpha", [0.5]),
-            ("hermitian", "num_quadruples", 1),
         ],
-        ids=["quadratic+t", "quadratic+quad_alpha", "hermitian+strategy",
-             "star-even+slack", "star-shh+quad_alpha", "hermitian+num_quadruples"],
+        ids=["quadratic+t", "hermitian+strategy", "star-even+slack"],
     )
     def test_parameter_its_path_does_not_take_exit_3(self, tmp_path, capsys, source, key, value):
         prob = with_parameters(tmp_path, source, **{key: value})
@@ -296,7 +291,7 @@ class TestSolve:
     )
     def test_malformed_parameter_exit_2(self, tmp_path, capsys, key, value):
         prob = with_parameters(tmp_path, "hermitian", **{key: value})
-        assert f"schema error: parameters.{key}: " in refused(tmp_path, capsys, prob, 2)
+        assert parameter_error(key) in refused(tmp_path, capsys, prob, 2)
 
     def test_core_of_other_size_exit_3(self, tmp_path, capsys):
         # the random file's t with a 3 x 3 target Lambda for its 2 change columns
@@ -388,11 +383,12 @@ class TestSolve:
 
 # every solve path: unstructured, quadratic, and the structured path of each structure
 SOLVE_PATHS = ("unstructured", "quadratic") + RANDOM_CLASSES
-# a value of each JSON type of fileio.PARAMETERS, and values of other types
-VALID = {"number": 0.25, "integer": 1, "list of numbers": [0.5], "string": "psd-minimal",
-         "matrix": _DIAG}
-WRONG = {"number": ["0.25", True], "integer": [1.9, "1", True],
-         "list of numbers": ["12", [True], 5], "string": [5, True], "matrix": ["x", True]}
+# a value of each JSON type of fileio.PARAMETERS, and of the types the
+# removed keys had, and values of other types
+VALID = {"number": 0.25, "string": "psd-minimal", "matrix": _DIAG, "integer": 1,
+         "list of numbers": [0.5]}
+WRONG = {"number": ["0.25", True], "string": [5, True], "matrix": ["x", True],
+         "integer": [1.9, "1", True], "list of numbers": ["12", [True], 5]}
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +416,38 @@ def problem_of_path(tmp_path, path_docs, path, **params):
     return prob
 
 
+# the keys an earlier ``random`` wrote that no row takes: star-shh's count of
+# couples, and the group counts and values of shh.t_shh_mhat, which a t-shh
+# file gives as its mhat; each with the class whose files held it and the JSON
+# type it had
+REMOVED_KEYS = {
+    "num_couples": ("star-shh", "integer"),
+    **dict.fromkeys(("num_quadruples", "num_imag_pairs", "num_real_pairs"), ("t-shh", "integer")),
+    **dict.fromkeys(
+        ("quad_alpha", "quad_beta", "imag_beta", "real_beta"), ("t-shh", "list of numbers")
+    ),
+}
+
+
+def parameter_error(key: str) -> str:
+    """The start of the schema error for a bad ``parameters`` entry ``key``:
+    its row's, or, for a key no row takes, the unknown key's."""
+    if key in fileio.PARAMETERS:
+        return f"schema error: parameters.{key}: "
+    return f"schema error: parameters: unknown key {key!r}"
+
+
+def t_shh_names(path: Path) -> list[str]:
+    """The ``t_shh_*`` names the module at ``path`` defines, imports or uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        for field in ("id", "attr", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str) and value.startswith("t_shh_"):
+                names.add(value)
+    return sorted(names)
+
+
 def parameter_literals(path: Path) -> list[str]:
     """The string literals of the module at ``path`` that name a row of
     ``fileio.PARAMETERS``."""
@@ -435,11 +463,14 @@ def parameter_literals(path: Path) -> list[str]:
 class TestParameterTable:
     @pytest.mark.parametrize(
         "key, value",
-        [(key, value) for key, (kind, _) in fileio.PARAMETERS.items() for value in WRONG[kind]],
+        [(key, value) for key, (kind, _) in fileio.PARAMETERS.items() for value in WRONG[kind]]
+        + [(key, value) for key, (_, kind) in REMOVED_KEYS.items() for value in WRONG[kind]],
     )
     def test_value_of_another_type_exit_2(self, tmp_path, capsys, key, value):
+        # a key no row takes has no type: a value of the type it had is
+        # refused too (test_key_no_row_takes_exit_2)
         prob = with_parameters(tmp_path, "hermitian", **{key: value})
-        assert f"schema error: parameters.{key}: " in refused(tmp_path, capsys, prob, 2)
+        assert parameter_error(key) in refused(tmp_path, capsys, prob, 2)
 
     @pytest.mark.parametrize(
         "key, path",
@@ -463,8 +494,7 @@ class TestParameterTable:
 
     def test_rows_are_the_arguments_they_feed(self):
         # the quadratic rows are solve_quadratic's keywords, the other core
-        # sources core_from_parameters', and the t-shh rows t_shh_mhat's
-        # arguments, counts first, in its order
+        # sources core_from_parameters'
         rows = fileio.PARAMETERS
         quadratic = [key for key, (_, paths) in rows.items() if "quadratic" in paths]
         assert set(quadratic) <= set(inspect.signature(solve_quadratic).parameters)
@@ -472,10 +502,6 @@ class TestParameterTable:
                 if "hermitian" in paths and kind in ("number", "matrix")]
         assert set(core) == set(inspect.signature(core_from_parameters).parameters) - {
             "g", "lam_c", "lam_a"}
-        t_shh = [key for key, (kind, paths) in rows.items() if paths == ("t-shh",)]
-        kinds = [rows[key][0] for key in t_shh]
-        assert kinds == ["integer"] * 3 + ["list of numbers"] * 4
-        assert t_shh[3:] == list(inspect.signature(t_shh_mhat).parameters)[1:]
 
     @pytest.mark.parametrize(
         "path, params, code",
@@ -484,8 +510,8 @@ class TestParameterTable:
             ("star-even", {"t": True}, 2),
             ("t-shh", {"num_quadruples": 1.9}, 2),
             ("t-shh", {"quad_alpha": "12"}, 2),
-            ("hermitian", {"num_couples": 1}, 3),
-            ("quadratic", {"num_couples": 1}, 3),
+            ("hermitian", {"num_couples": 1}, 2),
+            ("quadratic", {"num_couples": 1}, 2),
             ("unstructured", {"t": 0.25, "mhat": _DIAG, "strategy": "psd-minimal"}, 3),
             ("quadratic", {"slack": 5.0}, 3),
         ],
@@ -496,9 +522,11 @@ class TestParameterTable:
     def test_input_read_loosely_before_is_refused(
         self, tmp_path, capsys, path_docs, path, params, code
     ):
+        # a T-SHH key or num_couples, read on some paths before, is now an
+        # unknown key on every path
         prob = problem_of_path(tmp_path, path_docs, path, **params)
         err = refused(tmp_path, capsys, prob, code)
-        assert err.startswith("schema error: parameters." if code == 2 else "error: BadParameters: ")
+        assert err.startswith(parameter_error(*params) if code == 2 else "error: BadParameters: ")
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_quadratic_flag_not_a_boolean_exit_2(self, tmp_path, capsys, path_docs, value):
@@ -544,6 +572,85 @@ class TestParameterTable:
         module.write_text('"""t and mhat"""\nx = {"t": 1}.get("mhat", "tt")\n')
         assert sorted(f.split(" ", 1)[1] for f in parameter_literals(module)) == [
             "literal 'mhat'", "literal 't'"]
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_key_no_row_takes_exit_2(self, tmp_path, capsys, path_docs, key):
+        path, kind = REMOVED_KEYS[key]
+        prob = problem_of_path(tmp_path, path_docs, path, **{key: VALID[kind]})
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == f"schema error: parameters: unknown key {key!r}\n"
+
+    def test_cli_and_fileio_name_no_t_shh_builder(self):
+        # only shh and randomgen know the T-SHH pattern; cli runs its update
+        assert t_shh_names(Path(cli.__file__)) == ["t_shh_update"]
+        assert t_shh_names(Path(fileio.__file__)) == []
+
+    def test_scan_sees_t_shh_names(self):
+        assert t_shh_names(Path(randomgen.__file__)) == ["t_shh_lambda", "t_shh_mhat"]
+
+
+class TestKnownKeys:
+    """A file's keys are read by one rule: a key no reader reads, or a
+    ``structure`` that names none, is a schema error, exit 2, that names it,
+    for ``solve`` and ``verify`` alike."""
+
+    @staticmethod
+    def solved(tmp_path):
+        """A star-even ``random`` problem (seed 7, n=8, p=2), its delta file
+        and its fixed pairs file."""
+        prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", "star-even", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        return prob, delta, Path(f"{prob}.fixed.json")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("parameter", None, "unknown key 'parameter'"),  # "parameters" misspelt
+            ("comment", "n=8", "unknown key 'comment'"),
+            ("structure", "", "unknown structure ''"),
+            ("structure", False, "unknown structure False"),
+            ("structure", 0, "unknown structure 0"),
+        ],
+        ids=["parameter", "comment", "structure-empty", "structure-false", "structure-0"],
+    )
+    def test_problem_file_refused_by_solve_and_verify(
+        self, tmp_path, capsys, key, value, message
+    ):
+        prob, delta, fixed = self.solved(tmp_path)
+        doc = json.loads(prob.read_text())
+        doc[key] = doc.pop("parameters") if key == "parameter" else value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", "--input", bad, "--out", tmp_path / "bad.delta.json"]) == 2
+        assert not (tmp_path / "bad.delta.json").exists()
+        assert run(["verify", "--pencil", bad, "--delta", delta, "--pairs", fixed]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("schema error: ") and message in line for line in err)
+
+    def test_pair_block_key_no_reader_reads_exit_2(self, tmp_path, capsys):
+        prob, _, _ = self.solved(tmp_path)
+        doc = json.loads(prob.read_text())
+        doc["change"]["lam"] = doc["change"].pop("lambda")
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == "schema error: change: unknown key 'lam'\n"
+
+    @pytest.mark.parametrize("block", [None, "fixed"])
+    def test_pairs_file_key_no_reader_reads_exit_2(self, tmp_path, capsys, block):
+        # a misspelt targets block, or a fixed block's misspelt eigenvalues
+        prob, delta, fixed = self.solved(tmp_path)
+        doc = json.loads(fixed.read_text())
+        key = "target" if block is None else "eigenvalue"
+        (doc if block is None else doc[block])[key] = doc["fixed"]["lambda"]
+        fixed.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", fixed]) == 2
+        where = "pairs file" if block is None else block
+        assert capsys.readouterr().err == f"schema error: {where}: unknown key {key!r}\n"
 
 
 class TestVerify:
@@ -832,6 +939,32 @@ class TestRandom:
         assert Path(str(a) + ".fixed.json").read_bytes() == Path(
             str(b) + ".fixed.json"
         ).read_bytes()
+
+    def test_shh_files_give_one_core_source(self, tmp_path):
+        # a t-shh file gives Mh as its mhat: t_shh_mhat of its group shape and
+        # of values drawn from [seed, 779] in the order of t_shh_mhat's
+        # arguments, rounded to 6 digits; a star-shh file gives z1 and z2
+        shapes = set()
+        for seed in range(1, 9):
+            prob = tmp_path / f"{seed}.json"
+            for klass in ("t-shh", "star-shh"):
+                assert run(["random", "--seed", seed, "--n", 8, "--p", 2,
+                            "--class", klass, "--out", prob]) == 0
+                pf = fileio.load_problem(prob)
+                if klass == "star-shh":
+                    assert list(pf.parameters) == ["z1", "z2"]
+                    continue
+                shape = t_shh_shape(pf)
+                rng = np.random.default_rng([seed, 779])
+                quad_alpha, quad_beta = (np.round(rng.standard_normal(shape[0]), 6)
+                                         for _ in range(2))
+                imag_beta, real_beta = (np.round(rng.standard_normal(count), 6)
+                                        for count in shape[1:])
+                mhat = t_shh_mhat(shape, quad_alpha, quad_beta, imag_beta, real_beta)
+                assert list(pf.parameters) == ["mhat"]
+                assert np.array_equal(pf.parameters["mhat"], mhat)
+                shapes.add(shape)
+        assert shapes == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_random_loads_no_scipy(self, tmp_path):
         """Planting runs on numpy alone: the instance is assembled from its

@@ -339,8 +339,7 @@ class TestGoldenBytes:
             change=fileio.PairBlock(x=crandn(rng, 4, 3), eigenvalues=crandn(rng, 3)),
             targets=fileio.PairBlock(lam=crandn(rng, 3, 3)),
             parameters={
-                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5,
-                "quad_alpha": [1, 2.5], "strategy": '%r ["]\n\\ é',
+                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5, "strategy": '%r ["]\n\\ é',
             },
             quadratic=True,
         )
@@ -351,8 +350,7 @@ class TestGoldenBytes:
             "targets": {"lambda": pf.targets.lam},
             "fixed": None,
             "parameters": {
-                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5,
-                "quad_alpha": [1.0, 2.5], "strategy": '%r ["]\n\\ é',
+                "z1": z1, "z2": z2, "mhat": mhat, "slack": 0.5, "strategy": '%r ["]\n\\ é',
             },
         }
         path = tmp_path / "prob.json"

@@ -117,5 +117,6 @@ def test_star_shh_plants_the_p_asked_for(n):
         planted = plant("star-shh", 4242, n, p)
         values = np.diag(planted.change.lam)
         assert planted.change.x.shape[1] == p
-        assert planted.parameters["num_couples"] == p // 2
+        assert {key: z.shape for key, z in planted.parameters.items()} == {
+            "z1": (p, p), "z2": (p, p)}
         assert np.count_nonzero(values.real == 0) == p % 2

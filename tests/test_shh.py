@@ -129,9 +129,7 @@ class TestShhUpdate:
         for seed in range(10):
             pp = plant_star_shh(seed + 10, 4, 1, 1)
             g, _ = shh_gramian(pp.pencil, pp.change.x)
-            z1, z2 = random_patterned_z(
-                np.random.default_rng(seed), pp.parameters["num_couples"], g.shape[0]
-            )
+            z1, z2 = random_patterned_z(np.random.default_rng(seed), 1, g.shape[0])
             core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             even = pp.pencil.even_pencil()
@@ -148,7 +146,7 @@ class TestShhUpdate:
         for seed in range(8):
             pp = plant_star_shh(seed + 30, 4, 1, 1)
             g, _ = shh_gramian(pp.pencil, pp.change.x)
-            z1, z2 = random_patterned_z(rng, pp.parameters["num_couples"], g.shape[0])
+            z1, z2 = random_patterned_z(rng, 1, g.shape[0])
             core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
             res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
             m1, k1 = pp.pencil.m + res.delta_m, pp.pencil.k + res.delta_k
@@ -166,7 +164,7 @@ class TestShhUpdate:
         # J dM is skew-Hermitian and J dK Hermitian for the * case
         pp = plant_star_shh(6, 3, 1, 0)
         g, _ = shh_gramian(pp.pencil, pp.change.x)
-        z1, z2 = random_patterned_z(np.random.default_rng(6), pp.parameters["num_couples"], g.shape[0])
+        z1, z2 = random_patterned_z(np.random.default_rng(6), 1, g.shape[0])
         core = parametrized_core(g, pp.change.lam, pp.target_lam, z1, z2)
         res = shh_update(pp.pencil, pp.change.x, pp.change.lam, pp.target_lam, core)
         j = pp.pencil.j
