@@ -142,7 +142,7 @@ def _certify(pencil, result, problem, psd, tol):
     expected = None
     if problem.fixed is not None:
         expected = np.concatenate(
-            [np.linalg.eigvals(problem.target_lam), np.linalg.eigvals(problem.fixed.lam)]
+            [np.linalg.eigvals(problem.target_lam), problem.fixed.eigenvalues()]
         )
     return result, certify(
         pencil, result, problem, expected_spectrum=expected, psd=psd, tol_defl=tol

@@ -22,6 +22,7 @@ are imported on first use, so importing the CLI loads neither.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,31 @@ def encode_matrix(a) -> list:
     return _float_view(a).tolist()
 
 
+# the JSON name of each decoded type that is no JSON number; JSON true is no number
+_NOT_NUMBERS = {str: "string", bool: "boolean", type(None): "null", dict: "object", list: "array"}
+
+
 def decode_matrix(obj, name: str) -> np.ndarray:
+    """The vector or matrix of [re, im] pairs that nested JSON arrays hold;
+    SchemaError naming ``name`` unless the arrays are regular and every leaf
+    is a JSON number (an int or a float, not a bool).
+
+    The arrays are flattened a level at a time, and the leaves' types are
+    read as one set, so the check costs one pass over the flat list before
+    ``np.array`` reads it."""
+    leaves, shape = [obj], ()
+    while (kinds := set(map(type, leaves))) == {list}:
+        lengths = set(map(len, leaves))
+        if len(lengths) > 1:
+            raise SchemaError(f"{name}: not a numeric array: rows of lengths {sorted(lengths)}")
+        shape += (lengths.pop(),)
+        leaves = list(chain.from_iterable(leaves))
+    wrong = sorted(_NOT_NUMBERS.get(kind, kind.__name__) for kind in kinds - {int, float})
+    if wrong:
+        raise SchemaError(f"{name}: not a numeric array: it holds {' and '.join(wrong)} values")
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(leaves, dtype=float).reshape(shape)
+    except OverflowError as exc:  # an integer past the float range
         raise SchemaError(f"{name}: not a numeric array: {exc}") from None
     if arr.ndim in (2, 3) and arr.shape[-1] == 2:  # a vector or a matrix of [re, im]
         return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
@@ -263,18 +285,20 @@ def _pencil_matrices(raw, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_problem(path) -> ProblemFile:
-    raw = _read(path, "problem", keys=_PROBLEM_KEYS)
+    return _load_problem(path, "problem")
+
+
+def _load_problem(path, what: str) -> ProblemFile:
+    """The problem file at ``path``, read in full: every block is decoded
+    and checked, whichever of them the caller uses."""
+    raw = _read(path, what, keys=_PROBLEM_KEYS)
     structure = _structure(raw)
-    m, k = _pencil_matrices(raw, "problem")
+    m, k = _pencil_matrices(raw, what)
     params_raw = raw.get("parameters") or {}
     if not isinstance(params_raw, dict):
         raise SchemaError("parameters must be an object")
     _known_keys(params_raw, PARAMETERS, "parameters")
-    params = {
-        key: _decode_parameter(key, value)
-        for key, value in params_raw.items()
-        if value is not None
-    }
+    params = {key: _decode_parameter(key, value) for key, value in params_raw.items()}
     quadratic = raw.get("quadratic", False)
     if not isinstance(quadratic, bool):
         raise SchemaError("quadratic must be true or false")
@@ -411,7 +435,7 @@ def load_delta(path) -> UpdateResult:
 
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:
-    """(M, K, structure) from a problem file or a bare pencil file."""
-    raw = _read(path, "pencil", keys=_PROBLEM_KEYS)
-    structure = _structure(raw)
-    return (*_pencil_matrices(raw, "pencil"), structure)
+    """(M, K, structure) from a problem file or a bare pencil file, which
+    is refused wherever ``load_problem`` would refuse it."""
+    pf = _load_problem(path, "pencil")
+    return pf.m, pf.k, pf.structure

@@ -162,7 +162,17 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def fnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm; of a vector, that of the diagonal matrix it holds."""
+    return float(np.linalg.norm(a, "fro" if a.ndim == 2 else None))
+
+
+def compact_lambda(lam: np.ndarray) -> np.ndarray:
+    """A square Lambda in the form its products take it: a copy of its
+    diagonal (1-d) when no entry off the diagonal is nonzero, so that X Lambda
+    is a column scaling of X, else ``lam`` itself. Only exact zeros count as
+    zero."""
+    diag = np.diagonal(lam)
+    return diag.copy() if np.count_nonzero(lam) == np.count_nonzero(diag) else lam
 
 
 # the 2x2 canonical skew block
@@ -467,7 +477,8 @@ def assignment_max_cost(cost: np.ndarray) -> float:
     if cost.shape[0] > cost.shape[1]:
         cost = cost.T
     cols = cost.argmin(axis=1)
-    if np.unique(cols).size == cols.size:
+    # a set, not np.unique, whose first call imports numpy.ma
+    if len(set(cols.tolist())) == cols.size:
         return float(cost[np.arange(cols.size), cols].max())
     from scipy.optimize import linear_sum_assignment
 

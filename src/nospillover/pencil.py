@@ -13,7 +13,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, MissingStar, NotPositiveDefinite, NotStructured
-from .linalg import TAU_NUM, TAU_STRUCT, as_matrix, fnorm, require_square, star_residual
+from .linalg import (
+    TAU_NUM, TAU_STRUCT, as_matrix, compact_lambda, fnorm, require_square, star_residual,
+)
 
 STAR_CONJ = "*"
 STAR_TRANS = "T"
@@ -148,30 +150,47 @@ class StructuredPencil:
         return linalg.eig_pencil(self.m, self.k)
 
 
-@dataclass(frozen=True)
 class DeflatingPair:
-    """(X, Lambda) with M X Lambda + K X = 0; Lambda need not be diagonal."""
+    """(X, Lambda) with M X Lambda + K X = 0; Lambda need not be diagonal.
 
-    x: np.ndarray
-    lam: np.ndarray
+    The pair decides once, when it is built, whether Lambda is diagonal (no
+    nonzero off its diagonal, ``linalg.compact_lambda``). A diagonal Lambda,
+    as in every planted, quadratic and ``random`` fixed pair, is kept as its
+    values, so a fixed pair of order n - p holds no (n - p)^2 matrix;
+    ``lam`` forms the matrix on each access. ``lam_compact`` is Lambda as
+    kept: the 1-d values of a diagonal Lambda, else the matrix.
+    """
 
-    def __post_init__(self):
-        x = as_matrix(self.x, "X")
-        lam = require_square(as_matrix(self.lam, "Lambda"), "Lambda")
+    __slots__ = ("x", "lam_compact")
+
+    def __init__(self, x, lam):
+        x = as_matrix(x, "X")
+        lam = require_square(as_matrix(lam, "Lambda"), "Lambda")
         if lam.shape[0] != x.shape[1]:
             raise DimensionMismatch(
                 f"X has {x.shape[1]} columns but Lambda is {lam.shape}"
             )
         if x.shape[1] > 0 and linalg.rcond_estimate(x) <= TAU_NUM:
             raise DimensionMismatch("X is column rank deficient")
+        lam = compact_lambda(lam)
         x.setflags(write=False)
         lam.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lam", lam)
+        self.x = x
+        self.lam_compact = lam
+
+    @property
+    def lam(self) -> np.ndarray:
+        lam = self.lam_compact
+        return np.diag(lam) if lam.ndim == 1 else lam
 
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of Lambda: its values when diagonal."""
+        lam = self.lam_compact
+        return lam if lam.ndim == 1 else np.linalg.eigvals(lam)
 
 
 def gramians(pencil: StructuredPencil, x1, x2, adjoint: str | None = None):

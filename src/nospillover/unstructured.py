@@ -38,10 +38,9 @@ class UpdateProblem:
 
     def __post_init__(self):
         lam = as_matrix(self.target_lam, "Lambda_a")
-        if lam.shape != self.change.lam.shape:
-            raise DimensionMismatch(
-                f"Lambda_a must match Lambda_c shape {self.change.lam.shape}"
-            )
+        p = self.change.p
+        if lam.shape != (p, p):
+            raise DimensionMismatch(f"Lambda_a must match Lambda_c shape {(p, p)}")
         object.__setattr__(self, "target_lam", lam)
         if self.target_x is not None:
             tx = as_matrix(self.target_x, "X_a")
@@ -120,8 +119,9 @@ def stacked_constraints(pencil: StructuredPencil, problem: UpdateProblem):
     """(A, B) of the linear system [dM dK] A = B encoding both conditions."""
     fixed = _require_fixed(problem)
     xa, la = problem.xa, problem.target_lam
-    xf, lf = fixed.x, fixed.lam
-    a = np.block([[xf @ lf, xa @ la], [xf, xa]])
+    xf, lf = fixed.x, fixed.lam_compact
+    xf_lf = xf * lf if lf.ndim == 1 else xf @ lf  # a diagonal Lf scales columns
+    a = np.block([[xf_lf, xa @ la], [xf, xa]])
     ra = _target_defect(pencil, problem)
     b = np.hstack([np.zeros((pencil.n, xf.shape[1]), dtype=complex), ra])
     return a, b

@@ -7,15 +7,19 @@ optional spectrum match, and aggregates them into a single pass flag.
 The target and spillover residuals are ``||M1 X Lam + K1 X||_F`` of a pair
 on the updated pencil (M1, K1). A diagonal Lam, as in every planted and
 quadratic fixed pair, is applied as a column scaling of M1 X; any other
-Lam is multiplied densely. ||M1||_F and ||K1||_F are computed once per
-certificate.
+Lam is multiplied densely. A ``DeflatingPair`` keeps a diagonal Lam as its
+values (``lam_compact``), so the fixed pair is read as kept, with no scan
+for zeros and no n x n Lam; the p x p target block is sorted by the same
+rule, ``linalg.compact_lambda``. ||M1||_F and ||K1||_F are computed once
+per certificate.
 
 Cost model: each pair block costs one O(n^3) product pair, M1 X and K1 X.
 Everything else is O(n^2) and reads each n x n matrix in contiguous
-passes. M1 = M + (left mhat) right is formed once, from the factors of a
-factored update; dM and dK are formed only when ``psd`` names them. The
-structure residuals are tiled passes (``linalg.star_residual``), not a
-transposed read of a whole matrix.
+passes; ||Lam_f||_F of a diagonal fixed Lam is O(n), from its values.
+M1 = M + (left mhat) right is formed once, from the factors of a factored
+update; dM and dK are formed only when ``psd`` names them. The structure
+residuals are tiled passes (``linalg.star_residual``), not a transposed
+read of a whole matrix.
 
 The spectrum match takes the eigenvalues of a hermitian, star-odd or
 star-even pencil from the Hermitian-definite reduction when its definite
@@ -32,6 +36,7 @@ import numpy as np
 from .errors import NonFiniteEntries, SingularPencil
 from .linalg import (
     TAU_DEFL, TAU_PSD, TAU_SPECTRUM, TAU_STRUCT,
+    compact_lambda,
     eig_pencil,  # noqa: F401  perfbench/tests wraps verify.eig_pencil by this name
     eigvals_pencil,
     fnorm,
@@ -158,7 +163,7 @@ def certify(
     m1, k1, norms = _updated_pencil(pencil, result)
     cert = _pair_certificate(pencil, m1, k1, norms, problem.fixed, tol_defl)
     cert.target_residual, cert.target_relative = _pair_residual(
-        m1, k1, norms, problem.xa, problem.target_lam
+        m1, k1, norms, problem.xa, compact_lambda(problem.target_lam)
     )
     for name in psd:
         matrix = {
@@ -224,16 +229,16 @@ def _updated_pencil(pencil, result: UpdateResult):
 
 def _pair_residual(m1, k1, norms, x, lam) -> tuple[float, float]:
     """||M1 X Lam + K1 X||_F, absolute and relative to (||M1|| ||Lam|| + ||K1||) ||X||,
-    with ``norms`` = (||M1||_F, ||K1||_F).
+    with ``norms`` = (||M1||_F, ||K1||_F) and ``lam`` in the form
+    ``compact_lambda`` gives.
 
-    A diagonal Lam (no nonzero off its diagonal) scales the columns of M1 X
-    in place of a third O(n^3) product; any other Lam, such as a realified
-    or T-SHH block, is multiplied densely. The sum is accumulated in M1 X.
+    The values of a diagonal Lam scale the columns of M1 X in place of a
+    third O(n^3) product; any other Lam, such as a realified or T-SHH
+    block, is multiplied densely. The sum is accumulated in M1 X.
     """
-    diag = np.diagonal(lam)
     r = m1 @ x
-    if np.count_nonzero(lam) == np.count_nonzero(diag):
-        r *= diag
+    if lam.ndim == 1:
+        r *= lam
     else:
         r = r @ lam
     r += k1 @ x
@@ -249,7 +254,7 @@ def _pair_certificate(pencil, m1, k1, norms, fixed, tol_defl) -> Certificate:
     cert = Certificate(tol_defl=tol_defl)
     if fixed is not None:
         cert.spillover_residual, cert.spillover_relative = _pair_residual(
-            m1, k1, norms, fixed.x, fixed.lam
+            m1, k1, norms, fixed.x, fixed.lam_compact
         )
     if isinstance(pencil, SHHPencil):
         rm, rk = structure_residuals(

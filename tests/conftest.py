@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import nospillover
-from nospillover.linalg import eig_pencil, fnorm
+from nospillover.linalg import block_diag, eig_pencil, fnorm
 from nospillover.pencil import (
     HERMITIAN,
     STAR_EVEN,
@@ -146,6 +146,19 @@ def plant_t_odd_real(seed, n=6, pairs=1):
     ]
     change = [(e.value, e.vector.reshape(-1, 1)) for e in chosen]
     return pencil, change, fixed
+
+
+def realified_fixed_pair(seed, n=8, pairs=1):
+    """(pencil, X, Lambda) of a real T-odd pencil's fixed conjugate pairs
+    (x, a + ib) in realified form ([re x, im x], [[a, b], [-b, a]])."""
+    pencil, _, fixed = plant_t_odd_real(seed, n=n, pairs=pairs)
+    upper = [e for e in fixed if e.value.imag > 0][:2]
+    x = np.hstack([np.column_stack([e.vector.real, e.vector.imag]) for e in upper])
+    lam = block_diag(
+        *[np.array([[e.value.real, e.value.imag], [-e.value.imag, e.value.real]])
+          for e in upper]
+    )
+    return pencil, x, lam.astype(complex)
 
 
 def plant_t_even_real(seed, n=6, pairs=1):

@@ -373,6 +373,8 @@ class TestSolve:
             "assert rc == 0, rc\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, loaded\n"
+            "# the spectrum match's assignment test imports no numpy.ma\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         proc = run_fresh_python(code)
         assert proc.returncode == 0, proc.stderr
@@ -580,6 +582,14 @@ class TestParameterTable:
         err = refused(tmp_path, capsys, prob, 2)
         assert err == f"schema error: parameters: unknown key {key!r}\n"
 
+    @pytest.mark.parametrize("key", fileio.PARAMETERS)
+    def test_null_value_exit_2(self, tmp_path, capsys, path_docs, key):
+        # null is a value of no row's type: it is refused, not read as absent,
+        # on a path the row lists
+        path = fileio.PARAMETERS[key][1][0]
+        prob = problem_of_path(tmp_path, path_docs, path, **{key: None})
+        assert refused(tmp_path, capsys, prob, 2).startswith(parameter_error(key))
+
     def test_cli_and_fileio_name_no_t_shh_builder(self):
         # only shh and randomgen know the T-SHH pattern; cli runs its update
         assert t_shh_names(Path(cli.__file__)) == ["t_shh_update"]
@@ -651,6 +661,64 @@ class TestKnownKeys:
         assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", fixed]) == 2
         where = "pairs file" if block is None else block
         assert capsys.readouterr().err == f"schema error: {where}: unknown key {key!r}\n"
+
+
+def with_leaf(doc: dict, where: str, value) -> dict:
+    """``doc`` with the first number of the matrix at the dotted path
+    ``where`` (the first real part of an [re, im] pair) set to ``value``."""
+    *blocks, last = where.split(".")
+    node = doc
+    for key in blocks:
+        node = node[key]
+    node = node[last]
+    while isinstance(node[0], list):
+        parent, node = node, node[0]
+    parent[0][0] = value
+    return doc
+
+
+class TestNumericLeaves:
+    """Every matrix entry is a JSON number: a string or a boolean in the
+    herm-6.1 fixture's ``m``, a pair block or ``z1`` is a schema error, exit 2,
+    that names the block, for ``solve`` and ``verify`` alike."""
+
+    BAD = {"string": "0.5", "boolean": True}
+
+    @staticmethod
+    def fixture():
+        return json.loads((DATA / "herm-6.1.quadratic.json").read_text())
+
+    @pytest.mark.parametrize("kind", BAD)
+    @pytest.mark.parametrize("where", ["m", "change.eigenvalues", "parameters.z1"])
+    def test_solve_exit_2(self, tmp_path, capsys, where, kind):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(with_leaf(self.fixture(), where, self.BAD[kind])))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == f"schema error: {where}: not a numeric array: it holds {kind} values\n"
+
+    @pytest.mark.parametrize("kind", BAD)
+    @pytest.mark.parametrize(
+        "where", ["m", "change.eigenvalues", "parameters.z1", "targets.x"]
+    )
+    def test_verify_exit_2(self, tmp_path, capsys, where, kind):
+        # the pencil file is the fixture, the pairs file the fixture's change
+        # values with unit vectors; one of them holds the bad entry
+        prob, delta, pairs = (tmp_path / name for name in ("prob.json", "d.json", "pairs.json"))
+        prob.write_text(json.dumps(self.fixture()))
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        pairs_doc = {"format": 1, "targets": {
+            "x": fileio.encode_matrix(np.eye(5)[:, :2]),
+            "lambda": fileio.encode_matrix(np.diag([57.4206j, 4.8629j])),
+        }}
+        if where == "targets.x":
+            with_leaf(pairs_doc, where, self.BAD[kind])
+        else:
+            prob.write_text(json.dumps(with_leaf(self.fixture(), where, self.BAD[kind])))
+        pairs.write_text(json.dumps(pairs_doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: {where}: not a numeric array: it holds {kind} values\n"
 
 
 class TestVerify:

@@ -55,6 +55,29 @@ class TestMatrixCodec:
         with pytest.raises(SchemaError):
             fileio.decode_matrix([[1.0, 2.0, 3.0]], "bad")
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([[1.0, "0"]], "it holds string values"),
+            ([[1.0, True]], "it holds boolean values"),
+            ([[1.0, None]], "it holds null values"),
+            ([[1.0, {}]], "it holds object values"),
+            ([[1.0, 0.0], 2.0], "it holds array values"),
+            ([[1.0, 0.0], [2.0]], "rows of lengths [1, 2]"),
+            ([[10**400, 0]], "int too large to convert to float"),
+        ],
+        ids=["string", "boolean", "null", "object", "array-next-to-number", "ragged", "huge-int"],
+    )
+    def test_decode_refuses_what_is_no_json_number(self, obj, message):
+        with pytest.raises(SchemaError) as exc:
+            fileio.decode_matrix(obj, "bad")
+        assert str(exc.value) == f"bad: not a numeric array: {message}"
+
+    def test_decode_reads_integers_as_numbers(self):
+        # orjson gives 1 for "1": an int is a JSON number
+        got = fileio.decode_matrix([[1, 0], [2, -3]], "v")
+        assert got.dtype == np.complex128 and np.array_equal(got, [1, 2 - 3j])
+
 
 class TestProblemFile:
     def _sample(self):

@@ -1,8 +1,10 @@
 """Tests for structured pencils and deflating-pair algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import finite_eigenvalues, random_structured_pencil
+from conftest import finite_eigenvalues, random_structured_pencil, realified_fixed_pair
 
 from nospillover.errors import MissingStar, NotPositiveDefinite
 from nospillover.linalg import eig_pencil, fnorm, match_multisets
@@ -90,6 +92,61 @@ class TestDeflationResidual:
         pair = DeflatingPair(case.printed_xf, np.diag(case.printed_lam_f))
         cert = pair_residual(pencil, pair)
         assert cert.spillover_relative <= 1e-5  # printed at ~6 digits
+
+
+class TestDeflatingPairLambda:
+    def test_diagonal_lambda_holds_no_square_array(self):
+        # a fixed pair of n=512 keeps X and the n - p values of Lambda: the
+        # bytes it holds beyond X are O(n), where a kept matrix is 4 MB
+        rng = np.random.default_rng(21)
+        n, p = 512, 4
+        x = np.linalg.qr(crandn(rng, n, n))[0][:, p:]
+        values = crandn(rng, n - p)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pair = DeflatingPair(x, np.diag(values))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held - pair.x.nbytes <= 64 * n
+        assert pair.lam_compact.shape == (n - p,)
+        assert pair.lam_compact.base is None  # not a view that keeps the matrix alive
+        assert np.array_equal(pair.eigenvalues(), values)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block"])
+    def test_lam_is_the_lambda_given_bit_for_bit(self, kind):
+        rng = np.random.default_rng(22)
+        if kind == "diagonal":
+            x, lam = np.linalg.qr(crandn(rng, 9, 6))[0], np.diag(crandn(rng, 6))
+        else:
+            _, x, lam = realified_fixed_pair(31)
+        pair = DeflatingPair(x, lam)
+        assert pair.lam_compact.ndim == (1 if kind == "diagonal" else 2)
+        assert pair.lam.dtype == np.complex128 and pair.lam.shape == lam.shape
+        assert pair.lam.tobytes() == lam.tobytes()
+
+    def test_realified_blocks_keep_the_dense_product(self):
+        pencil, x, lam = realified_fixed_pair(31)
+        pair = DeflatingPair(x, lam)
+        assert pair.lam_compact.ndim == 2
+        cert = pair_residual(pencil, pair)
+        m1, k1 = pencil.m, pencil.k  # a zero update leaves them bit for bit
+        dense = fnorm(m1 @ pair.x @ lam + k1 @ pair.x)
+        assert cert.spillover_residual == dense
+        scale = (fnorm(m1) * fnorm(lam) + fnorm(k1)) * fnorm(pair.x)
+        assert cert.spillover_relative == dense / scale <= 1e-13
+        # a column scaling by the diagonal drops the b's and misses the pair
+        assert fnorm(m1 @ pair.x * np.diagonal(lam) + k1 @ pair.x) > 1e3 * dense
+
+    def test_tiny_off_diagonal_entry_keeps_lambda_dense(self):
+        # only exact zeros count as zero: 1e-300 off the diagonal is kept
+        rng = np.random.default_rng(23)
+        lam = np.diag(crandn(rng, 3))
+        lam[0, 1] = 1e-300
+        pair = DeflatingPair(np.linalg.qr(crandn(rng, 5, 3))[0], lam)
+        assert pair.lam_compact.ndim == 2
+        assert pair.lam.tobytes() == lam.tobytes()
 
 
 class TestGramians:

@@ -7,12 +7,12 @@ from conftest import (
     plant_hermitian_definite,
     plant_star_even,
     plant_star_odd,
-    plant_t_odd_real,
+    realified_fixed_pair,
 )
 
 from nospillover import cli, fileio, verify
 from nospillover.errors import NonFiniteEntries
-from nospillover.linalg import TAU_STRUCT, block_diag, fnorm
+from nospillover.linalg import TAU_STRUCT, compact_lambda, fnorm
 from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
 from nospillover.special import hermitian_update, star_even_update, star_odd_update
@@ -228,7 +228,8 @@ class TestPairResidual:
         rng = np.random.default_rng([n, 11])
         m1, k1, norms, x = _pair_inputs(rng, n, n - 4)
         lam = np.diag(crandn(rng, n - 4))
-        res, rel = _pair_residual(m1, k1, norms, x, lam)
+        assert compact_lambda(lam).ndim == 1  # its values scale columns
+        res, rel = _pair_residual(m1, k1, norms, x, compact_lambda(lam))
         dense = fnorm(m1 @ x @ lam + k1 @ x)
         assert abs(res - dense) <= 1e-13 * dense
         scale = (norms[0] * fnorm(lam) + norms[1]) * fnorm(x)
@@ -237,15 +238,10 @@ class TestPairResidual:
     def test_realified_block_lambda_takes_the_dense_product(self):
         # a realified conjugate pair (x, a + ib) of a real T-odd pencil is
         # ([re x, im x], [[a, b], [-b, a]]): a column scaling would drop the b's
-        pencil, _, fixed = plant_t_odd_real(31, n=8, pairs=1)
-        upper = [e for e in fixed if e.value.imag > 0][:2]
-        x = np.hstack([np.column_stack([e.vector.real, e.vector.imag]) for e in upper])
-        lam = block_diag(
-            *[np.array([[e.value.real, e.value.imag], [-e.value.imag, e.value.real]])
-              for e in upper]
-        )
-        m1, k1 = pencil.m.astype(complex), pencil.k.astype(complex)
-        res, rel = _pair_residual(m1, k1, (fnorm(m1), fnorm(k1)), x, lam)
+        pencil, x, lam = realified_fixed_pair(31)
+        m1, k1 = pencil.m, pencil.k
+        assert compact_lambda(lam) is lam
+        res, rel = _pair_residual(m1, k1, (fnorm(m1), fnorm(k1)), x, compact_lambda(lam))
         assert res == fnorm(m1 @ x @ lam + k1 @ x)
         assert rel <= 1e-13
 
@@ -254,7 +250,8 @@ class TestPairResidual:
         m1, k1, norms, x = _pair_inputs(rng, 16, 3)
         lam = crandn(rng, 3, 3)
         lam[1, 1] = 0.0
-        res, _ = _pair_residual(m1, k1, norms, x, lam)
+        assert compact_lambda(lam) is lam
+        res, _ = _pair_residual(m1, k1, norms, x, compact_lambda(lam))
         assert res == fnorm(m1 @ x @ lam + k1 @ x)
 
 
