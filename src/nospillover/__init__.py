@@ -21,7 +21,6 @@ from .pencil import (
     StructuredPencil,
     StructureTag,
     classify_structure,
-    gramians,
     normalize_columns,
 )
 from .shh import EigGrouping, SHHPencil, shh_update, t_shh_update
@@ -82,7 +81,6 @@ __all__ = [
     "core_from_parameters",
     "dual_basis_update",
     "eig_pencil",
-    "gramians",
     "herm_eigs",
     "hermitian_update",
     "normalize_columns",

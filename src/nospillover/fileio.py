@@ -4,11 +4,12 @@ UTF-8 JSON, schema versioned with a ``format`` field. Complex entries are
 stored as [re, im] pairs, each float in its shortest round-trip digits, so
 parse(emit(x)) is bitwise faithful.
 
-Problem and pairs files are ``format: 1``. A delta file is ``format: 2``
-when the update carries its factors: a ``factors`` block with ``left``
-(n x p), ``mhat``, ``khat`` (p x p) and ``right`` (p x n), which
-``load_delta`` returns as the factors of an ``UpdateResult``. Otherwise it
-is ``format: 1`` with the dense ``delta_m`` and ``delta_k``.
+Problem and pairs files are ``format: 1``. A delta file is written as
+``format: 2``: a ``factors`` block with ``left`` (n x a), ``mhat``,
+``khat`` (a x b) and ``right`` (b x n), which ``load_delta`` returns as the
+factors of an ``UpdateResult``. ``load_delta`` still reads the older
+``format: 1`` delta file, with the dense ``delta_m`` and ``delta_k``, as
+the factors ``(I_n, delta_m, delta_k, I_n)``.
 
 Files are compact, with sorted keys, written by ``orjson`` a matrix row at
 a time from each array's float64 view. orjson cannot spell a non-finite
@@ -377,28 +378,19 @@ def certificate_dict(cert) -> dict:
 
 
 def save_result(path, result, cert=None):
-    """Delta file of ``result``: ``format: 2`` with its factors when it has
-    them, else ``format: 1`` with the dense dM and dK."""
-    factors = result.factors
+    """Delta file of ``result``: ``format: 2`` with its factors."""
     prov = {}
     for key, value in result.provenance.items():
         if isinstance(value, (np.ndarray, bool, int, float, str)):
             prov[key] = value
         elif isinstance(value, complex):
             prov[key] = [value.real, value.imag]
-    if factors is None:
-        doc = {
-            "format": FORMAT_VERSION,
-            "delta_m": np.asarray(result.delta_m),
-            "delta_k": np.asarray(result.delta_k),
-        }
-    else:
-        doc = {
-            "format": FACTORED_DELTA_FORMAT,
-            "factors": {key: np.asarray(f) for key, f in zip(_FACTOR_NAMES, factors)},
-        }
-    doc["provenance"] = prov
-    doc["certificate"] = certificate_dict(cert) if cert is not None else None
+    doc = {
+        "format": FACTORED_DELTA_FORMAT,
+        "factors": {key: np.asarray(f) for key, f in zip(_FACTOR_NAMES, result.factors)},
+        "provenance": prov,
+        "certificate": certificate_dict(cert) if cert is not None else None,
+    }
     _write(path, doc)
 
 
@@ -409,19 +401,18 @@ def _factored_delta(raw) -> UpdateResult:
     left, mhat, khat, right = (
         decode_matrix(block[key], f"factors.{key}") for key in _FACTOR_NAMES
     )
-    p = mhat.shape[0]
     if not (
         left.ndim == right.ndim == 2
-        and mhat.shape == khat.shape == (p, p) == (left.shape[1], right.shape[0])
+        and mhat.shape == khat.shape == (left.shape[1], right.shape[0])
         and left.shape[0] == right.shape[1]
     ):
-        raise SchemaError("factors must be n x p, p x p, p x p and p x n")
+        raise SchemaError("factors must be n x a, a x b, a x b and b x n")
     return UpdateResult(factors=(left, mhat, khat, right))
 
 
 def load_delta(path) -> UpdateResult:
-    """The update of a delta file: its factors (format 2) or its dense dM
-    and dK (format 1)."""
+    """The update of a delta file: its factors (format 2), or its dense dM
+    and dK (format 1) as the factors (I_n, dM, dK, I_n)."""
     raw = _read(path, "delta", (FORMAT_VERSION, FACTORED_DELTA_FORMAT))
     if raw["format"] == FACTORED_DELTA_FORMAT:
         return _factored_delta(raw)
@@ -431,7 +422,8 @@ def load_delta(path) -> UpdateResult:
     dk = decode_matrix(raw["delta_k"], "delta_k")
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape != dk.shape:
         raise SchemaError("delta_m and delta_k must be square matrices of equal size")
-    return UpdateResult(dense=(dm, dk))
+    eye = np.eye(dm.shape[0])
+    return UpdateResult(factors=(eye, dm, dk, eye))
 
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:

@@ -143,7 +143,7 @@ class StructuredPencil:
     @property
     def star(self) -> str:
         if self.tag is None:
-            raise MissingStar("pencil is unstructured; supply an adjoint type")
+            raise MissingStar("pencil is unstructured: it has no adjoint")
         return self.tag.star
 
     def eig(self):
@@ -191,21 +191,6 @@ class DeflatingPair:
         """The eigenvalues of Lambda: its values when diagonal."""
         lam = self.lam_compact
         return lam if lam.ndim == 1 else np.linalg.eigvals(lam)
-
-
-def gramians(pencil: StructuredPencil, x1, x2, adjoint: str | None = None):
-    """(G12, F12) = (X1^star M X2, X1^star K X2).
-
-    The adjoint comes from the pencil tag; for an unstructured pencil an
-    explicit ``adjoint`` override is required.
-    """
-    x1 = as_matrix(x1, "X1")
-    x2 = as_matrix(x2, "X2")
-    if x1.shape[0] != pencil.n or x2.shape[0] != pencil.n:
-        raise DimensionMismatch("X1/X2 row counts must equal the pencil size")
-    which = adjoint if adjoint is not None else pencil.star
-    x1s = star(x1, which)
-    return x1s @ pencil.m @ x2, x1s @ pencil.k @ x2
 
 
 def normalize_columns(

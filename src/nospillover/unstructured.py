@@ -1,10 +1,11 @@
-"""Updates without structure: the full solution family when the fixed pair
-is known.
+"""Updates without structure, when the fixed pair is known.
 
 The constraints
     dM X_f Lf + dK X_f = 0,    dM X_a La + dK X_a = R_a
-are one linear system Y A = B for Y = [dM dK], and every solution is
-Y = B A'  + Z (I - A A') with A' the pseudoinverse and Z free.
+are one linear system Y A = B for Y = [dM dK], whose minimum-Frobenius-norm
+solution is Y = B A' with A' the pseudoinverse. Only the last p columns of
+B, R_a, are nonzero, so Y = R_a P with P the last p rows of A': the update
+has rank p, and like every update here it is kept as its factors.
 """
 
 from __future__ import annotations
@@ -61,37 +62,33 @@ class UpdateProblem:
 
 @dataclass
 class UpdateResult:
-    """Perturbation (dM, dK) plus provenance.
+    """Perturbation (dM, dK) as its factors, plus provenance.
 
-    An update of low rank by construction is stored only as its ``factors``
-    ``(left, mhat, khat, right)``, left n x p and right p x n: ``delta_m`` is
+    An update is stored only as its ``factors`` ``(left, mhat, khat, right)``,
+    left n x a, mhat and khat a x b, right b x n: ``delta_m`` is
     ``left @ mhat @ right`` and ``delta_k`` is ``left @ khat @ right``, formed
-    on each access. An update without factors (``solve_general``,
-    ``dual_basis_update``, a format-1 delta file) stores ``dense = (dM, dK)``.
+    on each access. The structured paths have a = b = p; ``solve_general``
+    has a = p, b = 2p, ``dual_basis_update`` a = 2p, b = p, and a format-1
+    delta file a = b = n, with identity outer factors.
     """
 
-    factors: tuple | None = None
-    dense: tuple | None = None
+    factors: tuple
     provenance: dict = field(default_factory=dict)
 
     @property
     def delta_m(self) -> np.ndarray:
-        if self.factors is None:
-            return self.dense[0]
         left, mhat, _, right = self.factors
         return left @ mhat @ right
 
     @property
     def delta_k(self) -> np.ndarray:
-        if self.factors is None:
-            return self.dense[1]
         left, _, khat, right = self.factors
         return left @ khat @ right
 
     @property
     def n(self) -> int:
         """Size of the pencil the update applies to."""
-        return (self.dense if self.factors is None else self.factors)[0].shape[0]
+        return self.factors[0].shape[0]
 
     def take_real(self):
         """Keep only the real parts of the factors, for real data whose update
@@ -127,41 +124,38 @@ def stacked_constraints(pencil: StructuredPencil, problem: UpdateProblem):
     return a, b
 
 
-def solve_general(
-    pencil: StructuredPencil, problem: UpdateProblem, z=None
-) -> UpdateResult:
-    """General solution family member [dM dK] = B A' + Z (I - A A').
+def _selectors(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """([I_p 0], [0 I_p]), the p x 2p blocks that pick each half of 2p rows."""
+    return np.eye(p, 2 * p), np.eye(p, 2 * p, k=p)
 
-    ``z`` is the free n x 2n parameter, recorded in the provenance when
-    given; without it (Z = 0) the result is the minimum-Frobenius norm member. Requires the fixed pair. Raises RankDeficientA when the
-    stacked constraint matrix loses column rank (duplicated or dependent
-    target/fixed vectors).
+
+def solve_general(pencil: StructuredPencil, problem: UpdateProblem) -> UpdateResult:
+    """The minimum-Frobenius-norm solution [dM dK] = B A' of the stacked
+    constraints, as the factors (R_a, [I_p 0], [0 I_p], [P_M; P_K]), where
+    [P_M P_K] is the last p rows of A'. Requires the fixed pair. Raises
+    RankDeficientA when the stacked constraint matrix loses column rank
+    (duplicated or dependent target/fixed vectors).
     """
     a, b = stacked_constraints(pencil, problem)
-    n = pencil.n
+    n, p = pencil.n, problem.p
     if rcond_estimate(np.hstack([problem.xa, problem.fixed.x])) <= TAU_NUM:
         raise RankDeficientA("[X_a X_f] is singular")
     if rcond_estimate(a) <= TAU_NUM:
         raise RankDeficientA(
             "stacked constraint matrix is column rank deficient"
         )
-    provenance = {"method": "general-family", "ra": b[:, -problem.p:]}
-    if z is not None:
-        z = as_matrix(z, "Z")
-        if z.shape != (n, 2 * n):
-            raise DimensionMismatch(f"Z must be {n}x{2 * n}, got {z.shape}")
-        provenance["z"] = z
-    apinv = pseudoinverse(a)
-    y = b @ apinv
-    if z is not None:
-        y = y + z @ (np.eye(2 * n) - a @ apinv)
-    return UpdateResult(dense=(y[:, :n], y[:, n:]), provenance=provenance)
+    rows = pseudoinverse(a)[-p:]  # only these rows meet the nonzero columns R_a of B
+    return UpdateResult(
+        factors=(b[:, -p:], *_selectors(p), np.vstack([rows[:, :n], rows[:, n:]])),
+        provenance={"method": "general-family"},
+    )
 
 
 def dual_basis_update(
     pencil: StructuredPencil, problem: UpdateProblem, mtilde
 ) -> UpdateResult:
-    """Rank-p update dM = Mt U^star, dK = Kt U^star from the dual basis U.
+    """Rank-p update dM = Mt U^star, dK = Kt U^star from the dual basis U,
+    as the factors ([Mt Kt], [I_p; 0], [0; I_p], U^star).
 
     U is the unique matrix with U^star X_f = 0 and U^star X_a = I_p, i.e.
     U^star is the first block row of [X_a X_f]^{-1}. Kt is the unique
@@ -176,17 +170,11 @@ def dual_basis_update(
     if rcond_estimate(basis) <= TAU_NUM:
         raise SingularBasis("[X_a X_f] is singular")
     ustar = np.linalg.inv(basis)[:p, :]  # p x n, = U^star
-    ra = _target_defect(pencil, problem)
-    ktilde = ra - mtilde @ problem.target_lam
+    ktilde = _target_defect(pencil, problem) - mtilde @ problem.target_lam
+    pick_m, pick_k = _selectors(p)
     return UpdateResult(
-        dense=(mtilde @ ustar, ktilde @ ustar),
-        provenance={
-            "method": "dual-basis",
-            "u": ustar.conj().T,
-            "ra": ra,
-            "mtilde": mtilde,
-            "ktilde": ktilde,
-        },
+        factors=(np.hstack([mtilde, ktilde]), pick_m.T, pick_k.T, ustar),
+        provenance={"method": "dual-basis"},
     )
 
 

@@ -16,8 +16,10 @@ per certificate.
 Cost model: each pair block costs one O(n^3) product pair, M1 X and K1 X.
 Everything else is O(n^2) and reads each n x n matrix in contiguous
 passes; ||Lam_f||_F of a diagonal fixed Lam is O(n), from its values.
-M1 = M + (left mhat) right is formed once, from the factors of a factored
-update; dM and dK are formed only when ``psd`` names them. The structure
+M1 = M + (left mhat) right is formed once, from the update's factors, in
+O(n a b + n^2 b) for an a x b core: O(n^2 p) on every solve path, O(n^3)
+for a format-1 delta file, whose factors are (I_n, dM, dK, I_n). dM and dK
+are formed only when ``psd`` names them. The structure
 residuals are tiled passes (``linalg.star_residual``), not a transposed
 read of a whole matrix.
 
@@ -206,20 +208,18 @@ def _updated_pencil(pencil, result: UpdateResult):
     """(M1, K1, (||M1||_F, ||K1||_F)) of the updated pencil M1 = M + dM,
     K1 = K + dK.
 
-    A factored update forms (left @ mhat) @ right, the same product as
-    ``result.delta_m``, and adds M to it in place, so M1 equals
-    ``pencil.m + result.delta_m`` bit for bit without a separate dM. M and K
-    are finite, so a NaN or Inf in the update shows in the norms; it raises
-    NonFiniteEntries, named for dM or dK.
+    It forms (left @ mhat) @ right, the same product as ``result.delta_m``,
+    and adds M to it in place, so M1 equals ``pencil.m + result.delta_m``
+    bit for bit without a separate dM. M and K are finite, so a NaN or Inf
+    in the update shows in the norms; it raises NonFiniteEntries, named for
+    dM or dK.
     """
-    if result.factors is not None:
-        left, mhat, khat, right = result.factors
-        m1, k1 = (((left @ core) @ right).astype(np.complex128, copy=False)
-                  for core in (mhat, khat))
-        m1 += pencil.m
-        k1 += pencil.k
-    else:
-        m1, k1 = pencil.m + result.dense[0], pencil.k + result.dense[1]
+    left, mhat, khat, right = result.factors
+    with np.errstate(invalid="ignore"):  # an Inf times an exact zero is NaN, still non-finite
+        m1, k1 = [((left @ core) @ right).astype(np.complex128, copy=False)
+                  for core in (mhat, khat)]
+    m1 += pencil.m
+    k1 += pencil.k
     norms = fnorm(m1), fnorm(k1)
     for name, matrix, norm in (("dM", m1, norms[0]), ("dK", k1, norms[1])):
         if not np.isfinite(norm) and not np.isfinite(matrix).all():

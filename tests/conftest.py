@@ -21,6 +21,7 @@ from nospillover.pencil import (
     star,
 )
 from nospillover.shh import SHHPencil, apply_j
+from nospillover.unstructured import UpdateResult
 
 
 def finite_eigenvalues(pairs) -> np.ndarray:
@@ -35,6 +36,13 @@ def pencil_scale(pencil) -> float:
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def dense_update(dm, dk) -> UpdateResult:
+    """The update (dM, dK) as a format-1 delta file gives it: the factors
+    (I_n, dM, dK, I_n)."""
+    eye = np.eye(np.shape(dm)[0])
+    return UpdateResult(factors=(eye, dm, dk, eye))
 
 
 def random_structured_pencil(rng, n, tag):

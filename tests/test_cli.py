@@ -56,6 +56,19 @@ def mislabelled_problem(tmp_path):
     return bad, delta, f"{prob}.fixed.json"
 
 
+def unstructured_problem(tmp_path, klass, n, p):
+    """A ``random`` file of class ``klass`` (seed 7) relabelled unstructured,
+    with its fixed pair merged in and no parameters, as tmp_path/prob.json;
+    its pairs are still at tmp_path/prob.json.fixed.json."""
+    prob = tmp_path / "prob.json"
+    assert run(["random", "--seed", 7, "--n", n, "--p", p, "--class", klass, "--out", prob]) == 0
+    doc = json.loads(prob.read_text())
+    doc.update(structure="unstructured", parameters=None,
+               fixed=json.loads(Path(f"{prob}.fixed.json").read_text())["fixed"])
+    prob.write_text(json.dumps(doc))
+    return prob
+
+
 def with_parameters(tmp_path, source, **params):
     """The herm-6.1 quadratic fixture (``source`` None) or a ``random`` file
     of class ``source`` (seed 7, n=8, p=2), with ``params`` set in its
@@ -196,12 +209,20 @@ class TestSolve:
         out = tmp_path / "delta.json"
         fileio.save_problem(prob, pf)
         assert run(["solve", "--input", prob, "--out", out]) == 0
-        # a dense delta file; nothing else in it is larger than n x p
+        # the factors of a rank-p update, with a p x 2p core; the provenance holds no copy
         doc = json.loads(out.read_text())
-        assert doc["format"] == 1 and "factors" not in doc
-        arrays = [v for v in doc["provenance"].values() if isinstance(v, list)]
+        assert doc["format"] == 2 and "delta_m" not in doc
         n, p = planted.change.x.shape
-        assert arrays and all(np.size(v) // 2 <= n * p for v in arrays)
+        shapes = [np.shape(doc["factors"][key])[:2] for key in fileio._FACTOR_NAMES]
+        assert shapes == [(n, p), (p, 2 * p), (p, 2 * p), (2 * p, n)]
+        assert doc["provenance"] == {"method": "general-family"}
+
+    def test_unstructured_delta_file_is_small(self, tmp_path):
+        # as for the structured classes: n=120 factors, not two dense 120 x 120 matrices
+        prob, delta = unstructured_problem(tmp_path, "t-odd", 120, 4), tmp_path / "delta.json"
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        assert json.loads(delta.read_text())["format"] == 2
+        assert delta.stat().st_size < 100_000
 
     def test_unstructured_needs_fixed_exit_3(self, tmp_path):
         planted = plant_problem(4, 5, 2, "symmetric")
@@ -817,6 +838,30 @@ class TestVerify:
         assert run(["verify", "--pencil", prob, "--delta", delta,
                     "--pairs", str(prob) + ".fixed.json"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    def test_rectangular_core_verifies(self, tmp_path, capsys):
+        prob, delta = unstructured_problem(tmp_path, "hermitian", 8, 2), tmp_path / "delta.json"
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        assert np.shape(json.loads(delta.read_text())["factors"]["mhat"])[:2] == (2, 4)
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", f"{prob}.fixed.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("factor, shape", [("khat", (2, 3)), ("left", (8, 3))])
+    def test_mismatched_factor_shapes_exit_2(self, tmp_path, capsys, factor, shape):
+        # against a 2 x 4 mhat: a khat of another shape, a left with 3 columns
+        prob, delta = unstructured_problem(tmp_path, "hermitian", 8, 2), tmp_path / "delta.json"
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        doc = json.loads(delta.read_text())
+        doc["factors"][factor] = np.zeros(shape + (2,)).tolist()
+        delta.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", f"{prob}.fixed.json"]) == 2
+        assert "schema error: factors must be n x a, a x b, a x b and b x n" in (
+            capsys.readouterr().err
+        )
 
     def test_delta_of_other_size_exit_2(self, tmp_path, capsys):
         small, big, delta = problems_of_two_sizes(tmp_path)

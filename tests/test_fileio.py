@@ -161,15 +161,17 @@ class TestProblemFile:
 
 class TestDeltaAndPairs:
     def test_result_round_trip(self, tmp_path):
+        # an a x b core with a != b, as solve_general and dual_basis_update give
         rng = np.random.default_rng(3)
-        dm, dk = crandn(rng, 3, 3), crandn(rng, 3, 3)
-        res = UpdateResult(dense=(dm, dk), provenance={"method": "test", "g": crandn(rng, 2, 2)})
+        factors = (crandn(rng, 3, 1), crandn(rng, 1, 2), crandn(rng, 1, 2), crandn(rng, 2, 3))
+        res = UpdateResult(factors=factors, provenance={"method": "test", "g": crandn(rng, 2, 2)})
         path = tmp_path / "delta.json"
         fileio.save_result(path, res)
+        assert json.loads(path.read_text())["format"] == 2
         back = fileio.load_delta(path)
-        assert back.factors is None
-        assert np.array_equal(back.delta_m, dm)
-        assert np.array_equal(back.delta_k, dk)
+        assert all(np.array_equal(a, b) for a, b in zip(back.factors, factors, strict=True))
+        assert np.array_equal(back.delta_m, res.delta_m)
+        assert np.array_equal(back.delta_k, res.delta_k)
 
     @pytest.mark.parametrize(
         "load", ["load_problem", "load_pencil", "load_pairs", "load_delta"]
@@ -252,8 +254,15 @@ class TestFactoredDelta:
              "right": np.ones((2, 5))},
             {"left": np.ones(4), "mhat": np.ones((1, 1)), "khat": np.ones((1, 1)),
              "right": np.ones((1, 4))},
+            {"left": np.ones((4, 2)), "mhat": np.ones((2, 4)), "khat": np.ones((4, 2)),
+             "right": np.ones((4, 4))},
+            {"left": np.ones((4, 3)), "mhat": np.ones((2, 4)), "khat": np.ones((2, 4)),
+             "right": np.ones((4, 4))},
+            {"left": np.ones((4, 1)), "mhat": np.ones(1), "khat": np.ones(1),
+             "right": np.ones((1, 4))},
         ],
-        ids=["missing", "core-shape", "right-shape", "left-vector"],
+        ids=["missing", "core-shape", "right-shape", "left-vector", "cores-differ",
+             "left-columns", "core-vector"],
     )
     def test_malformed_factors_rejected(self, tmp_path, factors):
         path = tmp_path / "delta.json"
@@ -384,11 +393,12 @@ class TestGoldenBytes:
         rng = np.random.default_rng(10)
         g = crandn(rng, 2, 2)
         prov = {"method": 'a "%s" }', "g": g, "lam": g[0], "z": 1 - 2j, "ok": True, "n": 3}
-        res = UpdateResult(dense=(crandn(rng, 3, 3), crandn(rng, 3, 3).T), provenance=prov)
+        factors = (crandn(rng, 3, 2), crandn(rng, 2, 4), crandn(rng, 4, 2).T, crandn(rng, 4, 3))
+        res = UpdateResult(factors=factors, provenance=prov)
         path = tmp_path / "delta.json"
         fileio.save_result(path, res)
         expected = {
-            "format": 1, "delta_m": res.delta_m, "delta_k": res.delta_k,
+            "format": 2, "factors": dict(zip(fileio._FACTOR_NAMES, factors)),
             "provenance": dict(prov, z=[1.0, -2.0]), "certificate": None,
         }
         assert _holds(path, expected)

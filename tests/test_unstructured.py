@@ -50,6 +50,17 @@ def target_defect(pencil, problem):
     return stacked_constraints(pencil, problem)[1][:, -problem.p:]
 
 
+def family_member(pencil, problem, z=None):
+    """[dM dK] = B A' + Z (I - A A'), the member of the general solution
+    family for the free n x 2n parameter Z; B A' for Z = None."""
+    a, b = stacked_constraints(pencil, problem)
+    apinv = pseudoinverse(a)
+    y = b @ apinv
+    if z is not None:
+        y = y + z @ (np.eye(2 * pencil.n) - a @ apinv)
+    return y
+
+
 class TestTargetDefect:
     def test_zero_for_unchanged(self):
         pencil, problem = random_problem(1)
@@ -99,24 +110,6 @@ class TestGeneralSolution:
             xf, lf = problem.fixed.x, problem.fixed.lam
             assert fnorm(m1 @ xf @ lf + k1 @ xf) <= 1e-10 * scale
 
-    def test_two_z_values_differ_in_kernel(self):
-        pencil, problem = random_problem(4)
-        n = pencil.n
-        rng = np.random.default_rng(99)
-        z1 = crandn(rng, n, 2 * n)
-        z2 = crandn(rng, n, 2 * n)
-        r1 = solve_general(pencil, problem, z1)
-        r2 = solve_general(pencil, problem, z2)
-        a, _ = stacked_constraints(pencil, problem)
-        y1 = np.hstack([r1.delta_m, r1.delta_k])
-        y2 = np.hstack([r2.delta_m, r2.delta_k])
-        assert fnorm((y1 - y2) @ a) <= 1e-10 * fnorm(y1 - y2) * fnorm(a)
-        for res in (r1, r2):
-            m1 = pencil.m + res.delta_m
-            k1 = pencil.k + res.delta_k
-            xf, lf = problem.fixed.x, problem.fixed.lam
-            assert fnorm(m1 @ xf @ lf + k1 @ xf) <= 1e-9 * (fnorm(m1) + fnorm(k1))
-
     def test_missing_fixed_pair(self):
         pencil, problem = random_problem(5)
         bare = UpdateProblem(problem.change, problem.target_lam)
@@ -133,14 +126,40 @@ class TestGeneralSolution:
         with pytest.raises(RankDeficientA):
             solve_general(pencil, bad)
 
-    def test_min_norm_member(self):
+    def test_factors_equal_the_pinv_reference(self):
+        for seed in (60, 61, 62):
+            pencil, problem = random_problem(seed)
+            n, p = pencil.n, problem.p
+            res = solve_general(pencil, problem)
+            left, mhat, khat, right = res.factors
+            assert (left.shape, mhat.shape, khat.shape, right.shape) == (
+                (n, p), (p, 2 * p), (p, 2 * p), (2 * p, n)
+            )
+            y_ref = family_member(pencil, problem)
+            y = np.hstack([res.delta_m, res.delta_k])
+            assert fnorm(y - y_ref) <= 1e-14 * fnorm(y_ref)
+
+    def test_family_members_meet_both_constraints(self):
+        pencil, problem = random_problem(4)
+        rng = np.random.default_rng(99)
+        n = pencil.n
+        for _ in range(3):
+            y = family_member(pencil, problem, crandn(rng, n, 2 * n))
+            m1, k1 = pencil.m + y[:, :n], pencil.k + y[:, n:]
+            scale = fnorm(m1) + fnorm(k1)
+            xa, la = problem.xa, problem.target_lam
+            assert fnorm(m1 @ xa @ la + k1 @ xa) <= 1e-9 * scale
+            xf, lf = problem.fixed.x, problem.fixed.lam
+            assert fnorm(m1 @ xf @ lf + k1 @ xf) <= 1e-9 * scale
+
+    def test_factored_member_has_least_norm(self):
         pencil, problem = random_problem(7)
-        base = solve_general(pencil, problem)
+        res = solve_general(pencil, problem)
+        norm0 = fnorm(np.hstack([res.delta_m, res.delta_k]))
         rng = np.random.default_rng(17)
-        other = solve_general(pencil, problem, crandn(rng, pencil.n, 2 * pencil.n))
-        norm0 = fnorm(np.hstack([base.delta_m, base.delta_k]))
-        norm1 = fnorm(np.hstack([other.delta_m, other.delta_k]))
-        assert norm0 <= norm1 + 1e-12
+        for _ in range(3):
+            z = crandn(rng, pencil.n, 2 * pencil.n)
+            assert norm0 <= fnorm(family_member(pencil, problem, z)) + 1e-12
 
 
 class TestDualBasisUpdate:
@@ -148,8 +167,9 @@ class TestDualBasisUpdate:
         pencil, problem = random_problem(8)
         res = dual_basis_update(pencil, problem, np.zeros((pencil.n, problem.p)))
         assert fnorm(res.delta_m) == 0.0
-        ra = res.provenance["ra"]
-        ustar = res.provenance["u"].conj().T
+        left, _, _, ustar = res.factors
+        ra = target_defect(pencil, problem)
+        np.testing.assert_allclose(left, np.hstack([np.zeros_like(ra), ra]), atol=1e-12)
         np.testing.assert_allclose(res.delta_k, ra @ ustar, atol=1e-12)
 
     def test_unit_vectors_rank_one(self):
@@ -163,7 +183,7 @@ class TestDualBasisUpdate:
         assert np.linalg.matrix_rank(res.delta_m) <= 1
         assert np.linalg.matrix_rank(res.delta_k) <= 1
         np.testing.assert_allclose(
-            res.provenance["u"].conj().T.real, [[1.0, 0.0]], atol=1e-14
+            res.factors[3].real, [[1.0, 0.0]], atol=1e-14
         )
 
     def test_dual_conditions(self):
@@ -173,7 +193,7 @@ class TestDualBasisUpdate:
             res = dual_basis_update(
                 pencil, problem, crandn(rng, pencil.n, problem.p)
             )
-            ustar = res.provenance["u"].conj().T
+            ustar = res.factors[3]  # right = U^star
             assert fnorm(ustar @ problem.fixed.x) <= 1e-12 * fnorm(problem.fixed.x)
             assert fnorm(ustar @ problem.xa - np.eye(problem.p)) <= 1e-12
 
@@ -196,10 +216,7 @@ class TestDualBasisUpdate:
         rng = np.random.default_rng(3)
         res = dual_basis_update(pencil, problem, crandn(rng, pencil.n, problem.p))
         y_thm = np.hstack([res.delta_m, res.delta_k])
-        a, b = stacked_constraints(pencil, problem)
-        apinv = pseudoinverse(a)
-        z = y_thm - b @ apinv
-        y_re = b @ apinv + z @ (np.eye(2 * pencil.n) - a @ apinv)
+        y_re = family_member(pencil, problem, y_thm - family_member(pencil, problem))
         assert fnorm(y_re - y_thm) <= 1e-10 * max(fnorm(y_thm), 1.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     crandn,
+    dense_update,
     plant_hermitian_definite,
     plant_star_even,
     plant_star_odd,
@@ -39,9 +40,7 @@ def planted_setup(seed=1):
 class TestCertify:
     def test_zero_update_passes(self):
         planted = plant_problem(2, 5, 2, "symmetric")
-        res = UpdateResult(
-            dense=(np.zeros_like(planted.pencil.m), np.zeros_like(planted.pencil.k))
-        )
+        res = dense_update(np.zeros_like(planted.pencil.m), np.zeros_like(planted.pencil.k))
         problem = UpdateProblem(
             planted.change, planted.change.lam, fixed=planted.fixed
         )
@@ -64,7 +63,7 @@ class TestCertify:
         bad_dk = np.array(res.delta_k)
         bad_dk[0, 0] += 1e-3
         bad_dk[0, 1] += 1e-3  # keep it non-Hermitian too
-        bad = UpdateResult(dense=(res.delta_m, bad_dk))
+        bad = dense_update(res.delta_m, bad_dk)
         cert = certify(planted.pencil, bad, problem)
         assert not cert.passed
         # diagnosis localizes the failure: residuals out, structure flagged
@@ -202,7 +201,7 @@ class TestUpdatedPencil:
         pencil, result, problem = planted_solve("symmetric")
         dense = [np.array(result.delta_m), np.array(result.delta_k)]
         dense[which][1, 2] = value
-        bad = UpdateResult(dense=tuple(dense))
+        bad = dense_update(*dense)
         with pytest.raises(NonFiniteEntries, match=named):
             certify(pencil, bad, problem)
         with pytest.raises(NonFiniteEntries, match=named):
