@@ -1,10 +1,14 @@
 """Bundled reference problems with published expected results.
 
 Four worked examples from the literature, stored at their printed
-precision (4-6 significant digits). The `reproduce` command re-runs each
-pipeline from the exact (M, K) inputs, recomputing eigendata in full
-precision, certifies the update with ``verify.certify`` as ``solve`` does,
-and compares the resulting perturbations against the printed matrices. Deviations are measured entrywise, scaled by the largest printed
+precision (4-6 significant digits). Each case builds its problem file from
+the exact (M, K) inputs, and the `reproduce` command solves it as
+``solve`` does, with ``dispatch.solve_problem``: eigendata recomputed in
+full precision, the update certified with ``verify.certify``, spectrum
+match included. It then compares the perturbations with the printed
+matrices.
+
+Deviations are measured entrywise, scaled by the largest printed
 magnitude, since the printed data itself is truncated.
 """
 
@@ -14,16 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dispatch import SHH_STARS, solve_problem
+from .fileio import PairBlock, ProblemFile
 from .linalg import (
     PUBLISHED_MATRIX_TOL, TAU_PSD, TAU_STRUCT,
     eig_pencil, herm_eigs, largest_entry_scaled, nearest_eigenvalues,
 )
-from .pencil import DeflatingPair, structure_residuals
-from .shh import SHHPencil, apply_j, shh_gramian, shh_update
-from .special import QuadraticSpec, solve_quadratic
-from .structured import core_from_parameters
-from .unstructured import UpdateProblem
-from .verify import Certificate, certify
+from .pencil import TAG_BY_NAME, StructureTag, structure_residuals
+from .shh import apply_j
+from .verify import Certificate
 
 _H61_M = np.diag([1.294] * 5)
 _H61_K = [
@@ -208,6 +211,30 @@ class ReferenceCase:
     printed_lam_f: tuple = ()
     psd: tuple = ()
 
+    def problem(self) -> ProblemFile:
+        """The case as a problem file, with its ``z1``/``z2`` core. A
+        quadratic case gives its change and target eigenvalues. An SHH case
+        gives its targets as Lambda_a and its change and fixed pairs from
+        the computed spectrum: the finite eigenvalues nearest the change
+        values and the rest, each vector scaled by its largest entry."""
+        if self.quadratic:
+            change = PairBlock(eigenvalues=np.array(self.lam_change))
+            targets, fixed = PairBlock(eigenvalues=np.array(self.lam_target)), None
+        else:
+            eigs = [e for e in eig_pencil(self.m, self.k) if e.finite]
+            chosen, available = nearest_eigenvalues(eigs, self.lam_change)
+
+            def pair(idx) -> PairBlock:
+                x = np.hstack([largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in idx])
+                return PairBlock(x=x, lam=np.diag([eigs[i].value for i in idx]))
+
+            change, fixed = pair(chosen), pair(available)
+            targets = PairBlock(lam=np.diag(self.lam_target))
+        return ProblemFile(
+            self.klass, self.m, self.k, change, targets, fixed,
+            parameters=dict(z1=self.z1, z2=self.z2), quadratic=self.quadratic,
+        )
+
 
 CASES = {
     # Targets: the published runs assign the rounded 6-digit lifted blocks
@@ -382,17 +409,16 @@ _UPDATED_LABELS = {"m_updated": "updated M tag", "k_updated": "updated K tag"}
 
 
 def run_case(case_id: str) -> CaseReport:
-    """Re-run one bundled example from its exact inputs, certify it and
-    compare it with the printed matrices."""
+    """Solve one bundled example's problem as ``solve`` does and compare the
+    update with the printed matrices."""
     case = CASES[case_id]
-    solve = _solve_quadratic_case if case.quadratic else _solve_shh_case
-    pencil, result, problem = solve(case)
-    cert = certify(pencil, result, problem)
+    result, cert = solve_problem(case.problem())
     dm, dk = result.delta_m, result.delta_k
-    if isinstance(pencil, SHHPencil):
-        prefix, tag, dm_s, dk_s = "J ", pencil.even_pencil().tag, apply_j(dm), apply_j(dk)
+    if case.klass in SHH_STARS:  # the update of J L(lambda), an even pencil of the same star
+        tag = StructureTag(SHH_STARS[case.klass], -1, 1)
+        prefix, dm_s, dk_s = "J ", apply_j(dm), apply_j(dk)
     else:
-        prefix, tag, dm_s, dk_s = "", pencil.tag, dm, dk
+        prefix, tag, dm_s, dk_s = "", TAG_BY_NAME[case.klass], dm, dk
     rm, rk = structure_residuals(dm_s, dk_s, tag)
     structure = {
         f"{prefix}dM {_KIND[tag.eps1]}": rm,
@@ -404,25 +430,3 @@ def run_case(case_id: str) -> CaseReport:
     deltas = {"delta_m": dm, "delta_k": dk}
     min_eigs = {name: float(herm_eigs(deltas[name])[0]) for name in case.psd}
     return CaseReport(case, cert, dm, dk, structure, min_eigs)
-
-
-def _solve_quadratic_case(case: ReferenceCase):
-    spec = QuadraticSpec(case.klass, case.lam_change, case.lam_target)
-    result, info = solve_quadratic(case.m, case.k, spec, z1=case.z1, z2=case.z2)
-    return info["pencil"], result, info["problem"]
-
-
-def _solve_shh_case(case: ReferenceCase):
-    shh = SHHPencil(case.m, case.k, "*")
-    eigs = [e for e in eig_pencil(case.m, case.k) if e.finite]
-    chosen, available = nearest_eigenvalues(eigs, case.lam_change)
-
-    def pair(idx) -> DeflatingPair:
-        x = np.hstack([largest_entry_scaled(eigs[i].vector).reshape(-1, 1) for i in idx])
-        return DeflatingPair(x, np.diag([eigs[i].value for i in idx]))
-
-    change, lam_a = pair(chosen), np.diag(case.lam_target)
-    g, _ = shh_gramian(shh, change.x)
-    core = core_from_parameters(g, change.lam, lam_a, z1=case.z1, z2=case.z2)
-    result = shh_update(shh, change.x, change.lam, lam_a, core)
-    return shh, result, UpdateProblem(change, lam_a, fixed=pair(available))

@@ -2,7 +2,9 @@
 
 Subcommands: solve (problem file -> delta file + certificate), verify
 (recheck a delta against a pencil and pairs), reproduce (bundled reference
-cases), random (seeded planted problem files).
+cases), random (seeded planted problem files). solve and reproduce run one
+dispatch, ``dispatch.solve_problem``: reproduce solves each reference
+case's own problem file.
 
 Exit codes: 0 success/pass, 1 certificate failure, 2 schema error,
 3 mathematical precondition failure (prints the error class name). A
@@ -17,21 +19,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .cases import CASE_IDS, run_case
-from .errors import BadParameters, MissingFixedPair, NoSpilloverError, SchemaError
+from .dispatch import SHH_STARS, solve_problem, structure_pencil
+from .errors import BadParameters, NoSpilloverError, SchemaError
 from .linalg import TAU_DEFL
-from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
+from .pencil import DeflatingPair
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .shh import SHHPencil, shh_gramian, shh_update, t_shh_update
-from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
-from .structured import change_gramian, core_from_parameters, structured_update
-from .unstructured import UpdateProblem, solve_general
+from .unstructured import UpdateProblem
 from .verify import certify, certify_spillover
-
-_SHH_STARS = {"star-shh": "*", "t-shh": "T"}
 
 
 def _fail_schema(msg: str) -> int:
@@ -44,131 +40,9 @@ def _fail_math(exc: NoSpilloverError) -> int:
     return 3
 
 
-def _need(block, attr, what) -> np.ndarray:
-    value = getattr(block, attr, None) if block is not None else None
-    if value is None:
-        raise SchemaError(f"problem file is missing {what}")
-    return value
-
-
-def _fixed_from_file(pf):
-    if pf.fixed is None or pf.fixed.x is None:
-        return None
-    return DeflatingPair(pf.fixed.x, pf.fixed.lam)
-
-
-def _solve_unstructured(pf):
-    change = DeflatingPair(
-        _need(pf.change, "x", "change.x"), _need(pf.change, "lam", "change.lambda")
-    )
-    if pf.fixed is None or pf.fixed.x is None or pf.fixed.lam is None:
-        raise MissingFixedPair("the unstructured path needs the fixed pair")
-    problem = UpdateProblem(
-        change,
-        _need(pf.targets, "lam", "targets.lambda"),
-        target_x=pf.targets.x,
-        fixed=_fixed_from_file(pf),
-    )
-    pencil = StructuredPencil(pf.m, pf.k, None)
-    return pencil, solve_general(pencil, problem), problem, ()
-
-
-def _solve_quadratic(pf):
-    if pf.structure not in QUADRATIC_CLASSES:
-        raise SchemaError(
-            f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
-            f"got {pf.structure!r}"
-        )
-    spec = QuadraticSpec(
-        pf.structure,
-        tuple(_need(pf.change, "eigenvalues", "change.eigenvalues")),
-        tuple(_need(pf.targets, "eigenvalues", "targets.eigenvalues")),
-    )
-    # after _refuse, each key is one whose row lists the quadratic path: a solve_quadratic keyword
-    result, info = solve_quadratic(pf.m, pf.k, spec, **pf.parameters)
-    return info["pencil"], result, info["problem"], info["psd"]
-
-
-def _pencil(m, k, structure: str):
-    """The pencil a file's ``structure`` names: SHH, tagged, or untagged
-    for ``unstructured``."""
-    if structure in _SHH_STARS:
-        return SHHPencil(m, k, _SHH_STARS[structure])
-    return StructuredPencil(m, k, TAG_BY_NAME.get(structure))
-
-
-def _as_square(v):
-    """A parameter matrix, given as a matrix or as its diagonal."""
-    return np.diag(v) if np.asarray(v).ndim == 1 else v
-
-
-def _core_sources(pf) -> dict:
-    """The file's core source, as ``core_from_parameters`` takes it: after
-    ``_refuse``, its parameters are number and matrix rows of
-    ``fileio.PARAMETERS``, a matrix given as a matrix or as its diagonal."""
-    return {key: _as_square(v) if fileio.PARAMETERS[key][0] == "matrix" else v
-            for key, v in pf.parameters.items()}
-
-
-def _solve_structured(pf):
-    """The six symmetry classes and the two SHH classes, from the file's
-    change pair, targets and core parameters. A ``t-shh`` file takes the
-    library's real T-SHH update, ``t_shh_update``, with its core on re(G)."""
-    sources = _core_sources(pf)
-    xc = _need(pf.change, "x", "change.x")
-    lam_c = _need(pf.change, "lam", "change.lambda")
-    lam_a = _need(pf.targets, "lam", "targets.lambda")
-    pencil = _pencil(pf.m, pf.k, pf.structure)
-    if isinstance(pencil, SHHPencil):
-        gramian = shh_gramian
-        update = t_shh_update if pf.structure == "t-shh" else shh_update
-    else:
-        gramian, update = change_gramian, structured_update
-    g, _ = gramian(pencil, xc)
-    core = core_from_parameters(g.real if pf.structure == "t-shh" else g, lam_c, lam_a, **sources)
-    result = update(pencil, xc, lam_c, lam_a, core)
-    problem = UpdateProblem(DeflatingPair(xc, lam_c), lam_a, fixed=_fixed_from_file(pf))
-    return pencil, result, problem, ()
-
-
-def _certify(pencil, result, problem, psd, tol):
-    """(result, certificate) of one solve path's output.
-
-    The certificate has the residuals, plus the spectrum match when the
-    fixed pair is known. Only the result and certificate outlive the call,
-    so the pencil and the fixed pair are freed before the delta file is
-    written.
-    """
-    expected = None
-    if problem.fixed is not None:
-        expected = np.concatenate(
-            [np.linalg.eigvals(problem.target_lam), problem.fixed.eigenvalues()]
-        )
-    return result, certify(
-        pencil, result, problem, expected_spectrum=expected, psd=psd, tol_defl=tol
-    )
-
-
-def _refuse(params, path):
-    """BadParameters when the file names a parameter whose row in
-    ``fileio.PARAMETERS`` does not list the file's solve path."""
-    named = [key for key in params if path not in fileio.PARAMETERS[key][1]]
-    if named:
-        article = "an" if path == "unstructured" else "a"
-        raise BadParameters(f"{article} {path} file takes no {', '.join(named)}")
-
-
 def cmd_solve(args) -> int:
     try:
-        pf = fileio.load_problem(args.input)
-    except SchemaError as exc:
-        return _fail_schema(str(exc))
-    # a quadratic file's path is "quadratic", any other's its structure
-    path = "quadratic" if pf.quadratic else pf.structure
-    solve = {"unstructured": _solve_unstructured, "quadratic": _solve_quadratic}
-    try:
-        _refuse(pf.parameters, path)
-        result, cert = _certify(*solve.get(path, _solve_structured)(pf), args.tol)
+        result, cert = solve_problem(fileio.load_problem(args.input), args.tol)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:
@@ -202,16 +76,13 @@ def cmd_verify(args) -> int:
     if not spillover_only and (targets is None or targets.x is None or targets.lam is None):
         return _fail_schema("pairs file needs targets with x and lambda, or a fixed pair")
     try:
-        pencil = _pencil(m, k, structure)
+        pencil = structure_pencil(m, k, structure)
         fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
         if spillover_only:
             cert = certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol)
         else:
             problem = UpdateProblem(
-                DeflatingPair(targets.x, targets.lam),
-                targets.lam,
-                target_x=targets.x,
-                fixed=fixed_pair,
+                DeflatingPair(targets.x, targets.lam), targets.lam, fixed=fixed_pair
             )
             cert = certify(pencil, result, problem, tol_defl=args.tol)
     except NoSpilloverError as exc:
@@ -235,7 +106,7 @@ def cmd_random(args) -> int:
     if args.klass not in RANDOM_CLASSES:
         return _fail_schema(f"class must be one of {RANDOM_CLASSES}")
     try:
-        if args.klass in _SHH_STARS and args.n % 2:
+        if args.klass in SHH_STARS and args.n % 2:
             raise BadParameters("SHH instances need even n")
         if args.klass == "star-shh":
             planted = plant_star_shh(args.seed, args.n // 2, args.p // 2, args.p % 2)

@@ -20,7 +20,7 @@ from .errors import (
     RankDeficientA,
     SingularBasis,
 )
-from .linalg import TAU_NUM, as_matrix, pseudoinverse, rcond_estimate
+from .linalg import TAU_NUM, as_matrix, rcond_estimate
 from .pencil import DeflatingPair, StructuredPencil
 
 
@@ -140,11 +140,13 @@ def solve_general(pencil: StructuredPencil, problem: UpdateProblem) -> UpdateRes
     n, p = pencil.n, problem.p
     if rcond_estimate(np.hstack([problem.xa, problem.fixed.x])) <= TAU_NUM:
         raise RankDeficientA("[X_a X_f] is singular")
-    if rcond_estimate(a) <= TAU_NUM:
-        raise RankDeficientA(
-            "stacked constraint matrix is column rank deficient"
-        )
-    rows = pseudoinverse(a)[-p:]  # only these rows meet the nonzero columns R_a of B
+    # one SVD, of conj(A) = U S Vh, gives A' = Vh^T S^-1 U^T as np.linalg.pinv
+    # forms it, and the singular values the rank gate reads
+    u, s, vh = np.linalg.svd(a.conj(), full_matrices=False)
+    if s[-1] <= TAU_NUM * s[0]:
+        raise RankDeficientA("stacked constraint matrix is column rank deficient")
+    # only the last p rows of A' meet the nonzero columns R_a of B
+    rows = np.transpose(vh[:, -p:]) @ ((1 / s)[:, None] * np.transpose(u))
     return UpdateResult(
         factors=(b[:, -p:], *_selectors(p), np.vstack([rows[:, :n], rows[:, n:]])),
         provenance={"method": "general-family"},

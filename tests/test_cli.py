@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import fresh_python_env, run_fresh_python, same_values, t_shh_shape
 
-from nospillover import cli, fileio, randomgen
+from nospillover import cli, dispatch, fileio, randomgen
 from nospillover.cases import CASES, run_case
 from nospillover.cli import main
 from nospillover.errors import NotEigenpair
@@ -100,20 +100,11 @@ _DIAG = [[0.0, 0.0], [0.021592, 0.0]]
 
 class TestSolve:
     def test_reference_quadratic_problem(self, tmp_path):
-        # the bundled Hermitian example expressed as a problem file
+        # the bundled Hermitian example's own problem file
         case = CASES["herm-6.1"]
-        pf = fileio.ProblemFile(
-            structure="hermitian",
-            m=case.m,
-            k=case.k,
-            change=fileio.PairBlock(eigenvalues=np.array(case.lam_change)),
-            targets=fileio.PairBlock(eigenvalues=np.array(case.lam_target)),
-            parameters={"z1": case.z1, "z2": case.z2},
-            quadratic=True,
-        )
         prob = tmp_path / "prob.json"
         out = tmp_path / "delta.json"
-        fileio.save_problem(prob, pf)
+        fileio.save_problem(prob, case.problem())
         assert run(["solve", "--input", prob, "--out", out]) == 0
         doc = json.loads(out.read_text())
         cert = doc["certificate"]
@@ -588,7 +579,9 @@ class TestParameterTable:
         assert not (tmp_path / "d.json").exists()
 
     def test_cli_names_no_parameter(self):
-        assert parameter_literals(Path(cli.__file__)) == []
+        # neither the CLI nor its dispatch spells a parameter key
+        for module in (cli, dispatch):
+            assert parameter_literals(Path(module.__file__)) == []
 
     def test_scan_sees_parameter_literals(self, tmp_path):
         module = tmp_path / "module.py"
@@ -612,8 +605,9 @@ class TestParameterTable:
         assert refused(tmp_path, capsys, prob, 2).startswith(parameter_error(key))
 
     def test_cli_and_fileio_name_no_t_shh_builder(self):
-        # only shh and randomgen know the T-SHH pattern; cli runs its update
-        assert t_shh_names(Path(cli.__file__)) == ["t_shh_update"]
+        # only shh and randomgen know the T-SHH pattern; the dispatch runs its update
+        assert t_shh_names(Path(dispatch.__file__)) == ["t_shh_update"]
+        assert t_shh_names(Path(cli.__file__)) == []
         assert t_shh_names(Path(fileio.__file__)) == []
 
     def test_scan_sees_t_shh_names(self):
@@ -1018,6 +1012,41 @@ class TestReproduce:
             "assert 'orjson' not in sys.modules\n"
         )
         proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("case_id", list(CASES))
+    def test_solve_of_the_case_problem_is_reproduce(self, tmp_path, capsys, case_id):
+        # reproduce solves the case's own problem file as solve does
+        prob, out = tmp_path / "prob.json", tmp_path / "delta.json"
+        fileio.save_problem(prob, CASES[case_id].problem())
+        assert run(["solve", "--input", prob, "--out", out]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        report = run_case(case_id)
+        delta = fileio.load_delta(out)
+        assert delta.delta_m.tobytes() == report.delta_m.tobytes()
+        assert delta.delta_k.tobytes() == report.delta_k.tobytes()
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert == fileio.certificate_dict(report.certificate)
+        # the spectrum match is part of reproduce's certificate
+        oracle = "qz" if CASES[case_id].klass == "star-shh" else "definite"
+        assert report.certificate.spectrum.oracle == oracle
+        assert report.certificate.spectrum.passed
+
+    def test_fixture_is_the_case_problem(self):
+        def same(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[key], b[key]) for key in a)
+            if isinstance(a, np.ndarray):
+                return a.shape == np.shape(b) and np.array_equal(a, b)
+            return a == b
+
+        fixture = fileio.load_problem(DATA / "herm-6.1.quadratic.json")
+        assert same(dataclasses.asdict(fixture), dataclasses.asdict(CASES["herm-6.1"].problem()))
+
+    @pytest.mark.parametrize("module", ["cases", "cli", "dispatch"])
+    def test_module_imports_alone(self, module):
+        # no import cycle: cli imports cases, and both import the dispatch
+        proc = run_fresh_python(f"import nospillover.{module}")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("case_id", list(CASES))

@@ -11,7 +11,7 @@ from conftest import (
     realified_fixed_pair,
 )
 
-from nospillover import cli, fileio, verify
+from nospillover import dispatch, fileio, verify
 from nospillover.errors import NonFiniteEntries
 from nospillover.linalg import TAU_STRUCT, compact_lambda, fnorm
 from nospillover.pencil import HERMITIAN, DeflatingPair, StructuredPencil
@@ -118,8 +118,10 @@ def planted_solve(klass, seed=5, n=12, p=2):
         fixed=fileio.PairBlock(x=planted.fixed.x, lam=planted.fixed.lam),
         parameters=planted.parameters,
     )
-    pencil, result, problem, _ = cli._solve_structured(pf)
-    return pencil, result, problem
+    result, cert = dispatch.solve_problem(pf)
+    assert cert.passed
+    pencil = dispatch.structure_pencil(pf.m, pf.k, klass)
+    return pencil, result, UpdateProblem(planted.change, planted.target_lam, fixed=planted.fixed)
 
 
 def _definite_solve(klass):
