@@ -233,7 +233,7 @@ class ReferenceCase:
         return ProblemFile(
             self.klass, self.m, self.k, change, targets, fixed,
             parameters=dict(z1=self.z1, z2=self.z2), quadratic=self.quadratic,
-        )
+        ).checked()
 
 
 CASES = {

@@ -6,11 +6,14 @@ cases), random (seeded planted problem files). solve and reproduce run one
 dispatch, ``dispatch.solve_problem``: reproduce solves each reference
 case's own problem file.
 
-Exit codes: 0 success/pass, 1 certificate failure, 2 schema error,
-3 mathematical precondition failure (prints the error class name). A
-closed standard output (``nospillover reproduce all | head -n 1``) ends the
-run quietly with 141, the shell's status for a SIGPIPE, so it is never
-read as a verdict.
+Which keys a file may hold, and which fields each path needs, is
+``fileio``'s to check when it reads or makes a file; the commands here
+check no key. Exit codes: 0 success/pass, 1 certificate failure, 2 schema
+error (a file that cannot be read, written or parsed, or that holds a key
+its reader does not read), 3 mathematical precondition failure (prints
+the error class name). A closed standard output (``nospillover reproduce
+all | head -n 1``) ends the run quietly with 141, the shell's status for a
+SIGPIPE, so it is never read as a verdict.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ def _fail_math(exc: NoSpilloverError) -> int:
 def cmd_solve(args) -> int:
     try:
         result, cert = solve_problem(fileio.load_problem(args.input), args.tol)
+        fileio.save_result(args.out, result, cert)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:
         return _fail_math(exc)
-    fileio.save_result(args.out, result, cert)
     for line in cert.summary_lines():
         print(line)
     return 0 if cert.passed else 1
@@ -61,24 +64,16 @@ def cmd_verify(args) -> int:
     except SchemaError as exc:
         return _fail_schema(str(exc))
     sizes = {"delta file": result.n}
-    sizes.update(
-        (f"pairs file {key}.x", block.x.shape[0])
-        for key, block in pairs.items()
-        if block.x is not None
-    )
+    sizes.update((f"pairs file {key}", block.x.shape[0]) for key, block in pairs.items())
     for what, size in sizes.items():
         if size != m.shape[0]:
             return _fail_schema(f"{what} has n={size}, but the pencil has n={m.shape[0]}")
     targets, fixed = pairs.get("targets"), pairs.get("fixed")
-    has_fixed = fixed is not None and fixed.x is not None
-    # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
-    spillover_only = targets is None and has_fixed
-    if not spillover_only and (targets is None or targets.x is None or targets.lam is None):
-        return _fail_schema("pairs file needs targets with x and lambda, or a fixed pair")
     try:
         pencil = structure_pencil(m, k, structure)
-        fixed_pair = DeflatingPair(fixed.x, fixed.lam) if has_fixed else None
-        if spillover_only:
+        fixed_pair = None if fixed is None else DeflatingPair(fixed.x, fixed.lam)
+        # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
+        if targets is None:
             cert = certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol)
         else:
             problem = UpdateProblem(
@@ -114,18 +109,17 @@ def cmd_random(args) -> int:
             planted = plant_t_shh(args.seed, args.n // 2)
         else:
             planted = plant_problem(args.seed, args.n, args.p, args.klass)
+        pf = fileio.ProblemFile(
+            args.klass, planted.pencil.m, planted.pencil.k,
+            fileio.PairBlock(planted.change.x, planted.change.lam),
+            fileio.PairBlock(lam=planted.target_lam), parameters=planted.parameters,
+        )
+        fileio.save_problem(args.out, pf.checked())
+        fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam)
+    except SchemaError as exc:
+        return _fail_schema(str(exc))
     except NoSpilloverError as exc:
         return _fail_math(exc)
-    pf = fileio.ProblemFile(
-        structure=args.klass,
-        m=planted.pencil.m,
-        k=planted.pencil.k,
-        change=fileio.PairBlock(x=planted.change.x, lam=planted.change.lam),
-        targets=fileio.PairBlock(lam=planted.target_lam),
-        parameters=planted.parameters,
-    )
-    fileio.save_problem(args.out, pf)
-    fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam)
     print(f"wrote {args.out} and {args.out}.fixed.json")
     return 0
 

@@ -1,10 +1,12 @@
 """One dispatch from a problem file to a certified update.
 
-``solve_problem`` takes a ``fileio.ProblemFile``, picks its solve path (the
-quadratic recipes, the unstructured family, or the structured and SHH
-updates from the file's core parameters), and certifies the update with
+``solve_problem`` takes a checked ``fileio.ProblemFile``, picks its solve
+path (the quadratic recipes, the unstructured family, or the structured and
+SHH updates from the file's core parameters), and certifies the update with
 ``verify.certify``. ``solve`` runs it on a file, and ``reproduce`` on a
-bundled reference case's problem.
+bundled reference case's problem. Which fields and parameters each path
+reads and needs is ``fileio``'s table, checked where the file is made, so
+the dispatch reads them as given and checks no key.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import fileio
-from .errors import BadParameters, MissingFixedPair, SchemaError
 from .linalg import TAU_DEFL
 from .pencil import TAG_BY_NAME, DeflatingPair, StructuredPencil
 from .shh import SHHPencil, shh_gramian, shh_update, t_shh_update
-from .special import QUADRATIC_CLASSES, QuadraticSpec, solve_quadratic
+from .special import QuadraticSpec, solve_quadratic
 from .structured import change_gramian, core_from_parameters, structured_update
 from .unstructured import UpdateProblem, solve_general
 from .verify import certify
@@ -33,46 +34,22 @@ def structure_pencil(m, k, structure: str):
     return StructuredPencil(m, k, TAG_BY_NAME.get(structure))
 
 
-def _need(block, attr, what) -> np.ndarray:
-    value = getattr(block, attr, None) if block is not None else None
-    if value is None:
-        raise SchemaError(f"problem file is missing {what}")
-    return value
-
-
-def _fixed_from_file(pf):
-    if pf.fixed is None or pf.fixed.x is None:
-        return None
-    return DeflatingPair(pf.fixed.x, pf.fixed.lam)
+def _update_problem(pf) -> UpdateProblem:
+    """The change pair, targets and fixed pair (None when absent) a file gives."""
+    change = DeflatingPair(pf.change.x, pf.change.lam)
+    fixed = None if pf.fixed is None else DeflatingPair(pf.fixed.x, pf.fixed.lam)
+    return UpdateProblem(change, pf.targets.lam, target_x=pf.targets.x, fixed=fixed)
 
 
 def _solve_unstructured(pf):
-    change = DeflatingPair(
-        _need(pf.change, "x", "change.x"), _need(pf.change, "lam", "change.lambda")
-    )
-    if pf.fixed is None or pf.fixed.x is None or pf.fixed.lam is None:
-        raise MissingFixedPair("the unstructured path needs the fixed pair")
-    problem = UpdateProblem(
-        change,
-        _need(pf.targets, "lam", "targets.lambda"),
-        target_x=pf.targets.x,
-        fixed=_fixed_from_file(pf),
-    )
+    """solve_general, which raises MissingFixedPair when the file gives no fixed pair."""
+    problem = _update_problem(pf)
     pencil = StructuredPencil(pf.m, pf.k, None)
     return pencil, solve_general(pencil, problem), problem, ()
 
 
 def _solve_quadratic(pf):
-    if pf.structure not in QUADRATIC_CLASSES:
-        raise SchemaError(
-            f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
-            f"got {pf.structure!r}"
-        )
-    spec = QuadraticSpec(
-        pf.structure,
-        tuple(_need(pf.change, "eigenvalues", "change.eigenvalues")),
-        tuple(_need(pf.targets, "eigenvalues", "targets.eigenvalues")),
-    )
+    spec = QuadraticSpec(pf.structure, tuple(pf.change.eigenvalues), tuple(pf.targets.eigenvalues))
     # the path's parameters were checked against the table: each is a solve_quadratic keyword
     result, info = solve_quadratic(pf.m, pf.k, spec, **pf.parameters)
     return info["pencil"], result, info["problem"], info["psd"]
@@ -93,9 +70,7 @@ def _solve_structured(pf):
     core source ``core_from_parameters`` takes."""
     sources = {key: _as_square(v) if fileio.PARAMETERS[key][0] == "matrix" else v
                for key, v in pf.parameters.items()}
-    xc = _need(pf.change, "x", "change.x")
-    lam_c = _need(pf.change, "lam", "change.lambda")
-    lam_a = _need(pf.targets, "lam", "targets.lambda")
+    xc, lam_c, lam_a = pf.change.x, pf.change.lam, pf.targets.lam
     pencil = structure_pencil(pf.m, pf.k, pf.structure)
     if isinstance(pencil, SHHPencil):
         gramian = shh_gramian
@@ -105,28 +80,20 @@ def _solve_structured(pf):
     g, _ = gramian(pencil, xc)
     core = core_from_parameters(g.real if pf.structure == "t-shh" else g, lam_c, lam_a, **sources)
     result = update(pencil, xc, lam_c, lam_a, core)
-    problem = UpdateProblem(DeflatingPair(xc, lam_c), lam_a, fixed=_fixed_from_file(pf))
-    return pencil, result, problem, ()
+    return pencil, result, _update_problem(pf), ()
 
 
 def solve_problem(pf: fileio.ProblemFile, tol_defl: float = TAU_DEFL):
     """(result, certificate) of a problem file.
 
-    A quadratic file takes the quadratic path, any other the path its
-    ``structure`` names. BadParameters when the file names a parameter
-    whose row in ``fileio.PARAMETERS`` does not list that path. The
-    certificate has the residuals, plus the spectrum match when the fixed
-    pair is known. Only the result and the certificate outlive the call, so
-    the pencil and the fixed pair are freed before the caller writes the
-    delta file.
+    The file's ``path`` picks the solve: quadratic, unstructured, or the
+    structured path its ``structure`` names. The certificate has the
+    residuals, plus the spectrum match when the fixed pair is known. Only
+    the result and the certificate outlive the call, so the pencil and the
+    fixed pair are freed before the caller writes the delta file.
     """
-    path = "quadratic" if pf.quadratic else pf.structure
-    named = [key for key in pf.parameters if path not in fileio.PARAMETERS[key][1]]
-    if named:
-        article = "an" if path == "unstructured" else "a"
-        raise BadParameters(f"{article} {path} file takes no {', '.join(named)}")
     solve = {"unstructured": _solve_unstructured, "quadratic": _solve_quadratic}
-    pencil, result, problem, psd = solve.get(path, _solve_structured)(pf)
+    pencil, result, problem, psd = solve.get(pf.path, _solve_structured)(pf)
     expected = None
     if problem.fixed is not None:
         expected = np.concatenate(

@@ -11,6 +11,17 @@ factors of an ``UpdateResult``. ``load_delta`` still reads the older
 ``format: 1`` delta file, with the dense ``delta_m`` and ``delta_k``, as
 the factors ``(I_n, delta_m, delta_k, I_n)``.
 
+Every reader reads each key of its file or refuses the file with a
+``SchemaError`` that names the key. Two tables say what each solve path
+reads: ``PARAMETERS`` for the keys of ``parameters``, and ``PAIR_FIELDS``
+for the fields of the ``change``, ``targets`` and ``fixed`` blocks, with
+the paths that need each field. ``ProblemFile.checked`` applies both to a
+problem file wherever the package makes one (``load_problem``,
+``load_pencil``, ``random``, the reference cases), and ``load_pairs``
+applies ``PAIR_FIELDS`` to a pairs file; so the dispatch and the CLI
+check no key. A file that cannot be read or written is a ``SchemaError``
+too.
+
 Files are compact, with sorted keys, written by ``orjson`` a matrix row at
 a time from each array's float64 view. orjson cannot spell a non-finite
 number, so an array or number holding a NaN or an infinity is written by
@@ -30,19 +41,26 @@ import numpy as np
 
 from .errors import SchemaError
 from .linalg import TAU_SPECTRUM
+from .special import QUADRATIC_CLASSES
 from .unstructured import UpdateResult
 
 FORMAT_VERSION = 1
 FACTORED_DELTA_FORMAT = 2
 
 _FACTOR_NAMES = ("left", "mhat", "khat", "right")
-# the keys each reader reads; a problem or pencil file, a pairs file or a
-# pair block that holds another is refused
+# the keys each reader reads; a problem or pencil file, a pairs file, a
+# delta file of each format, a factors block or a pair block that holds
+# another is refused
 _PROBLEM_KEYS = (
     "format", "structure", "quadratic", "m", "k", "change", "targets", "fixed", "parameters"
 )
 _PAIRS_KEYS = ("format", "targets", "fixed")
-_PAIR_BLOCK_KEYS = ("x", "lambda", "eigenvalues")
+_DELTA_KEYS = {
+    FACTORED_DELTA_FORMAT: ("format", "factors", "provenance", "certificate"),
+    FORMAT_VERSION: ("format", "delta_m", "delta_k", "provenance", "certificate"),
+}
+# each key of a pair block, and the PairBlock attribute that holds it
+_FIELD_ATTRS = {"x": "x", "lambda": "lam", "eigenvalues": "eigenvalues"}
 
 STRUCTURE_NAMES = (
     "unstructured",
@@ -140,15 +158,14 @@ def _chunks(tree):
 
 
 def _write(path, doc):
-    with open(path, "wb") as f:
-        f.writelines(_chunks(_views(doc)))
-        f.write(b"\n")
-
-
-def _decode_optional(block, key, name):
-    if block is None or block.get(key) is None:
-        return None
-    return decode_matrix(block[key], name)
+    """Write ``doc`` to ``path``; SchemaError naming the path when it cannot
+    be written."""
+    try:
+        with open(path, "wb") as f:
+            f.writelines(_chunks(_views(doc)))
+            f.write(b"\n")
+    except OSError as exc:  # its message names the path
+        raise SchemaError(f"cannot write file: {exc}") from None
 
 
 @dataclass
@@ -169,18 +186,55 @@ class ProblemFile:
     parameters: dict = field(default_factory=dict)
     quadratic: bool = False
 
+    @property
+    def path(self) -> str:
+        """The solve path: "quadratic" for a quadratic file, else its structure."""
+        return "quadratic" if self.quadratic else self.structure
+
+    def checked(self) -> ProblemFile:
+        """This file; SchemaError unless a quadratic file's structure is a
+        quadratic class and its path reads every field and parameter it
+        gives and is given every field it needs (``PAIR_FIELDS``,
+        ``PARAMETERS``). Every problem file the package makes is checked:
+        a loaded one, a ``random`` one and each reference case's."""
+        if self.quadratic and self.structure not in QUADRATIC_CLASSES:
+            raise SchemaError(
+                f"quadratic problems need structure in {QUADRATIC_CLASSES}, "
+                f"got {self.structure!r}"
+            )
+        blocks = {"change": self.change, "targets": self.targets, "fixed": self.fixed}
+        _check_reads(self.path, blocks, self.parameters)
+        return self
+
 
 _STRUCTURED = STRUCTURE_NAMES[1:]
+# the path of every structure, unstructured included, and pairs files
+_PAIR_READERS = STRUCTURE_NAMES + ("pairs",)
 
 # Each key a problem file's ``parameters`` may hold: the JSON type of its
-# value, and the solve paths that take it (a structure name, "quadratic" or
-# "unstructured"). A file names no other key, and its path takes the keys it
+# value, and the solve paths that read it (a structure name, "quadratic" or
+# "unstructured"). A file names no other key, and its path reads the keys it
 # names.
 PARAMETERS = {
     "t": ("number", _STRUCTURED),
     **dict.fromkeys(("mhat", "z1", "z2"), ("matrix", _STRUCTURED + ("quadratic",))),
     "strategy": ("string", ("quadratic",)),
     "slack": ("number", ("quadratic",)),
+}
+
+# Each field of a pair block, as ``block.key``: the JSON type of its value,
+# the readers that read it, and the readers that need it in a block that is
+# given. A reader is a solve path, or "pairs" for a pairs file. A problem
+# file always gives its change and targets; its fixed pair, and each block
+# of a pairs file, is given or absent as a whole.
+PAIR_FIELDS = {
+    **dict.fromkeys(("change.x", "change.lambda"), ("matrix", STRUCTURE_NAMES, STRUCTURE_NAMES)),
+    "change.eigenvalues": ("matrix", ("quadratic",), ("quadratic",)),
+    "targets.x": ("matrix", ("unstructured", "pairs"), ("pairs",)),
+    "targets.lambda": ("matrix", _PAIR_READERS, _PAIR_READERS),
+    "targets.eigenvalues": ("matrix", ("quadratic",), ("quadratic",)),
+    **dict.fromkeys(("fixed.x", "fixed.lambda"), ("matrix", _PAIR_READERS, _PAIR_READERS)),
+    "fixed.eigenvalues": ("matrix", (), ()),
 }
 
 # whether a decoded JSON value is of each type but "matrix", which decode_matrix
@@ -199,29 +253,47 @@ def _known_keys(obj: dict, keys, what: str) -> dict:
     return obj
 
 
-def _decode_parameter(key, value):
-    """A ``parameters`` entry, of its row's JSON type; SchemaError naming it otherwise."""
-    kind = PARAMETERS[key][0]
+def _decode_value(kind, value, name):
+    """A value of JSON type ``kind``; SchemaError naming it otherwise."""
     if kind == "matrix":
-        return decode_matrix(value, f"parameters.{key}")
+        return decode_matrix(value, name)
     if not _IS_TYPE[kind](value):
-        raise SchemaError(f"parameters.{key}: not a {kind}")
+        raise SchemaError(f"{name}: not a {kind}")
     return value
 
 
+def _check_reads(reader: str, blocks: dict, parameters=()) -> None:
+    """SchemaError naming every field of a given block (``blocks`` maps a
+    block name to its PairBlock, or None when absent) and every
+    ``parameters`` key that ``reader`` does not read; else naming every
+    field it needs that a given block lacks."""
+    article = "an" if reader[0] in "aeiou" else "a"
+    fields = [(name, row, getattr(blocks[block], _FIELD_ATTRS[key]) is not None)
+              for name, row in PAIR_FIELDS.items()
+              for block, key in [name.split(".")] if blocks.get(block) is not None]
+    unread = [name for name, (_, readers, _), given in fields if given and reader not in readers]
+    unread += [f"parameters.{key}" for key in parameters
+               if reader not in PARAMETERS.get(key, (None, ()))[1]]
+    if unread:
+        raise SchemaError(f"{article} {reader} file reads no {', '.join(unread)}")
+    missing = [name for name, (_, _, needers), given in fields if not given and reader in needers]
+    if missing:
+        raise SchemaError(f"{article} {reader} file needs {', '.join(missing)}")
+
+
 def _decode_pair_block(obj, name) -> PairBlock:
-    """A pair block; its lambda, when given with x, is p x p for the p
-    columns of x (a vector counts as one column)."""
+    """A pair block; a null field is absent. Its lambda, when given with x,
+    is p x p for the p columns of x (a vector counts as one column)."""
     if obj is None:
         return PairBlock()
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object")
-    _known_keys(obj, _PAIR_BLOCK_KEYS, name)
-    block = PairBlock(
-        x=_decode_optional(obj, "x", f"{name}.x"),
-        lam=_decode_optional(obj, "lambda", f"{name}.lambda"),
-        eigenvalues=_decode_optional(obj, "eigenvalues", f"{name}.eigenvalues"),
-    )
+    _known_keys(obj, _FIELD_ATTRS, name)
+    block = PairBlock(**{
+        _FIELD_ATTRS[key]: _decode_value(PAIR_FIELDS[f"{name}.{key}"][0], value, f"{name}.{key}")
+        for key, value in obj.items()
+        if value is not None
+    })
     if block.x is not None and block.lam is not None:
         p = block.x.shape[1] if block.x.ndim == 2 else 1
         lam_shape = block.lam.shape if block.lam.ndim == 2 else (block.lam.size, 1)
@@ -299,7 +371,8 @@ def _load_problem(path, what: str) -> ProblemFile:
     if not isinstance(params_raw, dict):
         raise SchemaError("parameters must be an object")
     _known_keys(params_raw, PARAMETERS, "parameters")
-    params = {key: _decode_parameter(key, value) for key, value in params_raw.items()}
+    params = {key: _decode_value(PARAMETERS[key][0], value, f"parameters.{key}")
+              for key, value in params_raw.items()}
     quadratic = raw.get("quadratic", False)
     if not isinstance(quadratic, bool):
         raise SchemaError("quadratic must be true or false")
@@ -309,14 +382,10 @@ def _load_problem(path, what: str) -> ProblemFile:
         k=k,
         change=_decode_pair_block(raw.get("change"), "change"),
         targets=_decode_pair_block(raw.get("targets"), "targets"),
-        fixed=(
-            _decode_pair_block(raw["fixed"], "fixed")
-            if raw.get("fixed") is not None
-            else None
-        ),
+        fixed=None if raw.get("fixed") is None else _decode_pair_block(raw["fixed"], "fixed"),
         parameters=params,
         quadratic=quadratic,
-    )
+    ).checked()
 
 
 def _problem_doc(pf: ProblemFile) -> dict:
@@ -348,11 +417,14 @@ def save_pairs(path, fixed_x, fixed_lam):
 
 
 def load_pairs(path) -> dict:
+    """The blocks a pairs file gives, ``targets`` and ``fixed``: at least
+    one, each with its x and lambda (``PAIR_FIELDS``)."""
     raw = _read(path, "pairs", keys=_PAIRS_KEYS)
-    out = {}
-    for key in ("targets", "fixed"):
-        if raw.get(key) is not None:
-            out[key] = _decode_pair_block(raw[key], key)
+    out = {key: _decode_pair_block(raw[key], key)
+           for key in ("targets", "fixed") if raw.get(key) is not None}
+    if not out:
+        raise SchemaError("a pairs file needs targets or fixed")
+    _check_reads("pairs", out)
     return out
 
 
@@ -398,6 +470,7 @@ def _factored_delta(raw) -> UpdateResult:
     block = raw.get("factors")
     if not isinstance(block, dict) or any(key not in block for key in _FACTOR_NAMES):
         raise SchemaError(f"delta file needs factors {', '.join(_FACTOR_NAMES)}")
+    _known_keys(block, _FACTOR_NAMES, "factors")
     left, mhat, khat, right = (
         decode_matrix(block[key], f"factors.{key}") for key in _FACTOR_NAMES
     )
@@ -413,7 +486,8 @@ def _factored_delta(raw) -> UpdateResult:
 def load_delta(path) -> UpdateResult:
     """The update of a delta file: its factors (format 2), or its dense dM
     and dK (format 1) as the factors (I_n, dM, dK, I_n)."""
-    raw = _read(path, "delta", (FORMAT_VERSION, FACTORED_DELTA_FORMAT))
+    raw = _read(path, "delta", tuple(_DELTA_KEYS))
+    _known_keys(raw, _DELTA_KEYS[raw["format"]], "delta file")
     if raw["format"] == FACTORED_DELTA_FORMAT:
         return _factored_delta(raw)
     if "delta_m" not in raw or "delta_k" not in raw:
@@ -427,7 +501,7 @@ def load_delta(path) -> UpdateResult:
 
 
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:
-    """(M, K, structure) from a problem file or a bare pencil file, which
-    is refused wherever ``load_problem`` would refuse it."""
+    """(M, K, structure) from a problem file, which is refused wherever
+    ``load_problem`` would refuse it."""
     pf = _load_problem(path, "pencil")
     return pf.m, pf.k, pf.structure

@@ -17,7 +17,7 @@ from conftest import fresh_python_env, run_fresh_python, same_values, t_shh_shap
 from nospillover import cli, dispatch, fileio, randomgen
 from nospillover.cases import CASES, run_case
 from nospillover.cli import main
-from nospillover.errors import NotEigenpair
+from nospillover.errors import NotEigenpair, SchemaError
 from nospillover.linalg import TAU_STRUCT
 from nospillover.pencil import T_EVEN, StructuredPencil
 from nospillover.randomgen import RANDOM_CLASSES, plant_problem
@@ -278,10 +278,10 @@ class TestSolve:
         ],
         ids=["quadratic+t", "hermitian+strategy", "star-even+slack"],
     )
-    def test_parameter_its_path_does_not_take_exit_3(self, tmp_path, capsys, source, key, value):
+    def test_parameter_its_path_does_not_take_exit_2(self, tmp_path, capsys, source, key, value):
         prob = with_parameters(tmp_path, source, **{key: value})
-        err = refused(tmp_path, capsys, prob, 3)
-        assert re.search(f"error: BadParameters: a [a-z-]+ file takes no {key}\n", err)
+        err = refused(tmp_path, capsys, prob, 2)
+        assert re.fullmatch(f"schema error: a [a-z-]+ file reads no parameters.{key}\n", err)
 
     @pytest.mark.parametrize(
         "params, message",
@@ -443,6 +443,20 @@ REMOVED_KEYS = {
 }
 
 
+def reads_no(path: str, *names: str) -> str:
+    """The schema error for fields or parameters ``names`` that the reader
+    ``path`` (a solve path, or "pairs") does not read."""
+    article = "an" if path == "unstructured" else "a"
+    return f"schema error: {article} {path} file reads no {', '.join(names)}"
+
+
+def needs(path: str, *names: str) -> str:
+    """The schema error for fields ``names`` that the reader ``path`` needs
+    and a given block lacks."""
+    article = "an" if path == "unstructured" else "a"
+    return f"schema error: {article} {path} file needs {', '.join(names)}"
+
+
 def parameter_error(key: str) -> str:
     """The start of the schema error for a bad ``parameters`` entry ``key``:
     its row's, or, for a key no row takes, the unknown key's."""
@@ -495,12 +509,10 @@ class TestParameterTable:
             if path not in paths
         ],
     )
-    def test_key_on_a_path_its_row_does_not_list_exit_3(self, tmp_path, capsys, path_docs, key, path):
+    def test_key_on_a_path_its_row_does_not_list_exit_2(self, tmp_path, capsys, path_docs, key, path):
         value = VALID[fileio.PARAMETERS[key][0]]
         prob = problem_of_path(tmp_path, path_docs, path, **{key: value})
-        article = "an" if path == "unstructured" else "a"
-        expected = f"error: BadParameters: {article} {path} file takes no {key}\n"
-        assert refused(tmp_path, capsys, prob, 3) == expected
+        assert refused(tmp_path, capsys, prob, 2) == f"{reads_no(path, f'parameters.{key}')}\n"
 
     def test_rows_list_the_class_of_every_random_file(self, path_docs):
         for klass in RANDOM_CLASSES:
@@ -526,7 +538,7 @@ class TestParameterTable:
             ("t-shh", {"quad_alpha": "12"}, 2),
             ("hermitian", {"num_couples": 1}, 2),
             ("quadratic", {"num_couples": 1}, 2),
-            ("unstructured", {"t": 0.25, "mhat": _DIAG, "strategy": "psd-minimal"}, 3),
+            ("unstructured", {"t": 0.25, "mhat": _DIAG, "strategy": "psd-minimal"}, 2),
             ("quadratic", {"slack": 5.0}, 3),
         ],
         ids=["t-string", "t-true", "num_quadruples-1.9", "quad_alpha-string",
@@ -537,10 +549,13 @@ class TestParameterTable:
         self, tmp_path, capsys, path_docs, path, params, code
     ):
         # a T-SHH key or num_couples, read on some paths before, is now an
-        # unknown key on every path
+        # unknown key on every path; a key the path does not read names it
         prob = problem_of_path(tmp_path, path_docs, path, **params)
         err = refused(tmp_path, capsys, prob, code)
-        assert err.startswith(parameter_error(*params) if code == 2 else "error: BadParameters: ")
+        if path == "unstructured":  # every key the path does not read, in one error
+            assert err == reads_no(path, *(f"parameters.{key}" for key in params)) + "\n"
+        else:
+            assert err.startswith(parameter_error(*params) if code == 2 else "error: BadParameters: ")
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_quadratic_flag_not_a_boolean_exit_2(self, tmp_path, capsys, path_docs, value):
@@ -614,6 +629,210 @@ class TestParameterTable:
         assert t_shh_names(Path(randomgen.__file__)) == ["t_shh_lambda", "t_shh_mhat"]
 
 
+def pair_field_literals(path: Path) -> list[str]:
+    """The string literals of the module at ``path``, f-string parts
+    included, that name a row of ``fileio.PAIR_FIELDS`` or a pair-block
+    key, alone or after a dot."""
+    keys = {name.split(".")[1] for name in fileio.PAIR_FIELDS}
+    return [
+        f"{path.name}:{node.lineno} literal {node.value!r}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (node.value in fileio.PAIR_FIELDS or node.value.rpartition(".")[2] in keys)
+    ]
+
+
+def field_of(doc: dict, name: str):
+    """The pair block of ``doc`` that the field ``name`` (``block.key``)
+    belongs in, made when absent, and the key."""
+    block, key = name.split(".")
+    if doc.get(block) is None:
+        doc[block] = {}
+    return doc[block], key
+
+
+# the pair fields each solve path does not read, and those it needs
+UNREAD_FIELDS = [(name, path) for name, (_, readers, _) in fileio.PAIR_FIELDS.items()
+                 for path in SOLVE_PATHS if path not in readers]
+NEEDED_FIELDS = [(name, path) for name, (_, _, needers) in fileio.PAIR_FIELDS.items()
+                 for path in SOLVE_PATHS if path in needers]
+
+
+class TestPairFieldTable:
+    """Which pair-block fields each path reads and needs is one table,
+    ``fileio.PAIR_FIELDS``: a field the path does not read, or a needed one
+    that is missing, is a schema error, exit 2, that names it, for
+    ``solve``, ``verify --pencil``, ``verify --pairs`` and an in-memory
+    ``ProblemFile`` alike."""
+
+    @pytest.mark.parametrize("name, path", UNREAD_FIELDS)
+    def test_field_its_path_does_not_read_exit_2(self, tmp_path, capsys, path_docs, name, path):
+        # the value is the file's change vectors, which fit its targets'
+        # lambda, or a vector where the block has no lambda
+        doc = json.loads(json.dumps(path_docs[path]))
+        block, key = field_of(doc, name)
+        block[key] = (doc["change"] or {}).get("x", _DIAG)
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc))
+        assert refused(tmp_path, capsys, prob, 2) == reads_no(path, name) + "\n"
+
+    @pytest.mark.parametrize("name, path", NEEDED_FIELDS)
+    def test_needed_field_missing_exit_2(self, tmp_path, capsys, path_docs, name, path):
+        # a fixed block is given or absent as a whole: one with the other field only
+        doc = json.loads(json.dumps(path_docs[path]))
+        block, key = field_of(doc, name)
+        if block:
+            del block[key]
+        else:
+            block["lambda" if key == "x" else "x"] = _DIAG
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc))
+        assert refused(tmp_path, capsys, prob, 2) == needs(path, name) + "\n"
+
+    def test_unstructured_file_without_fixed_pair_exit_3(self, tmp_path, capsys, path_docs):
+        # the fixed pair is optional in the table; solve_general itself needs it
+        prob = problem_of_path(tmp_path, path_docs, "unstructured")
+        assert refused(tmp_path, capsys, prob, 3).startswith("error: MissingFixedPair: ")
+
+    def test_rows_cover_every_field_of_every_block(self):
+        blocks = ("change", "targets", "fixed")
+        keys = ("x", "lambda", "eigenvalues")
+        assert sorted(fileio.PAIR_FIELDS) == sorted(f"{b}.{k}" for b in blocks for k in keys)
+
+    def test_files_of_every_path_hold_only_what_it_reads(self, path_docs):
+        # each path reads every field its own documents give
+        for path, doc in path_docs.items():
+            given = [f"{block}.{key}" for block in ("change", "targets", "fixed")
+                     for key in (doc.get(block) or {})]
+            assert all(path in fileio.PAIR_FIELDS[name][1] for name in given), path
+
+    def test_unread_keys_named_before_missing_ones(self, tmp_path, capsys, path_docs):
+        # a star-even change block spelt the quadratic way: its eigenvalues
+        # are named, not the x and lambda it lacks; every unread key at once
+        doc = json.loads(json.dumps(path_docs["star-even"]))
+        doc["change"] = {"eigenvalues": _DIAG}
+        doc["targets"]["eigenvalues"] = _DIAG
+        doc["parameters"]["strategy"] = "psd-minimal"
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == reads_no("star-even", "change.eigenvalues", "targets.eigenvalues",
+                               "parameters.strategy") + "\n"
+
+    def test_in_memory_problem_file_checked_as_a_loaded_one(self, tmp_path, capsys):
+        planted = plant_problem(7, 8, 2, "star-even")
+        pf = fileio.ProblemFile(
+            "star-even", planted.pencil.m, planted.pencil.k,
+            fileio.PairBlock(planted.change.x, planted.change.lam),
+            fileio.PairBlock(planted.change.x, planted.target_lam),
+        )
+        prob = tmp_path / "prob.json"
+        fileio.save_problem(prob, pf)
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == reads_no("star-even", "targets.x") + "\n"
+        with pytest.raises(SchemaError) as exc:
+            pf.checked()
+        assert f"schema error: {exc.value}\n" == err
+        pf.quadratic = True
+        with pytest.raises(SchemaError, match="a quadratic file reads no change.x"):
+            pf.checked()
+
+    def test_reference_case_problems_pass_the_check(self):
+        # every problem the package makes passes the check it is made with
+        for case in CASES.values():
+            assert case.problem().checked().path == ("quadratic" if case.quadratic else case.klass)
+
+    def test_cli_and_dispatch_name_no_pair_field(self):
+        for module in (cli, dispatch):
+            assert pair_field_literals(Path(module.__file__)) == []
+
+    def test_scan_sees_pair_field_literals(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text('b = {"x": 1}.get("fixed.lambda")\nname = f"{b}.eigenvalues"\n')
+        assert sorted(f.split(" ", 1)[1] for f in pair_field_literals(module)) == [
+            "literal '.eigenvalues'", "literal 'fixed.lambda'", "literal 'x'"]
+
+
+# inputs whose pair fields or parameters a path read loosely before: each
+# change to the star-even random file (seed 7, n=8, p=2) or to the herm-6.1
+# quadratic fixture, given its fixed pair ``fx``, and the error
+LOOSE_PROBLEMS = {
+    # a structured path ignored targets.x and certified X_c, not the given X_a
+    "star-even+targets.x": ("star-even", lambda doc, fx: doc["targets"].update(
+        x=doc["change"]["x"]), reads_no("star-even", "targets.x")),
+    "quadratic+fixed": ("quadratic", lambda doc, fx: doc.update(fixed=fx),
+                        reads_no("quadratic", "fixed.x", "fixed.lambda")),
+    "quadratic+change.x": ("quadratic", lambda doc, fx: doc["change"].update(x=fx["x"]),
+                           reads_no("quadratic", "change.x")),
+    "quadratic+targets.lambda": ("quadratic", lambda doc, fx: doc["targets"].update(
+        {"lambda": fx["lambda"]}), reads_no("quadratic", "targets.lambda")),
+    "star-even+change.eigenvalues": ("star-even", lambda doc, fx: doc["change"].update(
+        eigenvalues=_DIAG), reads_no("star-even", "change.eigenvalues")),
+    # fixed.x alone exited 3 with DimensionMismatch; fixed.lambda alone was dropped
+    "star-even+fixed.x": ("star-even", lambda doc, fx: doc.update(fixed={"x": fx["x"]}),
+                          needs("star-even", "fixed.lambda")),
+    "star-even+fixed.lambda": ("star-even", lambda doc, fx: doc.update(
+        fixed={"lambda": fx["lambda"]}), needs("star-even", "fixed.x")),
+    # verify --pencil took what solve refused with BadParameters
+    "star-even+strategy": ("star-even", lambda doc, fx: doc["parameters"].update(
+        strategy="psd-minimal"), reads_no("star-even", "parameters.strategy")),
+}
+
+# the same for the star-even file's pairs file, given the problem document
+LOOSE_PAIRS = {
+    "fixed.eigenvalues": (lambda pairs, doc: pairs["fixed"].update(eigenvalues=_DIAG),
+                          reads_no("pairs", "fixed.eigenvalues")),
+    "targets.eigenvalues": (lambda pairs, doc: pairs.update(targets={
+        "x": doc["change"]["x"], "lambda": doc["targets"]["lambda"], "eigenvalues": _DIAG}),
+        reads_no("pairs", "targets.eigenvalues")),
+    "fixed.x": (lambda pairs, doc: pairs["fixed"].pop("lambda"), needs("pairs", "fixed.lambda")),
+    "fixed.lambda": (lambda pairs, doc: pairs.update(
+        targets={"x": doc["change"]["x"], "lambda": doc["targets"]["lambda"]},
+        fixed={"lambda": pairs["fixed"]["lambda"]}), needs("pairs", "fixed.x")),
+}
+
+
+class TestReadLooselyBefore:
+    """Each input that a path read loosely before, refused by ``solve`` and
+    ``verify`` with one schema error, exit 2, that names the key."""
+
+    @staticmethod
+    def solved(tmp_path):
+        prob, delta, pairs = TestKnownKeys.solved(tmp_path)
+        return prob, delta, pairs, json.loads(pairs.read_text())["fixed"]
+
+    @pytest.mark.parametrize("case", LOOSE_PROBLEMS)
+    def test_problem_file_refused_by_solve_and_verify(self, tmp_path, capsys, case):
+        prob, delta, pairs, fx = self.solved(tmp_path)
+        source, change, message = LOOSE_PROBLEMS[case]
+        doc = (json.loads((DATA / "herm-6.1.quadratic.json").read_text())
+               if source == "quadratic" else json.loads(prob.read_text()))
+        change(doc, fx)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert refused(tmp_path, capsys, bad, 2) == message + "\n"
+        assert run(["verify", "--pencil", bad, "--delta", delta, "--pairs", pairs]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("case", LOOSE_PAIRS)
+    def test_pairs_file_refused_by_verify(self, tmp_path, capsys, case):
+        prob, delta, pairs, _ = self.solved(tmp_path)
+        change, message = LOOSE_PAIRS[case]
+        doc = json.loads(pairs.read_text())
+        change(doc, json.loads(prob.read_text()))
+        pairs.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_pairs_file_with_no_block_exit_2(self, tmp_path, capsys):
+        prob, delta, pairs, _ = self.solved(tmp_path)
+        pairs.write_text('{"format": 1, "targets": null}')
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 2
+        assert capsys.readouterr().err == "schema error: a pairs file needs targets or fixed\n"
+
+
 class TestKnownKeys:
     """A file's keys are read by one rule: a key no reader reads, or a
     ``structure`` that names none, is a schema error, exit 2, that names it,
@@ -676,6 +895,47 @@ class TestKnownKeys:
         assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", fixed]) == 2
         where = "pairs file" if block is None else block
         assert capsys.readouterr().err == f"schema error: {where}: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("where, key", [(None, "delta_m"), ("factors", "Left")],
+                             ids=["delta_m", "factors.Left"])
+    def test_delta_file_key_no_reader_reads_exit_2(self, tmp_path, capsys, where, key):
+        # a format-2 file's dense delta_m, or a misspelt factor next to the four
+        prob, delta, fixed = self.solved(tmp_path)
+        doc = json.loads(delta.read_text())
+        (doc if where is None else doc[where])[key] = doc["factors"]["left"]
+        delta.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", fixed]) == 2
+        where = where or "delta file"
+        assert capsys.readouterr().err == f"schema error: {where}: unknown key {key!r}\n"
+
+    def test_format_1_delta_file_key_no_reader_reads_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "star-even-n8.format1.delta.json").read_text())
+        doc["factors"] = None
+        delta = tmp_path / "delta.json"
+        delta.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", DATA / "star-even-n8.json", "--delta", delta,
+                    "--pairs", DATA / "star-even-n8.json.fixed.json"]) == 2
+        assert capsys.readouterr().err == "schema error: delta file: unknown key 'factors'\n"
+
+
+class TestUnwritableOutput:
+    """A file that cannot be written is exit 2 with one line that names it,
+    as an unreadable input is; exit 1 stays a failed certificate."""
+
+    @pytest.mark.parametrize("command", ["solve", "random"])
+    def test_out_in_a_missing_directory_exit_2(self, tmp_path, capsys, command):
+        prob, out = tmp_path / "prob.json", tmp_path / "missing" / "out.json"
+        random = ["random", "--seed", 7, "--n", 8, "--p", 2, "--class", "star-even", "--out"]
+        assert run(random + [prob]) == 0
+        capsys.readouterr()
+        args = ["solve", "--input", prob, "--out", out] if command == "solve" else random + [out]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err.startswith("schema error: cannot write file: ")
+        assert str(out) in captured.err and captured.err.count("\n") == 1
 
 
 def with_leaf(doc: dict, where: str, value) -> dict:

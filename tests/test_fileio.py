@@ -83,8 +83,9 @@ class TestProblemFile:
     def _sample(self):
         rng = np.random.default_rng(2)
         m = crandn(rng, 3, 3)
+        # a structure whose path reads every field and parameter it gives
         return fileio.ProblemFile(
-            structure="unstructured",
+            structure="hermitian",
             m=m,
             k=crandn(rng, 3, 3),
             change=fileio.PairBlock(x=crandn(rng, 3, 1), lam=crandn(rng, 1, 1)),
