@@ -23,7 +23,7 @@ from .pencil import (
     classify_structure,
     normalize_columns,
 )
-from .shh import EigGrouping, SHHPencil, shh_update, t_shh_update
+from .shh import SHHPencil, shh_update, t_shh_update
 from .special import (
     QuadraticSpec,
     hermitian_update,
@@ -59,7 +59,6 @@ __all__ = [
     "Certificate",
     "CoreSolution",
     "DeflatingPair",
-    "EigGrouping",
     "HERMITIAN",
     "NoSpilloverError",
     "QuadraticSpec",

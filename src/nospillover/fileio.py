@@ -282,8 +282,9 @@ def _check_reads(reader: str, blocks: dict, parameters=()) -> None:
 
 
 def _decode_pair_block(obj, name) -> PairBlock:
-    """A pair block; a null field is absent. Its lambda, when given with x,
-    is p x p for the p columns of x (a vector counts as one column)."""
+    """A pair block, each field a matrix (a null one is refused, as a null
+    parameter is). Its lambda, when given with x, is p x p for the p
+    columns of x (a vector counts as one column)."""
     if obj is None:
         return PairBlock()
     if not isinstance(obj, dict):
@@ -292,7 +293,6 @@ def _decode_pair_block(obj, name) -> PairBlock:
     block = PairBlock(**{
         _FIELD_ATTRS[key]: _decode_value(PAIR_FIELDS[f"{name}.{key}"][0], value, f"{name}.{key}")
         for key, value in obj.items()
-        if value is not None
     })
     if block.x is not None and block.lam is not None:
         p = block.x.shape[1] if block.x.ndim == 2 else 1

@@ -107,14 +107,15 @@ QZ_INFINITE_TOL = 1e-14
 REAL_DATA_TOL = 1e-8
 # bounds: the largest |imaginary part| of the data of a T-SHH update over
 #   its scale, that still counts as real (formerly ``shh._PATTERN_TOL``):
-#   of the pencil over max(||M||_F, ||K||_F), of the change basis, the two
-#   Lambdas and the core over their largest Frobenius norm, and of a real
-#   pair's eigenvectors over their largest |entries|.
-# why: a real pair's eigenvectors come from a complex QZ, whose imaginary
-#   parts are rounding times the vectors' condition. Mismatch: the real
-#   T-odd/T-even recipes ask the same of their pencil at TAU_STRUCT. Making
-#   the two agree changes which inputs one path accepts, so it would be a
-#   change of its own.
+#   of the pencil over max(||M||_F, ||K||_F), and of the change basis, the
+#   two Lambdas and the core over their largest Frobenius norm
+#   (``t_shh_update``).
+# why: the update keeps only the real parts of its factors, which is an
+#   update of the data only if the data is real; about sqrt(eps) admits
+#   data read from a file or formed in complex arithmetic. Mismatch: the
+#   real T-odd/T-even recipes ask the same of their pencil at TAU_STRUCT.
+#   Making the two agree changes which inputs one path accepts, so it would
+#   be a change of its own.
 
 # -- published reference values
 PUBLISHED_VALUE_TOL = 1e-3

@@ -101,6 +101,14 @@ def _crandn(rng) -> complex:
     return complex(*rng.standard_normal(2))
 
 
+def _refuse_negative(seed: int, n: int) -> None:
+    """Refuse a negative seed or order n before any draw: a numpy seed
+    takes non-negative integers only, and the order is part of the seed."""
+    for name, value in (("seed", seed), ("n", n)):
+        if value < 0:
+            raise BadParameters(f"need {name} >= 0 (got {name}={value})")
+
+
 def _plant(
     seed: int, key: tuple, draw, tag: StructureTag, shh: str | None, what: str
 ) -> PlantedProblem:
@@ -284,6 +292,7 @@ def plant_problem(seed: int, n: int, p: int, class_name: str) -> PlantedProblem:
     p // 2 partner pairs and p % 2 self-paired values change (p
     self-paired values for symmetric, whose every value is its own
     partner)."""
+    _refuse_negative(seed, n)
     if class_name not in TAG_BY_NAME:
         raise BadParameters(f"unknown class {class_name!r}")
     if not 0 < p < n:
@@ -335,6 +344,7 @@ def _star_shh_parameters(seed: int, p: int, num_couples: int) -> dict:
 def plant_star_shh(seed: int, half_n: int, num_couples: int, num_imag: int) -> PlantedProblem:
     """Planted *-SHH instance changing exactly ``num_couples`` (l, -conj l)
     couples and ``num_imag`` purely imaginary eigenvalues."""
+    _refuse_negative(seed, 2 * half_n)
     if min(num_couples, num_imag) < 0 or num_couples + num_imag == 0:
         raise BadParameters("star-shh instances need p >= 1: at least one change value")
     parameters = _star_shh_parameters(seed, 2 * num_couples + num_imag, num_couples)
@@ -410,6 +420,7 @@ def plant_t_shh(seed: int, half_n: int) -> PlantedProblem:
     those that leave a fixed pair, so p is 4 or 2. The change pair is the
     real basis of the group with its block Lambda (``t_shh_lambda``).
     """
+    _refuse_negative(seed, 2 * half_n)
     return _plant(
         seed,
         (half_n,),

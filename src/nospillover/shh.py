@@ -122,46 +122,14 @@ def shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateRe
 # ---------------------------------------------------------------------------
 # real T-SHH: quadruples, imaginary pairs, real pairs
 
-@dataclass(frozen=True)
-class EigGrouping:
-    """Grouped eigendata of a real T-SHH pencil: what ``group_t_shh_spectrum``
-    returns, and what ``t_shh_basis`` turns into a real change pair.
-
-    quadruples: (lam, x, xhat) with re(lam) > 0, im(lam) > 0; x and xhat are
-    eigenvectors for lam and -conj(lam). imag_pairs: (lam, x) with lam = i*mu,
-    mu > 0. real_pairs: (lam, x, xhat) with lam > 0 real; x, xhat real
-    eigenvectors for lam and -lam.
-    """
-
-    quadruples: tuple = ()
-    imag_pairs: tuple = ()
-    real_pairs: tuple = ()
-
-    @property
-    def column_count(self) -> int:
-        return 4 * len(self.quadruples) + 2 * len(self.imag_pairs) + 2 * len(
-            self.real_pairs
-        )
-
-    def change_values(self) -> list[complex]:
-        vals = []
-        for lam, _, _ in self.quadruples:
-            lam = complex(lam)
-            vals += [lam, np.conj(lam), -np.conj(lam), -lam]
-        for lam, _ in self.imag_pairs:
-            lam = complex(lam)
-            vals += [lam, np.conj(lam)]
-        for lam, _, _ in self.real_pairs:
-            lam = complex(lam)
-            vals += [lam, -lam]
-        return vals
-
-
-def _t_shh_values(quad_values, imag_values, real_values) -> list:
-    """The ``realified_pairs`` value of each block, in group order: lam and
-    -conj(lam) per quadruple, i*mu per imaginary pair, lam and -lam per real
-    pair. Imaginary and real values are taken on their axis, to
-    EIG_MATCH_TOL."""
+def t_shh_lambda(grouping_shape, quad_values, imag_values, real_values) -> np.ndarray:
+    """Block-diagonal Lambda for grouped values, built by ``realified_pairs``
+    from lam and -conj(lam) per quadruple, i*mu per imaginary pair and lam
+    and -lam per real pair. Imaginary and real values are taken on their
+    axis, to EIG_MATCH_TOL."""
+    m1, m2p, pr = grouping_shape
+    if len(quad_values) != m1 or len(imag_values) != m2p or len(real_values) != pr:
+        raise DimensionMismatch("value counts do not match the grouping shape")
     values = []
     for v in map(complex, quad_values):
         values += [v, -v.conjugate()]
@@ -175,49 +143,7 @@ def _t_shh_values(quad_values, imag_values, real_values) -> list:
         values += [v.real, -v.real]
     if not values:
         raise DimensionMismatch("empty grouping")
-    return values
-
-
-def t_shh_lambda(grouping_shape, quad_values, imag_values, real_values) -> np.ndarray:
-    """Block-diagonal Lambda for grouped values (quadruple/imag/real blocks)."""
-    m1, m2p, pr = grouping_shape
-    if len(quad_values) != m1 or len(imag_values) != m2p or len(real_values) != pr:
-        raise DimensionMismatch("value counts do not match the grouping shape")
-    return realified_pairs(_t_shh_values(quad_values, imag_values, real_values))[1]
-
-
-def t_shh_basis(grouping: EigGrouping) -> tuple[np.ndarray, np.ndarray]:
-    """(X_c, Lambda_c) with real X_c columns per group and block Lambda_c."""
-    values = _t_shh_values(
-        [lam for lam, _, _ in grouping.quadruples],
-        [lam for lam, _ in grouping.imag_pairs],
-        [lam for lam, _, _ in grouping.real_pairs],
-    )
-    vectors = []
-    for lam, x, xhat in grouping.quadruples:
-        lam = complex(lam)
-        if abs(lam.real) <= EIG_MATCH_TOL * (1 + abs(lam)) or abs(
-            lam.imag
-        ) <= EIG_MATCH_TOL * (1 + abs(lam)):
-            raise BadBlockShape(
-                f"quadruple value {lam} needs nonzero real and imaginary parts"
-            )
-        vectors += [x, xhat]
-    for lam, x in grouping.imag_pairs:
-        if complex(lam).imag == 0:
-            raise BadBlockShape(f"imaginary-pair value {lam} must be i*mu, mu != 0")
-        vectors.append(x)
-    for lam, x, xhat in grouping.real_pairs:
-        if complex(lam).real == 0:
-            raise BadBlockShape(f"real-pair value {lam} must be real nonzero")
-        x = as_matrix(x, "x")
-        xhat = as_matrix(xhat, "xhat")
-        if max(np.abs(x.imag).max(), np.abs(xhat.imag).max()) > REAL_DATA_TOL * (
-            np.abs(x).max() + np.abs(xhat).max()
-        ):
-            raise ComplexInput("real-pair eigenvectors must be real")
-        vectors += [x, xhat]
-    return realified_pairs(values, vectors)
+    return realified_pairs(values)[1]
 
 
 def t_shh_mhat(grouping_shape, quad_alpha, quad_beta, imag_beta, real_beta) -> np.ndarray:
@@ -269,15 +195,14 @@ def t_shh_z_params(grouping_shape, quad, imag, real) -> tuple[np.ndarray, np.nda
 def t_shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> UpdateResult:
     """``shh_update`` of a real T-SHH pencil, kept real.
 
-    Takes what ``structured_update`` and ``shh_update`` take: the real
-    change pair (X_c, Lc) and targets La of ``t_shh_basis`` and
-    ``t_shh_lambda`` (as a ``t-shh`` problem file holds them) and a core
-    on re(G), for instance ``core_from_parameters`` of ``t_shh_mhat`` or
-    ``t_shh_z_params``. The update is then real in exact
-    arithmetic, so the real parts of its factors are kept. A pencil, change
-    pair, Lambda or core with an imaginary part above REAL_DATA_TOL of its
-    scale raises ComplexInput, since the real parts would not be an update
-    of it.
+    Takes what ``structured_update`` and ``shh_update`` take: a real change
+    pair (X_c, Lc) and targets La, with the blocks of ``t_shh_lambda`` (as a
+    ``t-shh`` problem file holds them), and a core on re(G), for instance
+    ``core_from_parameters`` of ``t_shh_mhat`` or ``t_shh_z_params``. The
+    update is then real in exact arithmetic, so the real parts of its
+    factors are kept. A pencil, change pair, Lambda or core with an
+    imaginary part above REAL_DATA_TOL of its scale raises ComplexInput,
+    since the real parts would not be an update of it.
     """
     if shh.star != STAR_TRANS:
         raise BadBlockShape("t_shh_update needs a T-SHH pencil")
@@ -300,12 +225,15 @@ def t_shh_update(shh: SHHPencil, xc, lam_c, lam_a, core: CoreSolution) -> Update
 def group_t_shh_spectrum(eigs):
     """Group the full spectrum of a real T-SHH pencil, given as ``shh.eig()``.
 
-    Returns (groups, leftovers) where groups is an EigGrouping covering every
-    eigenvalue that participates in a quadruple / imaginary pair / real pair,
-    and leftovers is the list of eigenpairs that could not be grouped (e.g.
-    near-zero eigenvalues). Pairing is strict: a candidate quadruple without
-    all four members present is rejected into leftovers. A value is on an
-    axis to EIG_MATCH_TOL; partners match, and |lambda| is near zero, to
+    Returns ((quadruples, imag_pairs, real_pairs), leftovers). quadruples
+    holds (lam, x, xhat) with re(lam) > 0, im(lam) > 0, where x and xhat are
+    eigenvectors for lam and -conj(lam); imag_pairs holds (lam, x) with
+    lam = i*mu, mu > 0; real_pairs holds (lam, x, xhat) with lam > 0 real and
+    x, xhat real eigenvectors for lam and -lam. leftovers lists the
+    eigenpairs that could not be grouped (e.g. near-zero eigenvalues).
+    Pairing is strict: a candidate quadruple without all four members
+    present is rejected into leftovers. A value is on an axis to
+    EIG_MATCH_TOL; partners match, and |lambda| is near zero, to
     EIG_MATCH_TOL times T_SHH_PARTNER_FACTOR.
     """
     eigs = [e for e in eigs if e.finite]
@@ -375,11 +303,4 @@ def group_t_shh_spectrum(eigs):
     for i, e in enumerate(eigs):
         if not used[i]:
             leftovers.append(e)
-    return (
-        EigGrouping(
-            quadruples=tuple(quadruples),
-            imag_pairs=tuple(imag_pairs),
-            real_pairs=tuple(real_pairs),
-        ),
-        leftovers,
-    )
+    return (tuple(quadruples), tuple(imag_pairs), tuple(real_pairs)), leftovers

@@ -689,6 +689,39 @@ class TestPairFieldTable:
         prob.write_text(json.dumps(doc))
         assert refused(tmp_path, capsys, prob, 2) == needs(path, name) + "\n"
 
+    @pytest.mark.parametrize("name", fileio.PAIR_FIELDS)
+    def test_null_value_exit_2(self, tmp_path, capsys, name):
+        # null is no matrix: a null field is refused and named, not read as
+        # absent, in a problem, pencil and pairs file alike (the star-even
+        # file's fixed block is its pairs file's)
+        prob, delta, pairs = TestKnownKeys.solved(tmp_path)
+        message = f"schema error: {name}: not a numeric array: it holds null values\n"
+        doc = json.loads(prob.read_text())
+        fixed_doc = json.loads(pairs.read_text())
+        block, key = name.split(".")
+        doc["fixed"] = dict(fixed_doc["fixed"])
+        doc[block][key] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert refused(tmp_path, capsys, bad, 2) == message
+        assert run(["verify", "--pencil", bad, "--delta", delta, "--pairs", pairs]) == 2
+        assert capsys.readouterr().err == message
+        if block != "change":
+            fixed_doc["targets"] = {"x": doc["change"]["x"], "lambda": doc["targets"]["lambda"]}
+            fixed_doc[block][key] = None
+            pairs.write_text(json.dumps(fixed_doc))
+            assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 2
+            assert capsys.readouterr().err == message
+
+    def test_null_block_is_absent(self, tmp_path, capsys):
+        # save_problem writes an absent block as null, so a null block is read as absent
+        prob, delta, pairs = TestKnownKeys.solved(tmp_path)
+        assert json.loads(prob.read_text())["fixed"] is None
+        fixed_doc = json.loads(pairs.read_text())
+        fixed_doc["targets"] = None
+        pairs.write_text(json.dumps(fixed_doc))
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 0
+
     def test_unstructured_file_without_fixed_pair_exit_3(self, tmp_path, capsys, path_docs):
         # the fixed pair is optional in the table; solve_general itself needs it
         prob = problem_of_path(tmp_path, path_docs, "unstructured")
@@ -1102,6 +1135,25 @@ class TestVerify:
                     "--pairs", f"{prob}.fixed.json"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
+    def test_moved_target_vectors_solve_and_verify(self, tmp_path, capsys):
+        # the unstructured path alone reads targets.x: X_a = X_c + 0.1 noise
+        prob, delta = unstructured_problem(tmp_path, "hermitian", 8, 2), tmp_path / "delta.json"
+        doc = json.loads(prob.read_text())
+        xc = fileio.decode_matrix(doc["change"]["x"], "x")
+        rng = np.random.default_rng(7)
+        xa = xc + 0.1 * (rng.standard_normal(xc.shape) + 1j * rng.standard_normal(xc.shape))
+        doc["targets"]["x"] = fileio.encode_matrix(xa)
+        prob.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        pairs = tmp_path / "pairs.json"
+        for moved, code, verdict in ((0.0, 0, "PASS"), (1e-3, 1, "FAIL")):
+            targets = {"x": fileio.encode_matrix(xa + moved), "lambda": doc["targets"]["lambda"]}
+            pairs.write_text(json.dumps({"format": 1, "targets": targets, "fixed": doc["fixed"]}))
+            assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == code
+            assert capsys.readouterr().out.splitlines()[-1] == verdict
+
     @pytest.mark.parametrize("factor, shape", [("khat", (2, 3)), ("left", (8, 3))])
     def test_mismatched_factor_shapes_exit_2(self, tmp_path, capsys, factor, shape):
         # against a 2 x 4 mhat: a khat of another shape, a left with 3 columns
@@ -1481,6 +1533,23 @@ class TestRandom:
         assert run(["random", "--seed", 1, "--n", 8, "--p", p,
                     "--class", "star-shh", "--out", tmp_path / "x.json"]) == 3
         assert "error: BadParameters: star-shh instances need p >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("klass", RANDOM_CLASSES)
+    @pytest.mark.parametrize("seed, n", [(-1, 8), (1, -4)])
+    def test_negative_seed_or_n_exit_3(self, tmp_path, capsys, monkeypatch, klass, seed, n):
+        # refused before any draw: numpy seeds take non-negative integers only
+        def no_draw(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "x.json"
+        assert run(["random", "--seed", seed, "--n", n, "--p", 2,
+                    "--class", klass, "--out", out]) == 3
+        name, value = ("seed", seed) if seed < 0 else ("n", n)
+        assert capsys.readouterr().err == (
+            f"error: BadParameters: need {name} >= 0 (got {name}={value})\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_class_exit_2(self, tmp_path):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,

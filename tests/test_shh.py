@@ -347,11 +347,18 @@ class TestTShh:
             rng = np.random.default_rng(seed + 500)
             shh = random_shh_pencil(rng, 4, "T")
             eigs = shh.eig()
-            grouping, leftovers = group_t_shh_spectrum(eigs)
-            assert grouping.column_count + len(leftovers) == shh.size
-            # grouped values all appear in the computed spectrum
+            (quadruples, imag_pairs, real_pairs), leftovers = group_t_shh_spectrum(eigs)
+            columns = 4 * len(quadruples) + 2 * len(imag_pairs) + 2 * len(real_pairs)
+            assert columns + len(leftovers) == shh.size
+            # grouped values, with their partners, all appear in the computed spectrum
+            grouped = [
+                v for lam, _, _ in quadruples
+                for v in (lam, lam.conjugate(), -lam.conjugate(), -lam)
+            ]
+            grouped += [v for lam, _ in imag_pairs for v in (lam, lam.conjugate())]
+            grouped += [v for lam, _, _ in real_pairs for v in (lam, -lam)]
             vals = finite_eigenvalues(eigs)
-            for v in grouping.change_values():
+            for v in grouped:
                 assert min(abs(vals - v)) <= 1e-6 * (1 + abs(v))
 
     def test_t_gramian_block_form(self):

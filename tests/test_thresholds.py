@@ -22,12 +22,10 @@ from nospillover.linalg import J2, PencilEigenpair, fnorm
 from nospillover.pencil import T_ODD, DeflatingPair, StructuredPencil
 from nospillover.randomgen import plant_t_shh
 from nospillover.shh import (
-    EigGrouping,
     SHHPencil,
     apply_j,
     group_t_shh_spectrum,
     shh_gramian,
-    t_shh_basis,
     t_shh_lambda,
     t_shh_update,
 )
@@ -166,17 +164,6 @@ class TestRealDataTolerance:
     """REAL_DATA_TOL = 1e-8 on T-SHH data (formerly ``shh._PATTERN_TOL``)."""
 
     @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
-    def test_real_pair_vectors(self, fraction):
-        # scale max |x| + max |xhat| = 3
-        x = np.array([[1.0], [2.0 + 1j * fraction * 1e-8 * 3.0]])
-        grouping = EigGrouping(real_pairs=((1.5 + 0j, x, np.array([[0.5], [1.0]])),))
-        if fraction == OUTSIDE:
-            with pytest.raises(ComplexInput):
-                t_shh_basis(grouping)
-        else:
-            assert t_shh_basis(grouping)[0].shape == (2, 2)
-
-    @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
     def test_real_pencil(self, fraction):
         planted = plant_t_shh(11, 4)
         m, k = planted.pencil.m, planted.pencil.k
@@ -221,53 +208,36 @@ class TestEigMatchTolerance:
         # scale 1 + |v| = 3 (to first order)
         off = fraction * 1e-8 * 3.0
         value = off + 2j if kind == "imag" else 2.0 + 1j * off
-        x = np.array([[1.0], [2.0]])
         if kind == "imag":
             shape, groups = (0, 1, 0), ([], [value], [])
-            grouping = EigGrouping(imag_pairs=((value, x + 1j),))
         else:
             shape, groups = (0, 0, 1), ([], [], [value])
-            grouping = EigGrouping(real_pairs=((value, x, 2 * x),))
         if fraction == OUTSIDE:
             with pytest.raises(BadBlockShape):
                 t_shh_lambda(shape, *groups)
-            with pytest.raises(BadBlockShape):
-                t_shh_basis(grouping)
         else:
             assert t_shh_lambda(shape, *groups).shape == (2, 2)
-            assert t_shh_basis(grouping)[1].shape == (2, 2)
-
-    @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
-    def test_quadruple_off_the_axes(self, fraction):
-        lam = fraction * 1e-8 * 3.0 + 2j
-        x = np.array([[1.0 + 1j], [2.0 - 1j]])
-        grouping = EigGrouping(quadruples=((lam, x, x.conj()),))
-        if fraction == INSIDE:
-            with pytest.raises(BadBlockShape, match="nonzero real and imaginary"):
-                t_shh_basis(grouping)
-        else:
-            assert t_shh_basis(grouping)[1].shape == (4, 4)
 
     @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
     def test_grouping_on_the_axis(self, fraction):
         lam = fraction * 1e-8 * 3.0 + 2j
         eigs = [PencilEigenpair(lam, np.ones(4)), PencilEigenpair(np.conj(lam), np.ones(4))]
-        grouping, leftovers = group_t_shh_spectrum(eigs)
+        (quadruples, imag_pairs, real_pairs), leftovers = group_t_shh_spectrum(eigs)
         if fraction == INSIDE:
-            assert len(grouping.imag_pairs) == 1 and leftovers == []
+            assert len(imag_pairs) == 1 and leftovers == []
         else:  # off the axis, a lone conjugate pair is no full quadruple
-            assert grouping.column_count == 0 and len(leftovers) == 2
+            assert quadruples == imag_pairs == real_pairs == () and len(leftovers) == 2
 
     @pytest.mark.parametrize("fraction", [INSIDE, OUTSIDE])
     def test_grouping_partner(self, fraction):
         # the partner of 2i is sought within 1e-8 * 1e4 * (1 + |-2i|) = 3e-4
         partner = fraction * 1e-4 * 3.0 - 2j
         eigs = [PencilEigenpair(2j, np.ones(4)), PencilEigenpair(partner, np.ones(4))]
-        grouping, leftovers = group_t_shh_spectrum(eigs)
+        (quadruples, imag_pairs, real_pairs), leftovers = group_t_shh_spectrum(eigs)
         if fraction == INSIDE:
-            assert len(grouping.imag_pairs) == 1 and leftovers == []
+            assert len(imag_pairs) == 1 and leftovers == []
         else:
-            assert grouping.column_count == 0 and len(leftovers) == 2
+            assert quadruples == imag_pairs == real_pairs == () and len(leftovers) == 2
 
 
 def test_dual_basis_of_dependent_pairs():

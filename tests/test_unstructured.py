@@ -6,6 +6,7 @@ from conftest import finite_eigenvalues, pencil_scale
 
 from nospillover.errors import MissingFixedPair, RankDeficientA
 from nospillover.linalg import (
+    TAU_DEFL,
     eig_pencil,
     fnorm,
     match_multisets,
@@ -19,6 +20,7 @@ from nospillover.unstructured import (
     solve_general,
     stacked_constraints,
 )
+from nospillover.verify import certify
 
 
 def crandn(rng, *shape):
@@ -109,6 +111,21 @@ class TestGeneralSolution:
             )
             xf, lf = problem.fixed.x, problem.fixed.lam
             assert fnorm(m1 @ xf @ lf + k1 @ xf) <= 1e-10 * scale
+
+    def test_moved_target_vectors(self):
+        # X_a = X_c plus a small perturbation: (X_a, La) becomes a deflating
+        # pair, and (X_c, La) does not, while the fixed pair is kept
+        for seed in (70, 71, 72):
+            pencil, problem = random_problem(seed)
+            xc = problem.change.x
+            xa = xc + 0.1 * crandn(np.random.default_rng(seed), *xc.shape)
+            moved = UpdateProblem(problem.change, problem.target_lam, target_x=xa,
+                                  fixed=problem.fixed)
+            res = solve_general(pencil, moved)
+            cert = certify(pencil, res, moved)
+            assert cert.target_relative <= TAU_DEFL
+            assert cert.spillover_relative <= TAU_DEFL
+            assert certify(pencil, res, problem).target_relative > TAU_DEFL
 
     def test_missing_fixed_pair(self):
         pencil, problem = random_problem(5)
