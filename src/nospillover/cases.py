@@ -325,8 +325,6 @@ CASES = {
     ),
 }
 
-CASE_IDS = tuple(CASES)
-
 
 def scaled_deviation(computed, printed) -> float:
     """max |A - B| scaled by the largest printed magnitude."""

@@ -14,16 +14,20 @@ its reader does not read), 3 mathematical precondition failure (prints
 the error class name). A closed standard output (``nospillover reproduce
 all | head -n 1``) ends the run quietly with 141, the shell's status for a
 SIGPIPE, so it is never read as a verdict.
+
+A process starts at ``entry``, which freezes the heap its imports made
+and then runs ``main``; ``main`` leaves the garbage collector as it finds
+it, for the callers that run it in their own process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
 from . import fileio
-from .cases import CASE_IDS, run_case
 from .dispatch import SHH_STARS, solve_problem, structure_pencil
 from .errors import BadParameters, NoSpilloverError, SchemaError
 from .linalg import TAU_DEFL
@@ -31,6 +35,9 @@ from .pencil import DeflatingPair
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
 from .unstructured import UpdateProblem
 from .verify import certify, certify_spillover
+
+# the ids of ``cases.CASES``, in its order; only reproduce imports ``cases``
+CASE_IDS = ("herm-6.1", "odd-6.2", "even-6.3", "shh-7")
 
 
 def _fail_schema(msg: str) -> int:
@@ -88,6 +95,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .cases import run_case
+
     ids = CASE_IDS if args.case == "all" else (args.case,)
     ok = True
     for cid in ids:
@@ -177,5 +186,14 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def entry() -> int:
+    """``main`` as a process runs it, from the console script or ``python -m
+    nospillover.cli``. What the imports made lives until exit, so it is
+    frozen first: no collection walks it again, the full ones at
+    interpreter exit included."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -29,11 +29,19 @@ number, so an array or number holding a NaN or an infinity is written by
 are read by ``orjson``; one it refuses is parsed again by ``json.loads``,
 which takes those tokens and ``1e400`` and words the error. Both libraries
 are imported on first use, so importing the CLI loads neither.
+
+The four readers, ``load_problem``, ``load_pencil``, ``load_pairs`` and
+``load_delta``, run with Python's cyclic garbage collector paused, and
+leave it enabled or disabled as they found it. A parsed file is a tree of
+n^2 two-float lists for each matrix and holds no reference cycle, so a
+collection while the tree is built or decoded could only walk it.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain
 from pathlib import Path
 
@@ -312,6 +320,23 @@ def _encode_pair_block(block: PairBlock | None):
     return {key: np.asarray(a) for key, a in arrays.items() if a is not None} or None
 
 
+def _collector_paused(reader):
+    """``reader`` run with the cyclic garbage collector disabled, and the
+    collector's earlier state restored however the reader ends."""
+
+    @wraps(reader)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return reader(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _read(path, what: str, formats=(FORMAT_VERSION,), keys=None) -> dict:
     """The JSON object of a ``what`` file (problem, pencil, pairs, delta)
     whose ``format`` is one of ``formats`` and whose keys, when ``keys`` is
@@ -357,6 +382,7 @@ def _pencil_matrices(raw, what: str) -> tuple[np.ndarray, np.ndarray]:
     return m, k
 
 
+@_collector_paused
 def load_problem(path) -> ProblemFile:
     return _load_problem(path, "problem")
 
@@ -416,6 +442,7 @@ def save_pairs(path, fixed_x, fixed_lam):
     _write(path, doc)
 
 
+@_collector_paused
 def load_pairs(path) -> dict:
     """The blocks a pairs file gives, ``targets`` and ``fixed``: at least
     one, each with its x and lambda (``PAIR_FIELDS``)."""
@@ -483,6 +510,7 @@ def _factored_delta(raw) -> UpdateResult:
     return UpdateResult(factors=(left, mhat, khat, right))
 
 
+@_collector_paused
 def load_delta(path) -> UpdateResult:
     """The update of a delta file: its factors (format 2), or its dense dM
     and dK (format 1) as the factors (I_n, dM, dK, I_n)."""
@@ -500,6 +528,7 @@ def load_delta(path) -> UpdateResult:
     return UpdateResult(factors=(eye, dm, dk, eye))
 
 
+@_collector_paused
 def load_pencil(path) -> tuple[np.ndarray, np.ndarray, str]:
     """(M, K, structure) from a problem file, which is refused wherever
     ``load_problem`` would refuse it."""

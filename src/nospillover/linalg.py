@@ -151,7 +151,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntries(f"{name} contains NaN or Inf entries")
     return arr
 

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -1355,9 +1356,13 @@ class TestReproduce:
         fixture = fileio.load_problem(DATA / "herm-6.1.quadratic.json")
         assert same(dataclasses.asdict(fixture), dataclasses.asdict(CASES["herm-6.1"].problem()))
 
+    def test_case_ids_are_the_cases(self):
+        # cli spells the ids itself, so that only reproduce imports cases
+        assert cli.CASE_IDS == tuple(CASES)
+
     @pytest.mark.parametrize("module", ["cases", "cli", "dispatch"])
     def test_module_imports_alone(self, module):
-        # no import cycle: cli imports cases, and both import the dispatch
+        # no import cycle: reproduce imports cases, and both import the dispatch
         proc = run_fresh_python(f"import nospillover.{module}")
         assert proc.returncode == 0, proc.stderr
 
@@ -1589,3 +1594,44 @@ class TestTolOverride:
         loose = run(["verify", "--pencil", prob, "--delta", delta,
                      "--pairs", pairs, "--tol", 1.0])
         assert strict == 1 and loose == 0
+
+
+class TestProcessEntry:
+    """A process starts at ``cli.entry``, which freezes the heap its imports
+    made; ``main`` leaves the garbage collector as it finds it."""
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"nospillover": "nospillover.cli:entry"}
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        prob, delta = tmp_path / "prob.json", tmp_path / "d.json"
+        before = gc.get_freeze_count()
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2,
+                    "--class", "star-even", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", f"{prob}.fixed.json"]) == 0
+        assert run(["reproduce", "herm-6.1", "--brief"]) == 0
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
+
+    def test_solve_process_freezes_and_loads_no_cases(self, tmp_path):
+        # run as ``python -m nospillover.cli solve ...`` runs it
+        argv = ["nospillover", "solve", "--input", str(DATA / "star-even-n8.json"),
+                "--out", str(tmp_path / "d.json")]
+        code = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('nospillover.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert gc.get_freeze_count() > 0\n"
+            "assert 'nospillover.cases' not in sys.modules\n"
+        )
+        proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "PASS"

@@ -1,5 +1,6 @@
 """Round-trip and schema tests for the text file formats."""
 
+import gc
 import json
 import math
 import warnings
@@ -199,6 +200,57 @@ class TestDeltaAndPairs:
         pairs = fileio.load_pairs(path)
         assert np.array_equal(pairs["fixed"].x, x)
         assert np.array_equal(pairs["fixed"].lam, lam)
+
+
+# each reader and a checked-in file it reads
+READERS = {
+    "load_problem": "star-even-n8.json",
+    "load_pencil": "star-even-n8.json",
+    "load_pairs": "star-even-n8.json.fixed.json",
+    "load_delta": "star-even-n8.format1.delta.json",
+}
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector enabled or disabled before the test; enabled after it."""
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        gc.enable()
+
+
+class TestCollectorPaused:
+    """Each reader runs with the garbage collector disabled, decoding
+    included, and leaves it as it found it."""
+
+    @pytest.mark.parametrize("load", list(READERS))
+    def test_paused_while_decoding(self, monkeypatch, collector, load):
+        states = []
+        decode = fileio.decode_matrix
+
+        def watched(obj, name):
+            states.append(gc.isenabled())
+            return decode(obj, name)
+
+        monkeypatch.setattr(fileio, "decode_matrix", watched)
+        getattr(fileio, load)(DATA / READERS[load])
+        assert states and not any(states)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("load", list(READERS))
+    @pytest.mark.parametrize("bad", ["truncated", "non-object"])
+    def test_restored_on_schema_error(self, tmp_path, collector, load, bad):
+        data = (DATA / READERS[load]).read_bytes()
+        path = tmp_path / "bad.json"
+        path.write_bytes(data[: len(data) // 2] if bad == "truncated" else b"[1, 2]")
+        with pytest.raises(SchemaError):
+            getattr(fileio, load)(path)
+        assert gc.isenabled() is collector
 
 
 class TestFactoredDelta:
