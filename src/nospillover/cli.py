@@ -11,7 +11,8 @@ Which keys a file may hold, and which fields each path needs, is
 check no key. Exit codes: 0 success/pass, 1 certificate failure, 2 schema
 error (a file that cannot be read, written or parsed, or that holds a key
 its reader does not read), 3 mathematical precondition failure (prints
-the error class name). A closed standard output (``nospillover reproduce
+the error class name; a ``--tol`` that is not a finite number above zero
+is one). A closed standard output (``nospillover reproduce
 all | head -n 1``) ends the run quietly with 141, the shell's status for a
 SIGPIPE, so it is never read as a verdict.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 
@@ -50,7 +52,17 @@ def _fail_math(exc: NoSpilloverError) -> int:
     return 3
 
 
+def _bad_tol(tol: float) -> int | None:
+    """Exit 3 for a ``--tol`` that bounds no residual (NaN, infinite, zero or
+    negative), checked before any file is read; None for a usable one."""
+    if math.isfinite(tol) and tol > 0:
+        return None
+    return _fail_math(BadParameters(f"need a finite --tol > 0 (got --tol={tol})"))
+
+
 def cmd_solve(args) -> int:
+    if (code := _bad_tol(args.tol)) is not None:
+        return code
     try:
         result, cert = solve_problem(fileio.load_problem(args.input), args.tol)
         fileio.save_result(args.out, result, cert)
@@ -64,6 +76,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if (code := _bad_tol(args.tol)) is not None:
+        return code
     try:
         m, k, structure = fileio.load_pencil(args.pencil)
         result = fileio.load_delta(args.delta)
@@ -124,7 +138,7 @@ def cmd_random(args) -> int:
             fileio.PairBlock(lam=planted.target_lam), parameters=planted.parameters,
         )
         fileio.save_problem(args.out, pf.checked())
-        fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam)
+        fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam_compact)
     except SchemaError as exc:
         return _fail_schema(str(exc))
     except NoSpilloverError as exc:

@@ -4,7 +4,12 @@ UTF-8 JSON, schema versioned with a ``format`` field. Complex entries are
 stored as [re, im] pairs, each float in its shortest round-trip digits, so
 parse(emit(x)) is bitwise faithful.
 
-Problem and pairs files are ``format: 1``. A delta file is written as
+Problem and pairs files are ``format: 1``. A pair block's ``lambda`` is a
+p x p matrix or the vector of its p diagonal values, which the reader takes
+as the diagonal matrix (any length when the block has no ``x``), so a
+``PairBlock``'s ``lam`` is always a matrix. The writers spell a Lambda with
+no entry off its diagonal but +0 as its values: a diagonal fixed pair of
+order n - p is n - p pairs, not (n - p)^2. A delta file is written as
 ``format: 2``: a ``factors`` block with ``left`` (n x a), ``mhat``,
 ``khat`` (a x b) and ``right`` (b x n), which ``load_delta`` returns as the
 factors of an ``UpdateResult``. ``load_delta`` still reads the older
@@ -88,10 +93,6 @@ def _float_view(a) -> np.ndarray:
     ``a.shape + (2,)``: each entry as its [re, im] pair."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     return a.view(np.float64).reshape(a.shape + (2,))
-
-
-def encode_matrix(a) -> list:
-    return _float_view(a).tolist()
 
 
 # the JSON name of each decoded type that is no JSON number; JSON true is no number
@@ -291,8 +292,9 @@ def _check_reads(reader: str, blocks: dict, parameters=()) -> None:
 
 def _decode_pair_block(obj, name) -> PairBlock:
     """A pair block, each field a matrix (a null one is refused, as a null
-    parameter is). Its lambda, when given with x, is p x p for the p
-    columns of x (a vector counts as one column)."""
+    parameter is). A lambda given as a vector is the diagonal matrix of its
+    values, so ``lam`` is always a matrix; when given with x, it is p x p
+    for the p columns of x (a vector x counts as one column)."""
     if obj is None:
         return PairBlock()
     if not isinstance(obj, dict):
@@ -302,21 +304,36 @@ def _decode_pair_block(obj, name) -> PairBlock:
         _FIELD_ATTRS[key]: _decode_value(PAIR_FIELDS[f"{name}.{key}"][0], value, f"{name}.{key}")
         for key, value in obj.items()
     })
+    values = block.lam is not None and block.lam.ndim == 1
+    if values:
+        block.lam = np.diag(block.lam)
     if block.x is not None and block.lam is not None:
         p = block.x.shape[1] if block.x.ndim == 2 else 1
-        lam_shape = block.lam.shape if block.lam.ndim == 2 else (block.lam.size, 1)
-        if lam_shape != (p, p):
-            raise SchemaError(
-                f"{name}.lambda is {lam_shape[0]} x {lam_shape[1]}, "
-                f"but {name}.x has {p} columns"
-            )
+        rows, cols = block.lam.shape
+        if (rows, cols) != (p, p):
+            given = f"holds {rows} value{'s' * (rows != 1)}" if values else f"is {rows} x {cols}"
+            raise SchemaError(f"{name}.lambda {given}, but {name}.x has {p} columns")
     return block
+
+
+def _lambda_values(lam) -> np.ndarray:
+    """``lam`` as a file spells it: the vector of its diagonal values when
+    every entry off its diagonal is +0 (``linalg.compact_lambda``'s rule,
+    with a -0 counted as nonzero, so that the matrix reads back bit for
+    bit), else the matrix. A vector is already its values."""
+    lam = np.asarray(lam)
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        return lam
+    bits = _float_view(lam).view(np.uint64)
+    diag = np.diagonal(bits, axis1=0, axis2=1)
+    return np.diagonal(lam) if np.count_nonzero(bits) == np.count_nonzero(diag) else lam
 
 
 def _encode_pair_block(block: PairBlock | None):
     if block is None:
         return None
-    arrays = {"x": block.x, "lambda": block.lam, "eigenvalues": block.eigenvalues}
+    lam = None if block.lam is None else _lambda_values(block.lam)
+    arrays = {"x": block.x, "lambda": lam, "eigenvalues": block.eigenvalues}
     return {key: np.asarray(a) for key, a in arrays.items() if a is not None} or None
 
 
@@ -435,10 +452,9 @@ def save_problem(path, pf: ProblemFile):
 
 
 def save_pairs(path, fixed_x, fixed_lam):
-    doc = {
-        "format": FORMAT_VERSION,
-        "fixed": {"x": np.asarray(fixed_x), "lambda": np.asarray(fixed_lam)},
-    }
+    """A pairs file with the fixed pair (``fixed_lam`` a matrix, or the
+    values of a diagonal one)."""
+    doc = {"format": FORMAT_VERSION, "fixed": _encode_pair_block(PairBlock(fixed_x, fixed_lam))}
     _write(path, doc)
 
 

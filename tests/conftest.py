@@ -214,6 +214,13 @@ def run_fresh_python(code):
     )
 
 
+def encode_matrix(a) -> list:
+    """``a`` as the nested JSON lists of a file: each entry as its [re, im]
+    pair of floats, bit for bit."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def same_values(a, b) -> bool:
     """Whether two parsed JSON trees hold the same values: equal keys,
     types and strings, and floats with equal bit patterns (-0.0 is not 0.0,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fresh_python_env, run_fresh_python, same_values, t_shh_shape
+from conftest import encode_matrix, fresh_python_env, run_fresh_python, same_values, t_shh_shape
 
 from nospillover import cli, dispatch, fileio, randomgen
 from nospillover.cases import CASES, run_case
@@ -1016,8 +1016,8 @@ class TestNumericLeaves:
         prob.write_text(json.dumps(self.fixture()))
         assert run(["solve", "--input", prob, "--out", delta]) == 0
         pairs_doc = {"format": 1, "targets": {
-            "x": fileio.encode_matrix(np.eye(5)[:, :2]),
-            "lambda": fileio.encode_matrix(np.diag([57.4206j, 4.8629j])),
+            "x": encode_matrix(np.eye(5)[:, :2]),
+            "lambda": encode_matrix(np.diag([57.4206j, 4.8629j])),
         }}
         if where == "targets.x":
             with_leaf(pairs_doc, where, self.BAD[kind])
@@ -1051,12 +1051,12 @@ class TestVerify:
         doc = {
             "format": 1,
             "targets": {
-                "x": fileio.encode_matrix(planted.change.x),
-                "lambda": fileio.encode_matrix(planted.target_lam),
+                "x": encode_matrix(planted.change.x),
+                "lambda": encode_matrix(planted.target_lam),
             },
             "fixed": {
-                "x": fileio.encode_matrix(planted.fixed.x),
-                "lambda": fileio.encode_matrix(planted.fixed.lam),
+                "x": encode_matrix(planted.fixed.x),
+                "lambda": encode_matrix(planted.fixed.lam),
             },
         }
         pairs.write_text(json.dumps(doc))
@@ -1099,7 +1099,7 @@ class TestVerify:
         assert names == ["structure[jm_updated_skew]", "structure[jk_updated_sym]"]
         doc = json.loads(delta.read_text())
         khat = fileio.decode_matrix(doc["factors"]["khat"], "khat")
-        doc["factors"]["khat"] = fileio.encode_matrix(khat + 0.5 * np.triu(np.ones_like(khat), 1))
+        doc["factors"]["khat"] = encode_matrix(khat + 0.5 * np.triu(np.ones_like(khat), 1))
         delta.write_text(json.dumps(doc))
         assert run(verify) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -1143,14 +1143,14 @@ class TestVerify:
         xc = fileio.decode_matrix(doc["change"]["x"], "x")
         rng = np.random.default_rng(7)
         xa = xc + 0.1 * (rng.standard_normal(xc.shape) + 1j * rng.standard_normal(xc.shape))
-        doc["targets"]["x"] = fileio.encode_matrix(xa)
+        doc["targets"]["x"] = encode_matrix(xa)
         prob.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["solve", "--input", prob, "--out", delta]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
         pairs = tmp_path / "pairs.json"
         for moved, code, verdict in ((0.0, 0, "PASS"), (1e-3, 1, "FAIL")):
-            targets = {"x": fileio.encode_matrix(xa + moved), "lambda": doc["targets"]["lambda"]}
+            targets = {"x": encode_matrix(xa + moved), "lambda": doc["targets"]["lambda"]}
             pairs.write_text(json.dumps({"format": 1, "targets": targets, "fixed": doc["fixed"]}))
             assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == code
             assert capsys.readouterr().out.splitlines()[-1] == verdict
@@ -1201,16 +1201,27 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "schema error: m and k must be square matrices of equal size" in err
 
-    def test_pairs_lambda_not_fitting_x_exit_2(self, tmp_path, capsys):
+    @staticmethod
+    def _short_lambda(tmp_path, capsys, spelling):
+        """The stderr of ``verify`` with a fixed.lambda of one value too few,
+        as ``spelling`` writes it."""
         small, big, delta = problems_of_two_sizes(tmp_path)
         pairs = tmp_path / "pairs.json"
         doc = json.loads(Path(f"{big}.fixed.json").read_text())
-        doc["fixed"]["lambda"] = [row[:-1] for row in doc["fixed"]["lambda"][:-1]]
+        values = fileio.decode_matrix(doc["fixed"]["lambda"], "fixed.lambda")
+        doc["fixed"]["lambda"] = encode_matrix(spelling(values[:-1]))
         pairs.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", "--pencil", big, "--delta", delta, "--pairs", pairs]) == 2
-        err = capsys.readouterr().err
+        return capsys.readouterr().err
+
+    def test_pairs_lambda_not_fitting_x_exit_2(self, tmp_path, capsys):
+        err = self._short_lambda(tmp_path, capsys, np.diag)
         assert "schema error: fixed.lambda is 7 x 7, but fixed.x has 8 columns" in err
+
+    def test_pairs_lambda_values_not_fitting_x_exit_2(self, tmp_path, capsys):
+        err = self._short_lambda(tmp_path, capsys, np.asarray)
+        assert "schema error: fixed.lambda holds 7 values, but fixed.x has 8 columns" in err
 
     @pytest.mark.parametrize("flag, what", [("--pencil", "pencil"), ("--delta", "delta"),
                                             ("--pairs", "pairs")])
@@ -1249,8 +1260,8 @@ class TestVerify:
                 {
                     "format": 1,
                     "targets": {
-                        "x": fileio.encode_matrix(planted.change.x),
-                        "lambda": fileio.encode_matrix(planted.target_lam),
+                        "x": encode_matrix(planted.change.x),
+                        "lambda": encode_matrix(planted.target_lam),
                     },
                 }
             )
@@ -1584,8 +1595,8 @@ class TestTolOverride:
                 {
                     "format": 1,
                     "targets": {
-                        "x": fileio.encode_matrix(planted.change.x),
-                        "lambda": fileio.encode_matrix(planted.target_lam),
+                        "x": encode_matrix(planted.change.x),
+                        "lambda": encode_matrix(planted.target_lam),
                     },
                 }
             )
@@ -1594,6 +1605,98 @@ class TestTolOverride:
         loose = run(["verify", "--pencil", prob, "--delta", delta,
                      "--pairs", pairs, "--tol", 1.0])
         assert strict == 1 and loose == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+class TestTolRefused:
+    """A --tol that bounds no residual exits 3 with BadParameters before any
+    file is read: the input paths here do not exist."""
+
+    def _refused(self, tmp_path, capsys, argv, tol):
+        capsys.readouterr()
+        assert run(argv + [f"--tol={tol}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: BadParameters: need a finite --tol > 0 (got --tol={float(tol)})\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solve(self, tmp_path, capsys, tol):
+        self._refused(tmp_path, capsys, ["solve", "--input", tmp_path / "none.json",
+                                         "--out", tmp_path / "d.json"], tol)
+
+    def test_verify(self, tmp_path, capsys, tol):
+        self._refused(tmp_path, capsys, ["verify", "--pencil", tmp_path / "none.json",
+                                         "--delta", tmp_path / "d.json",
+                                         "--pairs", tmp_path / "p.json"], tol)
+
+
+def _respelled(block: dict, spelling) -> dict:
+    """A pair block of a parsed file with its lambda read and written again
+    as ``spelling`` gives it (``np.diag`` for the matrix of a vector)."""
+    lam = fileio.decode_matrix(block["lambda"], "lambda")
+    return dict(block, **{"lambda": encode_matrix(spelling(lam))})
+
+
+def _as_matrix(lam):
+    return np.diag(lam) if lam.ndim == 1 else lam
+
+
+class TestLambdaSpelling:
+    """A diagonal Lambda is written as its values, and either spelling gives
+    the same outputs."""
+
+    def test_committed_matrix_fixture_and_its_values_verify_alike(self, tmp_path, capsys):
+        prob, delta = DATA / "star-even-n8.json", DATA / "star-even-n8.format1.delta.json"
+        old = DATA / "star-even-n8.json.fixed.json"
+        doc = json.loads(old.read_text())
+        assert np.ndim(doc["fixed"]["lambda"]) == 3  # the committed file keeps the matrix
+        doc["fixed"] = _respelled(doc["fixed"], np.diagonal)
+        new = tmp_path / "values.json"
+        new.write_text(json.dumps(doc))
+        outputs = []
+        for pairs in (old, new):
+            capsys.readouterr()
+            assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("klass", RANDOM_CLASSES)
+    def test_random_writes_values_and_either_spelling_solves_alike(self, tmp_path, capsys, klass):
+        prob = tmp_path / "prob.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2, "--class", klass,
+                    "--out", prob]) == 0
+        doc = json.loads(prob.read_text())
+        fixed = json.loads(Path(f"{prob}.fixed.json").read_text())["fixed"]
+        p = len(doc["change"]["x"][0])
+        assert np.shape(fixed["lambda"]) == (8 - p, 2)
+        # a t-shh change pair is realified: its Lambda is no diagonal
+        shape = (p, p, 2) if klass == "t-shh" else (p, 2)
+        assert np.shape(doc["change"]["lambda"]) == np.shape(doc["targets"]["lambda"]) == shape
+        # prob gives targets.lambda as values with no targets.x; the same file
+        # with every lambda spelled as a matrix solves to the same bytes
+        matrix = dict(doc, change=_respelled(doc["change"], _as_matrix),
+                      targets=_respelled(doc["targets"], _as_matrix))
+        again = tmp_path / "matrix.json"
+        again.write_text(json.dumps(matrix))
+        outputs = []
+        for problem in (prob, again):
+            out = tmp_path / f"{problem.stem}.delta.json"
+            capsys.readouterr()
+            assert run(["solve", "--input", problem, "--out", out]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].out.splitlines()[-1] == "PASS"
+
+    def test_values_of_other_length_exit_2(self, tmp_path, capsys):
+        prob = tmp_path / "prob.json"
+        assert run(["random", "--seed", 7, "--n", 8, "--p", 2, "--class", "hermitian",
+                    "--out", prob]) == 0
+        doc = json.loads(prob.read_text())
+        doc["change"]["lambda"] = doc["change"]["lambda"] * 2
+        prob.write_text(json.dumps(doc))
+        err = refused(tmp_path, capsys, prob, 2)
+        assert err == "schema error: change.lambda holds 4 values, but change.x has 2 columns\n"
 
 
 class TestProcessEntry:

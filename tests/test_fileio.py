@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import same_values, t_shh_shape, t_shh_solve
+from conftest import encode_matrix, same_values, t_shh_shape, t_shh_solve
 
 from nospillover import fileio
 from nospillover.errors import SchemaError
@@ -33,7 +33,7 @@ _EDGE = np.array([complex(1.5, -math.inf), complex(math.nan, -0.0), complex(2.0,
 def _decoded(a):
     """``a`` written by encode_matrix and read back by decode_matrix, with
     any warning raised."""
-    encoded = json.loads(json.dumps(fileio.encode_matrix(a)))
+    encoded = json.loads(json.dumps(encode_matrix(a)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return fileio.decode_matrix(encoded, "a")
@@ -140,8 +140,8 @@ class TestProblemFile:
         doc = {
             "format": 1,
             "structure": "unstructured",
-            "m": fileio.encode_matrix(np.zeros((2, 3))),
-            "k": fileio.encode_matrix(np.zeros((2, 3))),
+            "m": encode_matrix(np.zeros((2, 3))),
+            "k": encode_matrix(np.zeros((2, 3))),
         }
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
@@ -152,8 +152,8 @@ class TestProblemFile:
         doc = {
             "format": 1,
             "structure": "hermitian",
-            "m": fileio.encode_matrix(np.eye(2)),
-            "k": fileio.encode_matrix(np.eye(2)),
+            "m": encode_matrix(np.eye(2)),
+            "k": encode_matrix(np.eye(2)),
             "parameters": {"bogus": 1},
         }
         path.write_text(json.dumps(doc))
@@ -185,11 +185,21 @@ class TestDeltaAndPairs:
             getattr(fileio, load)(path)
 
     def test_pair_block_lambda_must_fit_x(self, tmp_path):
+        # a 1 x 1 Lambda is diagonal, so it is written as its one value
         pf = TestProblemFile()._sample()
         pf.fixed = fileio.PairBlock(x=pf.fixed.x, lam=pf.fixed.lam[:1, :1])
         path = tmp_path / "prob.json"
         fileio.save_problem(path, pf)
-        with pytest.raises(SchemaError, match="fixed.lambda is 1 x 1, but fixed.x has 2"):
+        with pytest.raises(SchemaError, match="fixed.lambda holds 1 value, but fixed.x has 2"):
+            fileio.load_problem(path)
+
+    def test_pair_block_lambda_matrix_must_fit_x(self, tmp_path):
+        pf = TestProblemFile()._sample()
+        x = np.hstack([pf.fixed.x, pf.fixed.x[:, :1] + 1])
+        pf.fixed = fileio.PairBlock(x=x, lam=pf.fixed.lam)  # not diagonal: a matrix
+        path = tmp_path / "prob.json"
+        fileio.save_problem(path, pf)
+        with pytest.raises(SchemaError, match="fixed.lambda is 2 x 2, but fixed.x has 3"):
             fileio.load_problem(path)
 
     def test_pairs_round_trip(self, tmp_path):
@@ -200,6 +210,92 @@ class TestDeltaAndPairs:
         pairs = fileio.load_pairs(path)
         assert np.array_equal(pairs["fixed"].x, x)
         assert np.array_equal(pairs["fixed"].lam, lam)
+
+
+def _off_diagonal(lam) -> int:
+    """The number of nonzero entries of ``lam`` off its diagonal."""
+    return np.count_nonzero(lam) - np.count_nonzero(np.diagonal(lam))
+
+
+class TestLambdaSpelling:
+    """A pair block's lambda is written as the vector of its diagonal values
+    when every entry off the diagonal is +0, and as the matrix otherwise;
+    the reader takes either spelling to the same matrix, bit for bit."""
+
+    @staticmethod
+    def _diagonal(rng, size):
+        return np.diag(crandn(rng, size))
+
+    def test_diagonal_pairs_written_as_values(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x, lam = crandn(rng, 6, 4), self._diagonal(rng, 4)
+        path = tmp_path / "pairs.json"
+        fileio.save_pairs(path, x, lam)
+        written = json.loads(path.read_text())["fixed"]["lambda"]
+        assert np.shape(written) == (4, 2)
+        back = fileio.load_pairs(path)["fixed"].lam
+        assert back.shape == (4, 4)
+        assert np.array_equal(_bits(back), _bits(lam))
+
+    def test_values_and_matrix_given_write_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(13)
+        x, lam = crandn(rng, 6, 3), self._diagonal(rng, 3)
+        first, second = tmp_path / "matrix.json", tmp_path / "values.json"
+        fileio.save_pairs(first, x, lam)
+        fileio.save_pairs(second, x, np.diagonal(lam))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("entry", [1e-300, -0.0, complex(0.0, -0.0)],
+                             ids=["tiny", "negative-zero", "negative-zero-imag"])
+    def test_one_off_diagonal_entry_keeps_the_matrix(self, tmp_path, entry):
+        # a -0 reads back as +0 from the values, so it keeps the matrix too
+        rng = np.random.default_rng(14)
+        x, lam = crandn(rng, 6, 4), self._diagonal(rng, 4)
+        lam[2, 0] = entry
+        path = tmp_path / "pairs.json"
+        fileio.save_pairs(path, x, lam)
+        assert np.shape(json.loads(path.read_text())["fixed"]["lambda"]) == (4, 4, 2)
+        assert np.array_equal(_bits(fileio.load_pairs(path)["fixed"].lam), _bits(lam))
+
+    def test_problem_blocks(self, tmp_path):
+        """A t-shh change and target block is a realified, non-diagonal
+        Lambda and stays a matrix; a diagonal fixed block is its values."""
+        planted = plant_t_shh(0, 4)
+        lam_c, lam_a = planted.change.lam, planted.target_lam
+        assert _off_diagonal(lam_c) and _off_diagonal(lam_a)
+        pf = fileio.ProblemFile(
+            "t-shh", planted.pencil.m, planted.pencil.k,
+            fileio.PairBlock(planted.change.x, lam_c), fileio.PairBlock(lam=lam_a),
+            fixed=fileio.PairBlock(planted.fixed.x, planted.fixed.lam),
+            parameters=planted.parameters,
+        )
+        path = tmp_path / "prob.json"
+        fileio.save_problem(path, pf)
+        doc = json.loads(path.read_text())
+        n, p = planted.pencil.m.shape[0], lam_c.shape[0]
+        assert np.shape(doc["change"]["lambda"]) == np.shape(doc["targets"]["lambda"]) == (p, p, 2)
+        assert np.shape(doc["fixed"]["lambda"]) == (n - p, 2)
+        back = fileio.load_problem(path)
+        for read, given in ((back.change.lam, lam_c), (back.targets.lam, lam_a),
+                            (back.fixed.lam, planted.fixed.lam)):
+            assert np.array_equal(_bits(read), _bits(given))
+
+    def test_committed_matrix_spelling_reads_as_its_values(self, tmp_path):
+        raw = json.loads((DATA / "star-even-n8.json.fixed.json").read_text())
+        lam = fileio.decode_matrix(raw["fixed"]["lambda"], "fixed.lambda")
+        assert lam.ndim == 2 and not _off_diagonal(lam)  # the old spelling, kept
+        raw["fixed"]["lambda"] = encode_matrix(np.diagonal(lam))
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(raw))
+        old = fileio.load_pairs(DATA / "star-even-n8.json.fixed.json")["fixed"]
+        new = fileio.load_pairs(path)["fixed"]
+        assert np.array_equal(_bits(new.lam), _bits(old.lam))
+        assert np.array_equal(_bits(new.x), _bits(old.x))
+
+    def test_values_without_x_read_as_a_diagonal(self):
+        values = np.array([1.5 - 2j, -0.25j, 3.0])
+        block = fileio._decode_pair_block({"lambda": encode_matrix(values)}, "targets")
+        assert np.array_equal(_bits(block.lam), _bits(np.diag(values)))
 
 
 # each reader and a checked-in file it reads
@@ -327,7 +423,7 @@ class TestFactoredDelta:
 def _encoded(obj):
     """``obj`` with every ndarray replaced by its ``encode_matrix`` tree."""
     if isinstance(obj, np.ndarray):
-        return fileio.encode_matrix(obj)
+        return encode_matrix(obj)
     if isinstance(obj, dict):
         return {key: _encoded(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -461,7 +557,7 @@ class TestGoldenBytes:
         x, lam = crandn(rng, 2, 5).T, np.diag(crandn(rng, 2))
         path = tmp_path / "pairs.json"
         fileio.save_pairs(path, x, lam)
-        expected = {"format": 1, "fixed": {"x": x, "lambda": lam}}
+        expected = {"format": 1, "fixed": {"x": x, "lambda": np.diagonal(lam)}}
         assert _holds(path, expected)
 
 
