@@ -8,7 +8,7 @@ skew-Hamiltonian/Hamiltonian pencils) along the way.
 """
 
 from .errors import NoSpilloverError
-from .linalg import eig_pencil, herm_eigs, pseudoinverse
+from .linalg import eig_pencil, herm_eigs
 from .pencil import (
     ALL_TAGS,
     HERMITIAN,
@@ -84,7 +84,6 @@ __all__ = [
     "hermitian_update",
     "normalize_columns",
     "parametrized_core",
-    "pseudoinverse",
     "scaled_gramian_core",
     "select_psd_params",
     "shh_update",

@@ -8,11 +8,13 @@ case's own problem file.
 
 Which keys a file may hold, and which fields each path needs, is
 ``fileio``'s to check when it reads or makes a file; the commands here
-check no key. Exit codes: 0 success/pass, 1 certificate failure, 2 schema
-error (a file that cannot be read, written or parsed, or that holds a key
-its reader does not read), 3 mathematical precondition failure (prints
-the error class name; a ``--tol`` that is not a finite number above zero
-is one). A closed standard output (``nospillover reproduce
+check no key. A command returns its verdict or raises, and ``main`` alone
+turns the outcome into the exit code: 0 success/pass, 1 certificate
+failure, 2 schema error (a ``SchemaError``: a file that cannot be read,
+written or parsed, or that holds a key its reader does not read), 3
+mathematical precondition failure (any other ``NoSpilloverError``; prints
+the error class name, and a ``--tol`` that is not a finite number above
+zero is one). A closed standard output (``nospillover reproduce
 all | head -n 1``) ends the run quietly with 141, the shell's status for a
 SIGPIPE, so it is never read as a verdict.
 
@@ -30,82 +32,47 @@ import os
 import sys
 
 from . import fileio
-from .dispatch import SHH_STARS, solve_problem, structure_pencil
+from .dispatch import SHH_STARS, solve_problem, structure_pencil, update_problem
 from .errors import BadParameters, NoSpilloverError, SchemaError
 from .linalg import TAU_DEFL
 from .pencil import DeflatingPair
 from .randomgen import RANDOM_CLASSES, plant_problem, plant_star_shh, plant_t_shh
-from .unstructured import UpdateProblem
 from .verify import certify, certify_spillover
 
 # the ids of ``cases.CASES``, in its order; only reproduce imports ``cases``
 CASE_IDS = ("herm-6.1", "odd-6.2", "even-6.3", "shh-7")
 
 
-def _fail_schema(msg: str) -> int:
-    print(f"schema error: {msg}", file=sys.stderr)
-    return 2
-
-
-def _fail_math(exc: NoSpilloverError) -> int:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 3
-
-
-def _bad_tol(tol: float) -> int | None:
-    """Exit 3 for a ``--tol`` that bounds no residual (NaN, infinite, zero or
-    negative), checked before any file is read; None for a usable one."""
-    if math.isfinite(tol) and tol > 0:
-        return None
-    return _fail_math(BadParameters(f"need a finite --tol > 0 (got --tol={tol})"))
-
-
-def cmd_solve(args) -> int:
-    if (code := _bad_tol(args.tol)) is not None:
-        return code
-    try:
-        result, cert = solve_problem(fileio.load_problem(args.input), args.tol)
-        fileio.save_result(args.out, result, cert)
-    except SchemaError as exc:
-        return _fail_schema(str(exc))
-    except NoSpilloverError as exc:
-        return _fail_math(exc)
+def _verdict(cert) -> int:
+    """Print a certificate's lines; exit 0 when it passed, 1 when it failed."""
     for line in cert.summary_lines():
         print(line)
     return 0 if cert.passed else 1
 
 
+def cmd_solve(args) -> int:
+    result, cert = solve_problem(fileio.load_problem(args.input), args.tol)
+    fileio.save_result(args.out, result, cert)
+    return _verdict(cert)
+
+
 def cmd_verify(args) -> int:
-    if (code := _bad_tol(args.tol)) is not None:
-        return code
-    try:
-        m, k, structure = fileio.load_pencil(args.pencil)
-        result = fileio.load_delta(args.delta)
-        pairs = fileio.load_pairs(args.pairs)
-    except SchemaError as exc:
-        return _fail_schema(str(exc))
+    m, k, structure = fileio.load_pencil(args.pencil)
+    result = fileio.load_delta(args.delta)
+    pairs = fileio.load_pairs(args.pairs)
     sizes = {"delta file": result.n}
     sizes.update((f"pairs file {key}", block.x.shape[0]) for key, block in pairs.items())
     for what, size in sizes.items():
         if size != m.shape[0]:
-            return _fail_schema(f"{what} has n={size}, but the pencil has n={m.shape[0]}")
+            raise SchemaError(f"{what} has n={size}, but the pencil has n={m.shape[0]}")
     targets, fixed = pairs.get("targets"), pairs.get("fixed")
-    try:
-        pencil = structure_pencil(m, k, structure)
-        fixed_pair = None if fixed is None else DeflatingPair(fixed.x, fixed.lam)
-        # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
-        if targets is None:
-            cert = certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol)
-        else:
-            problem = UpdateProblem(
-                DeflatingPair(targets.x, targets.lam), targets.lam, fixed=fixed_pair
-            )
-            cert = certify(pencil, result, problem, tol_defl=args.tol)
-    except NoSpilloverError as exc:
-        return _fail_math(exc)
-    for line in cert.summary_lines():
-        print(line)
-    return 0 if cert.passed else 1
+    pencil = structure_pencil(m, k, structure)
+    # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
+    if targets is None:
+        fixed_pair = DeflatingPair(fixed.x, fixed.lam)
+        return _verdict(certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol))
+    problem = update_problem(targets, targets, fixed)
+    return _verdict(certify(pencil, result, problem, tol_defl=args.tol))
 
 
 def cmd_reproduce(args) -> int:
@@ -122,27 +89,22 @@ def cmd_reproduce(args) -> int:
 
 def cmd_random(args) -> int:
     if args.klass not in RANDOM_CLASSES:
-        return _fail_schema(f"class must be one of {RANDOM_CLASSES}")
-    try:
-        if args.klass in SHH_STARS and args.n % 2:
-            raise BadParameters("SHH instances need even n")
-        if args.klass == "star-shh":
-            planted = plant_star_shh(args.seed, args.n // 2, args.p // 2, args.p % 2)
-        elif args.klass == "t-shh":
-            planted = plant_t_shh(args.seed, args.n // 2)
-        else:
-            planted = plant_problem(args.seed, args.n, args.p, args.klass)
-        pf = fileio.ProblemFile(
-            args.klass, planted.pencil.m, planted.pencil.k,
-            fileio.PairBlock(planted.change.x, planted.change.lam),
-            fileio.PairBlock(lam=planted.target_lam), parameters=planted.parameters,
-        )
-        fileio.save_problem(args.out, pf.checked())
-        fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam_compact)
-    except SchemaError as exc:
-        return _fail_schema(str(exc))
-    except NoSpilloverError as exc:
-        return _fail_math(exc)
+        raise SchemaError(f"class must be one of {RANDOM_CLASSES}")
+    if args.klass in SHH_STARS and args.n % 2:
+        raise BadParameters("SHH instances need even n")
+    if args.klass == "star-shh":
+        planted = plant_star_shh(args.seed, args.n // 2, args.p // 2, args.p % 2)
+    elif args.klass == "t-shh":
+        planted = plant_t_shh(args.seed, args.n // 2)
+    else:
+        planted = plant_problem(args.seed, args.n, args.p, args.klass)
+    pf = fileio.ProblemFile(
+        args.klass, planted.pencil.m, planted.pencil.k,
+        fileio.PairBlock(planted.change.x, planted.change.lam),
+        fileio.PairBlock(lam=planted.target_lam), parameters=planted.parameters,
+    )
+    fileio.save_problem(args.out, pf.checked())
+    fileio.save_pairs(args.out + ".fixed.json", planted.fixed.x, planted.fixed.lam_compact)
     print(f"wrote {args.out} and {args.out}.fixed.json")
     return 0
 
@@ -188,10 +150,22 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def main(argv=None) -> int:
+    """Run one command and turn its outcome into the exit code: a
+    ``SchemaError`` is 2 and any other ``NoSpilloverError`` 3, each one
+    line on stderr. A ``--tol`` that bounds no residual (NaN, infinite,
+    zero or negative) is refused before any file is read."""
     try:
         try:
             args = build_parser().parse_args(argv)
+            if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+                raise BadParameters(f"need a finite --tol > 0 (got --tol={args.tol})")
             return args.func(args)
+        except SchemaError as exc:
+            print(f"schema error: {exc}", file=sys.stderr)
+            return 2
+        except NoSpilloverError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         finally:
             sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except BrokenPipeError:

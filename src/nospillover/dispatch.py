@@ -34,16 +34,19 @@ def structure_pencil(m, k, structure: str):
     return StructuredPencil(m, k, TAG_BY_NAME.get(structure))
 
 
-def _update_problem(pf) -> UpdateProblem:
-    """The change pair, targets and fixed pair (None when absent) a file gives."""
-    change = DeflatingPair(pf.change.x, pf.change.lam)
-    fixed = None if pf.fixed is None else DeflatingPair(pf.fixed.x, pf.fixed.lam)
-    return UpdateProblem(change, pf.targets.lam, target_x=pf.targets.x, fixed=fixed)
+def update_problem(change, targets, fixed) -> UpdateProblem:
+    """The problem of a change block, a targets block and a fixed block
+    (None when absent), from a problem file or, with its targets as both
+    change and targets, from a pairs file."""
+    fixed = None if fixed is None else DeflatingPair(fixed.x, fixed.lam)
+    return UpdateProblem(
+        DeflatingPair(change.x, change.lam), targets.lam, target_x=targets.x, fixed=fixed
+    )
 
 
 def _solve_unstructured(pf):
     """solve_general, which raises MissingFixedPair when the file gives no fixed pair."""
-    problem = _update_problem(pf)
+    problem = update_problem(pf.change, pf.targets, pf.fixed)
     pencil = StructuredPencil(pf.m, pf.k, None)
     return pencil, solve_general(pencil, problem), problem, ()
 
@@ -55,21 +58,13 @@ def _solve_quadratic(pf):
     return info["pencil"], result, info["problem"], info["psd"]
 
 
-def _as_square(v):
-    """A parameter matrix, given as a matrix or as its diagonal."""
-    return np.diag(v) if np.asarray(v).ndim == 1 else v
-
-
 def _solve_structured(pf):
     """The six symmetry classes and the two SHH classes, from the file's
     change pair, targets and core parameters. A ``t-shh`` file takes the
     library's real T-SHH update, ``t_shh_update``, with its core on re(G).
 
-    The parameters, checked against ``fileio.PARAMETERS``, are its number
-    and matrix rows, a matrix given as a matrix or as its diagonal: the
-    core source ``core_from_parameters`` takes."""
-    sources = {key: _as_square(v) if fileio.PARAMETERS[key][0] == "matrix" else v
-               for key, v in pf.parameters.items()}
+    The parameters, checked against ``fileio.PARAMETERS``, are the core
+    source ``core_from_parameters`` takes, as the file gives them."""
     xc, lam_c, lam_a = pf.change.x, pf.change.lam, pf.targets.lam
     pencil = structure_pencil(pf.m, pf.k, pf.structure)
     if isinstance(pencil, SHHPencil):
@@ -78,9 +73,10 @@ def _solve_structured(pf):
     else:
         gramian, update = change_gramian, structured_update
     g, _ = gramian(pencil, xc)
-    core = core_from_parameters(g.real if pf.structure == "t-shh" else g, lam_c, lam_a, **sources)
+    g = g.real if pf.structure == "t-shh" else g
+    core = core_from_parameters(g, lam_c, lam_a, **pf.parameters)
     result = update(pencil, xc, lam_c, lam_a, core)
-    return pencil, result, _update_problem(pf), ()
+    return pencil, result, update_problem(pf.change, pf.targets, pf.fixed), ()
 
 
 def solve_problem(pf: fileio.ProblemFile, tol_defl: float = TAU_DEFL):

@@ -70,7 +70,7 @@ TAU_SPECTRUM = 1e-7
 # -- rank, conditioning and definiteness
 TAU_NUM = 1e-12
 # bounds: sigma_min / sigma_max at or below which a matrix is singular (the
-#   pseudoinverse cutoff, rank of X and of [X_a X_f], rcond of the change
+#   rank of the stacked constraints, of X and of [X_a X_f], rcond of the change
 #   Gramian G, formerly ``structured.G_RCOND_CUTOFF``); lambda_min /
 #   lambda_max of a W that must be positive definite; a zero change value.
 # why: about 5e3 eps, above the O(n eps) rounding of a regular problem. A G at
@@ -215,17 +215,6 @@ def realified_pairs(values, vectors=None):
             x = as_matrix(vectors[j], "eigenvector")
             cols += [x.real, x.imag] if pair else [x.real]
     return (None if vectors is None else np.hstack(cols)), block_diag(*blocks)
-
-
-def pseudoinverse(a) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with relative rank cutoff TAU_NUM.
-
-    The zero matrix maps to the zero matrix of transposed shape.
-    """
-    a = as_matrix(a, "A")
-    if fnorm(a) == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(a, rcond=TAU_NUM)
 
 
 def rcond_estimate(a, floor_scale: float = 0.0) -> float:

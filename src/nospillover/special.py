@@ -154,6 +154,7 @@ def _class_update(
     if pencil.tag != TAG_BY_NAME[klass]:  # the kernel takes the class's adjoint
         pencil = StructuredPencil(pencil.m, pencil.k, TAG_BY_NAME[klass])
     _require_positive_definite(pencil.m if weight == "M" else pencil.k, weight)
+    # analytic G: a core on the kernel's rounded G loses its exact pattern (NotHermitian)
     if weight == "M":
         g = np.eye(lam_c.shape[0])
     else:
@@ -231,7 +232,7 @@ def _definite_update(
     if mhat is None and z1 is None and z2 is None:
         z1 = z2 = np.zeros(lc.shape)
     mhat, z1, z2 = (
-        None if v is None else np.diag(check(v, name))
+        None if v is None else check(v, name)
         for v, check, name in ((mhat, on_z1, "Mhat"), (z1, on_z1, "Z1"), (z2, on_z2, "Z2"))
     )
     xn = normalize_columns(pencil, xc, _RECIPES[klass][1])

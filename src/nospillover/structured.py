@@ -78,8 +78,10 @@ def build_update_basis(pencil: StructuredPencil, xc, g, rcond) -> np.ndarray:
 
 
 def _core_inputs(g, lam_c, lam_a, **parameters) -> list[np.ndarray]:
-    """G, Lc, La and the named parameter matrices as complex matrices, which
-    must all be p x p (DimensionMismatch otherwise)."""
+    """G, Lc, La and the named parameter matrices (Mhat, Z1, Z2; a 1-d one
+    reads as its diagonal matrix) as complex matrices, which must all be
+    p x p (DimensionMismatch otherwise)."""
+    parameters = {name: np.diag(a) if np.ndim(a) == 1 else a for name, a in parameters.items()}
     named = {"G": g, "Lambda_c": lam_c, "Lambda_a": lam_a, **parameters}
     mats = [as_matrix(a, name) for name, a in named.items()]
     p = mats[0].shape[0]
@@ -172,6 +174,7 @@ def structured_update(
     xc = as_matrix(xc, "X_c")
     lam_c = as_matrix(lam_c, "Lambda_c")
     lam_a = as_matrix(lam_a, "Lambda_a")
+    # U takes this G, not the core's: a core on a wrong G then shows in core_residual
     g, g_rcond = change_gramian(pencil, xc)
     u = build_update_basis(pencil, xc, g, g_rcond)
     flags = core_structure_flags(core, g, lam_a, pencil.tag)

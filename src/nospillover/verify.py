@@ -156,11 +156,11 @@ def certify(
 ) -> Certificate:
     """Certificate for (dM, dK) against the problem's target and fixed pairs.
 
-    ``psd`` names matrices whose minimum Hermitian eigenvalue should be
-    reported ('delta_m', 'delta_k', 'm_updated', 'k_updated'). Structure
-    residuals are computed against the pencil's tag when present; for an
-    SHH pencil they are those of the star-even pencil J L(lambda) after the
-    update, reported as ``jm_updated_skew`` and ``jk_updated_sym``.
+    ``psd`` names the deltas whose minimum Hermitian eigenvalue should be
+    reported ('delta_m', 'delta_k'). Structure residuals are computed
+    against the pencil's tag when present; for an SHH pencil they are those
+    of the star-even pencil J L(lambda) after the update, reported as
+    ``jm_updated_skew`` and ``jk_updated_sym``.
     """
     m1, k1, norms = _updated_pencil(pencil, result)
     cert = _pair_certificate(pencil, m1, k1, norms, problem.fixed, tol_defl)
@@ -168,12 +168,7 @@ def certify(
         m1, k1, norms, problem.xa, compact_lambda(problem.target_lam)
     )
     for name in psd:
-        matrix = {
-            "delta_m": lambda: result.delta_m,
-            "delta_k": lambda: result.delta_k,
-            "m_updated": lambda: m1,
-            "k_updated": lambda: k1,
-        }[name]()
+        matrix = {"delta_m": lambda: result.delta_m, "delta_k": lambda: result.delta_k}[name]()
         evals = herm_eigs(matrix)
         scale = max(fnorm(matrix), 1e-300)
         cert.definiteness[name] = float(evals[0]) / scale

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import nospillover
-from nospillover.linalg import block_diag, eig_pencil, fnorm
+from nospillover.linalg import TAU_NUM, as_matrix, block_diag, eig_pencil, fnorm
 from nospillover.pencil import (
     HERMITIAN,
     STAR_EVEN,
@@ -32,6 +32,16 @@ def finite_eigenvalues(pairs) -> np.ndarray:
 def pencil_scale(pencil) -> float:
     """||M||_F + ||K||_F of a pencil."""
     return fnorm(pencil.m) + fnorm(pencil.k)
+
+
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose inverse via SVD with relative rank cutoff TAU_NUM, the
+    reference for ``solve_general``'s minimum-norm solution. The zero matrix
+    maps to the zero matrix of transposed shape."""
+    a = as_matrix(a, "A")
+    if fnorm(a) == 0.0:
+        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
+    return np.linalg.pinv(a, rcond=TAU_NUM)
 
 
 def crandn(rng, *shape):

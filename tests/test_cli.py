@@ -25,6 +25,7 @@ from nospillover.randomgen import RANDOM_CLASSES, plant_problem
 from nospillover.shh import t_shh_mhat
 from nospillover.special import solve_quadratic
 from nospillover.structured import core_from_parameters
+from nospillover.verify import certify
 
 
 DATA = Path(__file__).parent / "data"
@@ -93,6 +94,13 @@ def refused(tmp_path, capsys, prob, code):
     assert run(["solve", "--input", prob, "--out", tmp_path / "d.json"]) == code
     assert not (tmp_path / "d.json").exists()
     return capsys.readouterr().err
+
+
+def one_line(capsys) -> str:
+    """The one line a refused command wrote to stderr, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1, err
+    return err.rstrip("\n")
 
 
 # the z1 of the herm-6.1 fixture: a diagonal, [re, im] per entry
@@ -182,10 +190,14 @@ class TestSolve:
         structure = [float(ln.split()[1]) for ln in lines if ln.startswith("structure[")]
         assert lines[-1] == "FAIL" and max(structure) > TAU_STRUCT
 
-    def test_schema_error_exit_2(self, tmp_path):
+    def test_schema_error_exit_2(self, tmp_path, capsys):
+        # a file that does not exist, and one that is no JSON
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["solve", "--input", bad, "--out", tmp_path / "d.json"]) == 2
+        for text in (None, "{not json"):
+            if text is not None:
+                bad.write_text(text)
+            assert run(["solve", "--input", bad, "--out", tmp_path / "d.json"]) == 2
+            assert one_line(capsys).startswith("schema error: cannot read problem file: ")
 
     def test_unstructured_path(self, tmp_path):
         planted = plant_problem(3, 6, 2, "symmetric")
@@ -1065,6 +1077,26 @@ class TestVerify:
             == 0
         )
 
+    def test_targets_and_fixed_certified_on_the_dispatch_problem(self, tmp_path, capsys):
+        # a pairs file's targets are its change pair as well: verify certifies
+        # the problem dispatch.update_problem builds from the three blocks
+        prob, delta, pairs = tmp_path / "prob.json", tmp_path / "d.json", tmp_path / "pairs.json"
+        assert run(["random", "--seed", 5, "--n", 8, "--p", 2,
+                    "--class", "t-odd", "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        doc = json.loads(prob.read_text())
+        fixed = json.loads(Path(f"{prob}.fixed.json").read_text())["fixed"]
+        targets = {"x": doc["change"]["x"], "lambda": doc["targets"]["lambda"]}
+        pairs.write_text(json.dumps({"format": 1, "targets": targets, "fixed": fixed}))
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta, "--pairs", pairs]) == 0
+        m, k, structure = fileio.load_pencil(prob)
+        blocks = fileio.load_pairs(pairs)
+        problem = dispatch.update_problem(blocks["targets"], blocks["targets"], blocks["fixed"])
+        cert = certify(dispatch.structure_pencil(m, k, structure), fileio.load_delta(delta), problem)
+        assert capsys.readouterr().out.splitlines() == cert.summary_lines()
+        assert cert.target_residual is not None and cert.spillover_residual is not None
+
     def test_fixed_only_pairs_catch_spillover(self, tmp_path, capsys):
         prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
         assert run(["random", "--seed", 4, "--n", 8, "--p", 2,
@@ -1178,7 +1210,7 @@ class TestVerify:
             capsys.readouterr()
             assert run(["verify", "--pencil", pencil, "--delta", delta_file,
                         "--pairs", pairs]) == 2
-            err = capsys.readouterr().err
+            err = one_line(capsys)
             assert "delta file" in err and "n=10" in err and "n=8" in err
 
     def test_pairs_of_other_size_exit_2(self, tmp_path, capsys):
@@ -1186,8 +1218,7 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", "--pencil", big, "--delta", delta,
                     "--pairs", f"{small}.fixed.json"]) == 2
-        err = capsys.readouterr().err
-        assert "pairs file" in err and "n=8" in err and "n=10" in err
+        assert one_line(capsys) == "schema error: pairs file fixed has n=8, but the pencil has n=10"
 
     def test_pencil_of_unequal_sizes_exit_2(self, tmp_path, capsys):
         small, big, delta = problems_of_two_sizes(tmp_path)
@@ -1232,11 +1263,14 @@ class TestVerify:
         assert run(["solve", "--input", prob, "--out", delta]) == 0
         args = {"--pencil": prob, "--delta": delta, "--pairs": f"{prob}.fixed.json"}
         args[flag] = tmp_path / "bad.json"
-        args[flag].write_bytes(b"\xff\xfe{}")
-        capsys.readouterr()
-        assert run(["verify", *(x for item in args.items() for x in item)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"schema error: cannot read {what} file: 'utf-8' codec can't decode")
+        # a file that does not exist, then one that is no UTF-8
+        for content, reason in ((None, "[Errno 2] No such file or directory"),
+                                (b"\xff\xfe{}", "'utf-8' codec can't decode")):
+            if content is not None:
+                args[flag].write_bytes(content)
+            capsys.readouterr()
+            assert run(["verify", *(x for item in args.items() for x in item)]) == 2
+            assert one_line(capsys).startswith(f"schema error: cannot read {what} file: {reason}")
 
     def test_corrupted_delta_fails(self, tmp_path):
         planted = plant_problem(6, 5, 2, "hermitian")
@@ -1388,13 +1422,17 @@ class TestReproduce:
         assert not dataclasses.replace(report, certificate=failing).passed
 
     @pytest.mark.parametrize("case_id, far", [("herm-6.1", 30j), ("shh-7", 5 + 5j)])
-    def test_unmatched_change_value_is_not_an_eigenpair(self, monkeypatch, case_id, far):
+    def test_unmatched_change_value_is_not_an_eigenpair(self, monkeypatch, capsys, case_id, far):
         # the quadratic and the SHH cases match wanted values the same way
         case = CASES[case_id]
         monkeypatch.setitem(CASES, case_id, dataclasses.replace(
             case, lam_change=(far,) + case.lam_change[1:]))
         with pytest.raises(NotEigenpair, match="no computed eigenvalue matches"):
             run_case(case_id)
+        # reproduce maps it as solve does: exit 3 and one line, no traceback
+        assert run(["reproduce", case_id]) == 3
+        assert one_line(capsys).startswith(
+            "error: NotEigenpair: no computed eigenvalue matches")
 
 
 class TestRandom:
@@ -1518,7 +1556,7 @@ class TestRandom:
         out = tmp_path / "x.json"
         assert run(["random", "--seed", 1, "--n", 7, "--p", 2,
                     "--class", klass, "--out", out]) == 3
-        assert "error: BadParameters: SHH instances need even n" in capsys.readouterr().err
+        assert one_line(capsys) == "error: BadParameters: SHH instances need even n"
         assert not out.exists()
 
     @pytest.mark.parametrize("klass", ["star-shh", "t-shh"])
@@ -1567,9 +1605,11 @@ class TestRandom:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_class_exit_2(self, tmp_path):
+    def test_bad_class_exit_2(self, tmp_path, capsys):
         assert run(["random", "--seed", 1, "--n", 6, "--p", 2,
                     "--class", "nope", "--out", tmp_path / "x.json"]) == 2
+        assert one_line(capsys) == f"schema error: class must be one of {RANDOM_CLASSES}"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTolOverride:
@@ -1628,6 +1668,24 @@ class TestTolRefused:
         self._refused(tmp_path, capsys, ["verify", "--pencil", tmp_path / "none.json",
                                          "--delta", tmp_path / "d.json",
                                          "--pairs", tmp_path / "p.json"], tol)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_tol_needs_its_equals_sign(tmp_path, capsys, command):
+    # argparse reads the word after a space as an option when it starts with "-"
+    # and is no negative number, as "-inf" is not: exit 2 from argparse, where
+    # "--tol=-inf" reaches the --tol check and exits 3
+    files = {"solve": ["--input", tmp_path / "none.json", "--out", tmp_path / "d.json"],
+             "verify": ["--pencil", tmp_path / "none.json", "--delta", tmp_path / "d.json",
+                        "--pairs", tmp_path / "p.json"]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, *files, "--tol", "-inf"])
+    assert exc.value.code == 2
+    assert "--tol: expected one argument" in capsys.readouterr().err
+    assert run([command, *files, "--tol=-inf"]) == 3
+    assert one_line(capsys) == "error: BadParameters: need a finite --tol > 0 (got --tol=-inf)"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _respelled(block: dict, spelling) -> dict:
@@ -1708,6 +1766,13 @@ class TestProcessEntry:
         pyproject = Path(__file__).parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
         assert scripts == {"nospillover": "nospillover.cli:entry"}
+
+    def test_only_main_catches(self):
+        # a command returns its verdict or raises: main alone maps an error to an exit code
+        tree = ast.parse(inspect.getsource(cli))
+        catching = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if isinstance(node, ast.Try) and node.handlers}
+        assert catching == {"main"}
 
     def test_main_freezes_nothing(self, tmp_path, capsys):
         prob, delta = tmp_path / "prob.json", tmp_path / "d.json"

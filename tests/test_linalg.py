@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import finite_eigenvalues, hungarian_max, relative_cost, run_fresh_python
+from conftest import (
+    finite_eigenvalues,
+    hungarian_max,
+    pseudoinverse,
+    relative_cost,
+    run_fresh_python,
+)
 
 from nospillover.errors import (
     DimensionMismatch,
@@ -25,7 +31,6 @@ from nospillover.linalg import (
     herm_eigs,
     match_multisets,
     nearest_eigenvalues,
-    pseudoinverse,
     realified_pairs,
     star_residual,
 )
@@ -53,6 +58,9 @@ class TestAsMatrix:
 
 
 class TestPseudoinverse:
+    """The reference pseudoinverse of ``conftest``, which the unstructured tests
+    compare ``solve_general`` against."""
+
     def test_identity(self):
         np.testing.assert_allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
 

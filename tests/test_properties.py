@@ -14,6 +14,7 @@ from conftest import (
     plant_star_odd,
     plant_t_even_real,
     plant_t_odd_real,
+    pseudoinverse,
     random_structured_pencil,
     spillover_residual,
 )
@@ -25,7 +26,6 @@ from nospillover.linalg import (
     TAU_NUM,
     fnorm,
     match_multisets,
-    pseudoinverse,
 )
 from nospillover.pencil import (
     ALL_TAGS,

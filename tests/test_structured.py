@@ -186,10 +186,14 @@ class TestCoreFromParameters:
     def test_each_source_gives_its_builder(self):
         g, lc, la, z = self._data()
         zero = np.zeros((3, 3))
+        # a 1-d Mhat, Z1 or Z2 reads as its diagonal matrix
+        d = np.diagonal(z).copy()
         for got, want in (
             (core_from_parameters(g, lc, la, t=0.3), scaled_gramian_core(g, lc, la, 0.3)),
             (core_from_parameters(g, lc, la, z2=z), parametrized_core(g, lc, la, zero, z)),
+            (core_from_parameters(g, lc, la, z1=d), parametrized_core(g, lc, la, np.diag(d), zero)),
             (core_from_parameters(g, lc, la, mhat=z), complete_core(g, lc, la, z)),
+            (core_from_parameters(g, lc, la, mhat=d), complete_core(g, lc, la, np.diag(d))),
             (core_from_parameters(g, lc, la), complete_core(g, lc, la, zero)),
         ):
             assert got.mhat.tobytes() == want.mhat.tobytes()

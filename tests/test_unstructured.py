@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import finite_eigenvalues, pencil_scale
+from conftest import finite_eigenvalues, pencil_scale, pseudoinverse
 
 from nospillover.errors import MissingFixedPair, RankDeficientA
 from nospillover.linalg import (
@@ -10,7 +10,6 @@ from nospillover.linalg import (
     eig_pencil,
     fnorm,
     match_multisets,
-    pseudoinverse,
 )
 from nospillover.pencil import DeflatingPair, StructuredPencil
 from nospillover.unstructured import (

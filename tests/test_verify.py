@@ -80,8 +80,8 @@ class TestCertify:
 
     def test_psd_report(self):
         planted, res, problem = planted_setup(5)
-        cert = certify(planted.pencil, res, problem, psd=("m_updated",))
-        assert "m_updated" in cert.definiteness
+        cert = certify(planted.pencil, res, problem, psd=("delta_k",))
+        assert list(cert.definiteness) == ["delta_k"]
 
     def test_spillover_only_certificate(self):
         planted, res, problem = planted_setup(7)
@@ -211,11 +211,11 @@ class TestUpdatedPencil:
 
     def test_psd_forms_the_named_update(self):
         pencil, result, problem = _definite_solve("hermitian")
-        cert = certify(pencil, result, problem, psd=("delta_m", "k_updated"))
-        assert set(cert.definiteness) == {"delta_m", "k_updated"}
-        dm = result.delta_m
-        expected = np.linalg.eigvalsh((dm + dm.conj().T) / 2)[0] / fnorm(dm)
-        assert cert.definiteness["delta_m"] == pytest.approx(expected, abs=1e-15)
+        cert = certify(pencil, result, problem, psd=("delta_m", "delta_k"))
+        assert set(cert.definiteness) == {"delta_m", "delta_k"}
+        for name, d in (("delta_m", result.delta_m), ("delta_k", result.delta_k)):
+            expected = np.linalg.eigvalsh((d + d.conj().T) / 2)[0] / fnorm(d)
+            assert cert.definiteness[name] == pytest.approx(expected, abs=1e-15)
 
 
 def _pair_inputs(rng, n, p):
