@@ -69,7 +69,7 @@ def cmd_verify(args) -> int:
     pencil = structure_pencil(m, k, structure)
     # a fixed-only file, as ``random`` writes, gets a spillover-only certificate
     if targets is None:
-        fixed_pair = DeflatingPair(fixed.x, fixed.lam)
+        fixed_pair = DeflatingPair(fixed.x, fixed.lam_compact)
         return _verdict(certify_spillover(pencil, result, fixed_pair, tol_defl=args.tol))
     problem = update_problem(targets, targets, fixed)
     return _verdict(certify(pencil, result, problem, tol_defl=args.tol))

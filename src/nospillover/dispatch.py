@@ -37,10 +37,11 @@ def structure_pencil(m, k, structure: str):
 def update_problem(change, targets, fixed) -> UpdateProblem:
     """The problem of a change block, a targets block and a fixed block
     (None when absent), from a problem file or, with its targets as both
-    change and targets, from a pairs file."""
-    fixed = None if fixed is None else DeflatingPair(fixed.x, fixed.lam)
+    change and targets, from a pairs file. Each pair takes its Lambda as
+    the file gives it, values or matrix."""
+    fixed = None if fixed is None else DeflatingPair(fixed.x, fixed.lam_compact)
     return UpdateProblem(
-        DeflatingPair(change.x, change.lam), targets.lam, target_x=targets.x, fixed=fixed
+        DeflatingPair(change.x, change.lam_compact), targets.lam, target_x=targets.x, fixed=fixed
     )
 
 

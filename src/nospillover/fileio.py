@@ -5,11 +5,13 @@ stored as [re, im] pairs, each float in its shortest round-trip digits, so
 parse(emit(x)) is bitwise faithful.
 
 Problem and pairs files are ``format: 1``. A pair block's ``lambda`` is a
-p x p matrix or the vector of its p diagonal values, which the reader takes
-as the diagonal matrix (any length when the block has no ``x``), so a
-``PairBlock``'s ``lam`` is always a matrix. The writers spell a Lambda with
-no entry off its diagonal but +0 as its values: a diagonal fixed pair of
-order n - p is n - p pairs, not (n - p)^2. A delta file is written as
+p x p matrix or the vector of its p diagonal values (any length when the
+block has no ``x``), which a ``PairBlock`` keeps as given in
+``lam_compact``: a ``DeflatingPair`` takes the values as its diagonal, and
+``PairBlock.lam`` forms the matrix on each access. The writers
+spell a Lambda with no entry off its diagonal but +0 as its values: a
+diagonal fixed pair of order n - p is n - p pairs, not (n - p)^2, and is
+read back with no (n - p)^2 matrix. A delta file is written as
 ``format: 2``: a ``factors`` block with ``left`` (n x a), ``mhat``,
 ``khat`` (a x b) and ``right`` (b x n), which ``load_delta`` returns as the
 factors of an ``UpdateResult``. ``load_delta`` still reads the older
@@ -73,7 +75,7 @@ _DELTA_KEYS = {
     FORMAT_VERSION: ("format", "delta_m", "delta_k", "provenance", "certificate"),
 }
 # each key of a pair block, and the PairBlock attribute that holds it
-_FIELD_ATTRS = {"x": "x", "lambda": "lam", "eigenvalues": "eigenvalues"}
+_FIELD_ATTRS = {"x": "x", "lambda": "lam_compact", "eigenvalues": "eigenvalues"}
 
 STRUCTURE_NAMES = (
     "unstructured",
@@ -177,11 +179,26 @@ def _write(path, doc):
         raise SchemaError(f"cannot write file: {exc}") from None
 
 
-@dataclass
+@dataclass(init=False)
 class PairBlock:
-    x: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
+    """A pair block's x, Lambda and eigenvalues, each None when absent.
+
+    Lambda is kept as given (``lam_compact``): the values of a diagonal
+    one, as a file may spell it, or the matrix. ``lam`` forms the matrix
+    on each access, as ``DeflatingPair.lam`` does, and a ``DeflatingPair``
+    takes ``lam_compact`` as it is."""
+
+    x: np.ndarray | None
+    lam_compact: np.ndarray | None
+    eigenvalues: np.ndarray | None
+
+    def __init__(self, x=None, lam=None, eigenvalues=None):
+        self.x, self.lam_compact, self.eigenvalues = x, lam, eigenvalues
+
+    @property
+    def lam(self) -> np.ndarray | None:
+        lam = self.lam_compact
+        return np.diag(lam) if np.ndim(lam) == 1 else lam
 
 
 @dataclass
@@ -292,26 +309,25 @@ def _check_reads(reader: str, blocks: dict, parameters=()) -> None:
 
 def _decode_pair_block(obj, name) -> PairBlock:
     """A pair block, each field a matrix (a null one is refused, as a null
-    parameter is). A lambda given as a vector is the diagonal matrix of its
-    values, so ``lam`` is always a matrix; when given with x, it is p x p
-    for the p columns of x (a vector x counts as one column)."""
+    parameter is). A lambda given as a vector is kept as its values
+    (``PairBlock.lam_compact``); when given with x, it is p x p, or p
+    values, for the p columns of x (a vector x counts as one column)."""
     if obj is None:
         return PairBlock()
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object")
     _known_keys(obj, _FIELD_ATTRS, name)
-    block = PairBlock(**{
-        _FIELD_ATTRS[key]: _decode_value(PAIR_FIELDS[f"{name}.{key}"][0], value, f"{name}.{key}")
-        for key, value in obj.items()
-    })
-    values = block.lam is not None and block.lam.ndim == 1
-    if values:
-        block.lam = np.diag(block.lam)
-    if block.x is not None and block.lam is not None:
+    block = PairBlock()
+    for key, value in obj.items():
+        kind = PAIR_FIELDS[f"{name}.{key}"][0]
+        setattr(block, _FIELD_ATTRS[key], _decode_value(kind, value, f"{name}.{key}"))
+    lam = block.lam_compact
+    if block.x is not None and lam is not None:
         p = block.x.shape[1] if block.x.ndim == 2 else 1
-        rows, cols = block.lam.shape
-        if (rows, cols) != (p, p):
-            given = f"holds {rows} value{'s' * (rows != 1)}" if values else f"is {rows} x {cols}"
+        if lam.shape != (p,) * lam.ndim:
+            rows = lam.shape[0]
+            given = (f"holds {rows} value{'s' * (rows != 1)}" if lam.ndim == 1
+                     else f"is {rows} x {lam.shape[1]}")
             raise SchemaError(f"{name}.lambda {given}, but {name}.x has {p} columns")
     return block
 
@@ -332,7 +348,7 @@ def _lambda_values(lam) -> np.ndarray:
 def _encode_pair_block(block: PairBlock | None):
     if block is None:
         return None
-    lam = None if block.lam is None else _lambda_values(block.lam)
+    lam = None if block.lam_compact is None else _lambda_values(block.lam_compact)
     arrays = {"x": block.x, "lambda": lam, "eigenvalues": block.eigenvalues}
     return {key: np.asarray(a) for key, a in arrays.items() if a is not None} or None
 

@@ -144,9 +144,28 @@ PLANT_GRAMIAN_CUTOFF = 1e-6
 # why: six orders above TAU_NUM, so no planted file is near ``SingularG``.
 
 
+def _kept(a) -> bool:
+    """Whether ``as_matrix`` reads ``a`` in place: a plain complex128
+    ndarray, C- or F-contiguous, that spans the whole buffer it views. A
+    window onto a larger buffer is copied, so that keeping it does not keep
+    the rest alive, and a strided one too, whose products would run through
+    numpy's loops in place of BLAS."""
+    if type(a) is not np.ndarray or a.dtype != np.complex128:
+        return False
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        return False
+    return a.base is None or (isinstance(a.base, np.ndarray) and a.base.nbytes == a.nbytes)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-d complex128 array (always a copy)."""
-    arr = np.array(a, dtype=np.complex128)
+    """Validate and convert to a 2-d complex128 array (a 1-d one is a column).
+
+    A contiguous complex128 ndarray that spans its whole buffer (``_kept``)
+    is read in place: the result is a new view of it, so a caller that sets
+    the view read-only leaves the given array writable, and writing into the
+    given array later changes what the view reads. Anything else is copied.
+    No caller in the package writes into the result."""
+    arr = a.view(np.ndarray) if _kept(a) else np.array(a, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:

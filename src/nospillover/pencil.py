@@ -104,7 +104,12 @@ def classify_structure(m, k) -> list[StructureTag]:
 
 @dataclass(frozen=True)
 class StructuredPencil:
-    """Square pencil lambda*M + K with an optional structure tag."""
+    """Square pencil lambda*M + K with an optional structure tag.
+
+    M and K are read as ``linalg.as_matrix`` reads them: a contiguous
+    complex128 array in place, read-only through the pencil, so writing
+    into it afterwards changes the pencil; anything else as a copy.
+    """
 
     m: np.ndarray
     k: np.ndarray
@@ -153,30 +158,47 @@ class StructuredPencil:
 class DeflatingPair:
     """(X, Lambda) with M X Lambda + K X = 0; Lambda need not be diagonal.
 
-    The pair decides once, when it is built, whether Lambda is diagonal (no
-    nonzero off its diagonal, ``linalg.compact_lambda``). A diagonal Lambda,
-    as in every planted, quadratic and ``random`` fixed pair, is kept as its
-    values, so a fixed pair of order n - p holds no (n - p)^2 matrix;
-    ``lam`` forms the matrix on each access. ``lam_compact`` is Lambda as
-    kept: the 1-d values of a diagonal Lambda, else the matrix.
+    Lambda is a square matrix or the 1-d values of a diagonal one, one per
+    column of X. The pair decides once, when it is built, whether a matrix
+    Lambda is diagonal (no nonzero off its diagonal,
+    ``linalg.compact_lambda``). A diagonal Lambda, as in every planted,
+    quadratic and ``random`` fixed pair, is kept as its values, so a fixed
+    pair of order n - p holds no (n - p)^2 matrix; ``lam`` forms the matrix
+    on each access. ``lam_compact`` is Lambda as kept: the 1-d values of a
+    diagonal Lambda, else the matrix. X and a matrix Lambda are read as
+    ``linalg.as_matrix`` reads them: a contiguous complex128 array in place,
+    read-only through the pair, and anything else as a copy.
     """
 
     __slots__ = ("x", "lam_compact")
 
     def __init__(self, x, lam):
         x = as_matrix(x, "X")
-        lam = require_square(as_matrix(lam, "Lambda"), "Lambda")
+        values = np.ndim(lam) == 1
+        lam = as_matrix(lam, "Lambda")
+        lam = lam[:, 0] if values else require_square(lam, "Lambda")
         if lam.shape[0] != x.shape[1]:
             raise DimensionMismatch(
                 f"X has {x.shape[1]} columns but Lambda is {lam.shape}"
             )
         if x.shape[1] > 0 and linalg.rcond_estimate(x) <= TAU_NUM:
             raise DimensionMismatch("X is column rank deficient")
-        lam = compact_lambda(lam)
+        self._keep(x, lam if values else compact_lambda(lam))
+
+    @classmethod
+    def _prechecked(cls, x: np.ndarray, lam_compact: np.ndarray):
+        """The pair of a complex128 X whose column rank the caller has
+        already checked, and its Lambda as kept: neither is copied or
+        checked again."""
+        pair = object.__new__(cls)
+        pair._keep(x, lam_compact)
+        return pair
+
+    def _keep(self, x: np.ndarray, lam_compact: np.ndarray) -> None:
         x.setflags(write=False)
-        lam.setflags(write=False)
+        lam_compact.setflags(write=False)
         self.x = x
-        self.lam_compact = lam
+        self.lam_compact = lam_compact
 
     @property
     def lam(self) -> np.ndarray:

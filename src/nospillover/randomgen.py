@@ -129,10 +129,14 @@ def _plant(
         xc, lam_c = x[:, :p], spectrum.lam[:p, :p]
         xf, values_f = _complex_pairs(x[:, p:], spectrum.lam[p:, p:])
         if _accepted(pencil, tag, xc, lam_c, xf, values_f, spectrum.target_lam):
+            # X_f is [X_c X_f] less p columns, so by interlacing sigma_min(X_f)
+            # >= sigma_min([X_c X_f]) and sigma_max(X_f) <= sigma_max([X_c X_f]):
+            # rcond(X_f) >= rcond([X_c X_f]) >= PLANT_BASIS_CUTOFF, four orders
+            # above the TAU_NUM rank check that the pair would repeat
             return PlantedProblem(
                 pencil,
                 DeflatingPair(xc, lam_c),
-                DeflatingPair(xf, np.diag(values_f)),
+                DeflatingPair._prechecked(xf, values_f),
                 spectrum.target_lam,
                 spectrum.parameters,
                 seed,
@@ -193,7 +197,7 @@ def _complex_pairs(x: np.ndarray, lam: np.ndarray):
             cols.append(x[:, j])
             values.append(lam[j, j])
             j += 1
-    return np.column_stack(cols), np.array(values, dtype=complex)
+    return np.column_stack(cols).astype(complex, copy=False), np.array(values, dtype=complex)
 
 
 def _accepted(pencil, tag, xc, lam_c, xf, values_f, target_lam) -> bool:

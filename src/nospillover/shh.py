@@ -56,7 +56,9 @@ class SHHPencil:
     """lambda*M + K with M star-skew-Hamiltonian and K star-Hamiltonian.
 
     It is checked, and kept, as the star-even pencil J L(lambda) it reduces
-    to, which every update and Gramian of the pencil runs on.
+    to, which every update and Gramian of the pencil runs on. M and K are
+    read as ``StructuredPencil`` reads them: in place when contiguous
+    complex128, read-only through the pencil.
     """
 
     m: np.ndarray

@@ -565,6 +565,7 @@ def definite_eig(pencil: StructuredPencil) -> list[PencilEigenpair]:
 
 
 def fixed_pair_from_eigs(eigs) -> DeflatingPair:
-    """(X, Lambda) from a list of eigenpairs: vectors as columns, diagonal Lambda."""
+    """(X, Lambda) from a list of eigenpairs: vectors as columns, diagonal
+    Lambda given as its values."""
     x = np.hstack([e.vector.reshape(-1, 1) for e in eigs])
-    return DeflatingPair(x, np.diag([e.value for e in eigs]).astype(np.complex128))
+    return DeflatingPair(x, np.array([e.value for e in eigs], dtype=np.complex128))

@@ -44,6 +44,8 @@ class CoreSolution:
         kh = require_square(as_matrix(self.khat, "Khat"), "Khat")
         if mh.shape != kh.shape:
             raise DimensionMismatch("Mhat and Khat must have equal shapes")
+        mh.setflags(write=False)
+        kh.setflags(write=False)
         object.__setattr__(self, "mhat", mh)
         object.__setattr__(self, "khat", kh)
 

@@ -29,7 +29,8 @@ class UpdateProblem:
     """Change pair (X_c, Lc), targets (X_a, La), optional fixed pair.
 
     ``target_x`` defaults to the change vectors (the pure eigenvalue
-    reassignment case X_a = X_c).
+    reassignment case X_a = X_c). La and X_a are read as
+    ``linalg.as_matrix`` reads them, read-only through the problem.
     """
 
     change: DeflatingPair
@@ -42,6 +43,7 @@ class UpdateProblem:
         p = self.change.p
         if lam.shape != (p, p):
             raise DimensionMismatch(f"Lambda_a must match Lambda_c shape {(p, p)}")
+        lam.setflags(write=False)
         object.__setattr__(self, "target_lam", lam)
         if self.target_x is not None:
             tx = as_matrix(self.target_x, "X_a")
@@ -49,6 +51,7 @@ class UpdateProblem:
                 raise DimensionMismatch("X_a must have the shape of X_c")
             if rcond_estimate(tx) <= TAU_NUM:
                 raise DimensionMismatch("X_a is column rank deficient")
+            tx.setflags(write=False)
             object.__setattr__(self, "target_x", tx)
 
     @property

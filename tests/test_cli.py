@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import inspect
 import json
 import os
@@ -1755,6 +1756,80 @@ class TestLambdaSpelling:
         prob.write_text(json.dumps(doc))
         err = refused(tmp_path, capsys, prob, 2)
         assert err == "schema error: change.lambda holds 4 values, but change.x has 2 columns\n"
+
+    def test_values_spelled_fixed_pair_forms_no_matrix(self, tmp_path, monkeypatch, capsys):
+        # the n - p values of random's fixed pair stay values from the file to
+        # the certificate: no (n - p) x (n - p) matrix is formed of them
+        n, p = 24, 4
+        prob, delta = tmp_path / "prob.json", tmp_path / "delta.json"
+        assert run(["random", "--seed", 7, "--n", n, "--p", p, "--class", "hermitian",
+                    "--out", prob]) == 0
+        assert run(["solve", "--input", prob, "--out", delta]) == 0
+        formed, diag = [], np.diag
+
+        def recorded(v, k=0):
+            out = diag(v, k)
+            formed.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "diag", recorded)
+        fixed = fileio.load_pairs(f"{prob}.fixed.json")["fixed"]
+        assert fixed.lam_compact.shape == (n - p,)
+        capsys.readouterr()
+        assert run(["verify", "--pencil", prob, "--delta", delta,
+                    "--pairs", f"{prob}.fixed.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        assert (n - p, n - p) not in formed
+
+
+def _input_digests(*objects) -> list[str]:
+    """The SHA-256 of each array that ``objects`` (problem files, pair
+    blocks, dicts of them) hold, in the order of their fields."""
+    digests = []
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            digests.append(hashlib.sha256(obj.tobytes()).hexdigest())
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+        elif isinstance(obj, dict):
+            for value in obj.values():
+                walk(value)
+
+    for obj in objects:
+        walk(obj)
+    return digests
+
+
+class TestInputsUnwritten:
+    """A pencil or pair reads a loaded file's arrays in place, so no kernel
+    may write into them: every array is byte for byte as loaded after the
+    solve and after a certificate with the fixed pair."""
+
+    @pytest.mark.parametrize("source", [*RANDOM_CLASSES, "quadratic", "unstructured"])
+    def test_no_kernel_writes_into_an_input(self, tmp_path, source):
+        if source == "quadratic":
+            prob, pairs = DATA / "herm-6.1.quadratic.json", None
+        elif source == "unstructured":
+            prob = unstructured_problem(tmp_path, "hermitian", 8, 2)
+            pairs = fileio.load_pairs(f"{prob}.fixed.json")
+        else:
+            prob = tmp_path / "prob.json"
+            assert run(["random", "--seed", 7, "--n", 8, "--p", 2, "--class", source,
+                        "--out", prob]) == 0
+            pairs = fileio.load_pairs(f"{prob}.fixed.json")
+        pf = fileio.load_problem(prob)
+        loaded = _input_digests(pf, pairs)
+        assert len(loaded) >= 4
+        result, cert = dispatch.solve_problem(pf)
+        assert cert.passed
+        assert _input_digests(pf, pairs) == loaded
+        if pairs is not None:
+            pencil = dispatch.structure_pencil(pf.m, pf.k, pf.structure)
+            problem = dispatch.update_problem(pf.change, pf.targets, pairs["fixed"])
+            assert certify(pencil, result, problem).passed
+            assert _input_digests(pf, pairs) == loaded
 
 
 class TestProcessEntry:

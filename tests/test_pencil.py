@@ -1,6 +1,7 @@
 """Tests for structured pencils and deflating-pair algebra."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import (
     realified_fixed_pair,
 )
 
-from nospillover.errors import MissingStar, NotPositiveDefinite
+from nospillover.errors import DimensionMismatch, MissingStar, NotPositiveDefinite
 from nospillover.linalg import eig_pencil, fnorm, match_multisets
 from nospillover.pencil import (
     ALL_TAGS,
@@ -27,6 +28,9 @@ from nospillover.pencil import (
     symmetry_partner,
 )
 from nospillover.randomgen import plant_problem
+from nospillover.shh import SHHPencil, apply_j
+from nospillover.structured import CoreSolution
+from nospillover.unstructured import UpdateProblem
 from nospillover.verify import certify_spillover
 
 
@@ -142,6 +146,25 @@ class TestDeflatingPairLambda:
         # a column scaling by the diagonal drops the b's and misses the pair
         assert fnorm(m1 @ pair.x * np.diagonal(lam) + k1 @ pair.x) > 1e3 * dense
 
+    def test_values_and_their_diagonal_matrix_give_one_pair(self):
+        planted = plant_problem(5, 12, 2, "hermitian")
+        x, values = np.array(planted.fixed.x), np.array(planted.fixed.lam_compact)
+        by_values, by_matrix = DeflatingPair(x, values), DeflatingPair(x, np.diag(values))
+        assert by_values.lam_compact.shape == (10,)
+        assert by_values.lam_compact.tobytes() == by_matrix.lam_compact.tobytes()
+        assert by_values.lam.tobytes() == by_matrix.lam.tobytes()
+        certs = [pair_residual(planted.pencil, pair) for pair in (by_values, by_matrix)]
+        assert certs[0].spillover_residual == certs[1].spillover_residual
+        assert certs[0].spillover_relative == certs[1].spillover_relative
+        assert certs[0].summary_lines() == certs[1].summary_lines()
+
+    @pytest.mark.parametrize("count", [9, 11])
+    def test_values_of_another_length_are_refused(self, count):
+        rng = np.random.default_rng(24)
+        x = np.linalg.qr(crandn(rng, 12, 10))[0]
+        with pytest.raises(DimensionMismatch, match=r"X has 10 columns but Lambda is \(%d,\)" % count):
+            DeflatingPair(x, crandn(rng, count))
+
     def test_tiny_off_diagonal_entry_keeps_lambda_dense(self):
         # only exact zeros count as zero: 1e-300 off the diagonal is kept
         rng = np.random.default_rng(23)
@@ -150,6 +173,86 @@ class TestDeflatingPairLambda:
         pair = DeflatingPair(np.linalg.qr(crandn(rng, 5, 3))[0], lam)
         assert pair.lam_compact.ndim == 2
         assert pair.lam.tobytes() == lam.tobytes()
+
+
+# real data, held as complex128 or float64 alike: a symmetric and a skew
+# 6 x 6 matrix, a full-rank 6 x 2 X and a 2 x 2 Lambda with no zero entry
+_RNG = np.random.default_rng(41)
+_A, _B = _RNG.standard_normal((2, 6, 6))
+_SYM, _SKEW = _A + _A.T, _B - _B.T
+_X, _LAM = _RNG.standard_normal((6, 2)), _RNG.standard_normal((2, 2))
+
+# each array a pencil, pair, problem or core reads through ``as_matrix``:
+# a value for it, and how the object is built around a given array and
+# returns what it keeps
+KEEPERS = {
+    "StructuredPencil.m": (_SYM, lambda a: StructuredPencil(a, _SYM, SYMMETRIC).m),
+    "SHHPencil.k": (apply_j(_SYM, transpose=True),
+                    lambda a: SHHPencil(apply_j(_SKEW, transpose=True), a, "T").k),
+    "DeflatingPair.x": (_X, lambda a: DeflatingPair(a, _LAM).x),
+    "DeflatingPair.lam_compact": (_LAM, lambda a: DeflatingPair(_X, a).lam_compact),
+    "UpdateProblem.target_x": (
+        _X, lambda a: UpdateProblem(DeflatingPair(_X, _LAM), _LAM, target_x=a).target_x),
+    "UpdateProblem.target_lam": (_LAM, lambda a: UpdateProblem(DeflatingPair(_X, _LAM), a).target_lam),
+    "CoreSolution.mhat": (_LAM, lambda a: CoreSolution(a, _LAM).mhat),
+}
+
+
+def _given(value, layout):
+    """``value`` as the array a caller passes, in ``layout``."""
+    rows, cols = value.shape
+    c = value.astype(np.complex128)
+    if layout == "C":
+        return c
+    if layout == "F":
+        return np.asfortranarray(c)
+    if layout == "float64":
+        return value.astype(np.float64)
+    if layout == "matrix":
+        return np.matrix(c)
+    if layout == "strided":  # every other column of a wider array
+        wide = np.zeros((rows, 2 * cols), dtype=np.complex128)
+        wide[:, ::2] = c
+        return wide[:, ::2]
+    tall = np.zeros((2 * rows, cols), dtype=np.complex128)  # the top rows of a taller one
+    tall[:rows] = c
+    return tall[:rows]
+
+
+class TestKeepOrCopy:
+    """A contiguous complex128 array is read in place, read-only through the
+    object that keeps it; any other input is copied."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("name", KEEPERS)
+    def test_contiguous_complex_is_kept(self, name, layout):
+        value, build = KEEPERS[name]
+        given = _given(value, layout)
+        before = given.tobytes()
+        kept = build(given)
+        assert np.shares_memory(kept, given)
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
+        assert given.flags.writeable and given.tobytes() == before
+        # the object reads the caller's array: a later write shows through it
+        given[0, 0] += 1.0
+        assert kept[0, 0] == given[0, 0]
+
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("layout", ["float64", "strided", "matrix", "row-slice"])
+    @pytest.mark.parametrize("name", KEEPERS)
+    def test_other_inputs_are_copied(self, name, layout):
+        value, build = KEEPERS[name]
+        given = _given(value, layout)
+        buffer = weakref.ref(given if given.base is None else given.base)
+        kept = build(given)
+        assert type(kept) is np.ndarray and kept.dtype == np.complex128
+        assert not np.shares_memory(kept, given)
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, value)
+        del given
+        assert buffer() is None  # nothing kept holds the caller's buffer alive
 
 
 def gramians(pencil, x1, x2):
